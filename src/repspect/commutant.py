@@ -14,10 +14,17 @@ this package certifies:
   a multiple of the identity has an eigenspace that is a proper invariant
   subspace, which is extracted as an explicit witness.
 
-The commuting span is computed as the nullspace of stacked linear
-constraints rho(g) A - A rho(g) = 0, with g running over the generators
-(finite groups), all elements, or a batch of invariant-distributed
-samples (continuous groups).
+For a finite group table the span is the range of the Reynolds operator
+A -> (1/|G|) sum_g rho(g) A rho(g)^T, an orthogonal projector on matrix
+space.  Its dimension, and that of its symmetric part, are first counted
+from the characters (Frobenius-Schur: (1/|G|) sum chi(g)^2 and
+(1/|G|) sum (chi(g)^2 + chi(g^2))/2), then a basis is read off from the
+Reynolds images of a few random matrices; the numerical rank and the
+symmetric split must both agree with the counts.  The reference path,
+used for all-element constraints and for continuous groups, is the SVD
+nullspace of stacked linear constraints rho(g) A - A rho(g) = 0, with g
+running over all table elements or over a batch of invariant-distributed
+samples.
 """
 
 from __future__ import annotations
@@ -44,6 +51,16 @@ from .representations import Representation
 
 NULLSPACE_REL_THRESHOLD = 1e-8
 ELEMENT_SOURCE_CAP = 10_000
+CHARACTER_COUNT_TOL = 1e-6   # distance from an integer a character count may have
+RANGE_OVERSAMPLE = 4         # random matrices pushed beyond the counted dimension
+# Each (d + RANGE_OVERSAMPLE, n, n) buffer of the Reynolds range (the random
+# matrices, their average, the SVD input) may take at most this much: a
+# few of them plus the SVD workspace must fit a 2-core, 7 GB machine next
+# to the rest of the pipeline.
+RANGE_BUFFER_BYTES = 256 * 2**20
+# Table images are averaged in blocks whose products stay below this size,
+# so the average adds little to the pipeline's peak memory.
+REYNOLDS_BLOCK_BYTES = 2**20
 WITNESS_GAP_TOL = 1e-8
 WITNESS_RESIDUAL_TOL = 1e-6
 
@@ -58,6 +75,9 @@ class CommutantBasis:
     constraint matrix; ``threshold`` is the singular-value cutoff that
     defined the nullspace.  ``constraints`` keeps the constraint images
     so later stages can re-verify against the same evidence.
+    ``sym_count`` is the character count of the symmetric part on finite
+    tables, which :func:`split_symmetric_skew` checks its split against;
+    it is ``None`` when the basis came from an SVD nullspace.
     """
 
     basis: list[np.ndarray]
@@ -68,6 +88,7 @@ class CommutantBasis:
     threshold: float
     constraints: np.ndarray
     ambiguous_sigma: float | None = None
+    sym_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -160,19 +181,89 @@ def trace_orthonormal_nullspace(
     value closest to the cutoff if any lies within a factor of ten of it.
     """
     _, sigma, vh = np.linalg.svd(stacked, full_matrices=True)
-    cols = stacked.shape[1]
-    sigma = np.concatenate([sigma, np.zeros(cols - len(sigma))])
-    sigma_max = sigma[0] if len(sigma) else 0.0
-    if sigma_max <= 0.0:
-        return vh, 0.0, None
-    threshold = rel_threshold * sigma_max
-    null_mask = sigma <= threshold
-    band = (sigma > threshold / 10.0) & (sigma < threshold * 10.0)
-    ambiguous = None
-    if band.any():
-        band_vals = sigma[band]
-        ambiguous = float(band_vals[np.argmin(np.abs(np.log(band_vals / threshold)))])
-    return vh[null_mask], threshold, ambiguous
+    sigma = np.concatenate([sigma, np.zeros(stacked.shape[1] - len(sigma))])
+    threshold, ambiguous = _singular_cutoff(sigma, rel_threshold)
+    return vh[sigma <= threshold], threshold, ambiguous
+
+
+def _singular_cutoff(sigma: np.ndarray, rel_threshold: float) -> tuple[float, float | None]:
+    """Cutoff ``rel_threshold * sigma_max`` for descending singular values.
+
+    Also returns the singular value closest to the cutoff (in log ratio)
+    when one lies within a decade of it, else None.
+    """
+    threshold = rel_threshold * sigma[0] if len(sigma) else 0.0
+    band = sigma[(sigma > threshold / 10.0) & (sigma < threshold * 10.0)]
+    if not len(band):
+        return threshold, None
+    return threshold, float(band[np.argmin(np.abs(np.log(band / threshold)))])
+
+
+def character_counts(images: np.ndarray) -> tuple[int, int]:
+    """Commutant dimension and symmetric-part dimension from characters.
+
+    For orthogonal images of a finite group these are
+    d = (1/|G|) sum chi(g)^2 and s = (1/|G|) sum (chi(g)^2 + chi(g^2))/2,
+    the dimensions of the invariant bilinear and symmetric bilinear forms
+    (Serre, Linear Representations of Finite Groups, 2.3 and 13.2), with
+    chi(g^2) = tr(rho(g) rho(g)).  A count off an integer means the table
+    is not a group or the images are not a homomorphism, and raises
+    InconsistentDimensions.
+    """
+    chi = np.trace(images, axis1=1, axis2=2)
+    chi_of_square = np.einsum("kij,kji->k", images, images)
+    d = float(np.mean(chi * chi))
+    s = float(np.mean(chi * chi + chi_of_square)) / 2.0
+    for label, count in (("commutant", d), ("symmetric commutant", s)):
+        if abs(count - round(count)) > CHARACTER_COUNT_TOL:
+            raise InconsistentDimensions(
+                f"character count of the {label} dimension is {count:.9g}, not an "
+                "integer: the table is not a group or the images are not a homomorphism"
+            )
+    return round(d), round(s)
+
+
+def _reynolds_range(
+    images: np.ndarray,
+    dim: int,
+    rng: np.random.Generator,
+    rel_threshold: float,
+) -> tuple[np.ndarray, float, float | None]:
+    """Orthonormal rows spanning the Reynolds range, whose rank must be ``dim``.
+
+    The group average of rho(g) A rho(g)^T projects orthogonally onto the
+    commuting span, so ``dim + RANGE_OVERSAMPLE`` Gaussian matrices pushed
+    through it span the whole of it with probability one, and the spread
+    of their singular values keeps clear of the cutoff.
+    """
+    k, n, _ = images.shape
+    m = min(dim + RANGE_OVERSAMPLE, n * n)
+    if m * n * n * 8 > RANGE_BUFFER_BYTES:
+        raise TooLarge(
+            f"commutant of dimension {dim} in degree {n} needs {m} x {n * n} buffers "
+            f"above the {RANGE_BUFFER_BYTES} byte budget"
+        )
+    draws = rng.standard_normal((m, n, n))
+    side_by_side = draws.transpose(1, 0, 2).reshape(n, m * n)  # [A_1 | ... | A_m]
+    acc = np.zeros((m * n, n))
+    block = max(1, REYNOLDS_BLOCK_BYTES // (m * n * n * 8))
+    for start in range(0, k, block):
+        rho = images[start : start + block]
+        b = len(rho)
+        # Rows (j, i) and columns (g, c) of left hold (rho(g) A_j)[i, c];
+        # contracting (g, c) against rho(g)[l, c] sums rho(g) A_j rho(g)^T
+        # over the block in one matrix product.
+        left = (rho.reshape(b * n, n) @ side_by_side).reshape(b, n, m, n)
+        left = left.transpose(2, 1, 0, 3).reshape(m * n, b * n)
+        acc += left @ rho.transpose(0, 2, 1).reshape(b * n, n)
+    _, sigma, vh = np.linalg.svd(acc.reshape(m, n * n) / k, full_matrices=False)
+    threshold, ambiguous = _singular_cutoff(sigma, rel_threshold)
+    rank = int(np.count_nonzero(sigma > threshold))
+    if rank != dim:
+        raise InconsistentDimensions(
+            f"Reynolds range has numerical rank {rank}; the character count is {dim}"
+        )
+    return vh[:rank], threshold, ambiguous
 
 
 def _sample_constraint_images(rep: Representation, rng: np.random.Generator, k: int) -> np.ndarray:
@@ -183,19 +274,6 @@ def _sample_constraint_images(rep: Representation, rng: np.random.Generator, k: 
     if rep.matrix_stack_map is not None:
         return rep.matrix_stack_map(payload)
     return np.stack([rep.evaluate(GroupElement(matrix=m)) for m in payload])
-
-
-def _finite_constraint_images(rep: Representation, source: str, element_cap: int) -> np.ndarray:
-    table = rep.group
-    if source == "elements":
-        if table.order > element_cap:
-            raise TooLarge(
-                f"table has {table.order} elements; all-element constraints capped at {element_cap}"
-            )
-        return rep.table_images()
-    if source == "generators":
-        return np.stack(rep.generator_images())
-    raise BadParams(f"unknown finite constraint source {source!r}")
 
 
 def commutant_basis(
@@ -210,30 +288,49 @@ def commutant_basis(
 ) -> CommutantBasis:
     """Compute the commuting span of a representation.
 
-    ``source`` selects the constraint matrices: ``generators`` or
-    ``elements`` for finite groups, ``samples`` for continuous families;
-    ``auto`` picks generators when finite, samples otherwise.  In the
-    sampled case the batch is doubled (8, 16, 32, ...) until the computed
-    dimension agrees across two consecutive rounds; failure to stabilize
-    by ``max_samples`` raises NonStabilizedDimension.
+    ``source`` selects how: ``generators`` or ``elements`` for finite
+    groups, ``samples`` for continuous families; ``auto`` picks generators
+    when finite, samples otherwise.
 
-    The commuting span of the generators already equals that of the whole
-    group, since a matrix commuting with generators commutes with all of
-    their products.
+    ``generators`` counts the dimension d and the symmetric dimension
+    from the characters of the table images, then takes the basis from
+    the Reynolds images of d + 4 Gaussian matrices drawn from ``rng``;
+    a count off an integer or a numerical rank other than d raises
+    InconsistentDimensions, and a range too large for the buffer budget
+    raises TooLarge before anything is drawn.  The generator images are
+    kept as the constraints that later stages re-verify against: a
+    matrix commuting with the generators commutes with all of their
+    products.
+
+    ``elements`` (the reference) and ``samples`` take the SVD nullspace of
+    the stacked commutation constraints.  In the sampled case the batch is
+    doubled (8, 16, 32, ...) until the computed dimension agrees across two
+    consecutive rounds; failure to stabilize by ``max_samples`` raises
+    NonStabilizedDimension.
     """
     finite = isinstance(rep.group, FiniteGroupTable)
     if source == "auto":
         source = "generators" if finite else "samples"
+    rng = np.random.default_rng(0) if rng is None else rng
 
-    if source in ("generators", "elements"):
-        if not finite:
-            raise BadParams(f"source {source!r} needs a finite group table")
-        images = _finite_constraint_images(rep, source, element_cap)
+    sym_count = None
+    if source in ("generators", "elements") and not finite:
+        raise BadParams(f"source {source!r} needs a finite group table")
+    if source == "generators":
+        images = np.stack(rep.generator_images())
+        table_images = rep.table_images()
+        dim, sym_count = character_counts(table_images)
+        rows, threshold, ambiguous = _reynolds_range(table_images, dim, rng, rel_threshold)
+    elif source == "elements":
+        if rep.group.order > element_cap:
+            raise TooLarge(
+                f"table has {rep.group.order} elements; all-element constraints capped at {element_cap}"
+            )
+        images = rep.table_images()
         rows, threshold, ambiguous = _nullspace_of_images(images, rel_threshold)
     elif source == "samples":
         if finite:
             raise BadParams("source 'samples' is for continuous families")
-        rng = np.random.default_rng(0) if rng is None else rng
         images, rows, threshold, ambiguous = _stabilized_sampled_nullspace(
             rep, rng, rel_threshold, start_samples, max_samples
         )
@@ -250,6 +347,7 @@ def commutant_basis(
         threshold=threshold,
         constraints=images,
         ambiguous_sigma=ambiguous,
+        sym_count=sym_count,
     )
     if ambiguous is not None:
         warnings.warn(
@@ -325,6 +423,10 @@ def split_symmetric_skew(cb: CommutantBasis) -> CommutantBasis:
         raise InconsistentDimensions(
             f"symmetric/skew split gives {len(sym)} + {len(skew)} != {cb.dim}"
         )
+    if cb.sym_count is not None and len(sym) != cb.sym_count:
+        raise InconsistentDimensions(
+            f"symmetric part has dimension {len(sym)}; the character count is {cb.sym_count}"
+        )
     basis = [r.reshape(n, n) for r in sym] + [r.reshape(n, n) for r in skew]
     return CommutantBasis(
         basis=basis,
@@ -335,6 +437,7 @@ def split_symmetric_skew(cb: CommutantBasis) -> CommutantBasis:
         threshold=cb.threshold,
         constraints=cb.constraints,
         ambiguous_sigma=cb.ambiguous_sigma,
+        sym_count=cb.sym_count,
     )
 
 

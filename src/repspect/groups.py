@@ -163,12 +163,6 @@ def inverse(a: GroupElement) -> GroupElement:
     return GroupElement(matrix=np.linalg.inv(a.matrix))
 
 
-def identity_like(g: GroupElement) -> GroupElement:
-    if g.is_permutation:
-        return GroupElement(perm=tuple(range(len(g.perm))))
-    return GroupElement(matrix=np.eye(g.matrix.shape[0]))
-
-
 def orthogonality_defect(m: np.ndarray) -> float:
     """Entrywise deviation of m @ m.T from the identity."""
     n = m.shape[0]

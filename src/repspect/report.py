@@ -24,6 +24,7 @@ import scipy
 
 from . import __version__
 from .commutant import (
+    NULLSPACE_REL_THRESHOLD,
     CommutantBasis,
     TypeVerdict,
     WitnessSubspace,
@@ -41,6 +42,7 @@ from .errors import (
 )
 from .groups import (
     CONTINUOUS_FAMILIES,
+    DEFAULT_CLOSURE_CAP,
     FINITE_FAMILIES,
     ContinuousFamily,
     FiniteGroupTable,
@@ -88,8 +90,8 @@ GROUP_KINDS = FINITE_FAMILIES + CONTINUOUS_FAMILIES + (
 class Tolerances:
     band_sigma: float = 4.0        # consistency band in sampling stderrs
     conflict_sigma: float = 6.0    # escalation band for the verdict cross-check
-    nullspace_rel: float = 1e-8    # singular-value cutoff, relative to largest
-    closure_cap: int = 1_000_000   # finite enumeration guard
+    nullspace_rel: float = NULLSPACE_REL_THRESHOLD  # singular-value cutoff, relative to largest
+    closure_cap: int = DEFAULT_CLOSURE_CAP          # finite enumeration guard
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from repspect.errors import (
     NonStabilizedDimension,
     NotReducible,
     ThresholdAmbiguity,
+    TooLarge,
 )
 
 from conftest import brute_commutant, cyclic_table, max_principal_angle, random_unit, span_columns
@@ -35,6 +38,26 @@ def o2_double_rep():
         group=fam,
         matrix_stack_map=stack_map,
     )
+
+
+def dihedral_permutation_rep(n):
+    """Rotation i -> i+1 and reflection i -> -i acting on n points."""
+    spec = rs.GroupSpec(kind="permutation_generators", generators=(
+        tuple((i + 1) % n for i in range(n)),
+        tuple((-i) % n for i in range(n)),
+    ))
+    return rs.build_named_rep("sn_permutation", rs.enumerate_closure(spec))
+
+
+def near_degenerate_fake_table():
+    """Not a group: one honest rotation plus an almost-commuting perturbation."""
+    almost = np.diag([1.0, 1.0 + 3e-8])
+    elements = [
+        rs.GroupElement(matrix=np.eye(2), index=0),
+        rs.GroupElement(matrix=rs.groups.rotation_matrix(2.0 * np.pi / 5.0), index=1),
+        rs.GroupElement(matrix=almost, index=2),
+    ]
+    return rs.FiniteGroupTable(elements=elements, order=3, complete=True)
 
 
 def rotation_plus_trivial_rep():
@@ -177,19 +200,43 @@ class TestCommutantBasis:
         assert len(rows) == 1
 
     def test_threshold_ambiguity_warning_on_near_degenerate_constraints(self):
-        # Not a group: one honest rotation constraint plus an almost-commuting
-        # perturbation whose singular values land within a decade of the cutoff.
-        almost = np.diag([1.0, 1.0 + 3e-8])
-        elements = [
-            rs.GroupElement(matrix=np.eye(2), index=0),
-            rs.GroupElement(matrix=rs.groups.rotation_matrix(2.0 * np.pi / 5.0), index=1),
-            rs.GroupElement(matrix=almost, index=2),
-        ]
-        table = rs.FiniteGroupTable(elements=elements, order=3, complete=True)
+        # The perturbation's singular values land within a decade of the cutoff.
+        table = near_degenerate_fake_table()
         rep = rs.Representation(dim=2, evaluate=lambda g: g.matrix, group=table)
         with pytest.warns(ThresholdAmbiguity):
             cb = rs.commutant_basis(rep, source="elements")
         assert cb.ambiguous_sigma is not None
+
+    def test_non_group_table_fails_the_character_count(self):
+        table = near_degenerate_fake_table()
+        table.generators = table.elements[1:]
+        rep = rs.Representation(dim=2, evaluate=lambda g: g.matrix, group=table)
+        with pytest.raises(InconsistentDimensions):
+            rs.commutant_basis(rep, source="generators")
+
+    def test_dihedral_48_commutant_stays_small(self):
+        rep = dihedral_permutation_rep(48)
+        tracemalloc.start()
+        try:
+            cb = split_commutant(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cb.dim == cb.sym_dim == 25
+        assert peak < 150 * 2**20
+
+    def test_oversized_range_rejected_before_allocation(self):
+        spec = rs.GroupSpec(kind="permutation_generators", generators=(tuple(range(128)),))
+        rep = rs.build_named_rep("sn_permutation", rs.enumerate_closure(spec))
+        with pytest.raises(TooLarge):
+            rs.commutant_basis(rep)
+
+    def test_split_disagreeing_with_character_count_rejected(self, s4_table):
+        cb = rs.commutant_basis(rs.build_named_rep("sn_permutation", s4_table))
+        assert cb.sym_count == 2
+        cb.sym_count = 1
+        with pytest.raises(InconsistentDimensions):
+            rs.split_symmetric_skew(cb)
 
 
 class TestSplitAndClassify:
