@@ -2,8 +2,12 @@
 
 Finite groups are given by generators (permutations or invertible real
 matrices) or by a named family, and are expanded to a full element table
-by breadth-first closure.  Continuous families (the orthogonal and special
-orthogonal groups) are sampled directly from their invariant distribution.
+by breadth-first closure.  Matrix elements are deduplicated through a
+bucket index keyed by a fixed linear projection (``MatrixIndex``), so the
+closure and ``index_of`` compare each matrix with a handful of stored
+elements instead of the whole table.  Continuous families (the orthogonal
+and special orthogonal groups) are sampled directly from their invariant
+distribution.
 """
 
 from __future__ import annotations
@@ -118,6 +122,7 @@ class FiniteGroupTable:
     generators: list[GroupElement] = field(default_factory=list)
     spec: GroupSpec | None = None
     _perm_index: dict | None = field(default=None, repr=False)
+    _matrix_index: MatrixIndex | None = field(default=None, repr=False)
 
     def identity(self) -> GroupElement:
         return self.elements[0]
@@ -131,10 +136,75 @@ class FiniteGroupTable:
                 return self._perm_index[g.perm]
             except KeyError:
                 raise KeyError(f"{g!r} is not in the table") from None
-        for i, el in enumerate(self.elements):
-            if float(np.max(np.abs(el.matrix - g.matrix))) < MATRIX_DEDUP_TOL:
-                return i
-        raise KeyError(f"{g!r} is not in the table")
+        if self._matrix_index is None:
+            self._matrix_index = MatrixIndex.of([el.matrix for el in self.elements])
+        i = self._matrix_index.lookup(g.matrix)
+        if i is None:
+            raise KeyError(f"{g!r} is not in the table")
+        return i
+
+
+class MatrixIndex:
+    """Bucket index of matrices for dedup at ``MATRIX_DEDUP_TOL``.
+
+    A matrix m is filed under ``floor(<w, vec(m)> / cell)``, where ``w`` is
+    a fixed direction with positive weights and ``cell = 2 * tol * |w|_1``.
+    Completeness: if max|a - b| < tol then
+    |<w, vec(a)> - <w, vec(b)>| <= |w|_1 * max|a - b| < cell / 2, so the
+    keys of a and b differ by at most one, and every stored element within
+    tol of a query lies in the query's bucket or one of its two
+    neighbours.  The other half-cell absorbs the rounding of the two
+    projections, which stays far below tol * |w|_1 while
+    n^2 * max|m| * 2^-52 << tol (orthogonal matrices of any practical n).
+    The buckets only prune which elements are compared: the test itself
+    stays max-abs < tol against a stored matrix.  A matrix whose
+    projection is not finite (a NaN or infinite entry, or entries near the
+    top of the float range) is filed under ``None`` and compared only with
+    the other such matrices.
+    """
+
+    def __init__(self, n: int):
+        # Weights in [1, 2) from the fractional parts of k * golden ratio:
+        # a constant, seed-free direction that separates typical tables.
+        self.weights = 1.0 + np.modf(np.arange(1, n * n + 1) * 0.6180339887498949)[0]
+        self.cell = 2.0 * MATRIX_DEDUP_TOL * float(self.weights.sum())
+        self.shape = (n, n)
+        self.matrices: list[np.ndarray] = []
+        self.buckets: dict[int | None, list[int]] = {}
+
+    @classmethod
+    def of(cls, matrices: list[np.ndarray]) -> MatrixIndex:
+        index = cls(matrices[0].shape[0])
+        for m, key in zip(matrices, index.keys(np.stack(matrices))):
+            index.add(m, key)
+        return index
+
+    def keys(self, stack: np.ndarray) -> list[int | None]:
+        """Bucket keys of a (k, n, n) stack."""
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite keys are None
+            q = (stack.reshape(len(stack), -1) @ self.weights) / self.cell
+        return [math.floor(x) if math.isfinite(x) else None for x in q.tolist()]
+
+    def lookup(self, m: np.ndarray) -> int | None:
+        """Smallest stored index within tol of ``m``, or None."""
+        if m.shape != self.shape:
+            return None
+        return self.find(m, self.keys(m[None])[0])
+
+    def find(self, m: np.ndarray, key: int | None) -> int | None:
+        """``lookup`` for a matrix whose key is already known."""
+        probe = (None,) if key is None else (key - 1, key, key + 1)
+        hits = [
+            i
+            for k in probe
+            for i in self.buckets.get(k, ())
+            if float(np.abs(self.matrices[i] - m).max()) < MATRIX_DEDUP_TOL
+        ]
+        return min(hits) if hits else None
+
+    def add(self, m: np.ndarray, key: int | None) -> None:
+        self.buckets.setdefault(key, []).append(len(self.matrices))
+        self.matrices.append(m)
 
 
 GroupSource = FiniteGroupTable | ContinuousFamily
@@ -164,9 +234,13 @@ def inverse(a: GroupElement) -> GroupElement:
 
 
 def orthogonality_defect(m: np.ndarray) -> float:
-    """Entrywise deviation of m @ m.T from the identity."""
-    n = m.shape[0]
-    return float(np.max(np.abs(m @ m.T - np.eye(n))))
+    """Entrywise deviation of m @ m.T from the identity.
+
+    ``m`` may also be a (k, n, n) stack; the result is then the worst
+    deviation over the stack, from one batched product.
+    """
+    n = m.shape[-1]
+    return float(np.max(np.abs(m @ np.swapaxes(m, -1, -2) - np.eye(n))))
 
 
 def permutation_element(images, word: tuple[int, ...] = ()) -> GroupElement:
@@ -257,7 +331,11 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
     """Breadth-first closure of the generators into a full group table.
 
     Elements are deduplicated exactly for permutations and by entrywise
-    distance below ``MATRIX_DEDUP_TOL`` for matrices.  Raises
+    distance below ``MATRIX_DEDUP_TOL`` for matrices.  Matrix products are
+    looked up in a ``MatrixIndex`` (three buckets of a fixed projection
+    hold every stored element within tol, see its docstring), so closure
+    costs about O(|G| k) comparisons for k generators instead of
+    O(|G|^2 k); the index stays on the table for ``index_of``.  Raises
     ClosureOverflow when more than ``cap`` distinct elements appear.
     """
     if cap < 1:
@@ -268,30 +346,22 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
     if not generators:
         raise BadParams("no generators")
 
+    index = None
     if generators[0].is_permutation:
         elements = _close_permutations(generators, cap)
     else:
-        elements = _close_matrices(generators, cap)
+        elements, index = _close_matrices(generators, cap)
 
     table = FiniteGroupTable(
         elements=elements,
         order=len(elements),
         complete=True,
-        generators=[_locate(elements, g) for g in generators],
         spec=spec,
+        _matrix_index=index,
     )
-    return table
-
-
-def _locate(elements: list[GroupElement], g: GroupElement) -> GroupElement:
     # Generators re-appear in the table with their index attached.
-    for el in elements:
-        if g.is_permutation and el.perm == g.perm:
-            return el
-        if not g.is_permutation and el.matrix.shape == g.matrix.shape:
-            if float(np.max(np.abs(el.matrix - g.matrix))) < MATRIX_DEDUP_TOL:
-                return el
-    raise RuntimeError("generator missing from its own closure")
+    table.generators = [table.elements[table.index_of(g)] for g in generators]
+    return table
 
 
 def _close_permutations(generators: list[GroupElement], cap: int) -> list[GroupElement]:
@@ -317,27 +387,34 @@ def _close_permutations(generators: list[GroupElement], cap: int) -> list[GroupE
     return elements
 
 
-def _close_matrices(generators: list[GroupElement], cap: int) -> list[GroupElement]:
+def _close_matrices(
+    generators: list[GroupElement], cap: int
+) -> tuple[list[GroupElement], MatrixIndex]:
     n = generators[0].degree
-    stack = np.eye(n)[None, :, :]
     elements = [GroupElement(matrix=np.eye(n), word=(), index=0)]
+    index = MatrixIndex.of([elements[0].matrix])
     frontier = [elements[0]]
     while frontier:
+        # One batched product and projection per generator and level; the
+        # batched matmul runs the same kernel per matrix as el.matrix @ gen.
+        stack = np.stack([el.matrix for el in frontier])
+        prods = [stack @ gen.matrix for gen in generators]
+        keys = [index.keys(p) for p in prods]
         nxt = []
-        for el in frontier:
-            for gi, gen in enumerate(generators):
-                prod = el.matrix @ gen.matrix
-                dist = np.abs(stack - prod[None, :, :]).max(axis=(1, 2))
-                if dist.min() < MATRIX_DEDUP_TOL:
+        for f, el in enumerate(frontier):
+            for gi in range(len(generators)):
+                prod, key = prods[gi][f], keys[gi][f]
+                if index.find(prod, key) is not None:
                     continue
                 if len(elements) >= cap:
                     raise ClosureOverflow(f"closure exceeds cap={cap}")
+                prod = prod.copy()  # own its data rather than pin the level's batch
                 new = GroupElement(matrix=prod, word=el.word + (gi,), index=len(elements))
                 elements.append(new)
-                stack = np.concatenate([stack, prod[None, :, :]], axis=0)
+                index.add(prod, key)
                 nxt.append(new)
         frontier = nxt
-    return elements
+    return elements, index
 
 
 # ---------------------------------------------------------------------------

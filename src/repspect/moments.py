@@ -37,7 +37,6 @@ from .representations import Representation
 UNIT_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
 DEFAULT_PAIRS = 100_000
-PAIR_ENUMERATION_CAP = 100_000_000
 FACTORIAL_GUARD = 8
 
 
@@ -313,7 +312,11 @@ def coordinate_second_moments(
     workers: int = 1,
     block: int = 65536,
 ) -> SecondMomentMatrix:
-    """Monte Carlo mean of x x^T with per-entry standard errors."""
+    """Monte Carlo mean of x x^T with per-entry standard errors.
+
+    Each block of ``block`` samples adds x^T x and (x*x)^T (x*x) to the
+    running sums, two GEMMs with O(block n + n^2) memory.
+    """
     if n_samples < 2:
         raise BadParams("need at least 2 samples")
     n = sampler.dim
@@ -325,9 +328,9 @@ def coordinate_second_moments(
         while done < size:
             take = min(block, size - done)
             x = sampler.sample(rng, take)
-            outer = np.einsum("ki,kj->kij", x, x)
-            total += outer.sum(axis=0)
-            total_sq += (outer**2).sum(axis=0)
+            x2 = x * x
+            total += x.T @ x
+            total_sq += x2.T @ x2
             done += take
     mean = total / n_samples
     var = np.maximum(total_sq - n_samples * mean**2, 0.0) / (n_samples - 1)
@@ -383,9 +386,9 @@ def lower_bound_check(m, trace_tol: float = 1e-8) -> LowerBoundCheck:
 
 @dataclass(frozen=True)
 class OrbitMoments:
-    single_sum: float          # mean over g of <rho(g) v, v>^2
-    double_sum: float | None   # mean over (g, h) pairs; None when too large
-    group_sum: float           # |G| * single_sum
+    single_sum: float   # mean over g of <rho(g) v, v>^2
+    double_sum: float   # mean over (g, h) pairs of <rho(g) v, rho(h) v>^2
+    group_sum: float    # |G| * single_sum
     order: int
 
 
@@ -393,14 +396,16 @@ def exact_finite_orbit_moments(
     rep: Representation,
     table: FiniteGroupTable | None,
     v: np.ndarray,
-    pair_cap: int = PAIR_ENUMERATION_CAP,
 ) -> OrbitMoments:
     """Exact orbit-averaged squared overlaps of a finite group.
 
     For an irreducible representation both averages equal 1/dim and the
     unnormalized group sum equals |G|/dim, for a base point with any
-    stabilizer.  The double sum enumerates all |G|^2 pairs (in blocks)
-    and is skipped above ``pair_cap``.
+    stabilizer.  The pair average factors through the orbit's second
+    moment: with O the (|G|, n) orbit matrix and M = O^T O / |G|,
+    (1/|G|^2) sum_{g,h} <gv, hv>^2 = |M|_F^2, which costs O(|G| n^2) and
+    enumerates no pairs.  The single sum uses <gv, v> and not M, so the
+    two remain independent certificates of each other.
     """
     table = rep.group if table is None else table
     if not isinstance(table, FiniteGroupTable) or not table.complete:
@@ -411,14 +416,8 @@ def exact_finite_orbit_moments(
     orbit = rep.table_images() @ v
     single = float(np.mean((orbit @ v) ** 2))
     order = table.order
-    double = None
-    if order * order <= pair_cap:
-        acc = 0.0
-        step = max(1, min(order, 4096))
-        for lo in range(0, order, step):
-            g = orbit[lo : lo + step] @ orbit.T
-            acc += float(np.sum(g * g))
-        double = acc / order**2
+    m = (orbit.T @ orbit) / order
+    double = float(np.sum(m * m))
     return OrbitMoments(single_sum=single, double_sum=double, group_sum=order * single, order=order)
 
 

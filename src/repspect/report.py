@@ -483,8 +483,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
                 )
         elif spec.kind == "orbit" and finite:
             om = exact_finite_orbit_moments(rep, None, spec.base)
-            value = om.double_sum if om.double_sum is not None else om.single_sum
-            est = MomentEstimate(value=value, stderr=0.0, n_samples=om.order, exact=True)
+            est = MomentEstimate(value=om.double_sum, stderr=0.0, n_samples=om.order, exact=True)
             identities["orbit_exact"].append({
                 "measure_index": i,
                 "order": om.order,
@@ -494,9 +493,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
                 "single_reference": reference,
                 "group_reference": om.order * reference,
                 "single_residual": abs(om.single_sum - reference),
-                "double_vs_single": (
-                    None if om.double_sum is None else abs(om.double_sum - om.single_sum)
-                ),
+                "double_vs_single": abs(om.double_sum - om.single_sum),
                 "group_residual": abs(om.group_sum - om.order * reference),
             })
         else:
@@ -746,14 +743,11 @@ def render_text(report: Report) -> str:
             f" (band {r.band:.3e})"
         )
     for entry in report.identities["orbit_exact"]:
-        if entry["double_vs_single"] is None:
-            pair_part = "pair average skipped (group too large)"
-        else:
-            pair_part = f"double vs single residual {entry['double_vs_single']:.3e}"
         lines.append(
             f"orbit sums[{entry['measure_index']}]: group_sum {entry['group_sum']:.12g} "
             f"vs |G|/n {entry['group_reference']:.12g} "
-            f"(residual {entry['group_residual']:.3e}); " + pair_part
+            f"(residual {entry['group_residual']:.3e}); "
+            f"double vs single residual {entry['double_vs_single']:.3e}"
         )
     for entry in report.identities["expectation"]:
         lines.append(

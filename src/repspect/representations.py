@@ -222,7 +222,7 @@ def _build_defining_rep(group, n, catalog_id: str, expected_dim: int | None) -> 
     if n is not None and catalog_id == "defining_orthogonal" and n != dim:
         raise BadParams(f"group acts on R^{dim}, rep asked for n={n}")
     if isinstance(group, FiniteGroupTable):
-        worst = max(orthogonality_defect(g.matrix) for g in group.elements)
+        worst = orthogonality_defect(np.stack([g.matrix for g in group.elements]))
         if worst > ORTHOGONALITY_TOL:
             raise BadParams(
                 "group elements are not orthogonal (defect "
@@ -301,7 +301,7 @@ def gram_symmetrize(raw_evaluator, table: FiniteGroupTable) -> Representation:
         catalog_id="explicit",
         basis_change=b_sqrt,
     )
-    worst = max(orthogonality_defect(m) for m in rep.table_images())
+    worst = orthogonality_defect(rep.table_images())
     if worst > ORTHOGONALITY_TOL:
         raise BadParams(
             f"symmetrized images are not orthogonal (defect {worst:.2e}); "

@@ -48,6 +48,48 @@ def brute_commutant(images, rcond=1e-10):
     return scipy.linalg.null_space(np.concatenate(blocks), rcond=rcond)
 
 
+def brute_matrix_closure(generators, tol=1e-8):
+    """Independent oracle: breadth-first closure of matrix generators.
+
+    Every product el @ gen is compared with every stored element by
+    entrywise distance below ``tol``, and the stack is re-copied each time
+    an element is added: the quadratic reference for the library's
+    closure.  Returns the matrices and their generator words in discovery
+    order, identity first.
+    """
+    n = generators[0].shape[0]
+    stack = np.eye(n)[None, :, :]
+    matrices, words = [np.eye(n)], [()]
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for gi, gen in enumerate(generators):
+                prod = matrices[i] @ gen
+                if np.abs(stack - prod[None, :, :]).max(axis=(1, 2)).min() < tol:
+                    continue
+                matrices.append(prod)
+                words.append(words[i] + (gi,))
+                stack = np.concatenate([stack, prod[None, :, :]], axis=0)
+                nxt.append(len(matrices) - 1)
+        frontier = nxt
+    return matrices, words
+
+
+def brute_pair_average(rep, v, block=4096):
+    """Independent oracle: (1/|G|^2) sum over all pairs (g, h) of <gv, hv>^2.
+
+    Enumerates the |G|^2 Gram entries of the orbit in row blocks.
+    """
+    orbit = rep.table_images() @ v
+    order = orbit.shape[0]
+    acc = 0.0
+    for lo in range(0, order, block):
+        g = orbit[lo : lo + block] @ orbit.T
+        acc += float(np.sum(g * g))
+    return acc / order**2
+
+
 def span_columns(basis_matrices):
     """Stack matrices as columns of vectorized coordinates."""
     return np.stack([b.reshape(-1) for b in basis_matrices], axis=1)

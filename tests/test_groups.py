@@ -4,9 +4,16 @@ from scipy import stats
 
 import repspect as rs
 from repspect.errors import BadParams, ClosureOverflow, IncompleteTable, NonInvertibleGenerator
-from repspect.groups import QUAT_LEFT_I, QUAT_LEFT_J, orthogonality_defect
+from repspect.groups import (
+    MATRIX_DEDUP_TOL,
+    QUAT_LEFT_I,
+    QUAT_LEFT_J,
+    GroupElement,
+    MatrixIndex,
+    orthogonality_defect,
+)
 
-from conftest import cyclic_table
+from conftest import brute_matrix_closure, cyclic_table
 
 
 def quaternion_unit_matrices():
@@ -70,6 +77,74 @@ class TestEnumerateClosure:
         table = rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n))
         for el in table.elements:
             assert orthogonality_defect(el.matrix) <= 1e-8
+
+
+# Signed permutation matrices of R^3: a 3-cycle, a transposition and a sign
+# flip generate the hyperoctahedral group B3 of order 48.
+B3_GENERATORS = (
+    np.eye(3)[[1, 2, 0]],
+    np.eye(3)[[1, 0, 2]],
+    np.diag([-1.0, 1.0, 1.0]),
+)
+
+
+class TestMatrixClosure:
+    @pytest.mark.parametrize("spec", [
+        *(rs.GroupSpec(kind="dihedral", n=n) for n in (1, 2, 3, 7, 12, 360)),
+        rs.GroupSpec(kind="cyclic", n=997),
+        rs.GroupSpec(kind="quaternion8"),
+        rs.GroupSpec(kind="matrix_generators", generators=B3_GENERATORS),
+    ], ids=lambda spec: f"{spec.kind}-{spec.n}")
+    def test_bit_identical_to_linear_scan_oracle(self, spec):
+        table = rs.enumerate_closure(spec)
+        gens = [g.matrix for g in rs.groups.canonical_generators(spec)]
+        matrices, words = brute_matrix_closure(gens)
+        assert table.order == len(matrices)
+        for i, (el, m, w) in enumerate(zip(table.elements, matrices, words)):
+            assert el.index == i
+            assert el.word == w
+            assert el.matrix.shape == m.shape
+            assert el.matrix.tobytes() == m.tobytes()
+        for g, gen in zip(table.generators, gens):
+            assert float(np.max(np.abs(g.matrix - gen))) < MATRIX_DEDUP_TOL
+
+    def test_neighbours_across_a_bucket_edge_dedupe(self):
+        index = MatrixIndex(2)
+        edge = 7 * index.cell
+        a = np.zeros((2, 2))
+        a[0, 0] = (edge - 0.1 * index.cell) / index.weights[0]
+        # shifts the projection by 0.4 tol |w|_1 = 0.2 cell, over the edge
+        b = a + 0.4 * MATRIX_DEDUP_TOL
+        ka, kb = index.keys(np.stack([a, b]))
+        assert kb == ka + 1
+        for stored, query in ((a, b), (b, a)):
+            table = rs.FiniteGroupTable(
+                elements=[GroupElement(matrix=stored, index=0)], order=1, complete=True
+            )
+            assert table.index_of(GroupElement(matrix=query)) == 0
+            with pytest.raises(KeyError):
+                table.index_of(GroupElement(matrix=stored + 2 * MATRIX_DEDUP_TOL))
+
+    def test_overflow_at_cap_for_dihedral(self):
+        spec = rs.GroupSpec(kind="dihedral", n=50)
+        assert rs.enumerate_closure(spec, cap=100).order == 100
+        with pytest.raises(ClosureOverflow):
+            rs.enumerate_closure(spec, cap=99)
+
+    def test_overflowing_generator_hits_the_cap(self):
+        # Powers of diag(2, 1/2) overflow to inf and then NaN entries, whose
+        # projections are not finite; each is new, so closure runs to the cap.
+        spec = rs.GroupSpec(kind="matrix_generators", generators=(np.diag([2.0, 0.5]),))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ClosureOverflow):
+            rs.enumerate_closure(spec, cap=1500)
+
+    def test_index_of_every_dihedral_3000_element(self):
+        table = rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=3000))
+        rebuilt = rs.FiniteGroupTable(elements=table.elements, order=table.order, complete=True)
+        for i, el in enumerate(table.elements):
+            probe = GroupElement(matrix=el.matrix.copy())
+            assert table.index_of(probe) == i
+            assert rebuilt.index_of(probe) == i
 
 
 class TestFiniteSampling:

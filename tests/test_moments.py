@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,18 @@ from repspect.errors import (
     TraceNotOne,
 )
 
-from conftest import cyclic_table, random_unit, symmetric_table
+from conftest import brute_pair_average, cyclic_table, random_unit, symmetric_table
+
+
+def traced_peak(fn):
+    """Result of fn() and its tracemalloc peak in bytes."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
 
 
 @pytest.fixture(scope="module")
@@ -226,6 +239,31 @@ class TestExactFiniteOrbitMoments:
             om = rs.exact_finite_orbit_moments(rep, None, random_unit(rng, 3))
             assert abs(om.double_sum - om.single_sum) <= 1e-10
 
+    @pytest.mark.parametrize("rep_name,kind,n", [
+        ("sn_permutation", "symmetric", 3),
+        ("sn_sum_zero", "symmetric", 3),
+        ("sn_permutation", "symmetric", 4),
+        ("sn_sum_zero", "symmetric", 4),
+        ("q8_left", "quaternion8", None),
+        ("cyclic_rotation", "cyclic", 7),
+        ("defining_orthogonal", "dihedral", 12),
+    ])
+    def test_pair_moment_matches_pair_enumeration(self, rep_name, kind, n):
+        rep = rs.build_named_rep(rep_name, rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n)))
+        rng = rs.stream(31)
+        for _ in range(3):
+            v = random_unit(rng, rep.dim)
+            om = rs.exact_finite_orbit_moments(rep, None, v)
+            assert abs(om.double_sum - brute_pair_average(rep, v)) <= 1e-12
+
+    def test_dihedral_3000_pair_moment_stays_small(self):
+        table = rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=3000))
+        rep = rs.build_named_rep("defining_orthogonal", table)
+        v = np.array([0.6, 0.8])
+        om, peak = traced_peak(lambda: rs.exact_finite_orbit_moments(rep, None, v))
+        assert om.double_sum == pytest.approx(0.5, abs=1e-12)
+        assert peak < 16 * 2**20
+
     def test_incomplete_table_rejected(self, s3_table):
         rep = rs.build_named_rep("sn_permutation", s3_table)
         partial = rs.FiniteGroupTable(elements=s3_table.elements[:2], order=2, complete=False)
@@ -284,6 +322,13 @@ class TestCoordinateSecondMoments:
         spec = rs.discrete_measure([[1.0, 0.0]], [1.0])
         smm = rs.coordinate_second_moments(rs.make_sampler(spec, c4_rotation), 100, seed=16)
         np.testing.assert_allclose(smm.entries, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
+
+    def test_dim_40_memory_stays_small(self):
+        fam = rs.ContinuousFamily(kind="orthogonal", n=40)
+        sampler = rs.make_sampler(rs.uniform_sphere(), rs.build_named_rep("defining_orthogonal", fam))
+        smm, peak = traced_peak(lambda: rs.coordinate_second_moments(sampler, 20_000, seed=17))
+        assert np.trace(smm.entries) == pytest.approx(1.0, abs=1e-12)
+        assert peak < 32 * 2**20
 
     def test_exact_orbit_second_moment(self, c4_rotation):
         smm = rs.moments.exact_finite_orbit_second_moment(
