@@ -22,6 +22,7 @@ from .errors import (
     ValidationError,
 )
 from .report import emit_outputs, parse_config, run_analysis
+from .representations import CATALOG
 
 CONFIG_ERRORS = (
     ParseError,
@@ -34,7 +35,7 @@ CONFIG_ERRORS = (
     FileNotFoundError,
 )
 
-CATALOG = """\
+CATALOG_TEMPLATE = """\
 groups:
   symmetric(n)            all permutations of n points
   cyclic(n)               planar rotations by multiples of 2*pi/n
@@ -46,14 +47,7 @@ groups:
   matrix_generators       explicit invertible real matrices
 
 representations:
-  sn_permutation          permute coordinates of R^n               (dim n)
-  sn_sum_zero             coordinate permutations restricted to
-                          the zero-sum hyperplane                  (dim n-1)
-  cyclic_rotation         defining rotation action of cyclic(n)    (dim 2)
-  q8_left                 left quaternion multiplication           (dim 4)
-  so3_traceless_symmetric conjugation on traceless symmetric 3x3   (dim 5)
-  defining_orthogonal     matrix group acting on column vectors    (dim n)
-  explicit                generator images, symmetrized            (dim set by images)
+{representations}
 
 measures:
   orbit                   push-forward of the group's invariant
@@ -62,6 +56,17 @@ measures:
   uniform_subsphere       uniform on the sphere of a subspace
   discrete                finitely many weighted unit points
 """
+
+
+def catalog_text() -> str:
+    """The ``repspect catalog`` listing, representations read from the catalog table."""
+    lines = []
+    for entry in CATALOG.values():
+        help_lines = entry.help.split("\n")
+        help_lines[-1] = f"{help_lines[-1]:<41}(dim {entry.dim_help})"
+        for i, line in enumerate(help_lines):
+            lines.append(f"  {entry.name if i == 0 else '':<24}{line}")
+    return CATALOG_TEMPLATE.format(representations="\n".join(lines))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "catalog":
-        print(CATALOG, end="")
+        print(catalog_text(), end="")
         return 0
 
     try:

@@ -46,7 +46,7 @@ from .errors import (
     ThresholdAmbiguity,
     TooLarge,
 )
-from .groups import ContinuousFamily, FiniteGroupTable, GroupElement, haar_matrices
+from .groups import ContinuousFamily, FiniteGroupTable, haar_matrices
 from .representations import Representation
 
 NULLSPACE_REL_THRESHOLD = 1e-8
@@ -267,13 +267,9 @@ def _reynolds_range(
 
 
 def _sample_constraint_images(rep: Representation, rng: np.random.Generator, k: int) -> np.ndarray:
-    family = rep.group
-    if not isinstance(family, ContinuousFamily):
+    if not isinstance(rep.group, ContinuousFamily):
         raise BadParams("sampled constraints need a continuous family")
-    payload = haar_matrices(family, rng, k)
-    if rep.matrix_stack_map is not None:
-        return rep.matrix_stack_map(payload)
-    return np.stack([rep.evaluate(GroupElement(matrix=m)) for m in payload])
+    return rep.matrix_stack_map(haar_matrices(rep.group, rng, k))
 
 
 def commutant_basis(

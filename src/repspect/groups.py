@@ -157,10 +157,7 @@ class MatrixIndex:
     projections, which stays far below tol * |w|_1 while
     n^2 * max|m| * 2^-52 << tol (orthogonal matrices of any practical n).
     The buckets only prune which elements are compared: the test itself
-    stays max-abs < tol against a stored matrix.  A matrix whose
-    projection is not finite (a NaN or infinite entry, or entries near the
-    top of the float range) is filed under ``None`` and compared only with
-    the other such matrices.
+    stays max-abs < tol against a stored matrix.
     """
 
     def __init__(self, n: int):
@@ -170,7 +167,7 @@ class MatrixIndex:
         self.cell = 2.0 * MATRIX_DEDUP_TOL * float(self.weights.sum())
         self.shape = (n, n)
         self.matrices: list[np.ndarray] = []
-        self.buckets: dict[int | None, list[int]] = {}
+        self.buckets: dict[int, list[int]] = {}
 
     @classmethod
     def of(cls, matrices: list[np.ndarray]) -> MatrixIndex:
@@ -180,29 +177,27 @@ class MatrixIndex:
         return index
 
     def keys(self, stack: np.ndarray) -> list[int | None]:
-        """Bucket keys of a (k, n, n) stack."""
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite keys are None
+        """Bucket keys of a (k, n, n) stack; None where the projection is not finite."""
+        with np.errstate(over="ignore", invalid="ignore"):
             q = (stack.reshape(len(stack), -1) @ self.weights) / self.cell
         return [math.floor(x) if math.isfinite(x) else None for x in q.tolist()]
 
     def lookup(self, m: np.ndarray) -> int | None:
         """Smallest stored index within tol of ``m``, or None."""
-        if m.shape != self.shape:
-            return None
-        return self.find(m, self.keys(m[None])[0])
+        key = self.keys(m[None])[0] if m.shape == self.shape else None
+        return None if key is None else self.find(m, key)
 
-    def find(self, m: np.ndarray, key: int | None) -> int | None:
+    def find(self, m: np.ndarray, key: int) -> int | None:
         """``lookup`` for a matrix whose key is already known."""
-        probe = (None,) if key is None else (key - 1, key, key + 1)
         hits = [
             i
-            for k in probe
+            for k in (key - 1, key, key + 1)
             for i in self.buckets.get(k, ())
             if float(np.abs(self.matrices[i] - m).max()) < MATRIX_DEDUP_TOL
         ]
         return min(hits) if hits else None
 
-    def add(self, m: np.ndarray, key: int | None) -> None:
+    def add(self, m: np.ndarray, key: int) -> None:
         self.buckets.setdefault(key, []).append(len(self.matrices))
         self.matrices.append(m)
 
@@ -336,7 +331,9 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
     hold every stored element within tol, see its docstring), so closure
     costs about O(|G| k) comparisons for k generators instead of
     O(|G|^2 k); the index stays on the table for ``index_of``.  Raises
-    ClosureOverflow when more than ``cap`` distinct elements appear.
+    ClosureOverflow when more than ``cap`` distinct elements appear, or
+    when a matrix product's projection is not finite (an entry overflowed
+    or is NaN), which no element of a finite group has.
     """
     if cap < 1:
         raise BadParams("cap must be >= 1")
@@ -404,6 +401,8 @@ def _close_matrices(
         for f, el in enumerate(frontier):
             for gi in range(len(generators)):
                 prod, key = prods[gi][f], keys[gi][f]
+                if key is None:  # an entry overflowed; no finite group has such an element
+                    raise ClosureOverflow(f"a product is not finite after {len(elements)} elements")
                 if index.find(prod, key) is not None:
                     continue
                 if len(elements) >= cap:

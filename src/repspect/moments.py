@@ -27,16 +27,15 @@ from .errors import (
     IncompleteTable,
     NotDiscrete,
     NotSumZero,
-    NotUnitVector,
     TooLarge,
     TraceNotOne,
 )
 from .groups import ContinuousFamily, FiniteGroupTable, GroupElement, haar_matrices, stream
-from .representations import Representation
+from .representations import Representation, _check_unit
 
-UNIT_TOL = 1e-10
 PROB_SUM_TOL = 1e-12
 DEFAULT_PAIRS = 100_000
+IMAGE_BLOCK = 8192  # sampled payloads mapped to images at a time, bounding the image stack
 FACTORIAL_GUARD = 8
 
 
@@ -78,14 +77,6 @@ class SecondMomentMatrix:
     n_samples: int
     exact: bool
     stderr: np.ndarray | None = None
-
-
-def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
-    v = np.asarray(v, dtype=float)
-    nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise NotUnitVector(f"{what} has norm {nrm!r}")
-    return v
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +181,11 @@ class _ContinuousOrbitSampler(VectorSampler):
 
     def sample(self, rng, count):
         payload = haar_matrices(self.rep.group, rng, count)
-        if self.rep.matrix_stack_map is not None:
-            images = self.rep.matrix_stack_map(payload)
-        else:
-            images = np.stack([self.rep.evaluate(GroupElement(matrix=m)) for m in payload])
-        return np.einsum("kij,j->ki", images, self.base)
+        out = np.empty((count, self.dim))
+        for start in range(0, count, IMAGE_BLOCK):
+            images = self.rep.matrix_stack_map(payload[start:start + IMAGE_BLOCK])
+            out[start:start + IMAGE_BLOCK] = np.einsum("kij,j->ki", images, self.base)
+        return out
 
 
 def make_sampler(spec: MeasureSpec, rep: Representation) -> VectorSampler:

@@ -28,6 +28,7 @@ from .commutant import (
     CommutantBasis,
     TypeVerdict,
     WitnessSubspace,
+    _subspace_invariance_residual,
     classify_and_decide,
     commutant_basis,
     span_residual,
@@ -70,8 +71,8 @@ from .moments import (
     uniform_subsphere,
 )
 from .representations import (
-    CATALOG_NAMES,
     build_named_rep,
+    catalog_dim,
     diag_map,
     sum_zero_basis,
 )
@@ -174,8 +175,7 @@ def validate_config(doc: dict) -> AnalysisConfig:
             raise ValidationError(f"unknown config field {key!r}")
 
     group = _validate_group(doc.get("group"))
-    rep_name, rep_n, gen_images = _validate_representation(doc.get("representation"), group)
-    dim = _expected_rep_dim(group, rep_name, gen_images)
+    rep_name, rep_n, gen_images, dim = _validate_representation(doc.get("representation"), group)
     measures = _validate_measures(doc, dim, group, rep_name)
 
     samples = _int_field(doc, "samples", DEFAULT_SAMPLES, minimum=2)
@@ -244,70 +244,18 @@ def _validate_representation(node, group: GroupSpec):
     if not isinstance(node, dict):
         raise ValidationError("config needs a 'representation' object")
     name = node.get("name")
-    if name not in CATALOG_NAMES:
-        raise ValidationError(f"unknown representation name {name!r}; see the catalog")
     rep_n = node.get("n")
-    if rep_n is not None and (not isinstance(rep_n, int) or rep_n < 1):
-        raise ValidationError("representation.n must be a positive integer")
     gen_images = node.get("generator_images")
-    if name == "explicit":
-        if gen_images is None:
-            raise ValidationError("representation.generator_images is required for 'explicit'")
+    if gen_images is not None:
         try:
             gen_images = [np.asarray(m, dtype=float) for m in gen_images]
         except (TypeError, ValueError):
             raise ValidationError("generator_images must be nested numeric arrays")
-        if any(m.ndim != 2 or m.shape[0] != m.shape[1] for m in gen_images):
-            raise ValidationError("generator_images must be square matrices")
-        if len({m.shape for m in gen_images}) > 1:
-            raise ValidationError("generator_images must all have one size")
-        if group.kind in CONTINUOUS_FAMILIES:
-            raise ValidationError("explicit representations need a finite group")
-    elif gen_images is not None:
-        raise ValidationError("generator_images only applies to the 'explicit' representation")
-    return name, rep_n, gen_images
-
-
-def _group_payload_dim(group: GroupSpec) -> int:
-    if group.kind == "symmetric":
-        return group.n
-    if group.kind == "permutation_generators":
-        return len(group.generators[0])
-    if group.kind in ("cyclic", "dihedral"):
-        return 2
-    if group.kind == "quaternion8":
-        return 4
-    if group.kind in CONTINUOUS_FAMILIES:
-        return group.n
-    return group.generators[0].shape[0]  # matrix_generators
-
-
-def _expected_rep_dim(group: GroupSpec, name: str, gen_images) -> int:
-    payload = _group_payload_dim(group)
-    permutation_group = group.kind in ("symmetric", "permutation_generators")
-    if name in ("sn_permutation", "sn_sum_zero"):
-        if not permutation_group:
-            raise ValidationError(f"{name!r} needs a permutation group")
-        if name == "sn_sum_zero" and payload < 2:
-            raise ValidationError("sn_sum_zero needs degree >= 2")
-        return payload if name == "sn_permutation" else payload - 1
-    if permutation_group:
-        raise ValidationError(f"{name!r} needs a matrix group")
-    if name == "cyclic_rotation":
-        if payload != 2:
-            raise ValidationError("cyclic_rotation needs 2x2 payloads")
-        return 2
-    if name == "q8_left":
-        if payload != 4:
-            raise ValidationError("q8_left needs 4x4 payloads")
-        return 4
-    if name == "so3_traceless_symmetric":
-        if payload != 3:
-            raise ValidationError("so3_traceless_symmetric needs 3x3 payloads")
-        return 5
-    if name == "defining_orthogonal":
-        return payload
-    return gen_images[0].shape[0]  # explicit
+    try:
+        dim = catalog_dim(name, group, rep_n, gen_images)
+    except RepspectError as e:
+        raise ValidationError(str(e)) from e
+    return name, rep_n, gen_images, dim
 
 
 def _validate_measures(doc, dim: int, group: GroupSpec, rep_name: str) -> list[MeasureSpec]:
@@ -575,11 +523,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
 def _subsphere_is_invariant(spec: MeasureSpec, cb: CommutantBasis) -> bool:
     if spec.kind != "uniform_subsphere":
         return False
-    w = spec.subspace
-    proj = w @ w.T
-    moved = cb.constraints @ w
-    leak = float(np.max(np.abs(moved - proj[None] @ moved)))
-    return leak <= 1e-8
+    return _subspace_invariance_residual(spec.subspace, cb.constraints) <= 1e-8
 
 
 def _coordinate_moment_summary(cfg, rep, spec, i, reference) -> dict:

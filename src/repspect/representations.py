@@ -17,6 +17,7 @@ rank-one matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -35,6 +36,8 @@ from .groups import (
     FiniteGroupTable,
     GroupElement,
     GroupSource,
+    GroupSpec,
+    canonical_generators,
     multiply,
     orthogonality_defect,
 )
@@ -43,36 +46,33 @@ ORTHOGONALITY_TOL = 1e-8
 UNIT_TOL = 1e-10
 GRAM_EIG_FLOOR = 1e-12
 
-CATALOG_NAMES = (
-    "sn_permutation",
-    "sn_sum_zero",
-    "cyclic_rotation",
-    "q8_left",
-    "so3_traceless_symmetric",
-    "defining_orthogonal",
-    "explicit",
-)
-
 
 @dataclass(eq=False)
 class Representation:
     """Concrete orthogonal representation of a group source.
 
     ``evaluate`` maps a GroupElement to its dim x dim orthogonal matrix.
-    ``matrix_stack_map``, when present, maps a (k, m, m) stack of matrix
-    payloads to the (k, dim, dim) stack of images in one shot; it exists
-    for the continuous families where sampling is batched.
+    ``matrix_stack_map`` maps a (k, m, m) stack of matrix payloads to the
+    (k, dim, dim) stack of their images; sampled payloads reach images only
+    through it, so continuous families need one.  ``evaluate`` defaults to it.
     ``basis_change`` records the Gram symmetrization applied to explicit
     generator images, if any.
     """
 
     dim: int
-    evaluate: Callable[[GroupElement], np.ndarray]
+    evaluate: Callable[[GroupElement], np.ndarray] | None = None
     group: GroupSource | None = None
     catalog_id: str | None = None
     basis_change: np.ndarray | None = None
     matrix_stack_map: Callable[[np.ndarray], np.ndarray] | None = None
     _images: np.ndarray | None = field(default=None, repr=False)
+
+    def __post_init__(self):
+        stack_map = self.matrix_stack_map
+        if stack_map is None and (not self.evaluate or isinstance(self.group, ContinuousFamily)):
+            raise BadParams("a continuous or evaluate-less representation needs matrix_stack_map")
+        if self.evaluate is None:
+            self.evaluate = lambda g: stack_map(g.matrix[None])[0]
 
     @property
     def finite(self) -> bool:
@@ -124,134 +124,10 @@ _TS_BASIS = traceless_symmetric_basis()
 
 
 def conjugation_on_traceless_symmetric(rots: np.ndarray) -> np.ndarray:
-    """Images of 3x3 rotations acting by conjugation on the 5-dim space.
-
-    Accepts one (3, 3) matrix or a (k, 3, 3) stack and returns matching
-    (5, 5) output(s).
-    """
-    single = rots.ndim == 2
-    r = rots[None] if single else rots
-    transformed = np.einsum("kip,bpq,kjq->kbij", r, _TS_BASIS, r)
-    out = np.einsum("aij,kbij->kab", _TS_BASIS, transformed)
-    return out[0] if single else out
-
-
-# ---------------------------------------------------------------------------
-# catalog construction
-# ---------------------------------------------------------------------------
-
-def build_named_rep(
-    name: str,
-    group: GroupSource,
-    n: int | None = None,
-    generator_images=None,
-) -> Representation:
-    """Build a catalog representation on an already-constructed group.
-
-    Parameters
-    ----------
-    name : str
-        One of ``sn_permutation``, ``sn_sum_zero``, ``cyclic_rotation``,
-        ``q8_left``, ``so3_traceless_symmetric``, ``defining_orthogonal``,
-        ``explicit``.
-    group : FiniteGroupTable or ContinuousFamily
-        The group the representation acts for.  Must structurally match
-        the name (permutation elements for the ``sn_*`` entries, matrix
-        payloads of the right size otherwise).
-    n : int, optional
-        Degree/dimension parameter; inferred from the group when omitted.
-    generator_images : sequence of matrices, required for ``explicit``
-        Images of the group generators, one per generator, in order.
-        They are closed over generator words and Gram-symmetrized to an
-        orthogonal form.
-    """
-    if name == "sn_permutation":
-        return _build_permutation_rep(group, n, sum_zero=False)
-    if name == "sn_sum_zero":
-        return _build_permutation_rep(group, n, sum_zero=True)
-    if name in ("cyclic_rotation", "q8_left", "defining_orthogonal"):
-        expected = {"cyclic_rotation": 2, "q8_left": 4}.get(name)
-        return _build_defining_rep(group, n, catalog_id=name, expected_dim=expected)
-    if name == "so3_traceless_symmetric":
-        return _build_so3_traceless_symmetric(group)
-    if name == "explicit":
-        if generator_images is None:
-            raise BadParams("explicit representation needs generator_images")
-        return build_explicit_rep(group, generator_images)
-    raise UnknownName(f"no catalog representation named {name!r}")
-
-
-def _perm_degree(group: GroupSource) -> int:
-    if not isinstance(group, FiniteGroupTable) or not group.elements[0].is_permutation:
-        raise BadParams("permutation representation needs a permutation group table")
-    return group.elements[0].degree
-
-
-def _build_permutation_rep(group, n, sum_zero: bool) -> Representation:
-    degree = _perm_degree(group)
-    if n is not None and n != degree:
-        raise BadParams(f"group permutes {degree} points, rep asked for n={n}")
-    if not sum_zero:
-        return Representation(
-            dim=degree,
-            evaluate=lambda g: perm_matrix(g.perm),
-            group=group,
-            catalog_id="sn_permutation",
-        )
-    h = sum_zero_basis(degree)
-    return Representation(
-        dim=degree - 1,
-        evaluate=lambda g: h @ perm_matrix(g.perm) @ h.T,
-        group=group,
-        catalog_id="sn_sum_zero",
-    )
-
-
-def _matrix_payload_dim(group: GroupSource) -> int:
-    if isinstance(group, ContinuousFamily):
-        return group.n
-    if group.elements[0].is_permutation:
-        raise BadParams("defining representation needs matrix payloads")
-    return group.elements[0].degree
-
-
-def _build_defining_rep(group, n, catalog_id: str, expected_dim: int | None) -> Representation:
-    dim = _matrix_payload_dim(group)
-    if expected_dim is not None and dim != expected_dim:
-        raise BadParams(f"{catalog_id} needs {expected_dim}x{expected_dim} payloads, group has {dim}")
-    if n is not None and catalog_id == "defining_orthogonal" and n != dim:
-        raise BadParams(f"group acts on R^{dim}, rep asked for n={n}")
-    if isinstance(group, FiniteGroupTable):
-        worst = orthogonality_defect(np.stack([g.matrix for g in group.elements]))
-        if worst > ORTHOGONALITY_TOL:
-            raise BadParams(
-                "group elements are not orthogonal (defect "
-                f"{worst:.2e}); use the explicit representation to symmetrize"
-            )
-    return Representation(
-        dim=dim,
-        evaluate=lambda g: g.matrix,
-        group=group,
-        catalog_id=catalog_id,
-        matrix_stack_map=lambda stack: stack,
-    )
-
-
-def _build_so3_traceless_symmetric(group) -> Representation:
-    if isinstance(group, ContinuousFamily):
-        dim_ok = group.n == 3
-    else:
-        first = group.elements[0]
-        dim_ok = not first.is_permutation and first.degree == 3
-    if not dim_ok:
-        raise BadParams("traceless-symmetric conjugation action needs 3x3 payloads")
-    return Representation(
-        dim=5,
-        evaluate=lambda g: conjugation_on_traceless_symmetric(g.matrix),
-        group=group,
-        catalog_id="so3_traceless_symmetric",
-        matrix_stack_map=conjugation_on_traceless_symmetric,
-    )
+    """Images of a (k, 3, 3) stack of rotations acting by conjugation on the
+    5-dim space, as a (k, 5, 5) stack."""
+    transformed = np.einsum("kip,bpq,kjq->kbij", rots, _TS_BASIS, rots)
+    return np.einsum("aij,kbij->kab", _TS_BASIS, transformed)
 
 
 # ---------------------------------------------------------------------------
@@ -294,39 +170,12 @@ def gram_symmetrize(raw_evaluator, table: FiniteGroupTable) -> Representation:
     def evaluate(g: GroupElement) -> np.ndarray:
         return b_sqrt @ np.asarray(raw_evaluator(g), dtype=float) @ b_isqrt
 
-    rep = Representation(
-        dim=dim,
-        evaluate=evaluate,
-        group=table,
-        catalog_id="explicit",
-        basis_change=b_sqrt,
-    )
+    rep = Representation(dim, evaluate, table, basis_change=b_sqrt)
     worst = orthogonality_defect(rep.table_images())
     if worst > ORTHOGONALITY_TOL:
         raise BadParams(
             f"symmetrized images are not orthogonal (defect {worst:.2e}); "
             "generator images likely violate the group relations"
-        )
-    return rep
-
-
-def build_explicit_rep(group: GroupSource, generator_images) -> Representation:
-    """Representation from explicit generator images, symmetrized and checked."""
-    if not isinstance(group, FiniteGroupTable):
-        raise BadParams("explicit representations are supported for finite groups only")
-    images = [np.asarray(m, dtype=float) for m in generator_images]
-    if len(images) != len(group.generators):
-        raise BadParams(
-            f"got {len(images)} generator images for {len(group.generators)} generators"
-        )
-    dims = {m.shape for m in images}
-    if len(dims) != 1 or images[0].ndim != 2 or images[0].shape[0] != images[0].shape[1]:
-        raise BadParams("generator images must be square matrices of one size")
-    rep = gram_symmetrize(word_evaluator(images), group)
-    defect = homomorphism_defect(rep, n_pairs=min(100, group.order**2))
-    if defect > ORTHOGONALITY_TOL:
-        raise BadParams(
-            f"generator images are not a homomorphism (defect {defect:.2e})"
         )
     return rep
 
@@ -355,6 +204,156 @@ def homomorphism_defect(rep: Representation, n_pairs: int = 100, rng=None) -> fl
 
 
 # ---------------------------------------------------------------------------
+# the catalog
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class CatalogEntry:
+    """One named representation, as validation, construction and
+    ``repspect catalog`` read it.
+
+    ``payload`` is the group it needs: ``permutation``, ``matrix``, or any
+    ``finite`` group (images given per generator); ``degree`` fixes the
+    payload degree where the entry needs one.  ``dim(degree, images)`` is
+    the dimension rule and ``build(group, dim, images)`` constructs it;
+    ``help`` (newline-separated) and ``dim_help`` are its catalog text.
+    """
+
+    name: str
+    help: str
+    dim_help: str
+    payload: str
+    dim: Callable[[int, list | None], int]
+    build: Callable[[GroupSource, int, list | None], Representation]
+    degree: int | None = None
+
+
+def _permutation_rep(group, dim, _images) -> Representation:
+    return Representation(dim, lambda g: perm_matrix(g.perm), group)
+
+
+def _sum_zero_rep(group, dim, _images) -> Representation:
+    h = sum_zero_basis(dim + 1)
+    return Representation(dim, lambda g: h @ perm_matrix(g.perm) @ h.T, group)
+
+
+def _matrix_rep(stack_map, group, dim, _images) -> Representation:
+    """Build a matrix-payload entry whose images are ``stack_map``."""
+    if isinstance(group, FiniteGroupTable):
+        worst = orthogonality_defect(np.stack([g.matrix for g in group.elements]))
+        if worst > ORTHOGONALITY_TOL:
+            raise BadParams(
+                "group elements are not orthogonal (defect "
+                f"{worst:.2e}); use the explicit representation to symmetrize"
+            )
+    return Representation(dim, group=group, matrix_stack_map=stack_map)
+
+
+def _images_dim(_degree, images) -> int:
+    if images is None:
+        raise BadParams("explicit representation needs generator_images")
+    shapes = {np.shape(m) for m in images}
+    if len(shapes) != 1 or len(shape := shapes.pop()) != 2 or shape[0] != shape[1]:
+        raise BadParams("generator images must be square matrices of one size")
+    return shape[0]
+
+
+def _explicit_rep(group, _dim, generator_images) -> Representation:
+    """Representation from explicit generator images, symmetrized and checked."""
+    images = [np.asarray(m, dtype=float) for m in generator_images]
+    if len(images) != len(group.generators):
+        raise BadParams(
+            f"got {len(images)} generator images for {len(group.generators)} generators"
+        )
+    rep = gram_symmetrize(word_evaluator(images), group)
+    defect = homomorphism_defect(rep, n_pairs=min(100, group.order**2))
+    if defect > ORTHOGONALITY_TOL:
+        raise BadParams(
+            f"generator images are not a homomorphism (defect {defect:.2e})"
+        )
+    return rep
+
+
+_DEFINING = partial(_matrix_rep, lambda stack: stack)  # the payloads are their own images
+
+CATALOG = {entry.name: entry for entry in (
+    CatalogEntry("sn_permutation", "permute coordinates of R^n", "n", "permutation",
+                 lambda d, _: d, _permutation_rep),
+    CatalogEntry("sn_sum_zero", "coordinate permutations restricted to\nthe zero-sum hyperplane",
+                 "n-1", "permutation", lambda d, _: d - 1, _sum_zero_rep),
+    CatalogEntry("cyclic_rotation", "defining rotation action of cyclic(n)", "2", "matrix",
+                 lambda d, _: d, _DEFINING, degree=2),
+    CatalogEntry("q8_left", "left quaternion multiplication", "4", "matrix",
+                 lambda d, _: d, _DEFINING, degree=4),
+    CatalogEntry("so3_traceless_symmetric", "conjugation on traceless symmetric 3x3", "5",
+                 "matrix", lambda d, _: 5,
+                 partial(_matrix_rep, conjugation_on_traceless_symmetric), degree=3),
+    CatalogEntry("defining_orthogonal", "matrix group acting on column vectors", "n", "matrix",
+                 lambda d, _: d, _DEFINING),
+    CatalogEntry("explicit", "generator images, symmetrized", "set by images", "finite",
+                 _images_dim, _explicit_rep),
+)}
+
+
+def _payload(group: GroupSpec | GroupSource) -> tuple[bool, int, bool]:
+    """(permutation payloads, payload degree, finite) of a spec or a group;
+    a finite spec is read from its generators, without closing it."""
+    if isinstance(group, GroupSpec) and group.is_finite:
+        first = canonical_generators(group)[0]
+    elif isinstance(group, FiniteGroupTable):
+        first = group.elements[0]
+    else:  # a continuous family or its spec
+        return False, group.n, False
+    return first.is_permutation, first.degree, True
+
+
+def catalog_dim(
+    name: str, group: GroupSpec | GroupSource, n: int | None = None, generator_images=None
+) -> int:
+    """Dimension of catalog representation ``name`` on ``group``.
+
+    ``group`` is a GroupSpec, read without closing it, or a built group;
+    both pass the same checks.  Raises UnknownName outside ``CATALOG`` and
+    BadParams when the payloads do not fit the entry, when ``n`` is given
+    and is not the payload degree, or when generator images are missing or
+    given to an entry that takes none.
+    """
+    entry = CATALOG.get(name) if isinstance(name, str) else None
+    if entry is None:
+        raise UnknownName(f"unknown representation name {name!r}; see the catalog")
+    permutes, degree, finite = _payload(group)
+    if n is not None and n != degree:
+        raise BadParams(f"{name!r}: the group's payloads have degree {degree}, not n={n}")
+    if generator_images is not None and entry.payload != "finite":
+        raise BadParams(f"{name!r} takes no generator_images")
+    if not {"permutation": permutes, "matrix": not permutes, "finite": finite}[entry.payload]:
+        raise BadParams(f"{name!r} needs a {entry.payload} group")
+    if entry.degree not in (None, degree):
+        raise BadParams(f"{name!r} needs degree-{entry.degree} payloads, group has {degree}")
+    dim = entry.dim(degree, generator_images)
+    if dim < 1:
+        raise BadParams(f"{name!r} has no dimensions on degree-{degree} payloads")
+    return dim
+
+
+def build_named_rep(
+    name: str, group: GroupSource, n: int | None = None, generator_images=None
+) -> Representation:
+    """Build catalog representation ``name`` on an already-constructed group.
+
+    ``catalog_dim`` checks the pair first: ``n``, when given, must be the
+    group's payload degree (points permuted, or the matrix size), and
+    ``generator_images`` (``explicit`` only) are the generator images in
+    order, closed over generator words and Gram-symmetrized to an
+    orthogonal form.
+    """
+    dim = catalog_dim(name, group, n, generator_images)
+    rep = CATALOG[name].build(group, dim, generator_images)
+    rep.catalog_id = name
+    return rep
+
+
+# ---------------------------------------------------------------------------
 # matrix-space geometry
 # ---------------------------------------------------------------------------
 
@@ -368,16 +367,21 @@ def conjugation_action(g: GroupElement, a: np.ndarray, rep: Representation) -> n
     return m @ a @ m.T
 
 
+def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
+    v = np.asarray(v, dtype=float)
+    nrm = float(np.linalg.norm(v))
+    if abs(nrm - 1.0) > UNIT_TOL:
+        raise NotUnitVector(f"{what} has norm {nrm!r}")
+    return v
+
+
 def diag_map(x: np.ndarray) -> np.ndarray:
     """Rank-one symmetric matrix x x^T of a unit vector.
 
     The output has unit trace and unit Frobenius norm, and the map
     commutes with the group actions: (g x)(g x)^T = g (x x^T) g^T.
     """
-    x = np.asarray(x, dtype=float)
-    nrm = float(np.linalg.norm(x))
-    if abs(nrm - 1.0) > UNIT_TOL:
-        raise NotUnitVector(f"|x| = {nrm!r}")
+    x = _check_unit(x, "x")
     return np.outer(x, x)
 
 

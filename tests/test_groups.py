@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -132,11 +134,18 @@ class TestMatrixClosure:
             rs.enumerate_closure(spec, cap=99)
 
     def test_overflowing_generator_hits_the_cap(self):
-        # Powers of diag(2, 1/2) overflow to inf and then NaN entries, whose
-        # projections are not finite; each is new, so closure runs to the cap.
+        # Powers of diag(2, 1/2) overflow; the first product whose projection
+        # is not finite ends the closure before the cap.
         spec = rs.GroupSpec(kind="matrix_generators", generators=(np.diag([2.0, 0.5]),))
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ClosureOverflow):
             rs.enumerate_closure(spec, cap=1500)
+
+    def test_infinite_order_generator_ends_at_overflow(self):
+        # Powers of [[2]] reach a non-finite projection after ~1000 levels.
+        spec = rs.GroupSpec(kind="matrix_generators", generators=(np.array([[2.0]]),))
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ClosureOverflow) as info:
+            rs.enumerate_closure(spec)
+        assert int(re.search(r"after (\d+) elements", str(info.value)).group(1)) < 1100
 
     def test_index_of_every_dihedral_3000_element(self):
         table = rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=3000))

@@ -74,6 +74,15 @@ class TestSamplers:
         pts = rs.make_sampler(spec, so3_tss).sample(rs.stream(4), 200)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-10)
 
+    def test_continuous_orbit_sampler_maps_images_in_blocks(self, so3_tss):
+        # Same points as one image stack of all draws, without holding that stack.
+        base = rs.sum_zero_basis(5)[0]
+        sampler = rs.make_sampler(rs.orbit_measure(base), so3_tss)
+        pts, peak = traced_peak(lambda: sampler.sample(rs.stream(5), 50_000))
+        whole = so3_tss.matrix_stack_map(rs.haar_matrices(so3_tss.group, rs.stream(5), 50_000))
+        np.testing.assert_array_equal(pts, np.einsum("kij,j->ki", whole, base))
+        assert peak < 16 * 2**20
+
     def test_dimension_mismatch_rejected(self, c4_rotation):
         with pytest.raises(BadMeasureSpec):
             rs.make_sampler(rs.orbit_measure(np.array([1.0, 0.0, 0.0])), c4_rotation)

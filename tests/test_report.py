@@ -5,7 +5,7 @@ import pytest
 
 import repspect as rs
 from repspect.cli import main as cli_main
-from repspect.errors import ParseError, ValidationError, VerdictConflict
+from repspect.errors import BadParams, ParseError, UnknownName, ValidationError, VerdictConflict
 from repspect.moments import MomentEstimate
 from repspect.report import (
     Tolerances,
@@ -13,7 +13,9 @@ from repspect.report import (
     MeasureResult,
     report_document,
     render_text,
+    validate_config,
 )
+from repspect.representations import CATALOG
 
 
 def minimal_config(**overrides):
@@ -109,11 +111,103 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="samples"):
             rs.parse_config(minimal_config(samples=1))
 
+    @pytest.mark.parametrize("group,rep", [
+        ({"kind": "symmetric", "n": 3}, {"name": "sn_permutation", "n": 4}),
+        ({"kind": "symmetric", "n": 3}, {"name": "sn_permutation", "n": "3"}),
+        ({"kind": "dihedral", "n": 3}, {"name": "defining_orthogonal", "n": 5}),
+        ({"kind": "cyclic", "n": 4}, {"name": "cyclic_rotation", "n": 4}),
+        ({"kind": "quaternion8"}, {"name": "q8_left", "n": 8}),
+        ({"kind": "special_orthogonal", "n": 3}, {"name": "so3_traceless_symmetric", "n": 5}),
+    ])
+    def test_representation_n_must_match_payload_degree(self, group, rep):
+        with pytest.raises(ValidationError, match="n="):
+            rs.parse_config(json.dumps({"group": group, "representation": rep}))
+
+    def test_representation_n_equal_to_payload_degree(self):
+        for group, rep in (
+            ({"kind": "dihedral", "n": 3}, {"name": "defining_orthogonal", "n": 2}),
+            ({"kind": "symmetric", "n": 3}, {"name": "sn_sum_zero", "n": 3}),
+        ):
+            cfg = rs.parse_config(json.dumps({"group": group, "representation": rep}))
+            assert cfg.rep_n == rep["n"]
+
+    def test_group_matrices_must_be_matrices(self):
+        with pytest.raises(ValidationError, match="square"):
+            rs.parse_config(json.dumps({
+                "group": {"kind": "matrix_generators", "matrices": [5]},
+                "representation": {"name": "defining_orthogonal"},
+            }))
+
     def test_parsing_is_deterministic(self):
         text = minimal_config(measure={"kind": "orbit", "base": [1.0, 1.0, -2.0]})
         a, b = rs.parse_config(text), rs.parse_config(text)
         assert a.samples == b.samples and a.seed == b.seed
         np.testing.assert_array_equal(a.measures[0].base, b.measures[0].base)
+
+
+AGREEMENT_GROUPS = {
+    "symmetric-3": {"kind": "symmetric", "n": 3},
+    "symmetric-1": {"kind": "symmetric", "n": 1},
+    "cyclic-4": {"kind": "cyclic", "n": 4},
+    "dihedral-3": {"kind": "dihedral", "n": 3},
+    "quaternion8": {"kind": "quaternion8"},
+    "orthogonal-3": {"kind": "orthogonal", "n": 3},
+    "special_orthogonal-2": {"kind": "special_orthogonal", "n": 2},
+    "special_orthogonal-3": {"kind": "special_orthogonal", "n": 3},
+    "permutation_generators": {
+        "kind": "permutation_generators", "generators": [[1, 2, 3, 0], [1, 0, 2, 3]],
+    },
+    "matrix_generators-1": {"kind": "matrix_generators", "matrices": [[[-1.0]]]},
+    "matrix_generators-2": {
+        "kind": "matrix_generators", "matrices": [[[0.0, -1.0], [1.0, 0.0]]],
+    },
+    "matrix_generators-3": {
+        "kind": "matrix_generators",
+        "matrices": [[[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]],
+    },
+}
+
+
+def agreement_group(node):
+    kind = node["kind"]
+    if kind in ("orthogonal", "special_orthogonal"):
+        return rs.ContinuousFamily(kind=kind, n=node["n"])
+    gens = tuple(node.get("generators", node.get("matrices", ())))
+    return rs.enumerate_closure(rs.GroupSpec(kind=kind, n=node.get("n"), generators=gens))
+
+
+@pytest.mark.parametrize("group_label", sorted(AGREEMENT_GROUPS))
+@pytest.mark.parametrize("name", sorted(CATALOG))
+def test_validation_accepts_what_construction_accepts(name, group_label):
+    """Parse-time checks and build_named_rep agree on every catalog pair."""
+    node = AGREEMENT_GROUPS[group_label]
+    group = agreement_group(node)
+    images = None
+    rep_node = {"name": name}
+    if name == "explicit":
+        # the trivial representation, one 1x1 image per generator
+        n_gens = len(group.generators) if isinstance(group, rs.FiniteGroupTable) else 1
+        images = [[[1.0]]] * n_gens
+        rep_node["generator_images"] = images
+    try:
+        rep = rs.build_named_rep(name, group, generator_images=images)
+    except (BadParams, UnknownName):
+        with pytest.raises(ValidationError):
+            validate_config({"group": node, "representation": rep_node})
+        return
+    # the parsed dimension is the one a discrete point must have
+    for length, accepted in ((rep.dim, True), (rep.dim + 1, False)):
+        point = [1.0] + [0.0] * (length - 1)
+        doc = {
+            "group": node,
+            "representation": rep_node,
+            "measure": {"kind": "discrete", "points": [point], "probs": [1.0]},
+        }
+        if accepted:
+            validate_config(doc)
+        else:
+            with pytest.raises(ValidationError, match="points"):
+                validate_config(doc)
 
 
 class TestRunAnalysis:
@@ -322,6 +416,15 @@ class TestCli:
             "representation": {"name": "nope"},
         })
         assert cli_main(["analyze", "--config", path]) == 1
+
+    def test_explicit_on_a_permutation_group(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "explicit", "generator_images": [[[-1.0]], [[1.0]]]},
+            "samples": 2000,
+        })
+        assert cli_main(["analyze", "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"]["commutant_dim"] == 1
 
     def test_verdict_conflict_exit_two(self, tmp_path, capsys, monkeypatch):
         # force an inflated estimate on an invariant measure

@@ -62,6 +62,13 @@ class TestCatalog:
             for j, b in enumerate(basis):
                 assert np.sum(a * b) == pytest.approx(float(i == j), abs=1e-12)
 
+    def test_continuous_rep_needs_a_stack_map(self, s3_table):
+        fam = rs.ContinuousFamily(kind="orthogonal", n=2)
+        with pytest.raises(BadParams, match="matrix_stack_map"):
+            rs.Representation(dim=2, evaluate=lambda g: g.matrix, group=fam)
+        with pytest.raises(BadParams, match="matrix_stack_map"):
+            rs.Representation(dim=3, group=s3_table)
+
     def test_unknown_name(self, s3_table):
         with pytest.raises(UnknownName):
             rs.build_named_rep("regular", s3_table)
