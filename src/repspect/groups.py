@@ -448,15 +448,14 @@ def haar_matrices(family: ContinuousFamily, rng: np.random.Generator, size: int)
     n = family.n
     if n < 1:
         raise BadParams("family dimension must be >= 1")
-    z = rng.standard_normal((size, n, n))
+    q, r = np.linalg.qr(rng.standard_normal((size, n, n)))
+    diag = np.diagonal(r, axis1=1, axis2=2)
     # A singular Gaussian draw has probability zero; re-draw defensively.
-    while True:
-        bad = np.abs(np.linalg.det(z)) < 1e-250
-        if not bad.any():
-            break
-        z[bad] = rng.standard_normal((int(bad.sum()), n, n))
-    q, r = np.linalg.qr(z)
-    diag = np.einsum("kii->ki", r)
+    # |prod diag r| = |det z|, so the factorization itself flags it.
+    bad = np.flatnonzero(np.abs(diag.prod(axis=1)) < 1e-250)
+    while bad.size:
+        q[bad], r[bad] = np.linalg.qr(rng.standard_normal((bad.size, n, n)))
+        bad = bad[np.abs(diag[bad].prod(axis=1)) < 1e-250]
     signs = np.where(diag < 0, -1.0, 1.0)
     q = q * signs[:, None, :]
     if family.kind == "special_orthogonal":

@@ -263,7 +263,11 @@ def estimate_squared_overlap(
     workers: int = 1,
 ) -> MomentEstimate:
     """Mean of <x,y>^2 over independent pairs, with its standard error."""
-    vals = squared_overlap_values(sampler, n_pairs, seed, workers)
+    return _overlap_estimate(squared_overlap_values(sampler, n_pairs, seed, workers))
+
+
+def _overlap_estimate(vals: np.ndarray) -> MomentEstimate:
+    n_pairs = vals.shape[0]
     return MomentEstimate(
         value=float(vals.mean()),
         stderr=float(vals.std(ddof=1) / math.sqrt(n_pairs)),
@@ -277,8 +281,13 @@ def overlap_convergence_trace(
     n_pairs: int,
     seed=0,
     workers: int = 1,
-) -> list[tuple[int, float, float]]:
-    """Running (n, estimate, stderr) at powers of two, ending at n_pairs."""
+) -> tuple[MomentEstimate, list[tuple[int, float, float]]]:
+    """The estimate of ``estimate_squared_overlap`` and its running
+    (n, estimate, stderr) at powers of two, ending at n_pairs.
+
+    Both come from one draw, so the estimate is bit-identical to
+    ``estimate_squared_overlap`` with the same arguments.
+    """
     vals = squared_overlap_values(sampler, n_pairs, seed, workers)
     checkpoints = []
     k = 2
@@ -293,7 +302,7 @@ def overlap_convergence_trace(
         mean = cum[k - 1] / k
         var = max(cum2[k - 1] - k * mean**2, 0.0) / (k - 1)
         rows.append((k, float(mean), float(math.sqrt(var / k))))
-    return rows
+    return _overlap_estimate(vals), rows
 
 
 def coordinate_second_moments(

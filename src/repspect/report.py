@@ -176,7 +176,7 @@ def validate_config(doc: dict) -> AnalysisConfig:
 
     group = _validate_group(doc.get("group"))
     rep_name, rep_n, gen_images, dim = _validate_representation(doc.get("representation"), group)
-    measures = _validate_measures(doc, dim, group, rep_name)
+    measures = _validate_measures(doc, dim, rep_name)
 
     samples = _int_field(doc, "samples", DEFAULT_SAMPLES, minimum=2)
     workers = _int_field(doc, "workers", 1, minimum=1)
@@ -258,7 +258,7 @@ def _validate_representation(node, group: GroupSpec):
     return name, rep_n, gen_images, dim
 
 
-def _validate_measures(doc, dim: int, group: GroupSpec, rep_name: str) -> list[MeasureSpec]:
+def _validate_measures(doc, dim: int, rep_name: str) -> list[MeasureSpec]:
     if "measures" in doc and "measure" in doc:
         raise ValidationError("give either 'measures' or 'measure', not both")
     nodes = doc.get("measures", doc.get("measure"))
@@ -268,10 +268,10 @@ def _validate_measures(doc, dim: int, group: GroupSpec, rep_name: str) -> list[M
         nodes = [nodes]
     if not isinstance(nodes, list) or not nodes:
         raise ValidationError("'measures' must be a non-empty list")
-    return [_validate_one_measure(node, i, dim, group, rep_name) for i, node in enumerate(nodes)]
+    return [_validate_one_measure(node, i, dim, rep_name) for i, node in enumerate(nodes)]
 
 
-def _validate_one_measure(node, i, dim, group: GroupSpec, rep_name: str) -> MeasureSpec:
+def _validate_one_measure(node, i, dim, rep_name: str) -> MeasureSpec:
     if not isinstance(node, dict):
         raise ValidationError(f"measures[{i}] must be an object")
     kind = str(node.get("kind", "")).replace("-", "_")
@@ -445,14 +445,13 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
                 "group_residual": abs(om.group_sum - om.order * reference),
             })
         else:
+            # The first sampled measure's estimate comes with its convergence trace.
             sampler = make_sampler(spec, rep)
-            est = estimate_squared_overlap(
-                sampler, cfg.samples, seed=substream(cfg.seed, 10, i, 0), workers=cfg.workers
-            )
+            draw = (sampler, cfg.samples, substream(cfg.seed, 10, i, 0), cfg.workers)
             if cfg.trace_path is not None and trace_rows is None:
-                trace_rows = overlap_convergence_trace(
-                    sampler, cfg.samples, seed=substream(cfg.seed, 10, i, 0), workers=cfg.workers
-                )
+                est, trace_rows = overlap_convergence_trace(*draw)
+            else:
+                est = estimate_squared_overlap(*draw)
 
         band = tol.band_sigma * est.stderr + EXACT_SLACK
         eligible = spec.kind in ("orbit", "uniform_sphere") or invariant_verified is True

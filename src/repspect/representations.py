@@ -83,7 +83,11 @@ class Representation:
         if not self.finite:
             raise BadParams("table_images needs a finite group table")
         if self._images is None:
-            self._images = np.stack([self.evaluate(g) for g in self.group.elements])
+            elements = self.group.elements
+            if self.matrix_stack_map is not None:
+                self._images = self.matrix_stack_map(np.stack([g.matrix for g in elements]))
+            else:
+                self._images = np.stack([self.evaluate(g) for g in elements])
         return self._images
 
     def generator_images(self) -> list[np.ndarray]:
@@ -121,13 +125,30 @@ def traceless_symmetric_basis() -> np.ndarray:
 
 
 _TS_BASIS = traceless_symmetric_basis()
+# Image entry (a, b) is <B_a, R B_b R^T> = sum (R kron R)[ij, pq] B_a[ij] B_b[pq],
+# so the (k, 81) Kronecker rows times this (81, 25) matrix give the images.
+_TS_KRON_TO_IMAGE = np.einsum(
+    "ax,by->xyab", _TS_BASIS.reshape(5, 9), _TS_BASIS.reshape(5, 9)
+).reshape(81, 25)
+TS_IMAGE_BLOCK = 2048  # rotations per Kronecker block, bounding the (block, 81) buffer
 
 
 def conjugation_on_traceless_symmetric(rots: np.ndarray) -> np.ndarray:
     """Images of a (k, 3, 3) stack of rotations acting by conjugation on the
-    5-dim space, as a (k, 5, 5) stack."""
-    transformed = np.einsum("kip,bpq,kjq->kbij", rots, _TS_BASIS, rots)
-    return np.einsum("aij,kbij->kab", _TS_BASIS, transformed)
+    5-dim space, as a (k, 5, 5) stack.
+
+    Each block of ``TS_IMAGE_BLOCK`` rotations is one GEMM of its R kron R
+    rows with a constant (81, 25) matrix.
+    """
+    k = rots.shape[0]
+    out = np.empty((k, 25))
+    kron = np.empty((min(k, TS_IMAGE_BLOCK), 3, 3, 3, 3))  # [row, i, j, p, q]
+    for start in range(0, k, TS_IMAGE_BLOCK):
+        r = rots[start:start + TS_IMAGE_BLOCK]
+        rows = kron[:r.shape[0]]
+        np.multiply(r[:, :, None, :, None], r[:, None, :, None, :], out=rows)
+        np.matmul(rows.reshape(-1, 81), _TS_KRON_TO_IMAGE, out=out[start:start + TS_IMAGE_BLOCK])
+    return out.reshape(k, 5, 5)
 
 
 # ---------------------------------------------------------------------------
@@ -261,10 +282,6 @@ def _images_dim(_degree, images) -> int:
 def _explicit_rep(group, _dim, generator_images) -> Representation:
     """Representation from explicit generator images, symmetrized and checked."""
     images = [np.asarray(m, dtype=float) for m in generator_images]
-    if len(images) != len(group.generators):
-        raise BadParams(
-            f"got {len(images)} generator images for {len(group.generators)} generators"
-        )
     rep = gram_symmetrize(word_evaluator(images), group)
     defect = homomorphism_defect(rep, n_pairs=min(100, group.order**2))
     if defect > ORTHOGONALITY_TOL:
@@ -295,16 +312,18 @@ CATALOG = {entry.name: entry for entry in (
 )}
 
 
-def _payload(group: GroupSpec | GroupSource) -> tuple[bool, int, bool]:
-    """(permutation payloads, payload degree, finite) of a spec or a group;
-    a finite spec is read from its generators, without closing it."""
+def _payload(group: GroupSpec | GroupSource) -> tuple[bool, int, int | None]:
+    """(permutation payloads, payload degree, generator count) of a spec or
+    a group; a finite spec is read from its generators, without closing it.
+    The generator count is None for a continuous family."""
     if isinstance(group, GroupSpec) and group.is_finite:
-        first = canonical_generators(group)[0]
+        generators = canonical_generators(group)
+        first = generators[0]
     elif isinstance(group, FiniteGroupTable):
-        first = group.elements[0]
+        generators, first = group.generators, group.elements[0]
     else:  # a continuous family or its spec
-        return False, group.n, False
-    return first.is_permutation, first.degree, True
+        return False, group.n, None
+    return first.is_permutation, first.degree, len(generators)
 
 
 def catalog_dim(
@@ -315,19 +334,24 @@ def catalog_dim(
     ``group`` is a GroupSpec, read without closing it, or a built group;
     both pass the same checks.  Raises UnknownName outside ``CATALOG`` and
     BadParams when the payloads do not fit the entry, when ``n`` is given
-    and is not the payload degree, or when generator images are missing or
-    given to an entry that takes none.
+    and is not the payload degree, or when generator images are missing,
+    given to an entry that takes none, or not one per generator.
     """
     entry = CATALOG.get(name) if isinstance(name, str) else None
     if entry is None:
         raise UnknownName(f"unknown representation name {name!r}; see the catalog")
-    permutes, degree, finite = _payload(group)
+    permutes, degree, n_generators = _payload(group)
+    finite = n_generators is not None
     if n is not None and n != degree:
         raise BadParams(f"{name!r}: the group's payloads have degree {degree}, not n={n}")
     if generator_images is not None and entry.payload != "finite":
         raise BadParams(f"{name!r} takes no generator_images")
     if not {"permutation": permutes, "matrix": not permutes, "finite": finite}[entry.payload]:
         raise BadParams(f"{name!r} needs a {entry.payload} group")
+    if generator_images is not None and len(generator_images) != n_generators:
+        raise BadParams(
+            f"got {len(generator_images)} generator images for {n_generators} generators"
+        )
     if entry.degree not in (None, degree):
         raise BadParams(f"{name!r} needs degree-{entry.degree} payloads, group has {degree}")
     dim = entry.dim(degree, generator_images)

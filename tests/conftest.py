@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import repspect as rs
+from repspect.representations import traceless_symmetric_basis
 
 
 @pytest.fixture(scope="session")
@@ -88,6 +89,18 @@ def brute_pair_average(rep, v, block=4096):
         g = orbit[lo : lo + block] @ orbit.T
         acc += float(np.sum(g * g))
     return acc / order**2
+
+
+def brute_ts_conjugation(rots):
+    """Independent oracle: images of rotations acting by conjugation on the
+    traceless symmetric 3x3 matrices, in the orthonormal basis B.
+
+    Conjugates every basis matrix by every rotation, then takes the
+    Frobenius coordinates <B_a, R B_b R^T>: two einsums, no Kronecker map.
+    """
+    basis = traceless_symmetric_basis()
+    transformed = np.einsum("kip,bpq,kjq->kbij", rots, basis, rots)
+    return np.einsum("aij,kbij->kab", basis, transformed)
 
 
 def span_columns(basis_matrices):

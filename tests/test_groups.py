@@ -243,6 +243,28 @@ class TestContinuousSampling:
         b = rs.haar_matrices(fam, rs.stream(5, 2), 4)
         assert not np.allclose(a, b)
 
+    def test_singular_draw_is_redrawn(self):
+        class FirstDrawSingular:
+            """Returns a first Gaussian stack with one singular matrix, then real draws."""
+
+            def __init__(self):
+                self.rng = rs.stream(9)
+                self.calls = []
+
+            def standard_normal(self, shape):
+                self.calls.append(shape)
+                z = self.rng.standard_normal(shape)
+                if len(self.calls) == 1:
+                    z[1, :, 2] = 0.0
+                return z
+
+        fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
+        rng = FirstDrawSingular()
+        q = rs.haar_matrices(fam, rng, 4)
+        assert rng.calls == [(4, 3, 3), (1, 3, 3)]
+        assert orthogonality_defect(q) <= 1e-12
+        np.testing.assert_allclose(np.linalg.det(q), 1.0, atol=1e-12)
+
     def test_single_element_wrapper(self):
         fam = rs.ContinuousFamily(kind="orthogonal", n=3)
         el = rs.haar_sample_continuous(fam, rs.stream(0))

@@ -412,10 +412,11 @@ class TestDiscreteInvariance:
 class TestConvergenceTrace:
     def test_checkpoints_are_powers_of_two(self, so3_tss):
         sampler = rs.make_sampler(rs.uniform_sphere(), so3_tss)
-        rows = rs.moments.overlap_convergence_trace(sampler, 5000, seed=21)
+        traced, rows = rs.moments.overlap_convergence_trace(sampler, 5000, seed=21)
         ns = [r[0] for r in rows]
         assert ns == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 5000]
         final_n, final_est, final_err = rows[-1]
         est = rs.estimate_squared_overlap(sampler, 5000, seed=21)
         assert final_est == pytest.approx(est.value, abs=1e-15)
         assert final_err == pytest.approx(est.stderr, rel=1e-10)
+        assert traced == est

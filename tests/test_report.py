@@ -313,6 +313,38 @@ class TestRunAnalysis:
         )
         _cross_check(verdict, [res], Tolerances())  # no exception
 
+    def test_convergence_trace_shares_the_estimate_draw(self, tmp_path, monkeypatch):
+        draws = []
+
+        def counting_haar_matrices(family, rng, size):
+            draws.append(size)
+            return rs.haar_matrices(family, rng, size)
+
+        monkeypatch.setattr("repspect.moments.haar_matrices", counting_haar_matrices)
+        text = json.dumps({
+            "group": {"kind": "special_orthogonal", "n": 3},
+            "representation": {"name": "so3_traceless_symmetric"},
+            "measures": [
+                {"kind": "orbit", "base": [0.3, -0.1, 0.5, 0.2, 0.7]},
+                {"kind": "uniform_sphere"},
+            ],
+            "samples": 3000,
+            "workers": 2,
+            "seed": 11,
+        })
+        counts, documents = [], []
+        for trace_path in (None, str(tmp_path / "trace.csv")):
+            cfg = rs.parse_config(text)
+            cfg.trace_path = trace_path
+            draws.clear()
+            report = rs.run_analysis(cfg)
+            counts.append(sum(draws))
+            documents.append(report_document(report))
+        assert counts[0] == counts[1] > 0
+        assert documents[0] == documents[1]
+        assert report.trace_rows[-1][0] == 3000
+        assert report.trace_rows[-1][1] == pytest.approx(report.measures[0].estimate.value)
+
 
 class TestEmission:
     def test_json_top_level_keys_and_determinism(self, tmp_path):
@@ -425,6 +457,16 @@ class TestCli:
         })
         assert cli_main(["analyze", "--config", path]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"]["commutant_dim"] == 1
+
+    def test_explicit_image_count_checked_at_parse(self, tmp_path, capsys):
+        doc = {
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "explicit", "generator_images": [[[1.0]]]},
+        }
+        with pytest.raises(ValidationError, match="got 1 generator images for 2 generators"):
+            validate_config(doc)
+        assert cli_main(["analyze", "--config", self.write_config(tmp_path, doc)]) == 1
+        assert "config error" in capsys.readouterr().err
 
     def test_verdict_conflict_exit_two(self, tmp_path, capsys, monkeypatch):
         # force an inflated estimate on an invariant measure

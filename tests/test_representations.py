@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,6 +16,8 @@ from repspect.errors import (
     ZeroDirection,
 )
 from repspect.representations import (
+    TS_IMAGE_BLOCK,
+    conjugation_on_traceless_symmetric,
     homomorphism_defect,
     perm_matrix,
     traceless_symmetric_basis,
@@ -21,7 +25,7 @@ from repspect.representations import (
 )
 from repspect.groups import orthogonality_defect
 
-from conftest import cyclic_table, random_unit
+from conftest import brute_ts_conjugation, cyclic_table, random_unit
 
 
 def unit_vectors(n):
@@ -119,6 +123,57 @@ class TestCatalog:
             v = rng.standard_normal(4)
             m = rep.evaluate(g)
             assert np.dot(m @ u, m @ v) == pytest.approx(np.dot(u, v), abs=1e-10)
+
+
+SO3 = rs.ContinuousFamily(kind="special_orthogonal", n=3)
+
+
+class TestTracelessSymmetricImages:
+    def test_matches_the_two_einsum_oracle(self):
+        # Several full Kronecker blocks and a ragged tail.
+        rots = rs.haar_matrices(SO3, rs.stream(41), 20_000)
+        assert 20_000 % TS_IMAGE_BLOCK
+        images = conjugation_on_traceless_symmetric(rots)
+        np.testing.assert_allclose(images, brute_ts_conjugation(rots), rtol=0, atol=1e-14)
+
+    def test_homomorphism_and_orthogonal(self):
+        rng = rs.stream(42)
+        a = rs.haar_matrices(SO3, rng, 3000)
+        b = rs.haar_matrices(SO3, rng, 3000)
+        ia = conjugation_on_traceless_symmetric(a)
+        ib = conjugation_on_traceless_symmetric(b)
+        assert np.max(np.abs(conjugation_on_traceless_symmetric(a @ b) - ia @ ib)) <= 1e-12
+        assert orthogonality_defect(ia) <= 1e-12
+
+    def test_kronecker_rows_are_blocked(self):
+        rots = rs.haar_matrices(SO3, rs.stream(43), 8192)
+        tracemalloc.start()
+        try:
+            conjugation_on_traceless_symmetric(rots)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20  # an unblocked (8192, 81) Kronecker stack alone is 5.1 MiB
+
+
+class TestTableImages:
+    def test_defining_images_equal_the_element_stack(self):
+        table = rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=3000))
+        rep = rs.build_named_rep("defining_orthogonal", table)
+        per_element = np.stack([rep.evaluate(g) for g in table.elements])
+        assert np.array_equal(rep.table_images(), per_element)
+
+    def test_traceless_symmetric_images_of_a_finite_rotation_group(self):
+        # The rotation group of the cube, order 24, from quarter turns about z and x.
+        quarter_z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+        quarter_x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        table = rs.enumerate_closure(
+            rs.GroupSpec(kind="matrix_generators", generators=(quarter_z, quarter_x))
+        )
+        assert table.order == 24
+        rep = rs.build_named_rep("so3_traceless_symmetric", table)
+        per_element = np.stack([rep.evaluate(g) for g in table.elements])
+        np.testing.assert_allclose(rep.table_images(), per_element, rtol=0, atol=1e-15)
 
 
 class TestGramSymmetrize:
