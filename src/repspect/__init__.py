@@ -10,8 +10,6 @@ from .commutant import (
     classify_and_decide,
     commutant_basis,
     reynolds_matrix,
-    reynolds_project,
-    reynolds_project_mc,
     span_project,
     span_residual,
     split_symmetric_skew,
@@ -24,8 +22,6 @@ from .groups import (
     GroupSpec,
     enumerate_closure,
     haar_matrices,
-    haar_sample_continuous,
-    haar_sample_finite,
     multiply,
     stream,
     substream,
@@ -58,11 +54,9 @@ from .report import (
 from .representations import (
     Representation,
     build_named_rep,
-    conjugation_action,
     diag_map,
     frobenius_inner,
     gram_symmetrize,
-    project_matrix,
     sum_zero_basis,
 )
 

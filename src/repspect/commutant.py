@@ -37,8 +37,6 @@ import numpy as np
 from .errors import (
     BadParams,
     DegenerateSpectrum,
-    DimensionMismatch,
-    IncompleteTable,
     InconsistentDimensions,
     NonStabilizedDimension,
     NotReducible,
@@ -114,48 +112,14 @@ class WitnessSubspace:
 # invariant projector
 # ---------------------------------------------------------------------------
 
-def reynolds_matrix(rep: Representation, table: FiniteGroupTable | None = None) -> np.ndarray:
-    """Exact group average of the representation matrices."""
-    table = rep.group if table is None else table
-    if not isinstance(table, FiniteGroupTable):
-        raise BadParams("exact averaging needs a finite group table")
-    if not table.complete:
-        raise IncompleteTable("exact averaging needs a complete table")
+def reynolds_matrix(rep: Representation) -> np.ndarray:
+    """Exact group average of the representation matrices of a finite table."""
     return rep.table_images().mean(axis=0)
-
-
-def reynolds_project(rep: Representation, table: FiniteGroupTable, v: np.ndarray) -> np.ndarray:
-    """Exact projection of v onto the fixed subspace: average of rho(g) v."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (rep.dim,):
-        raise DimensionMismatch(f"vector shape {v.shape} != ({rep.dim},)")
-    return reynolds_matrix(rep, table) @ v
 
 
 def reynolds_matrix_mc(rep: Representation, rng: np.random.Generator, n_samples: int) -> np.ndarray:
     """Monte Carlo estimate of the group average of the images."""
     return _sample_constraint_images(rep, rng, n_samples).mean(axis=0)
-
-
-def reynolds_project_mc(
-    rep: Representation,
-    v: np.ndarray,
-    rng: np.random.Generator,
-    n_samples: int = 4096,
-) -> tuple[np.ndarray, float]:
-    """Monte Carlo fixed-subspace projection; returns (vector, stderr).
-
-    The standard error aggregates per-coordinate errors in the Euclidean
-    norm, matching how residuals of the projected vector are measured.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.shape != (rep.dim,):
-        raise DimensionMismatch(f"vector shape {v.shape} != ({rep.dim},)")
-    images = _sample_constraint_images(rep, rng, n_samples)
-    samples = images @ v
-    mean = samples.mean(axis=0)
-    coord_err = samples.std(axis=0, ddof=1) / np.sqrt(n_samples)
-    return mean, float(np.linalg.norm(coord_err))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +233,7 @@ def _reynolds_range(
 def _sample_constraint_images(rep: Representation, rng: np.random.Generator, k: int) -> np.ndarray:
     if not isinstance(rep.group, ContinuousFamily):
         raise BadParams("sampled constraints need a continuous family")
-    return rep.matrix_stack_map(haar_matrices(rep.group, rng, k))
+    return rep.stack_map(haar_matrices(rep.group, rng, k))
 
 
 def commutant_basis(
@@ -313,7 +277,7 @@ def commutant_basis(
     if source in ("generators", "elements") and not finite:
         raise BadParams(f"source {source!r} needs a finite group table")
     if source == "generators":
-        images = np.stack(rep.generator_images())
+        images = rep.generator_images()
         table_images = rep.table_images()
         dim, sym_count = character_counts(table_images)
         rows, threshold, ambiguous = _reynolds_range(table_images, dim, rng, rel_threshold)

@@ -15,10 +15,6 @@ class NonInvertibleGenerator(RepspectError):
     """A matrix generator is singular (or numerically so)."""
 
 
-class IncompleteTable(RepspectError):
-    """Operation requires a fully enumerated group table."""
-
-
 # -- representation construction ------------------------------------------
 
 class UnknownName(RepspectError):
@@ -39,10 +35,6 @@ class DimensionMismatch(RepspectError):
 
 class NotUnitVector(RepspectError):
     """Vector is not normalized to the required tolerance."""
-
-
-class ZeroDirection(RepspectError):
-    """Projection direction is (numerically) zero."""
 
 
 # -- commutant computation -------------------------------------------------

@@ -2,11 +2,15 @@
 
 Finite groups are given by generators (permutations or invertible real
 matrices) or by a named family, and are expanded to a full element table
-by breadth-first closure.  Matrix elements are deduplicated through a
-bucket index keyed by a fixed linear projection (``MatrixIndex``), so the
-closure and ``index_of`` compare each matrix with a handful of stored
-elements instead of the whole table.  Continuous families (the orthogonal
-and special orthogonal groups) are sampled directly from their invariant
+by breadth-first closure.  A table is one payload array (permutation
+images or matrices) plus a Schreier tree of parent pointers: each element
+is its parent times one generator, so images of every element follow
+from the generator images by one batched product per level.  Permutations
+are deduplicated by their bytes; matrices through a bucket index keyed by
+a fixed linear projection (``MatrixIndex``), so the closure and
+``indices_of`` compare each matrix with a handful of stored elements
+instead of the whole table.  Continuous families (the orthogonal and
+special orthogonal groups) are sampled directly from their invariant
 distribution.
 """
 
@@ -14,15 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from numpy.random import SeedSequence, default_rng
 
-from .errors import (
-    BadParams,
-    ClosureOverflow,
-    IncompleteTable,
-    NonInvertibleGenerator,
-)
+from .errors import BadParams, ClosureOverflow, NonInvertibleGenerator
 
 MATRIX_DEDUP_TOL = 1e-8      # entrywise distance below which two elements coincide
 DEFAULT_CLOSURE_CAP = 1_000_000
@@ -31,7 +32,7 @@ FINITE_FAMILIES = ("symmetric", "cyclic", "dihedral", "quaternion8")
 CONTINUOUS_FAMILIES = ("orthogonal", "special_orthogonal")
 
 
-def substream(seed, *path: int) -> np.random.SeedSequence:
+def substream(seed, *path: int) -> SeedSequence:
     """Seed material addressed by (seed, path); paths compose.
 
     ``seed`` may be an integer or an existing SeedSequence, whose spawn
@@ -39,40 +40,32 @@ def substream(seed, *path: int) -> np.random.SeedSequence:
     paths are statistically independent; the same (seed, path) always
     yields the bit-identical state.
     """
-    if isinstance(seed, np.random.SeedSequence):
+    if isinstance(seed, SeedSequence):
         key = tuple(seed.spawn_key) + tuple(int(p) for p in path)
-        return np.random.SeedSequence(entropy=seed.entropy, spawn_key=key)
-    return np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
+        return SeedSequence(entropy=seed.entropy, spawn_key=key)
+    return SeedSequence(entropy=int(seed), spawn_key=tuple(int(p) for p in path))
 
 
 def stream(seed, *path: int) -> np.random.Generator:
     """Independent reproducible generator addressed by (seed, path)."""
-    return np.random.default_rng(substream(seed, *path))
+    return default_rng(substream(seed, *path))
 
 
 @dataclass(frozen=True, eq=False)
 class GroupElement:
     """A group element carried as a permutation or a real square matrix.
 
-    ``word`` records the generator indices whose product produced the
-    element during closure (empty for the identity and for Haar samples).
-    ``index`` is the element's position in its enumerating table, if any.
+    ``index`` is the element's position in its table, if any.
     """
 
     perm: tuple[int, ...] | None = None
     matrix: np.ndarray | None = None
-    word: tuple[int, ...] = ()
     index: int | None = None
 
     @property
-    def is_permutation(self) -> bool:
-        return self.perm is not None
-
-    @property
-    def degree(self) -> int:
-        if self.perm is not None:
-            return len(self.perm)
-        return self.matrix.shape[0]
+    def payload(self) -> np.ndarray:
+        """The permutation's images as an int array, or the matrix."""
+        return self.matrix if self.perm is None else np.array(self.perm, dtype=np.intp)
 
     def __repr__(self) -> str:
         if self.perm is not None:
@@ -107,41 +100,91 @@ class ContinuousFamily:
     n: int
 
 
-@dataclass
+@dataclass(eq=False)
 class FiniteGroupTable:
-    """Deduplicated element list of a finite group.
+    """A finite group as one payload array and a Schreier tree.
 
-    ``complete`` is true when the list is closed under composition and
-    inverses; only complete tables support uniform sampling.  Element
-    order is the breadth-first discovery order, identity first.
+    ``payload`` holds every element once, identity first, in breadth-first
+    discovery order: an int ``(|G|, degree)`` array of 0-based permutation
+    images, or a float ``(|G|, m, m)`` array of matrices.  Element i > 0 is
+    element ``parent[i]`` times generator ``generator[i]`` (both -1 for the
+    identity); parents come before their children and are nondecreasing,
+    so each breadth-first level is a contiguous run.  ``generators`` holds
+    the table indices of the generators.
     """
 
-    elements: list[GroupElement]
-    order: int
-    complete: bool
-    generators: list[GroupElement] = field(default_factory=list)
+    payload: np.ndarray
+    parent: np.ndarray
+    generator: np.ndarray
+    generators: np.ndarray
     spec: GroupSpec | None = None
-    _perm_index: dict | None = field(default=None, repr=False)
-    _matrix_index: MatrixIndex | None = field(default=None, repr=False)
+    _index: dict | MatrixIndex | None = field(default=None, repr=False)
 
-    def identity(self) -> GroupElement:
-        return self.elements[0]
+    @property
+    def order(self) -> int:
+        return len(self.payload)
 
-    def index_of(self, g: GroupElement) -> int:
-        """Table index of the element equal to ``g`` (payload comparison)."""
-        if g.is_permutation:
-            if self._perm_index is None:
-                self._perm_index = {el.perm: i for i, el in enumerate(self.elements)}
-            try:
-                return self._perm_index[g.perm]
-            except KeyError:
-                raise KeyError(f"{g!r} is not in the table") from None
-        if self._matrix_index is None:
-            self._matrix_index = MatrixIndex.of([el.matrix for el in self.elements])
-        i = self._matrix_index.lookup(g.matrix)
-        if i is None:
-            raise KeyError(f"{g!r} is not in the table")
-        return i
+    def element(self, i: int) -> GroupElement:
+        row = self.payload[i]
+        if row.ndim == 1:
+            return GroupElement(perm=tuple(row.tolist()), index=i)
+        return GroupElement(matrix=row, index=i)
+
+    @cached_property
+    def elements(self) -> list[GroupElement]:
+        """Every element as a GroupElement, in table order."""
+        return [self.element(i) for i in range(self.order)]
+
+    def indices_of(self, stack) -> np.ndarray:
+        """Table indices of a stack of payloads (exact for permutations,
+        within ``MATRIX_DEDUP_TOL`` for matrices); KeyError if one is absent."""
+        stack = np.asarray(stack, dtype=self.payload.dtype)
+        if self._index is None:
+            self._index = _payload_index(self.payload)
+        found = _lookup(self._index, stack)
+        if None in found:
+            raise KeyError(f"payload {found.index(None)} of the stack is not in the table")
+        return np.array(found, dtype=np.intp)
+
+    def tree_product(self, generator_images: np.ndarray) -> np.ndarray:
+        """Images of all elements from a ``(k, d, d)`` stack of generator images.
+
+        Element i's image is ``image[parent[i]] @ generator_images[generator[i]]``,
+        the product of the generator images along its path from the identity
+        in the tree; each level of the tree is one batched product.
+        """
+        images = np.empty((self.order,) + generator_images.shape[1:])
+        images[0] = np.eye(generator_images.shape[1])
+        start = 1
+        while start < self.order:
+            # The level starting at `start` ends at the first element whose
+            # parent is not yet computed.
+            stop = int(np.searchsorted(self.parent, start))
+            images[start:stop] = images[self.parent[start:stop]] @ generator_images[
+                self.generator[start:stop]
+            ]
+            start = stop
+        return images
+
+
+def _row_keys(rows: np.ndarray) -> list[bytes]:
+    """The bytes of each row of a 2-D array, as dictionary keys."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
+
+
+def _payload_index(payload: np.ndarray) -> dict | MatrixIndex:
+    if payload.ndim == 2:
+        return {key: i for i, key in enumerate(_row_keys(payload))}
+    return MatrixIndex.of(payload)
+
+
+def _lookup(index: dict | MatrixIndex, stack: np.ndarray) -> list[int | None]:
+    if isinstance(index, MatrixIndex):
+        return index.lookup(stack)
+    if stack.ndim != 2:
+        return [None] * len(stack)
+    return [index.get(key) for key in _row_keys(stack)]
 
 
 class MatrixIndex:
@@ -170,9 +213,9 @@ class MatrixIndex:
         self.buckets: dict[int, list[int]] = {}
 
     @classmethod
-    def of(cls, matrices: list[np.ndarray]) -> MatrixIndex:
-        index = cls(matrices[0].shape[0])
-        for m, key in zip(matrices, index.keys(np.stack(matrices))):
+    def of(cls, matrices: np.ndarray) -> MatrixIndex:
+        index = cls(matrices.shape[1])
+        for m, key in zip(matrices, index.keys(matrices)):
             index.add(m, key)
         return index
 
@@ -182,10 +225,12 @@ class MatrixIndex:
             q = (stack.reshape(len(stack), -1) @ self.weights) / self.cell
         return [math.floor(x) if math.isfinite(x) else None for x in q.tolist()]
 
-    def lookup(self, m: np.ndarray) -> int | None:
-        """Smallest stored index within tol of ``m``, or None."""
-        key = self.keys(m[None])[0] if m.shape == self.shape else None
-        return None if key is None else self.find(m, key)
+    def lookup(self, stack: np.ndarray) -> list[int | None]:
+        """Smallest stored index within tol of each matrix of a stack, or None."""
+        if stack.shape[1:] != self.shape:
+            return [None] * len(stack)
+        keys = self.keys(stack)
+        return [None if key is None else self.find(m, key) for m, key in zip(stack, keys)]
 
     def find(self, m: np.ndarray, key: int) -> int | None:
         """``lookup`` for a matrix whose key is already known."""
@@ -211,18 +256,18 @@ GroupSource = FiniteGroupTable | ContinuousFamily
 
 def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
     """Group product a*b (function composition for permutations)."""
-    if a.is_permutation != b.is_permutation:
+    if (a.perm is None) != (b.perm is None):
         raise BadParams("cannot multiply a permutation by a matrix element")
-    if a.is_permutation:
+    if a.perm is not None:
         pa, pb = a.perm, b.perm
         if len(pa) != len(pb):
             raise BadParams("permutation degrees differ")
-        return GroupElement(perm=tuple(pa[i] for i in pb), word=a.word + b.word)
-    return GroupElement(matrix=a.matrix @ b.matrix, word=a.word + b.word)
+        return GroupElement(perm=tuple(pa[i] for i in pb))
+    return GroupElement(matrix=a.matrix @ b.matrix)
 
 
 def inverse(a: GroupElement) -> GroupElement:
-    if a.is_permutation:
+    if a.perm is not None:
         inv = tuple(int(i) for i in np.argsort(a.perm))
         return GroupElement(perm=inv)
     return GroupElement(matrix=np.linalg.inv(a.matrix))
@@ -236,14 +281,6 @@ def orthogonality_defect(m: np.ndarray) -> float:
     """
     n = m.shape[-1]
     return float(np.max(np.abs(m @ np.swapaxes(m, -1, -2) - np.eye(n))))
-
-
-def permutation_element(images, word: tuple[int, ...] = ()) -> GroupElement:
-    """Build a permutation element from 0-based images, validating bijectivity."""
-    p = tuple(int(i) for i in images)
-    if sorted(p) != list(range(len(p))):
-        raise BadParams(f"not a permutation of 0..{len(p) - 1}: {p}")
-    return GroupElement(perm=p, word=word)
 
 
 # ---------------------------------------------------------------------------
@@ -269,34 +306,35 @@ QUAT_LEFT_J = np.array([
 ])
 
 
-def canonical_generators(spec: GroupSpec) -> list[GroupElement]:
-    """Expand a finite GroupSpec into its generator elements."""
+def canonical_generators(spec: GroupSpec) -> np.ndarray:
+    """Generator payloads of a finite GroupSpec: an int ``(k, degree)``
+    array of 0-based permutation images or a float ``(k, m, m)`` stack."""
     kind = spec.kind
+    if kind in ("permutation_generators", "matrix_generators") and not spec.generators:
+        raise BadParams("no generators")
     if kind == "symmetric":
         n = _require_n(spec, minimum=1)
         if n == 1:
-            return [GroupElement(perm=(0,), word=(0,))]
-        swap = permutation_element([1, 0] + list(range(2, n)), word=(0,))
-        cycle = permutation_element(list(range(1, n)) + [0], word=(1,))
-        return [swap, cycle] if n > 2 else [swap]
+            return np.zeros((1, 1), dtype=np.intp)
+        swap = [1, 0] + list(range(2, n))
+        cycle = list(range(1, n)) + [0]
+        return np.array([swap, cycle] if n > 2 else [swap], dtype=np.intp)
     if kind == "cyclic":
         n = _require_n(spec, minimum=1)
-        return [GroupElement(matrix=rotation_matrix(2.0 * math.pi / n), word=(0,))]
+        return rotation_matrix(2.0 * math.pi / n)[None]
     if kind == "dihedral":
         n = _require_n(spec, minimum=1)
-        rot = GroupElement(matrix=rotation_matrix(2.0 * math.pi / n), word=(0,))
-        refl = GroupElement(matrix=np.diag([1.0, -1.0]), word=(1,))
-        return [rot, refl]
+        return np.stack([rotation_matrix(2.0 * math.pi / n), np.diag([1.0, -1.0])])
     if kind == "quaternion8":
-        return [
-            GroupElement(matrix=QUAT_LEFT_I.copy(), word=(0,)),
-            GroupElement(matrix=QUAT_LEFT_J.copy(), word=(1,)),
-        ]
+        return np.stack([QUAT_LEFT_I, QUAT_LEFT_J])
     if kind == "permutation_generators":
-        gens = [permutation_element(p, word=(i,)) for i, p in enumerate(spec.generators)]
-        if len({g.degree for g in gens}) > 1:
+        perms = [tuple(int(i) for i in p) for p in spec.generators]
+        for p in perms:
+            if sorted(p) != list(range(len(p))):
+                raise BadParams(f"not a permutation of 0..{len(p) - 1}: {p}")
+        if len({len(p) for p in perms}) > 1:
             raise BadParams("permutation generators have mixed degrees")
-        return gens
+        return np.array(perms, dtype=np.intp)
     if kind == "matrix_generators":
         gens = []
         for i, m in enumerate(spec.generators):
@@ -305,10 +343,10 @@ def canonical_generators(spec: GroupSpec) -> list[GroupElement]:
                 raise BadParams(f"matrix generator {i} is not square")
             if abs(np.linalg.det(arr)) < 1e-12:
                 raise NonInvertibleGenerator(f"matrix generator {i} is singular")
-            gens.append(GroupElement(matrix=arr, word=(i,)))
-        if len({g.degree for g in gens}) > 1:
+            gens.append(arr)
+        if len({g.shape for g in gens}) > 1:
             raise BadParams("matrix generators have mixed sizes")
-        return gens
+        return np.stack(gens)
     raise BadParams(f"not a finite group kind: {kind!r}")
 
 
@@ -325,113 +363,101 @@ def _require_n(spec: GroupSpec, minimum: int) -> int:
 def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroupTable:
     """Breadth-first closure of the generators into a full group table.
 
-    Elements are deduplicated exactly for permutations and by entrywise
-    distance below ``MATRIX_DEDUP_TOL`` for matrices.  Matrix products are
-    looked up in a ``MatrixIndex`` (three buckets of a fixed projection
-    hold every stored element within tol, see its docstring), so closure
-    costs about O(|G| k) comparisons for k generators instead of
-    O(|G|^2 k); the index stays on the table for ``index_of``.  Raises
-    ClosureOverflow when more than ``cap`` distinct elements appear, or
-    when a matrix product's projection is not finite (an entry overflowed
-    or is NaN), which no element of a finite group has.
+    Each level multiplies every frontier element by every generator, in
+    (element, generator) order, and keeps the products not seen before.
+    Permutation products are ``frontier[:, gen]``, deduplicated exactly by
+    their byte rows; matrix products are one batched product per generator,
+    deduplicated at entrywise distance below ``MATRIX_DEDUP_TOL`` through a
+    ``MatrixIndex`` (three buckets of a fixed projection hold every stored
+    element within tol, see its docstring), so closure costs about O(|G| k)
+    comparisons for k generators.  The dictionary or index stays on the
+    table for ``indices_of``.  Raises ClosureOverflow when more than ``cap``
+    distinct elements appear, or when a matrix product's projection is not
+    finite (an entry overflowed or is NaN), which no element of a finite
+    group has.
     """
     if cap < 1:
         raise BadParams("cap must be >= 1")
     if not spec.is_finite:
         raise BadParams(f"{spec.kind!r} is a continuous family; it has no finite table")
     generators = canonical_generators(spec)
-    if not generators:
-        raise BadParams("no generators")
-
-    index = None
-    if generators[0].is_permutation:
-        elements = _close_permutations(generators, cap)
-    else:
-        elements, index = _close_matrices(generators, cap)
-
-    table = FiniteGroupTable(
-        elements=elements,
-        order=len(elements),
-        complete=True,
+    close = _close_permutations if generators.ndim == 2 else _close_matrices
+    payload, parent, generator, index = close(generators, cap)
+    return FiniteGroupTable(
+        payload=payload,
+        parent=parent,
+        generator=generator,
+        generators=np.array(_lookup(index, generators), dtype=np.intp),
         spec=spec,
-        _matrix_index=index,
+        _index=index,
     )
-    # Generators re-appear in the table with their index attached.
-    table.generators = [table.elements[table.index_of(g)] for g in generators]
-    return table
 
 
-def _close_permutations(generators: list[GroupElement], cap: int) -> list[GroupElement]:
-    degree = generators[0].degree
-    ident = GroupElement(perm=tuple(range(degree)), word=(), index=0)
-    seen = {ident.perm: 0}
-    elements = [ident]
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for el in frontier:
-            for gi, gen in enumerate(generators):
-                prod = tuple(el.perm[i] for i in gen.perm)
-                if prod in seen:
-                    continue
-                if len(elements) >= cap:
-                    raise ClosureOverflow(f"closure exceeds cap={cap}")
-                new = GroupElement(perm=prod, word=el.word + (gi,), index=len(elements))
-                seen[prod] = new.index
-                elements.append(new)
-                nxt.append(new)
-        frontier = nxt
-    return elements
+def _close_permutations(generators: np.ndarray, cap: int):
+    k, degree = generators.shape
+    frontier = np.arange(degree, dtype=np.intp)[None]
+    seen = {_row_keys(frontier)[0]: 0}
+    levels, parents, generator_ids = [frontier], [np.array([-1])], [np.array([-1])]
+    start = 0
+    while len(frontier):
+        products = frontier[:, generators].reshape(-1, degree)  # row f*k + g is frontier[f] * gen g
+        new = []
+        for pos, key in enumerate(_row_keys(products)):
+            if key in seen:
+                continue
+            if len(seen) >= cap:
+                raise ClosureOverflow(f"closure exceeds cap={cap}")
+            seen[key] = len(seen)
+            new.append(pos)
+        new = np.array(new, dtype=np.intp)
+        parents.append(start + new // k)
+        generator_ids.append(new % k)
+        start += len(frontier)
+        frontier = products[new]
+        levels.append(frontier)
+    return np.concatenate(levels), np.concatenate(parents), np.concatenate(generator_ids), seen
 
 
-def _close_matrices(
-    generators: list[GroupElement], cap: int
-) -> tuple[list[GroupElement], MatrixIndex]:
-    n = generators[0].degree
-    elements = [GroupElement(matrix=np.eye(n), word=(), index=0)]
-    index = MatrixIndex.of([elements[0].matrix])
-    frontier = [elements[0]]
-    while frontier:
+def _close_matrices(generators: np.ndarray, cap: int):
+    n = generators.shape[1]
+    index = MatrixIndex.of(np.eye(n)[None])
+    parents, generator_ids = [-1], [-1]
+    frontier = np.eye(n)[None]
+    start = 0
+    while len(frontier):
         # One batched product and projection per generator and level; the
-        # batched matmul runs the same kernel per matrix as el.matrix @ gen.
-        stack = np.stack([el.matrix for el in frontier])
-        prods = [stack @ gen.matrix for gen in generators]
-        keys = [index.keys(p) for p in prods]
-        nxt = []
-        for f, el in enumerate(frontier):
-            for gi in range(len(generators)):
-                prod, key = prods[gi][f], keys[gi][f]
+        # batched matmul runs the same kernel per matrix as el @ gen.
+        products = [frontier @ gen for gen in generators]
+        keys = [index.keys(p) for p in products]
+        new = []
+        for f in range(len(frontier)):
+            for g in range(len(generators)):
+                prod, key = products[g][f], keys[g][f]
                 if key is None:  # an entry overflowed; no finite group has such an element
-                    raise ClosureOverflow(f"a product is not finite after {len(elements)} elements")
+                    raise ClosureOverflow(
+                        f"a product is not finite after {len(index.matrices)} elements"
+                    )
                 if index.find(prod, key) is not None:
                     continue
-                if len(elements) >= cap:
+                if len(index.matrices) >= cap:
                     raise ClosureOverflow(f"closure exceeds cap={cap}")
                 prod = prod.copy()  # own its data rather than pin the level's batch
-                new = GroupElement(matrix=prod, word=el.word + (gi,), index=len(elements))
-                elements.append(new)
                 index.add(prod, key)
-                nxt.append(new)
-        frontier = nxt
-    return elements, index
+                new.append(prod)
+                parents.append(start + f)
+                generator_ids.append(g)
+        start += len(frontier)
+        frontier = np.array(new).reshape(-1, n, n)
+    payload = np.stack(index.matrices)
+    return payload, np.array(parents, dtype=np.intp), np.array(generator_ids, dtype=np.intp), index
 
 
 # ---------------------------------------------------------------------------
 # Haar sampling
 # ---------------------------------------------------------------------------
 
-def haar_sample_finite(table: FiniteGroupTable, rng: np.random.Generator) -> GroupElement:
-    """One element drawn uniformly from a complete finite table."""
-    if not table.complete:
-        raise IncompleteTable("uniform sampling needs a complete table")
-    idx = int(rng.integers(table.order))
-    return table.elements[idx]
-
-
 def haar_indices(table: FiniteGroupTable, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Batch of uniform element indices from a complete finite table."""
-    if not table.complete:
-        raise IncompleteTable("uniform sampling needs a complete table")
+    """Batch of uniform element indices of a finite table."""
     return rng.integers(table.order, size=size)
 
 
@@ -464,8 +490,3 @@ def haar_matrices(family: ContinuousFamily, rng: np.random.Generator, size: int)
     elif family.kind != "orthogonal":
         raise BadParams(f"unknown continuous family {family.kind!r}")
     return q
-
-
-def haar_sample_continuous(family: ContinuousFamily, rng: np.random.Generator) -> GroupElement:
-    """One invariant-distributed element of a continuous family."""
-    return GroupElement(matrix=haar_matrices(family, rng, 1)[0])

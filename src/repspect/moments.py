@@ -5,7 +5,9 @@ independent draws from an invariant measure on the unit sphere of a
 representation space.  It always satisfies E<x,y>^2 >= 1/n, with equality
 for every invariant measure exactly when the representation is
 irreducible; the estimators and exact finite-group sums here put numbers
-on both sides of that statement.
+on both sides of that statement.  Exact finite-group quantities read the
+representation's table images; the invariance of a discrete measure is
+checked on the generator images alone.
 
 Monte Carlo estimates are a deterministic function of (seed, worker
 count, sample count): sampling is partitioned into per-worker substreams
@@ -24,7 +26,6 @@ from .commutant import reynolds_matrix, reynolds_matrix_mc
 from .errors import (
     BadMeasureSpec,
     BadParams,
-    IncompleteTable,
     NotDiscrete,
     NotSumZero,
     TooLarge,
@@ -166,8 +167,6 @@ class _FiniteOrbitSampler(VectorSampler):
         super().__init__(rep.dim)
         self.orbit_vectors = rep.table_images() @ base
         self.order = rep.group.order
-        if not rep.group.complete:
-            raise IncompleteTable("orbit sampling needs a complete table")
 
     def sample(self, rng, count):
         return self.orbit_vectors[rng.integers(self.order, size=count)]
@@ -183,7 +182,7 @@ class _ContinuousOrbitSampler(VectorSampler):
         payload = haar_matrices(self.rep.group, rng, count)
         out = np.empty((count, self.dim))
         for start in range(0, count, IMAGE_BLOCK):
-            images = self.rep.matrix_stack_map(payload[start:start + IMAGE_BLOCK])
+            images = self.rep.stack_map(payload[start:start + IMAGE_BLOCK])
             out[start:start + IMAGE_BLOCK] = np.einsum("kij,j->ki", images, self.base)
         return out
 
@@ -392,11 +391,7 @@ class OrbitMoments:
     order: int
 
 
-def exact_finite_orbit_moments(
-    rep: Representation,
-    table: FiniteGroupTable | None,
-    v: np.ndarray,
-) -> OrbitMoments:
+def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMoments:
     """Exact orbit-averaged squared overlaps of a finite group.
 
     For an irreducible representation both averages equal 1/dim and the
@@ -407,33 +402,15 @@ def exact_finite_orbit_moments(
     enumerates no pairs.  The single sum uses <gv, v> and not M, so the
     two remain independent certificates of each other.
     """
-    table = rep.group if table is None else table
-    if not isinstance(table, FiniteGroupTable) or not table.complete:
-        raise IncompleteTable("exact orbit sums need a complete finite table")
     v = _check_unit(v, "orbit base")
     if v.shape != (rep.dim,):
         raise BadParams(f"base has shape {v.shape}, representation dim {rep.dim}")
     orbit = rep.table_images() @ v
     single = float(np.mean((orbit @ v) ** 2))
-    order = table.order
+    order = rep.group.order
     m = (orbit.T @ orbit) / order
     double = float(np.sum(m * m))
     return OrbitMoments(single_sum=single, double_sum=double, group_sum=order * single, order=order)
-
-
-def exact_finite_orbit_second_moment(
-    rep: Representation,
-    table: FiniteGroupTable | None,
-    v: np.ndarray,
-) -> SecondMomentMatrix:
-    """Exact mean of y y^T over the orbit of v under a finite group."""
-    table = rep.group if table is None else table
-    if not isinstance(table, FiniteGroupTable) or not table.complete:
-        raise IncompleteTable("exact orbit averaging needs a complete finite table")
-    v = _check_unit(v, "orbit base")
-    orbit = rep.table_images() @ v
-    m = np.einsum("ki,kj->ij", orbit, orbit) / table.order
-    return SecondMomentMatrix(entries=m, n_samples=table.order, exact=True)
 
 
 def sn_cosine_identity(x) -> float:
@@ -551,28 +528,27 @@ class InvarianceCheck:
 def check_discrete_invariance(
     spec: MeasureSpec,
     rep: Representation,
-    table: FiniteGroupTable | None = None,
     point_tol: float = 1e-8,
     prob_tol: float = 1e-10,
 ) -> InvarianceCheck:
-    """Whether every group element permutes the weighted support of spec.
+    """Whether the finite group permutes the weighted support of spec.
 
-    Points closer than ``point_tol`` (entrywise) are merged with summed
-    probabilities before comparison; the first element that fails to map
-    the weighted support onto itself is reported.
+    A finite group maps the weighted support onto itself exactly when each
+    generator does, since every inverse is a power of its element, so
+    only the generator images are checked.  Points closer than
+    ``point_tol`` (entrywise) are merged with summed probabilities before
+    comparison; the first generator that fails to map the weighted
+    support onto itself is reported.
     """
     if spec.kind != "discrete":
         raise NotDiscrete(f"measure kind is {spec.kind!r}")
-    table = rep.group if table is None else table
-    if not isinstance(table, FiniteGroupTable) or not table.complete:
-        raise IncompleteTable("invariance check enumerates a complete finite table")
+    images = rep.generator_images()
     ref_pts, ref_pr = _merge_weighted_points(spec.points, spec.probs, point_tol)
-    images = rep.table_images()
-    for el, image in zip(table.elements, images):
+    for index, image in zip(rep.group.generators, images):
         moved = spec.points @ image.T
         pts, pr = _merge_weighted_points(moved, spec.probs, point_tol)
         if not _same_weighted_points(ref_pts, ref_pr, pts, pr, point_tol, prob_tol):
-            return InvarianceCheck(invariant=False, violating_element=el)
+            return InvarianceCheck(invariant=False, violating_element=rep.group.element(index))
     return InvarianceCheck(invariant=True, violating_element=None)
 
 

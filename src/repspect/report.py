@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib.metadata
 import json
 import math
 import os
@@ -20,7 +21,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .commutant import (
@@ -223,14 +223,14 @@ def _validate_group(node) -> GroupSpec:
     if kind == "quaternion8":
         return GroupSpec(kind=kind)
     n = node.get("n")
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise ValidationError(f"group.n must be a positive integer for {kind!r}")
     return GroupSpec(kind=kind, n=n)
 
 
 def _normalize_permutation(p) -> tuple[int, ...]:
     """Accept one-line images 0-based or 1-based; store 0-based."""
-    if not isinstance(p, (list, tuple)) or not all(isinstance(i, int) for i in p):
+    if not isinstance(p, (list, tuple)) or not all(_is_int(i) for i in p):
         raise ValidationError(f"permutation must be a list of integers, got {p!r}")
     vals = sorted(p)
     if vals == list(range(len(p))):
@@ -322,9 +322,14 @@ def _validate_one_measure(node, i, dim, rep_name: str) -> MeasureSpec:
     raise ValidationError(f"measures[{i}].kind {node.get('kind')!r} is unknown")
 
 
+def _is_int(val) -> bool:
+    """An integer JSON value; booleans are not integers here."""
+    return isinstance(val, int) and not isinstance(val, bool)
+
+
 def _int_field(doc, name, default, minimum):
     val = doc.get(name, default)
-    if not isinstance(val, int) or val < minimum:
+    if not _is_int(val) or val < minimum:
         raise ValidationError(f"{name!r} must be an integer >= {minimum}")
     return val
 
@@ -332,7 +337,7 @@ def _int_field(doc, name, default, minimum):
 def _validate_seed(doc) -> int:
     if "seed" in doc:
         seed = doc["seed"]
-        if not isinstance(seed, int):
+        if not _is_int(seed):
             raise ValidationError("'seed' must be an integer")
     else:
         env = os.environ.get(SEED_ENV_VAR)
@@ -357,9 +362,12 @@ def _validate_tolerances(node) -> Tolerances:
     for key, val in node.items():
         if key not in ("band_sigma", "conflict_sigma", "nullspace_rel", "closure_cap"):
             raise ValidationError(f"unknown tolerance {key!r}")
-        if not isinstance(val, (int, float)) or val <= 0:
+        if key == "closure_cap":
+            if not _is_int(val) or val <= 0:
+                raise ValidationError("tolerance 'closure_cap' must be a positive integer")
+        elif isinstance(val, bool) or not isinstance(val, (int, float)) or val <= 0:
             raise ValidationError(f"tolerance {key!r} must be positive")
-        setattr(tol, key, int(val) if key == "closure_cap" else float(val))
+        setattr(tol, key, val if key == "closure_cap" else float(val))
     return tol
 
 
@@ -430,7 +438,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
                     {"measure_index": i, "invariant": inv.invariant}
                 )
         elif spec.kind == "orbit" and finite:
-            om = exact_finite_orbit_moments(rep, None, spec.base)
+            om = exact_finite_orbit_moments(rep, spec.base)
             est = MomentEstimate(value=om.double_sum, stderr=0.0, n_samples=om.order, exact=True)
             identities["orbit_exact"].append({
                 "measure_index": i,
@@ -504,7 +512,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         "versions": {
             "repspect": __version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": importlib.metadata.version("scipy"),
         },
     }
     return Report(

@@ -8,10 +8,15 @@ of SO(3) on traceless symmetric matrices, the defining action of the
 orthogonal families, and explicit generator images (symmetrized to an
 orthogonal form).
 
+Every representation maps a stack of group payloads (permutation images
+or matrices) to the stack of their images through one ``stack_map``;
+table images, sampled images and the image of a single element all come
+from it.  ``explicit`` images are multiplied along the group table's
+Schreier tree, one batched product per level, and looked up by payload.
+
 The module also carries the geometry used downstream: the trace inner
-product on matrix space, rank-one projections, the conjugation action
-g*a*g^-1, and the squaring map x -> x x^T from unit vectors to unit-trace
-rank-one matrices.
+product on matrix space and the squaring map x -> x x^T from unit vectors
+to unit-trace rank-one matrices.
 """
 
 from __future__ import annotations
@@ -21,24 +26,14 @@ from functools import partial
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import helmert
 
-from .errors import (
-    BadParams,
-    DimensionMismatch,
-    NotUnitVector,
-    SingularGram,
-    UnknownName,
-    ZeroDirection,
-)
+from .errors import BadParams, DimensionMismatch, NotUnitVector, SingularGram, UnknownName
 from .groups import (
-    ContinuousFamily,
     FiniteGroupTable,
     GroupElement,
     GroupSource,
     GroupSpec,
     canonical_generators,
-    multiply,
     orthogonality_defect,
 )
 
@@ -51,65 +46,62 @@ GRAM_EIG_FLOOR = 1e-12
 class Representation:
     """Concrete orthogonal representation of a group source.
 
-    ``evaluate`` maps a GroupElement to its dim x dim orthogonal matrix.
-    ``matrix_stack_map`` maps a (k, m, m) stack of matrix payloads to the
-    (k, dim, dim) stack of their images; sampled payloads reach images only
-    through it, so continuous families need one.  ``evaluate`` defaults to it.
-    ``basis_change`` records the Gram symmetrization applied to explicit
-    generator images, if any.
+    ``stack_map`` maps a stack of payloads, ``(k, degree)`` permutation
+    images or ``(k, m, m)`` matrices, to the ``(k, dim, dim)`` stack of
+    their orthogonal images.  ``basis_change`` records the Gram
+    symmetrization applied to explicit generator images, if any.
     """
 
     dim: int
-    evaluate: Callable[[GroupElement], np.ndarray] | None = None
+    stack_map: Callable[[np.ndarray], np.ndarray]
     group: GroupSource | None = None
     catalog_id: str | None = None
     basis_change: np.ndarray | None = None
-    matrix_stack_map: Callable[[np.ndarray], np.ndarray] | None = None
     _images: np.ndarray | None = field(default=None, repr=False)
-
-    def __post_init__(self):
-        stack_map = self.matrix_stack_map
-        if stack_map is None and (not self.evaluate or isinstance(self.group, ContinuousFamily)):
-            raise BadParams("a continuous or evaluate-less representation needs matrix_stack_map")
-        if self.evaluate is None:
-            self.evaluate = lambda g: stack_map(g.matrix[None])[0]
 
     @property
     def finite(self) -> bool:
         return isinstance(self.group, FiniteGroupTable)
+
+    def evaluate(self, g: GroupElement) -> np.ndarray:
+        """The image of one element."""
+        return self.stack_map(g.payload[None])[0]
 
     def table_images(self) -> np.ndarray:
         """All element images of a finite group, stacked in table order."""
         if not self.finite:
             raise BadParams("table_images needs a finite group table")
         if self._images is None:
-            elements = self.group.elements
-            if self.matrix_stack_map is not None:
-                self._images = self.matrix_stack_map(np.stack([g.matrix for g in elements]))
-            else:
-                self._images = np.stack([self.evaluate(g) for g in elements])
+            self._images = self.stack_map(self.group.payload)
         return self._images
 
-    def generator_images(self) -> list[np.ndarray]:
+    def generator_images(self) -> np.ndarray:
         if not self.finite:
             raise BadParams("generator_images needs a finite group table")
-        return [self.evaluate(g) for g in self.group.generators]
+        return self.stack_map(self.group.payload[self.group.generators])
 
 
 # ---------------------------------------------------------------------------
 # fixed bases
 # ---------------------------------------------------------------------------
 
-def perm_matrix(p: tuple[int, ...]) -> np.ndarray:
-    """Orthogonal matrix sending basis vector i to basis vector p[i]."""
-    return np.eye(len(p))[list(p)].T
+def permutation_images(payload: np.ndarray) -> np.ndarray:
+    """Permutation matrices of a ``(k, n)`` stack of images: image j sends
+    basis vector i to basis vector ``payload[j, i]``."""
+    return np.eye(payload.shape[1])[payload].transpose(0, 2, 1)
 
 
 def sum_zero_basis(n: int) -> np.ndarray:
-    """Orthonormal rows spanning the hyperplane of zero coordinate sum."""
+    """Orthonormal rows spanning the hyperplane of zero coordinate sum.
+
+    These are the rows 1..n-1 of the Helmert matrix: row k is
+    (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k + 1)) with k ones.
+    """
     if n < 2:
         raise BadParams("sum-zero subspace needs n >= 2")
-    return helmert(n)
+    k = np.arange(1, n)
+    rows = np.tril(np.ones((n, n)), -1) - np.diag(np.arange(n))
+    return rows[1:] / np.sqrt(k * (k + 1))[:, None]
 
 
 def traceless_symmetric_basis() -> np.ndarray:
@@ -155,44 +147,32 @@ def conjugation_on_traceless_symmetric(rots: np.ndarray) -> np.ndarray:
 # explicit images and Gram symmetrization
 # ---------------------------------------------------------------------------
 
-def word_evaluator(images: list[np.ndarray]) -> Callable[[GroupElement], np.ndarray]:
-    """Evaluator multiplying generator images along an element's word."""
-    dim = images[0].shape[0]
+def gram_symmetrize(raw_images: np.ndarray, table: FiniteGroupTable) -> Representation:
+    """Conjugate the images of every table element into orthogonal form.
 
-    def evaluate(g: GroupElement) -> np.ndarray:
-        m = np.eye(dim)
-        for i in g.word:
-            m = m @ images[i]
-        return m
-
-    return evaluate
-
-
-def gram_symmetrize(raw_evaluator, table: FiniteGroupTable) -> Representation:
-    """Conjugate a finite-group evaluator into orthogonal form.
-
-    Averages g -> rho(g)^T rho(g) over the whole table, takes the
-    symmetric square root B^(1/2) of the average, and returns the
-    equivalent evaluator B^(1/2) rho(g) B^(-1/2), which is orthogonal
-    whenever the input is a homomorphism.  ``basis_change`` on the result
-    records B^(1/2).
+    Averages rho(g)^T rho(g) over the ``(|G|, d, d)`` stack ``raw_images``
+    (in table order), takes the symmetric square root B^(1/2) of the
+    average, and returns the equivalent representation
+    B^(1/2) rho(g) B^(-1/2), which is orthogonal whenever the input is a
+    homomorphism; it maps payloads to images by table lookup.
+    ``basis_change`` on the result records B^(1/2).
     """
-    if not table.complete:
-        raise BadParams("Gram symmetrization needs a complete table")
-    mats = [np.asarray(raw_evaluator(g), dtype=float) for g in table.elements]
-    dim = mats[0].shape[0]
-    gram = sum(m.T @ m for m in mats) / table.order
+    raw = np.asarray(raw_images, dtype=float)
+    dim = raw.shape[1]
+    # Summed one element at a time in table order: a fixed summation order
+    # keeps the average, and so every explicit image, the same to the bit.
+    gram = sum(m.T @ m for m in raw) / table.order
     eigvals, eigvecs = np.linalg.eigh(gram)
     if eigvals.min() < GRAM_EIG_FLOOR:
         raise SingularGram(f"Gram average nearly singular (min eigenvalue {eigvals.min():.2e})")
     b_sqrt = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
     b_isqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+    images = b_sqrt @ raw @ b_isqrt
 
-    def evaluate(g: GroupElement) -> np.ndarray:
-        return b_sqrt @ np.asarray(raw_evaluator(g), dtype=float) @ b_isqrt
-
-    rep = Representation(dim, evaluate, table, basis_change=b_sqrt)
-    worst = orthogonality_defect(rep.table_images())
+    rep = Representation(
+        dim, lambda payload: images[table.indices_of(payload)], table, basis_change=b_sqrt
+    )
+    worst = orthogonality_defect(images)
     if worst > ORTHOGONALITY_TOL:
         raise BadParams(
             f"symmetrized images are not orthogonal (defect {worst:.2e}); "
@@ -204,24 +184,19 @@ def gram_symmetrize(raw_evaluator, table: FiniteGroupTable) -> Representation:
 def homomorphism_defect(rep: Representation, n_pairs: int = 100, rng=None) -> float:
     """Largest |rho(gh) - rho(g)rho(h)| over sampled element pairs.
 
-    The product gh is canonicalized through the table, so evaluators that
-    depend on the stored generator word are checked for well-definedness,
-    not just for formal multiplicativity.
+    The product gh is canonicalized through the table, so images built
+    along the table's tree are checked for well-definedness, not just for
+    formal multiplicativity.
     """
     if not rep.finite:
         raise BadParams("homomorphism check over a table needs a finite group")
     table = rep.group
     rng = np.random.default_rng(0) if rng is None else rng
+    i, j = rng.integers(table.order, size=(2, n_pairs))
+    a, b = table.payload[i], table.payload[j]
+    products = np.take_along_axis(a, b, axis=1) if a.ndim == 2 else a @ b
     images = rep.table_images()
-    worst = 0.0
-    for _ in range(n_pairs):
-        i = int(rng.integers(table.order))
-        j = int(rng.integers(table.order))
-        prod = multiply(table.elements[i], table.elements[j])
-        lhs = images[table.index_of(prod)]
-        rhs = images[i] @ images[j]
-        worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    return float(np.max(np.abs(images[table.indices_of(products)] - images[i] @ images[j])))
 
 
 # ---------------------------------------------------------------------------
@@ -250,24 +225,24 @@ class CatalogEntry:
 
 
 def _permutation_rep(group, dim, _images) -> Representation:
-    return Representation(dim, lambda g: perm_matrix(g.perm), group)
+    return Representation(dim, permutation_images, group)
 
 
 def _sum_zero_rep(group, dim, _images) -> Representation:
     h = sum_zero_basis(dim + 1)
-    return Representation(dim, lambda g: h @ perm_matrix(g.perm) @ h.T, group)
+    return Representation(dim, lambda payload: h @ permutation_images(payload) @ h.T, group)
 
 
 def _matrix_rep(stack_map, group, dim, _images) -> Representation:
     """Build a matrix-payload entry whose images are ``stack_map``."""
     if isinstance(group, FiniteGroupTable):
-        worst = orthogonality_defect(np.stack([g.matrix for g in group.elements]))
+        worst = orthogonality_defect(group.payload)
         if worst > ORTHOGONALITY_TOL:
             raise BadParams(
                 "group elements are not orthogonal (defect "
                 f"{worst:.2e}); use the explicit representation to symmetrize"
             )
-    return Representation(dim, group=group, matrix_stack_map=stack_map)
+    return Representation(dim, stack_map, group)
 
 
 def _images_dim(_degree, images) -> int:
@@ -280,9 +255,10 @@ def _images_dim(_degree, images) -> int:
 
 
 def _explicit_rep(group, _dim, generator_images) -> Representation:
-    """Representation from explicit generator images, symmetrized and checked."""
-    images = [np.asarray(m, dtype=float) for m in generator_images]
-    rep = gram_symmetrize(word_evaluator(images), group)
+    """Representation from explicit generator images, multiplied along the
+    table's tree, symmetrized and checked."""
+    images = np.stack([np.asarray(m, dtype=float) for m in generator_images])
+    rep = gram_symmetrize(group.tree_product(images), group)
     defect = homomorphism_defect(rep, n_pairs=min(100, group.order**2))
     if defect > ORTHOGONALITY_TOL:
         raise BadParams(
@@ -317,13 +293,13 @@ def _payload(group: GroupSpec | GroupSource) -> tuple[bool, int, int | None]:
     a group; a finite spec is read from its generators, without closing it.
     The generator count is None for a continuous family."""
     if isinstance(group, GroupSpec) and group.is_finite:
-        generators = canonical_generators(group)
-        first = generators[0]
+        payload = canonical_generators(group)
+        n_generators = len(payload)
     elif isinstance(group, FiniteGroupTable):
-        generators, first = group.generators, group.elements[0]
+        payload, n_generators = group.payload, len(group.generators)
     else:  # a continuous family or its spec
         return False, group.n, None
-    return first.is_permutation, first.degree, len(generators)
+    return payload.ndim == 2, payload.shape[1], n_generators
 
 
 def catalog_dim(
@@ -368,7 +344,7 @@ def build_named_rep(
     ``catalog_dim`` checks the pair first: ``n``, when given, must be the
     group's payload degree (points permuted, or the matrix size), and
     ``generator_images`` (``explicit`` only) are the generator images in
-    order, closed over generator words and Gram-symmetrized to an
+    order, multiplied along the table's tree and Gram-symmetrized to an
     orthogonal form.
     """
     dim = catalog_dim(name, group, n, generator_images)
@@ -380,16 +356,6 @@ def build_named_rep(
 # ---------------------------------------------------------------------------
 # matrix-space geometry
 # ---------------------------------------------------------------------------
-
-def conjugation_action(g: GroupElement, a: np.ndarray, rep: Representation) -> np.ndarray:
-    """Conjugate a matrix by the image of g: rho(g) a rho(g)^T."""
-    m = rep.evaluate(g)
-    a = np.asarray(a, dtype=float)
-    if a.shape != (rep.dim, rep.dim):
-        raise DimensionMismatch(f"matrix shape {a.shape} != ({rep.dim}, {rep.dim})")
-    # images are orthogonal, so the inverse is the transpose
-    return m @ a @ m.T
-
 
 def _check_unit(v: np.ndarray, what: str) -> np.ndarray:
     v = np.asarray(v, dtype=float)
@@ -416,11 +382,3 @@ def frobenius_inner(a: np.ndarray, b: np.ndarray) -> float:
     if a.shape != b.shape:
         raise DimensionMismatch(f"shapes {a.shape} and {b.shape} differ")
     return float(np.sum(a * b))
-
-
-def project_matrix(b: np.ndarray, a: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of b onto the line spanned by a."""
-    denom = frobenius_inner(a, a)
-    if denom < 1e-24:
-        raise ZeroDirection("projection direction is zero")
-    return (frobenius_inner(a, b) / denom) * np.asarray(a, dtype=float)

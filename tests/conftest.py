@@ -3,6 +3,7 @@ import pytest
 import scipy.linalg
 
 import repspect as rs
+from repspect.moments import InvarianceCheck, _merge_weighted_points, _same_weighted_points
 from repspect.representations import traceless_symmetric_basis
 
 
@@ -75,6 +76,75 @@ def brute_matrix_closure(generators, tol=1e-8):
                 nxt.append(len(matrices) - 1)
         frontier = nxt
     return matrices, words
+
+
+def brute_permutation_closure(generators):
+    """Independent oracle: breadth-first closure of permutation generators.
+
+    A plain BFS over tuples, products composed one entry at a time
+    ((p * g)[i] = p[g[i]]) and deduplicated through a set.  Returns the
+    permutations and their generator words in discovery order, identity
+    first.
+    """
+    gens = [tuple(int(i) for i in g) for g in generators]
+    ident = tuple(range(len(gens[0])))
+    perms, words, seen = [ident], [()], {ident}
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for i in frontier:
+            for gi, gen in enumerate(gens):
+                prod = tuple(perms[i][j] for j in gen)
+                if prod in seen:
+                    continue
+                seen.add(prod)
+                perms.append(prod)
+                words.append(words[i] + (gi,))
+                nxt.append(len(perms) - 1)
+        frontier = nxt
+    return perms, words
+
+
+def tree_words(table):
+    """Generator words of a table's elements, rebuilt from its Schreier tree."""
+    words = [()]
+    for i in range(1, table.order):
+        words.append(words[table.parent[i]] + (int(table.generator[i]),))
+    return words
+
+
+def brute_word_images(table, generator_images):
+    """Independent oracle: the image of every element as the product of the
+    generator images along its word, one matrix product at a time."""
+    images = []
+    for word in tree_words(table):
+        m = np.eye(generator_images[0].shape[0])
+        for i in word:
+            m = m @ generator_images[i]
+        images.append(m)
+    return np.stack(images)
+
+
+def brute_discrete_invariance(spec, rep, point_tol=1e-8, prob_tol=1e-10):
+    """Independent oracle: whether every table element, not only each
+    generator, maps the weighted support of a discrete measure onto itself."""
+    ref_pts, ref_pr = _merge_weighted_points(spec.points, spec.probs, point_tol)
+    for el, image in zip(rep.group.elements, rep.table_images()):
+        moved = spec.points @ image.T
+        pts, pr = _merge_weighted_points(moved, spec.probs, point_tol)
+        if not _same_weighted_points(ref_pts, ref_pr, pts, pr, point_tol, prob_tol):
+            return InvarianceCheck(invariant=False, violating_element=el)
+    return InvarianceCheck(invariant=True, violating_element=None)
+
+
+def payload_table(payload, generators=()):
+    """A hand-made table of the given payloads, not necessarily a group;
+    its tree is empty, so only lookups and images apply to it."""
+    payload = np.asarray(payload)
+    flat = np.full(len(payload), -1)
+    return rs.FiniteGroupTable(
+        payload=payload, parent=flat, generator=flat, generators=np.array(generators, dtype=int)
+    )
 
 
 def brute_pair_average(rep, v, block=4096):

@@ -88,7 +88,7 @@ def test_criterion_02_exact_group_sums():
         for label, rep, bases in orbit_sum_cases():
             expected = rep.group.order / rep.dim
             for v in bases:
-                om = rs.exact_finite_orbit_moments(rep, None, v)
+                om = rs.exact_finite_orbit_moments(rep, v)
                 assert abs(om.group_sum - expected) <= 1e-9, label
 
 
@@ -96,7 +96,7 @@ def test_criterion_03_double_sum_equals_single_sum():
     with criterion(3, "pair-averaged orbit sums collapse to single averages"):
         for label, rep, bases in orbit_sum_cases():
             for v in bases:
-                om = rs.exact_finite_orbit_moments(rep, None, v)
+                om = rs.exact_finite_orbit_moments(rep, v)
                 assert om.double_sum is not None
                 assert abs(om.double_sum - om.single_sum) <= 1e-10, label
 

@@ -15,7 +15,14 @@ from repspect.errors import (
     TooLarge,
 )
 
-from conftest import brute_commutant, cyclic_table, max_principal_angle, random_unit, span_columns
+from conftest import (
+    brute_commutant,
+    cyclic_table,
+    max_principal_angle,
+    payload_table,
+    random_unit,
+    span_columns,
+)
 
 
 def split_commutant(rep, **kwargs):
@@ -32,12 +39,7 @@ def o2_double_rep():
         out[:, 2:, 2:] = ms
         return out
 
-    return rs.Representation(
-        dim=4,
-        evaluate=lambda g: stack_map(g.matrix[None])[0],
-        group=fam,
-        matrix_stack_map=stack_map,
-    )
+    return rs.Representation(dim=4, stack_map=stack_map, group=fam)
 
 
 def dihedral_permutation_rep(n):
@@ -52,12 +54,8 @@ def dihedral_permutation_rep(n):
 def near_degenerate_fake_table():
     """Not a group: one honest rotation plus an almost-commuting perturbation."""
     almost = np.diag([1.0, 1.0 + 3e-8])
-    elements = [
-        rs.GroupElement(matrix=np.eye(2), index=0),
-        rs.GroupElement(matrix=rs.groups.rotation_matrix(2.0 * np.pi / 5.0), index=1),
-        rs.GroupElement(matrix=almost, index=2),
-    ]
-    return rs.FiniteGroupTable(elements=elements, order=3, complete=True)
+    rotation = rs.groups.rotation_matrix(2.0 * np.pi / 5.0)
+    return payload_table(np.stack([np.eye(2), rotation, almost]), generators=[1, 2])
 
 
 def rotation_plus_trivial_rep():
@@ -68,43 +66,47 @@ def rotation_plus_trivial_rep():
     return rs.build_named_rep("defining_orthogonal", table)
 
 
+def reynolds_project(rep, v):
+    return rs.reynolds_matrix(rep) @ v
+
+
 class TestReynolds:
     def test_permutation_average_is_coordinate_mean(self, s3_table):
         rep = rs.build_named_rep("sn_permutation", s3_table)
-        out = rs.reynolds_project(rep, s3_table, np.array([1.0, 2.0, 3.0]))
+        out = reynolds_project(rep, np.array([1.0, 2.0, 3.0]))
         np.testing.assert_allclose(out, [2.0, 2.0, 2.0], atol=1e-12)
 
     def test_sum_zero_has_no_fixed_vectors(self, s3_table):
         rep = rs.build_named_rep("sn_sum_zero", s3_table)
-        out = rs.reynolds_project(rep, s3_table, np.array([0.3, -1.2]))
+        out = reynolds_project(rep, np.array([0.3, -1.2]))
         np.testing.assert_allclose(out, np.zeros(2), atol=1e-12)
 
     def test_rotations_average_to_zero(self):
-        table = cyclic_table(4)
-        rep = rs.build_named_rep("cyclic_rotation", table)
-        out = rs.reynolds_project(rep, table, np.array([1.0, 0.0]))
+        rep = rs.build_named_rep("cyclic_rotation", cyclic_table(4))
+        out = reynolds_project(rep, np.array([1.0, 0.0]))
         np.testing.assert_allclose(out, np.zeros(2), atol=1e-12)
 
     def test_idempotent(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         v = rs.stream(0).standard_normal(4)
-        once = rs.reynolds_project(rep, s4_table, v)
-        twice = rs.reynolds_project(rep, s4_table, once)
+        once = reynolds_project(rep, v)
+        twice = reynolds_project(rep, once)
         assert np.linalg.norm(once - twice) <= 1e-10
 
     def test_output_is_fixed_by_generators(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         v = rs.stream(1).standard_normal(4)
-        out = rs.reynolds_project(rep, s4_table, v)
-        for gen in s4_table.generators:
-            assert np.max(np.abs(rep.evaluate(gen) @ out - out)) <= 1e-7
+        out = reynolds_project(rep, v)
+        for m in rep.generator_images():
+            assert np.max(np.abs(m @ out - out)) <= 1e-7
 
     def test_monte_carlo_projection_vanishes_for_fixed_point_free(self):
         fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
         rep = rs.build_named_rep("so3_traceless_symmetric", fam)
         v = random_unit(rs.stream(2), 5)
-        out, stderr = rs.reynolds_project_mc(rep, v, rs.stream(3), n_samples=4096)
-        assert np.linalg.norm(out) <= 4.0 * stderr
+        samples = rep.stack_map(rs.haar_matrices(fam, rs.stream(3), 4096)) @ v
+        stderr = np.linalg.norm(samples.std(axis=0, ddof=1) / np.sqrt(len(samples)))
+        assert np.linalg.norm(samples.mean(axis=0)) <= 4.0 * stderr
 
 
 class TestCommutantBasis:
@@ -151,10 +153,9 @@ class TestCommutantBasis:
     def test_conjugation_fixes_basis_elements(self, q8_table):
         rep = rs.build_named_rep("q8_left", q8_table)
         cb = rs.commutant_basis(rep)
-        rng = rs.stream(4)
-        for _ in range(50):
-            g = rs.haar_sample_finite(q8_table, rng)
-            m = rep.evaluate(g)
+        images = rep.table_images()
+        for i in rs.groups.haar_indices(q8_table, rs.stream(4), 50):
+            m = images[i]
             for b in cb.basis:
                 assert np.max(np.abs(m @ b @ m.T - b)) <= 1e-6
 
@@ -164,7 +165,7 @@ class TestCommutantBasis:
         cb = rs.commutant_basis(rep, rng=rs.stream(5))
         rng = rs.stream(6)
         mats = rs.haar_matrices(fam, rng, 50)
-        for m in rep.matrix_stack_map(mats):
+        for m in rep.stack_map(mats):
             for b in cb.basis:
                 assert np.max(np.abs(m @ b @ m.T - b)) <= 1e-6
 
@@ -202,15 +203,14 @@ class TestCommutantBasis:
     def test_threshold_ambiguity_warning_on_near_degenerate_constraints(self):
         # The perturbation's singular values land within a decade of the cutoff.
         table = near_degenerate_fake_table()
-        rep = rs.Representation(dim=2, evaluate=lambda g: g.matrix, group=table)
+        rep = rs.Representation(dim=2, stack_map=lambda payload: payload, group=table)
         with pytest.warns(ThresholdAmbiguity):
             cb = rs.commutant_basis(rep, source="elements")
         assert cb.ambiguous_sigma is not None
 
     def test_non_group_table_fails_the_character_count(self):
         table = near_degenerate_fake_table()
-        table.generators = table.elements[1:]
-        rep = rs.Representation(dim=2, evaluate=lambda g: g.matrix, group=table)
+        rep = rs.Representation(dim=2, stack_map=lambda payload: payload, group=table)
         with pytest.raises(InconsistentDimensions):
             rs.commutant_basis(rep, source="generators")
 

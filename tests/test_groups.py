@@ -1,21 +1,28 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
 import repspect as rs
-from repspect.errors import BadParams, ClosureOverflow, IncompleteTable, NonInvertibleGenerator
+from repspect.errors import BadParams, ClosureOverflow, NonInvertibleGenerator
 from repspect.groups import (
     MATRIX_DEDUP_TOL,
     QUAT_LEFT_I,
     QUAT_LEFT_J,
-    GroupElement,
     MatrixIndex,
     orthogonality_defect,
 )
 
-from conftest import brute_matrix_closure, cyclic_table
+from conftest import (
+    brute_matrix_closure,
+    brute_permutation_closure,
+    brute_word_images,
+    cyclic_table,
+    payload_table,
+    tree_words,
+)
 
 
 def quaternion_unit_matrices():
@@ -29,7 +36,6 @@ def quaternion_unit_matrices():
 class TestEnumerateClosure:
     def test_symmetric_4_order(self, s4_table):
         assert s4_table.order == 24
-        assert s4_table.complete
 
     def test_cyclic_5_order(self):
         assert cyclic_table(5).order == 5
@@ -66,13 +72,14 @@ class TestEnumerateClosure:
     def test_generator_left_multiplication_is_bijection(self, kind, n, order):
         table = rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n))
         assert table.order == order
-        for gen in table.generators:
-            hit = sorted(table.index_of(rs.multiply(gen, el)) for el in table.elements)
-            assert hit == list(range(table.order))
+        for g in table.generators:
+            gen = table.element(g)
+            products = np.stack([rs.multiply(gen, el).payload for el in table.elements])
+            assert sorted(table.indices_of(products)) == list(range(table.order))
 
     def test_closed_under_inverse(self, s3_table):
-        for el in s3_table.elements:
-            s3_table.index_of(rs.groups.inverse(el))  # raises if missing
+        inverses = np.stack([rs.groups.inverse(el).payload for el in s3_table.elements])
+        s3_table.indices_of(inverses)  # raises if one is missing
 
     @pytest.mark.parametrize("kind,n", [("cyclic", 7), ("dihedral", 6), ("quaternion8", None)])
     def test_enumerated_matrix_elements_are_orthogonal(self, kind, n):
@@ -99,16 +106,16 @@ class TestMatrixClosure:
     ], ids=lambda spec: f"{spec.kind}-{spec.n}")
     def test_bit_identical_to_linear_scan_oracle(self, spec):
         table = rs.enumerate_closure(spec)
-        gens = [g.matrix for g in rs.groups.canonical_generators(spec)]
+        gens = list(rs.groups.canonical_generators(spec))
         matrices, words = brute_matrix_closure(gens)
         assert table.order == len(matrices)
-        for i, (el, m, w) in enumerate(zip(table.elements, matrices, words)):
+        assert tree_words(table) == words
+        for i, (el, m) in enumerate(zip(table.elements, matrices)):
             assert el.index == i
-            assert el.word == w
             assert el.matrix.shape == m.shape
             assert el.matrix.tobytes() == m.tobytes()
         for g, gen in zip(table.generators, gens):
-            assert float(np.max(np.abs(g.matrix - gen))) < MATRIX_DEDUP_TOL
+            assert float(np.max(np.abs(table.payload[g] - gen))) < MATRIX_DEDUP_TOL
 
     def test_neighbours_across_a_bucket_edge_dedupe(self):
         index = MatrixIndex(2)
@@ -120,12 +127,10 @@ class TestMatrixClosure:
         ka, kb = index.keys(np.stack([a, b]))
         assert kb == ka + 1
         for stored, query in ((a, b), (b, a)):
-            table = rs.FiniteGroupTable(
-                elements=[GroupElement(matrix=stored, index=0)], order=1, complete=True
-            )
-            assert table.index_of(GroupElement(matrix=query)) == 0
+            table = payload_table(stored[None])
+            assert table.indices_of(query[None]).tolist() == [0]
             with pytest.raises(KeyError):
-                table.index_of(GroupElement(matrix=stored + 2 * MATRIX_DEDUP_TOL))
+                table.indices_of((stored + 2 * MATRIX_DEDUP_TOL)[None])
 
     def test_overflow_at_cap_for_dihedral(self):
         spec = rs.GroupSpec(kind="dihedral", n=50)
@@ -147,13 +152,69 @@ class TestMatrixClosure:
             rs.enumerate_closure(spec)
         assert int(re.search(r"after (\d+) elements", str(info.value)).group(1)) < 1100
 
-    def test_index_of_every_dihedral_3000_element(self):
+    def test_indices_of_every_dihedral_3000_element(self):
         table = rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=3000))
-        rebuilt = rs.FiniteGroupTable(elements=table.elements, order=table.order, complete=True)
-        for i, el in enumerate(table.elements):
-            probe = GroupElement(matrix=el.matrix.copy())
-            assert table.index_of(probe) == i
-            assert rebuilt.index_of(probe) == i
+        rebuilt = payload_table(table.payload)  # index built from the payload
+        probes = table.payload.copy()
+        assert np.array_equal(table.indices_of(probes), np.arange(table.order))
+        assert np.array_equal(rebuilt.indices_of(probes), np.arange(table.order))
+
+    def test_dihedral_3000_closure_memory(self):
+        spec = rs.GroupSpec(kind="dihedral", n=3000)
+        tracemalloc.start()
+        try:
+            table = rs.enumerate_closure(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.order == 6000
+        assert peak < 8 * 2**20
+
+
+# Dihedral group of order 80 acting on 40 points: rotation i -> i+1 and
+# reflection i -> -i.
+DIHEDRAL_40_POINTS = (
+    tuple((i + 1) % 40 for i in range(40)),
+    tuple((-i) % 40 for i in range(40)),
+)
+
+
+class TestPermutationClosure:
+    @pytest.mark.parametrize("spec", [
+        *(rs.GroupSpec(kind="symmetric", n=n) for n in range(1, 7)),
+        rs.GroupSpec(kind="permutation_generators", generators=DIHEDRAL_40_POINTS),
+        rs.GroupSpec(kind="permutation_generators", generators=((1, 2, 3, 0, 4), (0, 1, 2, 4, 3))),
+    ], ids=lambda spec: f"{spec.kind}-{spec.n}")
+    def test_same_elements_and_words_as_tuple_bfs_oracle(self, spec):
+        table = rs.enumerate_closure(spec)
+        gens = rs.groups.canonical_generators(spec)
+        perms, words = brute_permutation_closure(gens)
+        assert table.payload.shape == (len(perms), gens.shape[1])
+        assert [tuple(row) for row in table.payload.tolist()] == perms
+        assert tree_words(table) == words
+        assert [perms[g] for g in table.generators] == [tuple(g) for g in gens.tolist()]
+        assert [el.perm for el in table.elements] == perms
+
+    def test_overflow_at_cap(self):
+        spec = rs.GroupSpec(kind="symmetric", n=4)
+        assert rs.enumerate_closure(spec, cap=24).order == 24
+        with pytest.raises(ClosureOverflow):
+            rs.enumerate_closure(spec, cap=23)
+
+
+class TestTreeProduct:
+    @pytest.mark.parametrize("kind,n", [("symmetric", 4), ("quaternion8", None)])
+    def test_explicit_images_equal_word_products_bit_for_bit(self, kind, n):
+        table = rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n))
+        raw_rep = rs.build_named_rep("sn_permutation" if n else "q8_left", table)
+        m = np.triu(np.ones((raw_rep.dim, raw_rep.dim))) + np.diag(np.arange(raw_rep.dim))
+        images = m @ raw_rep.generator_images() @ np.linalg.inv(m)  # not orthogonal
+        oracle = brute_word_images(table, list(images))
+        assert table.tree_product(images).tobytes() == oracle.tobytes()
+        rep = rs.build_named_rep("explicit", table, generator_images=list(images))
+        expected = rs.gram_symmetrize(oracle, table).table_images()
+        assert rep.table_images().tobytes() == expected.tobytes()
+        assert orthogonality_defect(rep.table_images()) <= 1e-10
 
 
 class TestFiniteSampling:
@@ -170,10 +231,8 @@ class TestFiniteSampling:
 
     def test_order_one_group(self):
         table = cyclic_table(1)
-        rng = rs.stream(0)
-        for _ in range(5):
-            el = rs.haar_sample_finite(table, rng)
-            np.testing.assert_allclose(el.matrix, np.eye(2))
+        for i in rs.groups.haar_indices(table, rs.stream(0), 5):
+            np.testing.assert_allclose(table.elements[i].matrix, np.eye(2))
 
     def test_q8_chi_square_uniformity(self, q8_table):
         n_draws = 80_000
@@ -182,13 +241,6 @@ class TestFiniteSampling:
         expected = n_draws / 8.0
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < stats.chi2.ppf(0.999, df=7)
-
-    def test_incomplete_table_rejected(self, s3_table):
-        partial = rs.FiniteGroupTable(
-            elements=s3_table.elements[:3], order=3, complete=False
-        )
-        with pytest.raises(IncompleteTable):
-            rs.haar_sample_finite(partial, rs.stream(0))
 
     def test_fixed_seed_bit_identical(self, s4_table):
         a = rs.groups.haar_indices(s4_table, rs.stream(99), 1000)
@@ -265,8 +317,8 @@ class TestContinuousSampling:
         assert orthogonality_defect(q) <= 1e-12
         np.testing.assert_allclose(np.linalg.det(q), 1.0, atol=1e-12)
 
-    def test_single_element_wrapper(self):
+    def test_single_draw(self):
         fam = rs.ContinuousFamily(kind="orthogonal", n=3)
-        el = rs.haar_sample_continuous(fam, rs.stream(0))
-        assert el.matrix.shape == (3, 3)
-        assert orthogonality_defect(el.matrix) <= 1e-8
+        (m,) = rs.haar_matrices(fam, rs.stream(0), 1)
+        assert m.shape == (3, 3)
+        assert orthogonality_defect(m) <= 1e-8

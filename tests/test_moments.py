@@ -9,7 +9,6 @@ import repspect as rs
 from repspect.errors import (
     BadMeasureSpec,
     BadParams,
-    IncompleteTable,
     NotDiscrete,
     NotSumZero,
     NotUnitVector,
@@ -17,7 +16,13 @@ from repspect.errors import (
     TraceNotOne,
 )
 
-from conftest import brute_pair_average, cyclic_table, random_unit, symmetric_table
+from conftest import (
+    brute_discrete_invariance,
+    brute_pair_average,
+    cyclic_table,
+    random_unit,
+    symmetric_table,
+)
 
 
 def traced_peak(fn):
@@ -79,7 +84,7 @@ class TestSamplers:
         base = rs.sum_zero_basis(5)[0]
         sampler = rs.make_sampler(rs.orbit_measure(base), so3_tss)
         pts, peak = traced_peak(lambda: sampler.sample(rs.stream(5), 50_000))
-        whole = so3_tss.matrix_stack_map(rs.haar_matrices(so3_tss.group, rs.stream(5), 50_000))
+        whole = so3_tss.stack_map(rs.haar_matrices(so3_tss.group, rs.stream(5), 50_000))
         np.testing.assert_array_equal(pts, np.einsum("kij,j->ki", whole, base))
         assert peak < 16 * 2**20
 
@@ -225,18 +230,18 @@ class TestExactFiniteOrbitMoments:
     def test_s3_sum_zero_with_explicit_base(self, s3_table):
         rep = rs.build_named_rep("sn_sum_zero", s3_table)
         v = rs.sum_zero_basis(3) @ (np.array([1.0, 0.0, -1.0]) / np.sqrt(2.0))
-        om = rs.exact_finite_orbit_moments(rep, None, v)
+        om = rs.exact_finite_orbit_moments(rep, v)
         assert om.single_sum == pytest.approx(0.5, abs=1e-12)
         assert om.group_sum == pytest.approx(3.0, abs=1e-12)
 
     def test_s4_sum_zero_group_sum(self, s4_table):
         rep = rs.build_named_rep("sn_sum_zero", s4_table)
         v = random_unit(rs.stream(12), 3)
-        om = rs.exact_finite_orbit_moments(rep, None, v)
+        om = rs.exact_finite_orbit_moments(rep, v)
         assert om.group_sum == pytest.approx(8.0, abs=1e-9)
 
     def test_quarter_turn_orbit(self, c4_rotation):
-        om = rs.exact_finite_orbit_moments(c4_rotation, None, np.array([1.0, 0.0]))
+        om = rs.exact_finite_orbit_moments(c4_rotation, np.array([1.0, 0.0]))
         # the four rotations give overlaps 1, 0, 1, 0 with the base point
         assert om.single_sum == pytest.approx(0.5, abs=1e-15)
         assert om.double_sum == pytest.approx(om.single_sum, abs=1e-12)
@@ -245,7 +250,7 @@ class TestExactFiniteOrbitMoments:
         rep = rs.build_named_rep("sn_sum_zero", s4_table)
         rng = rs.stream(13)
         for _ in range(5):
-            om = rs.exact_finite_orbit_moments(rep, None, random_unit(rng, 3))
+            om = rs.exact_finite_orbit_moments(rep, random_unit(rng, 3))
             assert abs(om.double_sum - om.single_sum) <= 1e-10
 
     @pytest.mark.parametrize("rep_name,kind,n", [
@@ -262,26 +267,20 @@ class TestExactFiniteOrbitMoments:
         rng = rs.stream(31)
         for _ in range(3):
             v = random_unit(rng, rep.dim)
-            om = rs.exact_finite_orbit_moments(rep, None, v)
+            om = rs.exact_finite_orbit_moments(rep, v)
             assert abs(om.double_sum - brute_pair_average(rep, v)) <= 1e-12
 
     def test_dihedral_3000_pair_moment_stays_small(self):
         table = rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=3000))
         rep = rs.build_named_rep("defining_orthogonal", table)
         v = np.array([0.6, 0.8])
-        om, peak = traced_peak(lambda: rs.exact_finite_orbit_moments(rep, None, v))
+        om, peak = traced_peak(lambda: rs.exact_finite_orbit_moments(rep, v))
         assert om.double_sum == pytest.approx(0.5, abs=1e-12)
         assert peak < 16 * 2**20
 
-    def test_incomplete_table_rejected(self, s3_table):
-        rep = rs.build_named_rep("sn_permutation", s3_table)
-        partial = rs.FiniteGroupTable(elements=s3_table.elements[:2], order=2, complete=False)
-        with pytest.raises(IncompleteTable):
-            rs.exact_finite_orbit_moments(rep, partial, np.eye(3)[0])
-
     def test_non_unit_base_rejected(self, c4_rotation):
         with pytest.raises(NotUnitVector):
-            rs.exact_finite_orbit_moments(c4_rotation, None, np.array([1.0, 1.0]))
+            rs.exact_finite_orbit_moments(c4_rotation, np.array([1.0, 1.0]))
 
 
 class TestSumZeroCosineSum:
@@ -340,11 +339,9 @@ class TestCoordinateSecondMoments:
         assert peak < 32 * 2**20
 
     def test_exact_orbit_second_moment(self, c4_rotation):
-        smm = rs.moments.exact_finite_orbit_second_moment(
-            c4_rotation, None, np.array([1.0, 0.0])
-        )
-        np.testing.assert_allclose(smm.entries, np.diag([0.5, 0.5]), atol=1e-15)
-        assert smm.exact
+        orbit = c4_rotation.table_images() @ np.array([1.0, 0.0])
+        entries = orbit.T @ orbit / c4_rotation.group.order
+        np.testing.assert_allclose(entries, np.diag([0.5, 0.5]), atol=1e-15)
 
 
 class TestExpectationIdentity:
@@ -407,6 +404,71 @@ class TestDiscreteInvariance:
         spec = rs.discrete_measure(pts, [0.4, 0.4, 0.1, 0.1])
         chk = rs.check_discrete_invariance(spec, c4_rotation)
         assert not chk.invariant
+
+
+INVARIANCE_REPS = {
+    "S3-permutation": ("sn_permutation", "symmetric", 3),
+    "S4-permutation": ("sn_permutation", "symmetric", 4),
+    "S3-sum-zero": ("sn_sum_zero", "symmetric", 3),
+    "S4-sum-zero": ("sn_sum_zero", "symmetric", 4),
+    "C4": ("cyclic_rotation", "cyclic", 4),
+    "D6": ("defining_orthogonal", "dihedral", 6),
+    "Q8": ("q8_left", "quaternion8", None),
+}
+
+
+def weighted(points, weights=None):
+    points = np.asarray(points, dtype=float)
+    weights = np.ones(len(points)) if weights is None else np.asarray(weights, dtype=float)
+    return rs.discrete_measure(points, weights / weights.sum())
+
+
+def invariance_cases(rep, rng):
+    """Invariant and non-invariant discrete measures on the sphere of rep."""
+    images = rep.table_images()
+    v = random_unit(rng, rep.dim)
+    orbit = images @ v
+    axis_orbit = images @ np.eye(rep.dim)[0]  # repeated points where e_0 has a stabilizer
+    jitter = orbit + 1e-11 * rng.standard_normal(orbit.shape)  # merged within point_tol
+    jitter /= np.linalg.norm(jitter, axis=1)[:, None]
+    subgroup = np.stack([v, rep.generator_images()[0] @ v])
+    return {
+        "orbit": weighted(orbit),
+        "axis-orbit": weighted(axis_orbit),
+        "jittered-orbit": weighted(jitter),
+        "orbit-both-signs": weighted(np.concatenate([orbit, -orbit])),
+        "point": weighted(v[None]),
+        "heavy-base-point": weighted(orbit, 1.0 + np.eye(len(orbit))[0]),
+        "first-generator-only": weighted(subgroup),
+        "jittered-orbit-missing-a-point": weighted(jitter[1:]),
+    }
+
+
+class TestDiscreteInvarianceOracle:
+    @pytest.mark.parametrize("label", INVARIANCE_REPS)
+    def test_generators_agree_with_all_elements(self, label):
+        name, kind, n = INVARIANCE_REPS[label]
+        rep = rs.build_named_rep(name, rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n)))
+        outcomes = set()
+        for case, spec in invariance_cases(rep, rs.stream(51)).items():
+            fast = rs.check_discrete_invariance(spec, rep)
+            brute = brute_discrete_invariance(spec, rep)
+            assert fast.invariant == brute.invariant, case
+            if fast.invariant:
+                assert fast.violating_element is None
+            else:
+                assert fast.violating_element.index in rep.group.generators.tolist(), case
+            outcomes.add(fast.invariant)
+        assert outcomes == {True, False}
+
+    def test_violating_element_is_the_first_failing_generator(self, s4_table):
+        rep = rs.build_named_rep("sn_permutation", s4_table)
+        v = random_unit(rs.stream(52), 4)
+        swap, cycle = rep.generator_images()
+        chk = rs.check_discrete_invariance(weighted([v, swap @ v]), rep)
+        assert not chk.invariant
+        assert chk.violating_element.index == s4_table.generators[1]
+        assert chk.violating_element.perm == (1, 2, 3, 0)
 
 
 class TestConvergenceTrace:

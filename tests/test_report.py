@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -110,6 +114,27 @@ class TestParseConfig:
     def test_samples_validation(self):
         with pytest.raises(ValidationError, match="samples"):
             rs.parse_config(minimal_config(samples=1))
+
+    @pytest.mark.parametrize("overrides", [
+        {"seed": True},
+        {"workers": True},
+        {"samples": True},
+        {"group": {"kind": "symmetric", "n": True}},
+        {"group": {"kind": "permutation_generators", "generators": [[True, False]]}},
+        {"tolerances": {"closure_cap": True}},
+        {"tolerances": {"closure_cap": 2.7}},
+        {"tolerances": {"closure_cap": 100.0}},
+        {"tolerances": {"band_sigma": True}},
+    ])
+    def test_booleans_and_fractions_are_not_integers(self, overrides, tmp_path, capsys):
+        doc = {"group": {"kind": "symmetric", "n": 3}, "representation": {"name": "sn_permutation"}}
+        doc.update(overrides)
+        with pytest.raises(ValidationError):
+            rs.parse_config(json.dumps(doc))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["analyze", "--config", str(path)]) == 1
+        assert "config error" in capsys.readouterr().err
 
     @pytest.mark.parametrize("group,rep", [
         ({"kind": "symmetric", "n": 3}, {"name": "sn_permutation", "n": 4}),
@@ -481,6 +506,12 @@ class TestCli:
         })
         assert cli_main(["analyze", "--config", path]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_import_leaves_scipy_out(self):
+        src = str(Path(rs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        code = "import sys, repspect.cli; sys.exit('scipy' in sys.modules)"
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_catalog_lists_names(self, capsys):
         assert cli_main(["catalog"]) == 0

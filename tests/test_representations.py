@@ -1,7 +1,9 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -13,15 +15,13 @@ from repspect.errors import (
     NotUnitVector,
     SingularGram,
     UnknownName,
-    ZeroDirection,
 )
 from repspect.representations import (
     TS_IMAGE_BLOCK,
     conjugation_on_traceless_symmetric,
     homomorphism_defect,
-    perm_matrix,
+    permutation_images,
     traceless_symmetric_basis,
-    word_evaluator,
 )
 from repspect.groups import orthogonality_defect
 
@@ -49,7 +49,7 @@ class TestCatalog:
     def test_cyclic_rotation_generator_is_quarter_turn(self):
         table = cyclic_table(4)
         rep = rs.build_named_rep("cyclic_rotation", table)
-        m = rep.evaluate(table.generators[0])
+        m = rep.generator_images()[0]
         np.testing.assert_allclose(m, [[0.0, -1.0], [1.0, 0.0]], atol=1e-12)
 
     def test_traceless_symmetric_identity(self):
@@ -58,6 +58,13 @@ class TestCatalog:
         ident = rs.GroupElement(matrix=np.eye(3))
         np.testing.assert_allclose(rep.evaluate(ident), np.eye(5), atol=1e-12)
 
+    def test_sum_zero_basis_is_scipy_helmert_bit_for_bit(self):
+        for n in range(2, 130):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                basis = rs.sum_zero_basis(n)
+            assert basis.tobytes() == scipy.linalg.helmert(n).tobytes()
+
     def test_traceless_symmetric_basis_is_orthonormal(self):
         basis = traceless_symmetric_basis()
         for i, a in enumerate(basis):
@@ -65,13 +72,6 @@ class TestCatalog:
             np.testing.assert_allclose(a, a.T, atol=1e-15)
             for j, b in enumerate(basis):
                 assert np.sum(a * b) == pytest.approx(float(i == j), abs=1e-12)
-
-    def test_continuous_rep_needs_a_stack_map(self, s3_table):
-        fam = rs.ContinuousFamily(kind="orthogonal", n=2)
-        with pytest.raises(BadParams, match="matrix_stack_map"):
-            rs.Representation(dim=2, evaluate=lambda g: g.matrix, group=fam)
-        with pytest.raises(BadParams, match="matrix_stack_map"):
-            rs.Representation(dim=3, group=s3_table)
 
     def test_unknown_name(self, s3_table):
         with pytest.raises(UnknownName):
@@ -117,8 +117,8 @@ class TestCatalog:
     def test_scalar_product_invariance(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         rng = rs.stream(5)
-        for _ in range(20):
-            g = rs.haar_sample_finite(s4_table, rng)
+        for i in rs.groups.haar_indices(s4_table, rng, 20):
+            g = s4_table.elements[i]
             u = rng.standard_normal(4)
             v = rng.standard_normal(4)
             m = rep.evaluate(g)
@@ -176,39 +176,43 @@ class TestTableImages:
         np.testing.assert_allclose(rep.table_images(), per_element, rtol=0, atol=1e-15)
 
 
+def raw_permutation_images(table, conjugator=None):
+    """Permutation matrices of every table element, optionally conjugated
+    by a fixed invertible matrix (which makes them non-orthogonal)."""
+    images = permutation_images(table.payload)
+    return images if conjugator is None else conjugator @ images @ np.linalg.inv(conjugator)
+
+
 class TestGramSymmetrize:
     def test_already_orthogonal_is_unchanged(self, s3_table):
-        rep = rs.gram_symmetrize(lambda g: perm_matrix(g.perm), s3_table)
+        rep = rs.gram_symmetrize(raw_permutation_images(s3_table), s3_table)
         np.testing.assert_allclose(rep.basis_change, np.eye(3), atol=1e-10)
 
     def test_one_dimensional_sign_rep(self):
         table = rs.enumerate_closure(
             rs.GroupSpec(kind="matrix_generators", generators=(np.array([[-1.0]]),))
         )
-        rep = rs.gram_symmetrize(lambda g: g.matrix, table)
+        rep = rs.gram_symmetrize(table.payload, table)
         np.testing.assert_allclose(rep.basis_change, np.eye(1), atol=1e-12)
-        np.testing.assert_allclose(rep.evaluate(table.generators[0]), [[-1.0]], atol=1e-12)
+        np.testing.assert_allclose(rep.generator_images()[0], [[-1.0]], atol=1e-12)
 
     def test_conjugated_permutation_rep_symmetrizes(self, s3_table):
         d = np.diag([1.0, 2.0, 3.0])
-        d_inv = np.diag([1.0, 0.5, 1.0 / 3.0])
-        raw = lambda g: d @ perm_matrix(g.perm) @ d_inv
-        rep = rs.gram_symmetrize(raw, s3_table)
-        for el in s3_table.elements:
+        rep = rs.gram_symmetrize(raw_permutation_images(s3_table, d), s3_table)
+        for el, p in zip(s3_table.elements, raw_permutation_images(s3_table)):
             m = rep.evaluate(el)
             assert orthogonality_defect(m) <= 1e-10
             # conjugation preserves traces, so the result is similar to the original
-            assert np.trace(m) == pytest.approx(np.trace(perm_matrix(el.perm)), abs=1e-10)
+            assert np.trace(m) == pytest.approx(np.trace(p), abs=1e-10)
 
     def test_singular_gram(self, s3_table):
         with pytest.raises(SingularGram):
-            rs.gram_symmetrize(lambda g: np.zeros((2, 2)), s3_table)
+            rs.gram_symmetrize(np.zeros((s3_table.order, 2, 2)), s3_table)
 
     def test_explicit_rep_through_config_machinery(self, s3_table):
         d = np.diag([1.0, 2.0, 3.0])
-        d_inv = np.linalg.inv(d)
-        images = [d @ perm_matrix(g.perm) @ d_inv for g in s3_table.generators]
-        rep = rs.build_named_rep("explicit", s3_table, generator_images=images)
+        images = raw_permutation_images(s3_table, d)[s3_table.generators]
+        rep = rs.build_named_rep("explicit", s3_table, generator_images=list(images))
         assert homomorphism_defect(rep, n_pairs=36) <= 1e-8
 
     def test_explicit_rejects_non_homomorphism(self, s3_table):
@@ -216,11 +220,10 @@ class TestGramSymmetrize:
         with pytest.raises(BadParams):
             rs.build_named_rep("explicit", s3_table, generator_images=images)
 
-    def test_word_evaluator_multiplies_along_the_word(self, s3_table):
-        images = [perm_matrix(g.perm) for g in s3_table.generators]
-        raw = word_evaluator(images)
-        for el in s3_table.elements:
-            np.testing.assert_allclose(raw(el), perm_matrix(el.perm), atol=1e-12)
+    def test_tree_product_multiplies_along_the_word(self, s3_table):
+        images = raw_permutation_images(s3_table)
+        raw = s3_table.tree_product(images[s3_table.generators])
+        np.testing.assert_allclose(raw, images, atol=1e-12)
 
 
 class TestDiagMap:
@@ -244,11 +247,11 @@ class TestDiagMap:
     def test_equivariance_finite(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         rng = rs.stream(9)
-        for _ in range(10):
-            g = rs.haar_sample_finite(s4_table, rng)
+        for i in rs.groups.haar_indices(s4_table, rng, 10):
+            m = rep.evaluate(s4_table.elements[i])
             x = random_unit(rng, 4)
-            lhs = rs.diag_map(rep.evaluate(g) @ x)
-            rhs = rs.conjugation_action(g, rs.diag_map(x), rep)
+            lhs = rs.diag_map(m @ x)
+            rhs = m @ rs.diag_map(x) @ m.T
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_equivariance_continuous(self):
@@ -256,10 +259,10 @@ class TestDiagMap:
         rep = rs.build_named_rep("defining_orthogonal", fam)
         rng = rs.stream(10)
         for _ in range(10):
-            g = rs.haar_sample_continuous(fam, rng)
+            m = rep.evaluate(rs.GroupElement(matrix=rs.haar_matrices(fam, rng, 1)[0]))
             x = random_unit(rng, 3)
-            lhs = rs.diag_map(rep.evaluate(g) @ x)
-            rhs = rs.conjugation_action(g, rs.diag_map(x), rep)
+            lhs = rs.diag_map(m @ x)
+            rhs = m @ rs.diag_map(x) @ m.T
             np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_rejects_non_unit(self):
@@ -282,69 +285,39 @@ class TestMatrixGeometry:
         rng = rs.stream(12)
         a = rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4))
-        for _ in range(10):
-            g = rs.haar_sample_finite(s4_table, rng)
-            lhs = rs.frobenius_inner(
-                rs.conjugation_action(g, a, rep), rs.conjugation_action(g, b, rep)
-            )
+        for i in rs.groups.haar_indices(s4_table, rng, 10):
+            m = rep.evaluate(s4_table.elements[i])
+            lhs = rs.frobenius_inner(m @ a @ m.T, m @ b @ m.T)
             assert lhs == pytest.approx(rs.frobenius_inner(a, b), abs=1e-10)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             rs.frobenius_inner(np.eye(2), np.eye(3))
 
-    def test_projection_onto_self(self):
-        np.testing.assert_allclose(rs.project_matrix(np.eye(3), np.eye(3)), np.eye(3))
 
-    def test_projection_onto_identity_is_trace_over_n(self):
-        rng = rs.stream(13)
-        b = rng.standard_normal((4, 4))
-        expected = (np.trace(b) / 4.0) * np.eye(4)
-        np.testing.assert_allclose(rs.project_matrix(b, np.eye(4)), expected, atol=1e-12)
-
-    def test_projection_of_orthogonal_matrix_is_zero(self):
-        a = np.diag([1.0, -1.0])  # traceless, so orthogonal to the identity
-        np.testing.assert_allclose(
-            rs.project_matrix(np.eye(2), a), np.zeros((2, 2)), atol=1e-14
-        )
-
-    def test_projection_idempotent(self):
-        rng = rs.stream(14)
-        a = rng.standard_normal((3, 3))
-        b = rng.standard_normal((3, 3))
-        once = rs.project_matrix(b, a)
-        twice = rs.project_matrix(once, a)
-        np.testing.assert_allclose(once, twice, atol=1e-12)
-
-    def test_zero_direction(self):
-        with pytest.raises(ZeroDirection):
-            rs.project_matrix(np.eye(2), np.zeros((2, 2)))
+def conjugate(rep, g, a):
+    """rho(g) a rho(g)^T; the images are orthogonal, so this is rho(g) a rho(g)^-1."""
+    m = rep.evaluate(g)
+    return m @ a @ m.T
 
 
 class TestConjugationAction:
     def test_identity_matrix_is_fixed(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         g = s4_table.elements[5]
-        np.testing.assert_allclose(rs.conjugation_action(g, np.eye(4), rep), np.eye(4))
+        np.testing.assert_allclose(conjugate(rep, g, np.eye(4)), np.eye(4))
 
     def test_identity_element_fixes_everything(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         rng = rs.stream(15)
         a = rng.standard_normal((4, 4))
-        np.testing.assert_allclose(
-            rs.conjugation_action(s4_table.identity(), a, rep), a, atol=1e-14
-        )
+        np.testing.assert_allclose(conjugate(rep, s4_table.elements[0], a), a, atol=1e-14)
 
     def test_frobenius_norm_preserved(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         rng = rs.stream(16)
         a = rng.standard_normal((4, 4))
-        g = rs.haar_sample_finite(s4_table, rng)
-        assert np.linalg.norm(rs.conjugation_action(g, a, rep)) == pytest.approx(
+        g = s4_table.elements[rs.groups.haar_indices(s4_table, rng, 1)[0]]
+        assert np.linalg.norm(conjugate(rep, g, a)) == pytest.approx(
             np.linalg.norm(a), abs=1e-10
         )
-
-    def test_dimension_mismatch(self, s4_table):
-        rep = rs.build_named_rep("sn_permutation", s4_table)
-        with pytest.raises(DimensionMismatch):
-            rs.conjugation_action(s4_table.identity(), np.eye(3), rep)
