@@ -27,6 +27,7 @@ from .errors import BadParams, ClosureOverflow, NonInvertibleGenerator
 
 MATRIX_DEDUP_TOL = 1e-8      # entrywise distance below which two elements coincide
 DEFAULT_CLOSURE_CAP = 1_000_000
+SINGULAR_DET = 1e-250        # |det| of a Gaussian draw below which it is re-drawn
 
 FINITE_FAMILIES = ("symmetric", "cyclic", "dihedral", "quaternion8")
 CONTINUOUS_FAMILIES = ("orthogonal", "special_orthogonal")
@@ -209,14 +210,17 @@ class MatrixIndex:
         self.weights = 1.0 + np.modf(np.arange(1, n * n + 1) * 0.6180339887498949)[0]
         self.cell = 2.0 * MATRIX_DEDUP_TOL * float(self.weights.sum())
         self.shape = (n, n)
-        self.matrices: list[np.ndarray] = []
+        # A list while the closure adds elements, then the table's payload.
+        self.matrices: list[np.ndarray] | np.ndarray = []
         self.buckets: dict[int, list[int]] = {}
 
     @classmethod
     def of(cls, matrices: np.ndarray) -> MatrixIndex:
+        """Index of a (k, n, n) stack, comparing against its rows."""
         index = cls(matrices.shape[1])
-        for m, key in zip(matrices, index.keys(matrices)):
-            index.add(m, key)
+        for i, key in enumerate(index.keys(matrices)):
+            index.buckets.setdefault(key, []).append(i)
+        index.matrices = matrices
         return index
 
     def keys(self, stack: np.ndarray) -> list[int | None]:
@@ -420,9 +424,10 @@ def _close_permutations(generators: np.ndarray, cap: int):
 
 def _close_matrices(generators: np.ndarray, cap: int):
     n = generators.shape[1]
-    index = MatrixIndex.of(np.eye(n)[None])
-    parents, generator_ids = [-1], [-1]
     frontier = np.eye(n)[None]
+    index = MatrixIndex(n)
+    index.add(frontier[0], index.keys(frontier)[0])
+    parents, generator_ids = [-1], [-1]
     start = 0
     while len(frontier):
         # One batched product and projection per generator and level; the
@@ -448,7 +453,9 @@ def _close_matrices(generators: np.ndarray, cap: int):
                 generator_ids.append(g)
         start += len(frontier)
         frontier = np.array(new).reshape(-1, n, n)
-    payload = np.stack(index.matrices)
+    # From here on the index compares against payload rows, and the
+    # per-element copies are freed.
+    index.matrices = payload = np.stack(index.matrices)
     return payload, np.array(parents, dtype=np.intp), np.array(generator_ids, dtype=np.intp), index
 
 
@@ -466,27 +473,68 @@ def haar_matrices(family: ContinuousFamily, rng: np.random.Generator, size: int)
 
     A standard Gaussian matrix is QR-factorized and the Q columns are
     rescaled by the signs of R's diagonal; making the factorization unique
-    makes the resulting distribution exactly invariant.  For the
-    special orthogonal family the last column sign is flipped whenever the
-    determinant is -1, which maps the invariant distribution of the full
-    group onto the subgroup.
+    makes the resulting distribution exactly invariant (Mezzadri, Notices
+    AMS 2007).  For the special orthogonal family the last column sign is
+    flipped whenever the determinant is -1, which maps the invariant
+    distribution of the full group onto the subgroup.  For n = 3 that Q is
+    built in closed form from the same Gaussian draws (``_haar_frames_3``);
+    other sizes go through the batched LAPACK QR.
     """
     n = family.n
     if n < 1:
         raise BadParams("family dimension must be >= 1")
+    if family.kind not in CONTINUOUS_FAMILIES:
+        raise BadParams(f"unknown continuous family {family.kind!r}")
+    special = family.kind == "special_orthogonal"
+    if n == 3:
+        return _haar_frames_3(rng, size, special)
     q, r = np.linalg.qr(rng.standard_normal((size, n, n)))
     diag = np.diagonal(r, axis1=1, axis2=2)
     # A singular Gaussian draw has probability zero; re-draw defensively.
     # |prod diag r| = |det z|, so the factorization itself flags it.
-    bad = np.flatnonzero(np.abs(diag.prod(axis=1)) < 1e-250)
+    bad = np.flatnonzero(np.abs(diag.prod(axis=1)) < SINGULAR_DET)
     while bad.size:
         q[bad], r[bad] = np.linalg.qr(rng.standard_normal((bad.size, n, n)))
-        bad = bad[np.abs(diag[bad].prod(axis=1)) < 1e-250]
+        bad = bad[np.abs(diag[bad].prod(axis=1)) < SINGULAR_DET]
     signs = np.where(diag < 0, -1.0, 1.0)
     q = q * signs[:, None, :]
-    if family.kind == "special_orthogonal":
+    if special:
         flip = np.linalg.det(q) < 0
         q[flip, :, -1] *= -1.0
-    elif family.kind != "orthogonal":
-        raise BadParams(f"unknown continuous family {family.kind!r}")
     return q
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot products of two (k, 3) arrays."""
+    return np.einsum("ki,ki->k", a, b)
+
+
+def _haar_frames_3(rng: np.random.Generator, size: int, special: bool) -> np.ndarray:
+    """The sign-corrected QR factor of ``size`` Gaussian 3x3 draws, without LAPACK.
+
+    With R's diagonal positive, Q is the Gram-Schmidt frame of the columns
+    z1, z2, z3: q1 = z1/|z1|, q2 the normalized part of z2 orthogonal to
+    q1 (projected twice, so q1.q2 is at rounding level), and
+    q3 = sign(det z) q1 x q2, since det z = det Q det R with det R > 0.
+    The special orthogonal family takes q3 = q1 x q2, which is the QR
+    path's flip of the last column.  ``det z = z3 . (z1 x z2)`` replaces
+    ``prod diag r`` in the singular-draw guard, which re-draws before
+    anything is normalized, so the generator is called exactly as on the
+    QR path.
+    """
+    z = rng.standard_normal((size, 3, 3))
+    a, b, c = z[:, :, 0], z[:, :, 1], z[:, :, 2]  # views: re-drawn rows show through
+    det = _dot(c, np.cross(a, b))
+    bad = np.flatnonzero(np.abs(det) < SINGULAR_DET)
+    while bad.size:
+        z[bad] = rng.standard_normal((bad.size, 3, 3))
+        det[bad] = _dot(c[bad], np.cross(a[bad], b[bad]))
+        bad = bad[np.abs(det[bad]) < SINGULAR_DET]
+    q1 = a / np.sqrt(_dot(a, a))[:, None]
+    for _ in range(2):
+        b = b - _dot(q1, b)[:, None] * q1
+    q2 = b / np.sqrt(_dot(b, b))[:, None]
+    q3 = np.cross(q1, q2)
+    if not special:
+        q3 *= np.sign(det)[:, None]
+    return np.stack([q1, q2, q3], axis=2)

@@ -36,7 +36,10 @@ from .representations import Representation, _check_unit
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_PAIRS = 100_000
-IMAGE_BLOCK = 8192  # sampled payloads mapped to images at a time, bounding the image stack
+# Entries of the sampled payloads, and of their images, drawn and mapped at a
+# time: 8192 draws for SO(3) on dim 5, fewer for larger matrices, so the
+# per-block stacks stay at ~1.6 MB whatever the sample count or dimension.
+IMAGE_BLOCK_FLOATS = 8192 * 25
 FACTORIAL_GUARD = 8
 
 
@@ -177,13 +180,18 @@ class _ContinuousOrbitSampler(VectorSampler):
         super().__init__(rep.dim)
         self.rep = rep
         self.base = base
+        self.block = max(1, IMAGE_BLOCK_FLOATS // max(rep.group.n, rep.dim) ** 2)
 
     def sample(self, rng, count):
-        payload = haar_matrices(self.rep.group, rng, count)
+        # One block of draws at a time: successive standard_normal calls
+        # continue the stream, so the draws equal those of one whole stack
+        # (barring a re-drawn singular draw, which has probability zero).
         out = np.empty((count, self.dim))
-        for start in range(0, count, IMAGE_BLOCK):
-            images = self.rep.stack_map(payload[start:start + IMAGE_BLOCK])
-            out[start:start + IMAGE_BLOCK] = np.einsum("kij,j->ki", images, self.base)
+        for start in range(0, count, self.block):
+            size = min(self.block, count - start)
+            images = self.rep.stack_map(haar_matrices(self.rep.group, rng, size))
+            out[start:start + size] = np.einsum("kij,j->ki", images, self.base)
+            del images  # free this block before the next one is drawn
         return out
 
 

@@ -12,7 +12,8 @@ Every representation maps a stack of group payloads (permutation images
 or matrices) to the stack of their images through one ``stack_map``;
 table images, sampled images and the image of a single element all come
 from it.  ``explicit`` images are multiplied along the group table's
-Schreier tree, one batched product per level, and looked up by payload.
+Schreier tree, one batched product per level, and looked up by payload;
+their table images are that stack itself.
 
 The module also carries the geometry used downstream: the trace inner
 product on matrix space and the squaring map x -> x x^T from unit vectors
@@ -154,7 +155,8 @@ def gram_symmetrize(raw_images: np.ndarray, table: FiniteGroupTable) -> Represen
     (in table order), takes the symmetric square root B^(1/2) of the
     average, and returns the equivalent representation
     B^(1/2) rho(g) B^(-1/2), which is orthogonal whenever the input is a
-    homomorphism; it maps payloads to images by table lookup.
+    homomorphism; it maps payloads to images by table lookup, and its
+    table images are the symmetrized stack itself.
     ``basis_change`` on the result records B^(1/2).
     """
     raw = np.asarray(raw_images, dtype=float)
@@ -170,7 +172,11 @@ def gram_symmetrize(raw_images: np.ndarray, table: FiniteGroupTable) -> Represen
     images = b_sqrt @ raw @ b_isqrt
 
     rep = Representation(
-        dim, lambda payload: images[table.indices_of(payload)], table, basis_change=b_sqrt
+        dim,
+        lambda payload: images[table.indices_of(payload)],
+        table,
+        basis_change=b_sqrt,
+        _images=images,
     )
     worst = orthogonality_defect(images)
     if worst > ORTHOGONALITY_TOL:

@@ -147,6 +147,29 @@ def payload_table(payload, generators=()):
     )
 
 
+def brute_haar_matrices(family, rng, size):
+    """Independent oracle: invariant draws of O(n)/SO(n) by batched LAPACK QR.
+
+    A standard Gaussian stack is QR-factorized, the Q columns are rescaled
+    by the signs of R's diagonal, and on SO(n) the last column is flipped
+    where the determinant is -1; singular draws (|prod diag r| < 1e-250)
+    are re-drawn with the same calls as the library.  This is the
+    library's path for every n but 3, where it builds the same Q in closed
+    form.
+    """
+    n = family.n
+    q, r = np.linalg.qr(rng.standard_normal((size, n, n)))
+    diag = np.diagonal(r, axis1=1, axis2=2)
+    bad = np.flatnonzero(np.abs(diag.prod(axis=1)) < 1e-250)
+    while bad.size:
+        q[bad], r[bad] = np.linalg.qr(rng.standard_normal((bad.size, n, n)))
+        bad = bad[np.abs(diag[bad].prod(axis=1)) < 1e-250]
+    q = q * np.where(diag < 0, -1.0, 1.0)[:, None, :]
+    if family.kind == "special_orthogonal":
+        q[np.linalg.det(q) < 0, :, -1] *= -1.0
+    return q
+
+
 def brute_pair_average(rep, v, block=4096):
     """Independent oracle: (1/|G|^2) sum over all pairs (g, h) of <gv, hv>^2.
 

@@ -16,6 +16,7 @@ from repspect.groups import (
 )
 
 from conftest import (
+    brute_haar_matrices,
     brute_matrix_closure,
     brute_permutation_closure,
     brute_word_images,
@@ -170,6 +171,20 @@ class TestMatrixClosure:
         assert table.order == 6000
         assert peak < 8 * 2**20
 
+    def test_closed_matrix_table_retains_no_element_copies(self):
+        # The index compares against the payload rows once the closure is
+        # done; per-element copies would add ~1 MiB on dihedral(3000).
+        spec = rs.GroupSpec(kind="dihedral", n=3000)
+        tracemalloc.start()
+        try:
+            table = rs.enumerate_closure(spec)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert table._index.matrices is table.payload
+        assert retained < 1.6 * 2**20
+        assert np.array_equal(table.indices_of(table.payload[::-7]), np.arange(6000)[::-7])
+
 
 # Dihedral group of order 80 acting on 40 points: rotation i -> i+1 and
 # reflection i -> -i.
@@ -322,3 +337,41 @@ class TestContinuousSampling:
         (m,) = rs.haar_matrices(fam, rs.stream(0), 1)
         assert m.shape == (3, 3)
         assert orthogonality_defect(m) <= 1e-8
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "special_orthogonal"])
+    def test_closed_form_3_matches_qr_on_the_same_stream(self, kind):
+        fam = rs.ContinuousFamily(kind=kind, n=3)
+        q = rs.haar_matrices(fam, rs.stream(31), 100_000)
+        ref = brute_haar_matrices(fam, rs.stream(31), 100_000)
+        assert float(np.max(np.abs(q - ref))) <= 1e-12
+        assert orthogonality_defect(q) <= 1e-14
+
+    def test_closed_form_3_special_orthogonal_determinant(self):
+        fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
+        dets = np.linalg.det(rs.haar_matrices(fam, rs.stream(37), 100_000))
+        assert float(np.max(np.abs(dets - 1.0))) <= 1e-14
+
+    def test_closed_form_3_orthogonal_determinant_is_the_draws_sign(self):
+        n_draws = 100_000
+        fam = rs.ContinuousFamily(kind="orthogonal", n=3)
+        dets = np.linalg.det(rs.haar_matrices(fam, rs.stream(41), n_draws))
+        z = rs.stream(41).standard_normal((n_draws, 3, 3))  # the draws' own stream
+        assert float(np.max(np.abs(dets - np.sign(np.linalg.det(z))))) <= 1e-14
+        share = np.mean(dets < 0)
+        assert abs(share - 0.5) <= 4.0 * np.sqrt(0.25 / n_draws)
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "special_orthogonal"])
+    @pytest.mark.parametrize("n", [1, 2, 4, 5])
+    def test_other_sizes_are_the_qr_draws_bit_for_bit(self, kind, n):
+        fam = rs.ContinuousFamily(kind=kind, n=n)
+        q = rs.haar_matrices(fam, rs.stream(43, n), 2000)
+        assert q.tobytes() == brute_haar_matrices(fam, rs.stream(43, n), 2000).tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_unknown_family_rejected_before_drawing(self, n):
+        class NoDraws:
+            def standard_normal(self, shape):
+                raise AssertionError("drew before checking the family")
+
+        with pytest.raises(BadParams, match="unknown continuous family"):
+            rs.haar_matrices(rs.ContinuousFamily(kind="unitary", n=n), NoDraws(), 4)

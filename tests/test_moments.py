@@ -18,6 +18,7 @@ from repspect.errors import (
 
 from conftest import (
     brute_discrete_invariance,
+    brute_haar_matrices,
     brute_pair_average,
     cyclic_table,
     random_unit,
@@ -87,6 +88,18 @@ class TestSamplers:
         whole = so3_tss.stack_map(rs.haar_matrices(so3_tss.group, rs.stream(5), 50_000))
         np.testing.assert_array_equal(pts, np.einsum("kij,j->ki", whole, base))
         assert peak < 16 * 2**20
+
+    def test_continuous_orbit_sampler_draws_in_blocks(self):
+        # O(8) payloads are drawn a block at a time: the whole 100,000-draw
+        # payload stack alone would be 51 MB.
+        fam = rs.ContinuousFamily(kind="orthogonal", n=8)
+        rep = rs.build_named_rep("defining_orthogonal", fam)
+        base = np.full(8, 1.0 / np.sqrt(8.0))
+        sampler = rs.make_sampler(rs.orbit_measure(base), rep)
+        pts, peak = traced_peak(lambda: sampler.sample(rs.stream(5), 100_000))
+        assert peak < 16 * 2**20
+        whole = brute_haar_matrices(fam, rs.stream(5), 100_000)
+        np.testing.assert_array_equal(pts, np.einsum("kij,j->ki", whole, base))
 
     def test_dimension_mismatch_rejected(self, c4_rotation):
         with pytest.raises(BadMeasureSpec):

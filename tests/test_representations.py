@@ -215,6 +215,19 @@ class TestGramSymmetrize:
         rep = rs.build_named_rep("explicit", s3_table, generator_images=list(images))
         assert homomorphism_defect(rep, n_pairs=36) <= 1e-8
 
+    def test_explicit_table_images_need_no_lookup(self, monkeypatch):
+        table = rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=12))
+        d = np.diag([1.0, 3.0])
+        raw = table.tree_product(d @ table.payload[table.generators] @ np.linalg.inv(d))
+        rep = rs.gram_symmetrize(raw, table)
+        by_lookup = rep.stack_map(table.payload)
+
+        def no_lookup(self, stack):
+            raise AssertionError("table_images looked payloads up")
+
+        monkeypatch.setattr(rs.FiniteGroupTable, "indices_of", no_lookup)
+        assert rep.table_images().tobytes() == by_lookup.tobytes()
+
     def test_explicit_rejects_non_homomorphism(self, s3_table):
         images = [np.eye(3), 2.0 * np.eye(3)]  # wrong scale breaks the relations
         with pytest.raises(BadParams):
