@@ -7,7 +7,9 @@ for every invariant measure exactly when the representation is
 irreducible; the estimators and exact finite-group sums here put numbers
 on both sides of that statement.  Exact finite-group quantities read the
 representation's table images; the invariance of a discrete measure is
-checked on the generator images alone.
+checked on the generator images alone.  Orbit samples of a continuous
+group are the representation's ``orbit`` points of Haar payloads drawn one
+block at a time, so no image stack is held.
 
 Monte Carlo estimates are a deterministic function of (seed, worker
 count, sample count): sampling is partitioned into per-worker substreams
@@ -36,10 +38,12 @@ from .representations import Representation, _check_unit
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_PAIRS = 100_000
-# Entries of the sampled payloads, and of their images, drawn and mapped at a
-# time: 8192 draws for SO(3) on dim 5, fewer for larger matrices, so the
-# per-block stacks stay at ~1.6 MB whatever the sample count or dimension.
-IMAGE_BLOCK_FLOATS = 8192 * 25
+# Floats per block of continuous orbit draws: a block holds
+# ORBIT_BLOCK_FLOATS // max(n, dim)^2 draws, 8192 for SO(3) on dim 5 and
+# fewer for larger matrices, so its payloads, and the images that the
+# default ``orbit`` builds from them, stay at ~1.6 MB whatever the sample
+# count or dimension.
+ORBIT_BLOCK_FLOATS = 8192 * 25
 FACTORIAL_GUARD = 8
 
 
@@ -180,7 +184,7 @@ class _ContinuousOrbitSampler(VectorSampler):
         super().__init__(rep.dim)
         self.rep = rep
         self.base = base
-        self.block = max(1, IMAGE_BLOCK_FLOATS // max(rep.group.n, rep.dim) ** 2)
+        self.block = max(1, ORBIT_BLOCK_FLOATS // max(rep.group.n, rep.dim) ** 2)
 
     def sample(self, rng, count):
         # One block of draws at a time: successive standard_normal calls
@@ -189,9 +193,9 @@ class _ContinuousOrbitSampler(VectorSampler):
         out = np.empty((count, self.dim))
         for start in range(0, count, self.block):
             size = min(self.block, count - start)
-            images = self.rep.stack_map(haar_matrices(self.rep.group, rng, size))
-            out[start:start + size] = np.einsum("kij,j->ki", images, self.base)
-            del images  # free this block before the next one is drawn
+            out[start:start + size] = self.rep.orbit(
+                haar_matrices(self.rep.group, rng, size), self.base
+            )
         return out
 
 
@@ -234,6 +238,12 @@ def make_sampler(spec: MeasureSpec, rep: Representation) -> VectorSampler:
 # ---------------------------------------------------------------------------
 
 def _chunk_sizes(n: int, workers: int) -> list[int]:
+    """Sizes of the per-worker chunks of n samples; every estimator splits
+    its samples here, so this is where their counts are checked."""
+    if n < 2:
+        raise BadParams(f"need at least 2 samples, got {n}")
+    if workers < 1:
+        raise BadParams(f"workers must be >= 1, got {workers}")
     base, rem = divmod(n, workers)
     return [base + 1] * rem + [base] * (workers - rem)
 
@@ -249,10 +259,6 @@ def squared_overlap_values(
     x and y come from independent substreams, one pair of substreams per
     worker chunk; the concatenation order is fixed by the worker index.
     """
-    if n_pairs < 2:
-        raise BadParams("need at least 2 pairs")
-    if workers < 1:
-        raise BadParams("workers must be >= 1")
     out = []
     for w, size in enumerate(_chunk_sizes(n_pairs, workers)):
         if size == 0:
@@ -324,8 +330,6 @@ def coordinate_second_moments(
     Each block of ``block`` samples adds x^T x and (x*x)^T (x*x) to the
     running sums, two GEMMs with O(block n + n^2) memory.
     """
-    if n_samples < 2:
-        raise BadParams("need at least 2 samples")
     n = sampler.dim
     total = np.zeros((n, n))
     total_sq = np.zeros((n, n))
@@ -496,6 +500,7 @@ def expectation_identity_check(
             exact=True,
         )
 
+    chunks = _chunk_sizes(n_samples, workers)  # checked before the projector is built
     if finite:
         proj = reynolds_matrix(rep)
     else:
@@ -505,7 +510,7 @@ def expectation_identity_check(
     total_x2 = np.zeros(rep.dim)
     total_d = np.zeros(rep.dim)
     total_d2 = np.zeros(rep.dim)
-    for w, size in enumerate(_chunk_sizes(n_samples, workers)):
+    for w, size in enumerate(chunks):
         x = sampler.sample(stream(seed, w), size)
         d = x - x @ proj.T
         total_x += x.sum(axis=0)

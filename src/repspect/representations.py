@@ -11,9 +11,13 @@ orthogonal form).
 Every representation maps a stack of group payloads (permutation images
 or matrices) to the stack of their images through one ``stack_map``;
 table images, sampled images and the image of a single element all come
-from it.  ``explicit`` images are multiplied along the group table's
-Schreier tree, one batched product per level, and looked up by payload;
-their table images are that stack itself.
+from it.  Orbit points rho(g) v of a payload stack come from ``orbit``,
+which applies the image stack to v unless the representation has a
+cheaper closed form: ``so3_traceless_symmetric`` maps v to the
+coordinates of R V R^T and builds no image.  ``explicit`` images are
+multiplied along the group table's Schreier tree, one batched product
+per level, and looked up by payload; their table images are that stack
+itself.
 
 The module also carries the geometry used downstream: the trace inner
 product on matrix space and the squaring map x -> x x^T from unit vectors
@@ -49,8 +53,10 @@ class Representation:
 
     ``stack_map`` maps a stack of payloads, ``(k, degree)`` permutation
     images or ``(k, m, m)`` matrices, to the ``(k, dim, dim)`` stack of
-    their orthogonal images.  ``basis_change`` records the Gram
-    symmetrization applied to explicit generator images, if any.
+    their orthogonal images.  ``orbit_map``, when set, maps a payload
+    stack and one vector v to the rows rho(g) v without building the
+    images.  ``basis_change`` records the Gram symmetrization applied to
+    explicit generator images, if any.
     """
 
     dim: int
@@ -58,6 +64,7 @@ class Representation:
     group: GroupSource | None = None
     catalog_id: str | None = None
     basis_change: np.ndarray | None = None
+    orbit_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     _images: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -67,6 +74,12 @@ class Representation:
     def evaluate(self, g: GroupElement) -> np.ndarray:
         """The image of one element."""
         return self.stack_map(g.payload[None])[0]
+
+    def orbit(self, payloads: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """The ``(k, dim)`` rows rho(g_k) v of a stack of k payloads."""
+        if self.orbit_map is not None:
+            return self.orbit_map(payloads, v)
+        return np.einsum("kij,j->ki", self.stack_map(payloads), v)
 
     def table_images(self) -> np.ndarray:
         """All element images of a finite group, stacked in table order."""
@@ -142,6 +155,18 @@ def conjugation_on_traceless_symmetric(rots: np.ndarray) -> np.ndarray:
         np.multiply(r[:, :, None, :, None], r[:, None, :, None, :], out=rows)
         np.matmul(rows.reshape(-1, 81), _TS_KRON_TO_IMAGE, out=out[start:start + TS_IMAGE_BLOCK])
     return out.reshape(k, 5, 5)
+
+
+def conjugation_orbit_on_traceless_symmetric(rots: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The (k, 5) rows rho(R) v of a (k, 3, 3) stack of rotations.
+
+    rho(R) v holds the coordinates of R V R^T, where V = sum_b v_b B_b is
+    the matrix of v: one GEMM for R V, one batched product for (R V) R^T
+    and one GEMM against the basis, with no image built.
+    """
+    k = rots.shape[0]
+    rv = (rots.reshape(3 * k, 3) @ np.einsum("a,aij->ij", v, _TS_BASIS)).reshape(k, 3, 3)
+    return np.matmul(rv, rots.transpose(0, 2, 1)).reshape(k, 9) @ _TS_BASIS.reshape(5, 9).T
 
 
 # ---------------------------------------------------------------------------
@@ -239,8 +264,9 @@ def _sum_zero_rep(group, dim, _images) -> Representation:
     return Representation(dim, lambda payload: h @ permutation_images(payload) @ h.T, group)
 
 
-def _matrix_rep(stack_map, group, dim, _images) -> Representation:
-    """Build a matrix-payload entry whose images are ``stack_map``."""
+def _matrix_rep(stack_map, group, dim, _images, orbit_map=None) -> Representation:
+    """Build a matrix-payload entry whose images are ``stack_map`` (and
+    whose orbit points are ``orbit_map``, when given)."""
     if isinstance(group, FiniteGroupTable):
         worst = orthogonality_defect(group.payload)
         if worst > ORTHOGONALITY_TOL:
@@ -248,7 +274,7 @@ def _matrix_rep(stack_map, group, dim, _images) -> Representation:
                 "group elements are not orthogonal (defect "
                 f"{worst:.2e}); use the explicit representation to symmetrize"
             )
-    return Representation(dim, stack_map, group)
+    return Representation(dim, stack_map, group, orbit_map=orbit_map)
 
 
 def _images_dim(_degree, images) -> int:
@@ -286,7 +312,8 @@ CATALOG = {entry.name: entry for entry in (
                  lambda d, _: d, _DEFINING, degree=4),
     CatalogEntry("so3_traceless_symmetric", "conjugation on traceless symmetric 3x3", "5",
                  "matrix", lambda d, _: 5,
-                 partial(_matrix_rep, conjugation_on_traceless_symmetric), degree=3),
+                 partial(_matrix_rep, conjugation_on_traceless_symmetric,
+                         orbit_map=conjugation_orbit_on_traceless_symmetric), degree=3),
     CatalogEntry("defining_orthogonal", "matrix group acting on column vectors", "n", "matrix",
                  lambda d, _: d, _DEFINING),
     CatalogEntry("explicit", "generator images, symmetrized", "set by images", "finite",

@@ -80,13 +80,18 @@ class TestSamplers:
         pts = rs.make_sampler(spec, so3_tss).sample(rs.stream(4), 200)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-10)
 
-    def test_continuous_orbit_sampler_maps_images_in_blocks(self, so3_tss):
-        # Same points as one image stack of all draws, without holding that stack.
+    def test_continuous_orbit_sampler_maps_orbits_in_blocks(self, so3_tss):
+        # Block by block, the same points as the orbit of one payload stack of
+        # all draws, and within rounding of its image stack times the base.
         base = rs.sum_zero_basis(5)[0]
         sampler = rs.make_sampler(rs.orbit_measure(base), so3_tss)
         pts, peak = traced_peak(lambda: sampler.sample(rs.stream(5), 50_000))
-        whole = so3_tss.stack_map(rs.haar_matrices(so3_tss.group, rs.stream(5), 50_000))
-        np.testing.assert_array_equal(pts, np.einsum("kij,j->ki", whole, base))
+        whole = rs.haar_matrices(so3_tss.group, rs.stream(5), 50_000)
+        np.testing.assert_array_equal(pts, so3_tss.orbit(whole, base))
+        images = so3_tss.stack_map(whole)
+        np.testing.assert_allclose(
+            pts, np.einsum("kij,j->ki", images, base), rtol=0, atol=1e-15
+        )
         assert peak < 16 * 2**20
 
     def test_continuous_orbit_sampler_draws_in_blocks(self):
@@ -154,9 +159,22 @@ class TestEstimateSquaredOverlap:
         b = rs.estimate_squared_overlap(sampler, 5000, seed=9, workers=2)
         assert a.value != b.value
 
-    def test_needs_two_pairs(self, so3_tss):
+    @pytest.mark.parametrize("estimator", ["overlap", "coordinates", "expectation"])
+    @pytest.mark.parametrize("count, workers", [(1, 1), (0, 1), (100, 0), (100, -1)])
+    def test_sample_and_worker_counts_checked(self, so3_tss, estimator, count, workers):
+        spec = rs.uniform_sphere()
+        sampler = rs.make_sampler(spec, so3_tss)
+        run = {
+            "overlap": lambda: rs.estimate_squared_overlap(sampler, count, workers=workers),
+            "coordinates": lambda: rs.coordinate_second_moments(
+                sampler, count, workers=workers
+            ),
+            "expectation": lambda: rs.expectation_identity_check(
+                so3_tss, spec, n_samples=count, workers=workers
+            ),
+        }[estimator]
         with pytest.raises(BadParams):
-            rs.estimate_squared_overlap(rs.make_sampler(rs.uniform_sphere(), so3_tss), 1)
+            run()
 
     def test_matches_exact_value_on_discrete_measure(self, s4_table):
         rng = rs.stream(10)

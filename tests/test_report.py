@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -506,6 +507,18 @@ class TestCli:
         })
         assert cli_main(["analyze", "--config", path]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_readme_example_config_runs(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        match = re.search(r"Example config:\s*```json\n(.*?)```", readme, re.S)
+        doc = json.loads(match.group(1))
+        doc["outputs"].update(report=str(tmp_path / "report.json"),
+                              trace=str(tmp_path / "trace.csv"))
+        assert cli_main(["analyze", "--config", self.write_config(tmp_path, doc)]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["verdict"]["irreducible"] is True
+        trace = (tmp_path / "trace.csv").read_text().splitlines()
+        assert trace[0] == "n_samples,estimate,stderr,reference" and len(trace) > 1
 
     def test_import_leaves_scipy_out(self):
         src = str(Path(rs.__file__).resolve().parents[1])

@@ -156,6 +156,36 @@ class TestTracelessSymmetricImages:
         assert peak < 5 * 2**20  # an unblocked (8192, 81) Kronecker stack alone is 5.1 MiB
 
 
+class TestOrbit:
+    @pytest.mark.parametrize("kind", ["special_orthogonal", "orthogonal"])
+    def test_traceless_symmetric_closed_form_matches_images(self, kind):
+        fam = rs.ContinuousFamily(kind=kind, n=3)
+        rep = rs.build_named_rep("so3_traceless_symmetric", fam)
+        rng = rs.stream(44)
+        payload = rs.haar_matrices(fam, rng, 5000)
+        images = rep.stack_map(payload)
+        rep.stack_map = None  # the closed form builds no image
+        for _ in range(5):
+            v = random_unit(rng, 5)
+            np.testing.assert_allclose(rep.orbit(payload, v), images @ v, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("name, group", [
+        ("defining_orthogonal", "o4"), ("sn_sum_zero", "s4"), ("q8_left", "q8"),
+    ])
+    def test_default_applies_the_images(self, name, group, s4_table, q8_table):
+        # Without a closed form, orbit is the image stack applied to v, bit for bit.
+        if group == "o4":
+            source = rs.ContinuousFamily(kind="orthogonal", n=4)
+            payload = rs.haar_matrices(source, rs.stream(45), 1000)
+        else:
+            source = {"s4": s4_table, "q8": q8_table}[group]
+            payload = source.payload
+        rep = rs.build_named_rep(name, source)
+        v = random_unit(rs.stream(46), rep.dim)
+        expected = np.einsum("kij,j->ki", rep.stack_map(payload), v)
+        assert np.array_equal(rep.orbit(payload, v), expected)
+
+
 class TestTableImages:
     def test_defining_images_equal_the_element_stack(self):
         table = rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=3000))
