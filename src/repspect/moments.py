@@ -5,15 +5,25 @@ independent draws from an invariant measure on the unit sphere of a
 representation space.  It always satisfies E<x,y>^2 >= 1/n, with equality
 for every invariant measure exactly when the representation is
 irreducible; the estimators and exact finite-group sums here put numbers
-on both sides of that statement.  Exact finite-group quantities read the
-representation's table images; the invariance of a discrete measure is
-checked on the generator images alone.  Orbit samples of a continuous
-group are the representation's ``orbit`` points of Haar payloads drawn one
-block at a time, so no image stack is held.
+on both sides of that statement.
+
+A measure with a finite law (a discrete measure, or an orbit of a finite
+group) has exact statistics: its point matrix, the orbit ``O = images @ v``
+or the weighted support, gives its second moment ``M = E[x x^T]`` as a
+``SecondMomentMatrix(exact=True)`` with zero stderr, and ``|M|_F^2`` is
+its exact ``E<x,y>^2``.  ``exact_finite_orbit_moments``
+and ``exact_discrete_overlap`` expose that M.  Monte Carlo is only needed
+for measures with no finite law: the uniform sphere and subspheres and the
+orbits of continuous groups.  The invariance of a discrete measure is
+checked on the generator images alone.
 
 Monte Carlo estimates are a deterministic function of (seed, worker
 count, sample count): sampling is partitioned into per-worker substreams
-and reduced in a fixed order.
+and reduced in a fixed order.  The overlap and expectation estimators
+draw ``ORBIT_BLOCK_FLOATS // dim`` vectors at a time, successive draws
+continuing each substream, and orbit samples of a continuous group are
+the representation's ``orbit`` points of Haar payloads drawn one block at
+a time, so memory stays bounded whatever the sample count.
 """
 
 from __future__ import annotations
@@ -38,11 +48,12 @@ from .representations import Representation, _check_unit
 
 PROB_SUM_TOL = 1e-12
 DEFAULT_PAIRS = 100_000
-# Floats per block of continuous orbit draws: a block holds
-# ORBIT_BLOCK_FLOATS // max(n, dim)^2 draws, 8192 for SO(3) on dim 5 and
-# fewer for larger matrices, so its payloads, and the images that the
-# default ``orbit`` builds from them, stay at ~1.6 MB whatever the sample
-# count or dimension.
+# Floats per block of draws (~1.6 MB).  The overlap and expectation
+# estimators draw ORBIT_BLOCK_FLOATS // dim vectors at a time; a
+# continuous orbit sampler draws ORBIT_BLOCK_FLOATS // max(n, dim)^2
+# payloads at a time, 8192 for SO(3) on dim 5, so its payloads, and the
+# images that the default ``orbit`` builds from them, stay at that size
+# whatever the sample count or dimension.
 ORBIT_BLOCK_FLOATS = 8192 * 25
 FACTORIAL_GUARD = 8
 
@@ -79,7 +90,7 @@ class MomentEstimate:
 
 @dataclass
 class SecondMomentMatrix:
-    """Mean of x x^T with per-entry standard errors when sampled."""
+    """Mean of x x^T with per-entry standard errors (zeros when exact)."""
 
     entries: np.ndarray
     n_samples: int
@@ -248,6 +259,18 @@ def _chunk_sizes(n: int, workers: int) -> list[int]:
     return [base + 1] * rem + [base] * (workers - rem)
 
 
+def _sample_blocks(sampler: VectorSampler, rng: np.random.Generator, size: int):
+    """``size`` draws from rng, ``ORBIT_BLOCK_FLOATS // dim`` rows at a time.
+
+    Successive draws continue the stream, so the blocks stack to the draws
+    of one ``sampler.sample(rng, size)`` call for the samplers whose draws
+    are taken row by row (sphere, subsphere and continuous orbit).
+    """
+    block = max(1, ORBIT_BLOCK_FLOATS // sampler.dim)
+    for start in range(0, size, block):
+        yield sampler.sample(rng, min(block, size - start))
+
+
 def squared_overlap_values(
     sampler: VectorSampler,
     n_pairs: int,
@@ -257,15 +280,14 @@ def squared_overlap_values(
     """The n_pairs values <x_i, y_i>^2, in deterministic stream order.
 
     x and y come from independent substreams, one pair of substreams per
-    worker chunk; the concatenation order is fixed by the worker index.
+    worker chunk, drawn block by block; the concatenation order is fixed
+    by the worker index.
     """
     out = []
     for w, size in enumerate(_chunk_sizes(n_pairs, workers)):
-        if size == 0:
-            continue
-        x = sampler.sample(stream(seed, w, 0), size)
-        y = sampler.sample(stream(seed, w, 1), size)
-        out.append(np.einsum("ki,ki->k", x, y) ** 2)
+        xs = _sample_blocks(sampler, stream(seed, w, 0), size)
+        ys = _sample_blocks(sampler, stream(seed, w, 1), size)
+        out.extend(np.einsum("ki,ki->k", x, y) ** 2 for x, y in zip(xs, ys))
     return np.concatenate(out)
 
 
@@ -361,14 +383,22 @@ def exact_discrete_overlap(spec: MeasureSpec) -> tuple[MomentEstimate, SecondMom
     """Exact E<x,y>^2 of a discrete measure via its second-moment matrix.
 
     Independence factors the expectation through M = sum_i p_i x_i x_i^T:
-    the exact value is |M|_F^2 = sum_ij p_i p_j <x_i, x_j>^2.
+    the exact value is |M|_F^2 = sum_ij p_i p_j <x_i, x_j>^2.  M is
+    returned as the measure's exact coordinate second moment.
     """
     if spec.kind != "discrete":
         raise NotDiscrete(f"measure kind is {spec.kind!r}")
-    m = np.einsum("k,ki,kj->ij", spec.probs, spec.points, spec.points)
-    value = float(np.sum(m * m))
-    est = MomentEstimate(value=value, stderr=0.0, n_samples=len(spec.points), exact=True)
-    return est, SecondMomentMatrix(entries=m, n_samples=len(spec.points), exact=True)
+    m = _exact_second_moment(
+        np.einsum("k,ki,kj->ij", spec.probs, spec.points, spec.points), len(spec.points)
+    )
+    value = float(np.sum(m.entries * m.entries))
+    return MomentEstimate(value=value, stderr=0.0, n_samples=m.n_samples, exact=True), m
+
+
+def _exact_second_moment(entries: np.ndarray, n_points: int) -> SecondMomentMatrix:
+    return SecondMomentMatrix(
+        entries=entries, n_samples=n_points, exact=True, stderr=np.zeros_like(entries)
+    )
 
 
 @dataclass(frozen=True)
@@ -401,6 +431,7 @@ class OrbitMoments:
     double_sum: float   # mean over (g, h) pairs of <rho(g) v, rho(h) v>^2
     group_sum: float    # |G| * single_sum
     order: int
+    second_moment: SecondMomentMatrix  # M = E[x x^T]; double_sum = |M|_F^2
 
 
 def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMoments:
@@ -412,7 +443,8 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
     moment: with O the (|G|, n) orbit matrix and M = O^T O / |G|,
     (1/|G|^2) sum_{g,h} <gv, hv>^2 = |M|_F^2, which costs O(|G| n^2) and
     enumerates no pairs.  The single sum uses <gv, v> and not M, so the
-    two remain independent certificates of each other.
+    two remain independent certificates of each other.  M is returned
+    too: it is the measure's exact coordinate second moment.
     """
     v = _check_unit(v, "orbit base")
     if v.shape != (rep.dim,):
@@ -420,9 +452,14 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
     orbit = rep.table_images() @ v
     single = float(np.mean((orbit @ v) ** 2))
     order = rep.group.order
-    m = (orbit.T @ orbit) / order
-    double = float(np.sum(m * m))
-    return OrbitMoments(single_sum=single, double_sum=double, group_sum=order * single, order=order)
+    m = _exact_second_moment((orbit.T @ orbit) / order, order)
+    return OrbitMoments(
+        single_sum=single,
+        double_sum=float(np.sum(m.entries * m.entries)),
+        group_sum=order * single,
+        order=order,
+        second_moment=m,
+    )
 
 
 def sn_cosine_identity(x) -> float:
@@ -477,8 +514,8 @@ def expectation_identity_check(
 
     Exact table averages are used for orbit and discrete measures of
     finite groups; otherwise both expectations are estimated on the same
-    sample stream, and the bands are ``band_sigma`` times the Euclidean
-    aggregate of per-coordinate standard errors.
+    sample stream, drawn block by block, and the bands are ``band_sigma``
+    times the Euclidean aggregate of per-coordinate standard errors.
     """
     finite = isinstance(rep.group, FiniteGroupTable)
     if finite and spec.kind in ("orbit", "discrete"):
@@ -511,12 +548,12 @@ def expectation_identity_check(
     total_d = np.zeros(rep.dim)
     total_d2 = np.zeros(rep.dim)
     for w, size in enumerate(chunks):
-        x = sampler.sample(stream(seed, w), size)
-        d = x - x @ proj.T
-        total_x += x.sum(axis=0)
-        total_x2 += (x**2).sum(axis=0)
-        total_d += d.sum(axis=0)
-        total_d2 += (d**2).sum(axis=0)
+        for x in _sample_blocks(sampler, stream(seed, w), size):
+            d = x - x @ proj.T
+            total_x += x.sum(axis=0)
+            total_x2 += (x**2).sum(axis=0)
+            total_d += d.sum(axis=0)
+            total_d2 += (d**2).sum(axis=0)
     mean_x = total_x / n_samples
     mean_d = total_d / n_samples
     se_x = np.sqrt(np.maximum(total_x2 - n_samples * mean_x**2, 0.0) / (n_samples - 1) / n_samples)

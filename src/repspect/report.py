@@ -5,8 +5,12 @@ commuting algebra and its verdict, extracts a witness subspace when the
 representation is reducible, evaluates the exact finite-group identities
 that apply, estimates the squared-overlap moment for every configured
 measure, and cross-checks the algebraic verdict against the moment
-statistics.  Reports are a pure function of (config, seed): repeated runs
-produce byte-identical output.
+statistics.  A measure with a finite law (discrete, or an orbit of a
+finite group) gets one exact second moment M = E[x x^T], which gives its
+overlap |M|_F^2, its lower-bound gap and its coordinate-moment summary;
+its expectation check is an exact table average.  Only the other
+measures are sampled.  Reports are a pure function of (config, seed):
+repeated runs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -71,6 +75,7 @@ from .moments import (
     uniform_subsphere,
 )
 from .representations import (
+    ORTHOGONALITY_TOL,
     build_named_rep,
     catalog_dim,
     diag_map,
@@ -125,7 +130,7 @@ class MeasureResult:
     below_lower_bound: bool
     conflict_eligible: bool
     invariant_verified: bool | None = None  # discrete measures only
-    lower_bound_gap: float | None = None    # discrete measures only
+    lower_bound_gap: float | None = None    # measures with an exact second moment only
 
 
 @dataclass
@@ -428,9 +433,10 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     for i, spec in enumerate(cfg.measures):
         invariant_verified = None
         lower_bound_gap = None
+        exact_m = None  # E[x x^T] of a measure with a finite law
         if spec.kind == "discrete":
-            est, smm = exact_discrete_overlap(spec)
-            lower_bound_gap = lower_bound_check(smm).gap
+            est, exact_m = exact_discrete_overlap(spec)
+            lower_bound_gap = lower_bound_check(exact_m).gap
             if finite:
                 inv = check_discrete_invariance(spec, rep)
                 invariant_verified = inv.invariant
@@ -440,6 +446,10 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         elif spec.kind == "orbit" and finite:
             om = exact_finite_orbit_moments(rep, spec.base)
             est = MomentEstimate(value=om.double_sum, stderr=0.0, n_samples=om.order, exact=True)
+            exact_m = om.second_moment
+            # Images are accepted with |g^T g - I|_2 up to dim * ORTHOGONALITY_TOL,
+            # so orbit points, and the trace of M, may miss unit norm by that much.
+            lower_bound_gap = lower_bound_check(exact_m, trace_tol=rep.dim * ORTHOGONALITY_TOL).gap
             identities["orbit_exact"].append({
                 "measure_index": i,
                 "order": om.order,
@@ -493,7 +503,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
                 "exact": chk.exact,
             })
             identities["coordinate_moments"].append(
-                _coordinate_moment_summary(cfg, rep, spec, i, reference)
+                _coordinate_moment_summary(cfg, rep, spec, i, reference, exact_m)
             )
 
     identities["sum_zero_cosine"] = _sum_zero_cosine_summary(cfg, rep)
@@ -533,19 +543,28 @@ def _subsphere_is_invariant(spec: MeasureSpec, cb: CommutantBasis) -> bool:
     return _subspace_invariance_residual(spec.subspace, cb.constraints) <= 1e-8
 
 
-def _coordinate_moment_summary(cfg, rep, spec, i, reference) -> dict:
-    smm = coordinate_second_moments(
-        make_sampler(spec, rep), cfg.samples,
-        seed=substream(cfg.seed, 10, i, 2), workers=cfg.workers,
-    )
+def _coordinate_moment_summary(cfg, rep, spec, i, reference, exact_m) -> dict:
+    """E[x x^T] against I/n: the exact M when the measure has one, else sampled.
+
+    An exact M has zero stderr; its bands are the defect its inputs were
+    accepted with, ``dim * ORTHOGONALITY_TOL`` (images within
+    ``ORTHOGONALITY_TOL`` entrywise, discrete points matched to 1e-8).
+    """
+    smm, slack = exact_m, rep.dim * ORTHOGONALITY_TOL
+    if smm is None:
+        smm = coordinate_second_moments(
+            make_sampler(spec, rep), cfg.samples,
+            seed=substream(cfg.seed, 10, i, 2), workers=cfg.workers,
+        )
+        slack = EXACT_SLACK
     n = rep.dim
     diag = np.diag_indices(n)
     off = ~np.eye(n, dtype=bool)
     sigma = cfg.tolerances.band_sigma
     diag_dev = np.abs(smm.entries[diag] - reference)
-    diag_band = sigma * smm.stderr[diag] + EXACT_SLACK
+    diag_band = sigma * smm.stderr[diag] + slack
     off_dev = np.abs(smm.entries[off])
-    off_band = sigma * smm.stderr[off] + EXACT_SLACK
+    off_band = sigma * smm.stderr[off] + slack
     return {
         "measure_index": i,
         "max_diagonal_deviation": float(diag_dev.max()),

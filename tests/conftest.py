@@ -184,6 +184,29 @@ def brute_pair_average(rep, v, block=4096):
     return acc / order**2
 
 
+def brute_orbit_second_moment(rep, v):
+    """Independent oracle: (1/|G|) sum_g (rho(g) v)(rho(g) v)^T, one outer
+    product per table element."""
+    m = np.zeros((rep.dim, rep.dim))
+    for image in rep.table_images():
+        x = image @ v
+        m += np.outer(x, x)
+    return m / rep.group.order
+
+
+def brute_squared_overlap_values(sampler, n_pairs, seed=0, workers=1):
+    """Independent oracle: the values <x_i, y_i>^2 with each worker chunk's
+    x and y drawn whole, one ``sample`` call per substream."""
+    base, rem = divmod(n_pairs, workers)
+    out = []
+    for w in range(workers):
+        size = base + (w < rem)
+        x = sampler.sample(rs.stream(seed, w, 0), size)
+        y = sampler.sample(rs.stream(seed, w, 1), size)
+        out.append(np.einsum("ki,ki->k", x, y) ** 2)
+    return np.concatenate(out)
+
+
 def brute_ts_conjugation(rots):
     """Independent oracle: images of rotations acting by conjugation on the
     traceless symmetric 3x3 matrices, in the orthonormal basis B.

@@ -16,10 +16,14 @@ from repspect.errors import (
     TraceNotOne,
 )
 
+from repspect.moments import _FiniteOrbitSampler, squared_overlap_values
+
 from conftest import (
     brute_discrete_invariance,
     brute_haar_matrices,
+    brute_orbit_second_moment,
     brute_pair_average,
+    brute_squared_overlap_values,
     cyclic_table,
     random_unit,
     symmetric_table,
@@ -146,6 +150,45 @@ class TestEstimateSquaredOverlap:
         spec3 = rs.discrete_measure([w, -w], [0.5, 0.5])
         est = rs.estimate_squared_overlap(rs.make_sampler(spec3, rep3), 10_000, seed=8)
         assert abs(est.value - 1.0) <= max(4.0 * est.stderr, 1e-12)
+
+    @pytest.mark.parametrize("case", ["sphere_dim40", "subsphere", "so3_orbit"])
+    def test_block_draws_match_whole_chunk_draws(self, so3_tss, case):
+        # Each case spans several blocks of ORBIT_BLOCK_FLOATS // dim rows.
+        if case == "sphere_dim40":
+            fam = rs.ContinuousFamily(kind="orthogonal", n=40)
+            sampler = rs.make_sampler(rs.uniform_sphere(), rs.build_named_rep("defining_orthogonal", fam))
+            n_pairs, workers = 12_001, 2
+        elif case == "subsphere":
+            basis = np.linalg.qr(rs.stream(21).standard_normal((5, 2)))[0]
+            sampler = rs.make_sampler(rs.uniform_subsphere(basis), so3_tss)
+            n_pairs, workers = 90_001, 1
+        else:
+            spec = rs.orbit_measure(random_unit(rs.stream(22), 5))
+            sampler = rs.make_sampler(spec, so3_tss)
+            n_pairs, workers = 90_001, 1
+        vals = squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
+        brute = brute_squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
+        assert np.array_equal(vals, brute)
+
+    @pytest.mark.parametrize("estimator", ["overlap", "expectation"])
+    def test_dim_40_sampled_memory_is_one_block(self, estimator):
+        # A whole (200_000, 40) chunk is 64 MB per side; blocks are ~1.6 MB.
+        fam = rs.ContinuousFamily(kind="orthogonal", n=40)
+        sphere_rep = rs.build_named_rep("defining_orthogonal", fam)
+        cycle = rs.GroupSpec(kind="permutation_generators",
+                             generators=(tuple((i + 1) % 40 for i in range(40)),))
+        perm_rep = rs.build_named_rep("sn_permutation", rs.enumerate_closure(cycle))
+        perm_rep.table_images()  # cached before tracing: only the draws are measured
+        run = {
+            "overlap": lambda: rs.estimate_squared_overlap(
+                rs.make_sampler(rs.uniform_sphere(), sphere_rep), 200_000, seed=24
+            ),
+            "expectation": lambda: rs.expectation_identity_check(
+                perm_rep, rs.uniform_sphere(), n_samples=200_000, seed=24
+            ),
+        }[estimator]
+        _, peak = traced_peak(run)
+        assert peak < 16 * 2**20
 
     def test_reproducible_given_seed_and_workers(self, so3_tss):
         sampler = rs.make_sampler(rs.uniform_sphere(), so3_tss)
@@ -312,6 +355,44 @@ class TestExactFiniteOrbitMoments:
     def test_non_unit_base_rejected(self, c4_rotation):
         with pytest.raises(NotUnitVector):
             rs.exact_finite_orbit_moments(c4_rotation, np.array([1.0, 1.0]))
+
+
+class TestExactSecondMoments:
+    @pytest.mark.parametrize("rep_name,kind,n", [
+        ("sn_sum_zero", "symmetric", 4),
+        ("q8_left", "quaternion8", None),
+        ("defining_orthogonal", "dihedral", 12),
+        ("defining_orthogonal", "cyclic", 7),
+    ])
+    def test_orbit_second_moment_matches_outer_product_loop(self, rep_name, kind, n):
+        rep = rs.build_named_rep(rep_name, rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n)))
+        rng = rs.stream(32)
+        for _ in range(3):
+            v = random_unit(rng, rep.dim)
+            om = rs.exact_finite_orbit_moments(rep, v)
+            m = om.second_moment
+            assert m.exact and m.n_samples == rep.group.order
+            assert np.array_equal(m.stderr, np.zeros((rep.dim, rep.dim)))
+            np.testing.assert_allclose(m.entries, brute_orbit_second_moment(rep, v), rtol=0, atol=1e-12)
+            assert om.double_sum == np.sum(m.entries**2)
+
+    def test_discrete_second_moment_with_unequal_weights(self):
+        rng = rs.stream(33)
+        pts = np.stack([random_unit(rng, 4) for _ in range(6)])
+        pr = np.array([0.05, 0.1, 0.15, 0.2, 0.2, 0.3])
+        _, m = rs.exact_discrete_overlap(rs.discrete_measure(pts, pr))
+        brute = sum(p * np.outer(x, x) for p, x in zip(pr, pts))
+        assert m.exact and np.array_equal(m.stderr, np.zeros((4, 4)))
+        np.testing.assert_allclose(m.entries, brute, rtol=0, atol=1e-12)
+
+    def test_sampled_finite_orbit_moments_agree_with_exact(self):
+        rep = rs.build_named_rep("sn_permutation", symmetric_table(4))
+        v = random_unit(rs.stream(34), 4)
+        sampler = rs.make_sampler(rs.orbit_measure(v), rep)
+        assert isinstance(sampler, _FiniteOrbitSampler)
+        smm = rs.coordinate_second_moments(sampler, 50_000, seed=35)
+        exact = rs.exact_finite_orbit_moments(rep, v).second_moment
+        assert np.all(np.abs(smm.entries - exact.entries) <= 4.0 * smm.stderr + 1e-12)
 
 
 class TestSumZeroCosineSum:

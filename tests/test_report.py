@@ -11,6 +11,7 @@ import pytest
 import repspect as rs
 from repspect.cli import main as cli_main
 from repspect.errors import BadParams, ParseError, UnknownName, ValidationError, VerdictConflict
+from repspect.groups import orthogonality_defect
 from repspect.moments import MomentEstimate
 from repspect.report import (
     Tolerances,
@@ -255,6 +256,94 @@ class TestRunAnalysis:
         assert entry["double_vs_single"] <= 1e-10
         cz = report.identities["sum_zero_cosine"]
         assert cz["residual"] <= 1e-9
+
+    def test_finite_orbit_lower_bound_gap(self):
+        cfg = rs.parse_config(json.dumps({
+            "group": {"kind": "symmetric", "n": 4},
+            "representation": {"name": "sn_permutation"},
+            "measure": {"kind": "orbit", "base": [0.9, 0.3, -0.2, 0.1]},
+            "samples": 2000,
+        }))
+        report = rs.run_analysis(cfg)
+        double_sum = report.identities["orbit_exact"][0]["double_sum"]
+        gap = report.measures[0].lower_bound_gap
+        assert gap > 1e-3  # the permutation representation is reducible
+        assert gap == pytest.approx(double_sum - 0.25, abs=1e-12)
+
+    def test_near_orthogonal_orbit_reports_its_gap(self):
+        # An involution conjugated by I + eta u u^T passes the representation's
+        # entrywise orthogonality check (defect < 1e-8), yet along the top
+        # eigenvector of g^T g - I the orbit's trace misses 1 by more than
+        # lower_bound_check's default tolerance of 1e-8.
+        n = 20
+        swap = np.eye(n)[[i ^ 1 for i in range(n)]]
+        u = rs.stream(41).standard_normal(n)
+
+        def conjugated(eta):
+            s = np.eye(n) + eta * np.outer(u, u)
+            return s @ swap @ np.linalg.inv(s)
+
+        g = conjugated(1e-10)
+        g = conjugated(1e-10 * 0.98e-8 / orthogonality_defect(g))
+        v = np.linalg.eigh(g.T @ g)[1][:, -1]
+        assert orthogonality_defect(g) < 1e-8
+        assert abs((1.0 + v @ g.T @ g @ v) / 2.0 - 1.0) > 1e-8
+        cfg = rs.parse_config(json.dumps({
+            "group": {"kind": "matrix_generators", "matrices": [g.tolist()]},
+            "representation": {"name": "defining_orthogonal"},
+            "measure": {"kind": "orbit", "base": v.tolist()},
+            "samples": 2000,
+        }))
+        report = rs.run_analysis(cfg)
+        assert report.measures[0].lower_bound_gap > 0.0
+
+    def test_near_orthogonal_orbit_coordinate_moments_within_band(self):
+        # D8 generators conjugated by I + eta N pass the orthogonality check
+        # (defect < 1e-8), and the exact orbit M of e_2 misses I/2 by ~5e-9.
+        r = np.array([[0.0, -1.0], [1.0, 0.0]])
+        s = np.array([[1.0, 0.0], [0.0, -1.0]])
+        n_mat = rs.stream(42).standard_normal((2, 2))
+
+        def conjugated(eta):
+            c = np.eye(2) + eta * n_mat
+            return [c @ g @ np.linalg.inv(c) for g in (r, s)]
+
+        gens = conjugated(1e-9)
+        gens = conjugated(1e-9 * 0.98e-8 / max(orthogonality_defect(g) for g in gens))
+        assert max(orthogonality_defect(g) for g in gens) < 1e-8
+        cfg = rs.parse_config(json.dumps({
+            "group": {"kind": "matrix_generators", "matrices": [g.tolist() for g in gens]},
+            "representation": {"name": "defining_orthogonal"},
+            "measure": {"kind": "orbit", "base": [0.0, 1.0]},
+            "samples": 2000,
+        }))
+        report = rs.run_analysis(cfg)
+        assert report.verdict.irreducible
+        cm = report.identities["coordinate_moments"][0]
+        assert cm["max_diagonal_deviation"] > 1e-9
+        assert cm["diagonal_within_band"] and cm["offdiagonal_within_band"]
+
+    def test_exact_measures_draw_no_coordinate_samples(self, monkeypatch):
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("exact measures must not sample coordinate moments")
+
+        monkeypatch.setattr("repspect.report.coordinate_second_moments", no_sampling)
+        axes = np.eye(3).tolist()
+        cfg = rs.parse_config(json.dumps({
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "sn_permutation"},
+            "measures": [
+                {"kind": "orbit", "base": [0.8, -0.6, 0.0]},
+                {"kind": "discrete", "points": axes, "probs": [0.2, 0.3, 0.5]},
+                {"kind": "discrete", "points": axes, "probs": [1 / 3, 1 / 3, 1 / 3]},
+            ],
+            "samples": 2000,
+        }))
+        report = rs.run_analysis(cfg)
+        moments = report.identities["coordinate_moments"]
+        assert [e["measure_index"] for e in moments] == [0, 2]
+        assert moments[1]["max_diagonal_deviation"] <= 1e-15
+        assert moments[1]["diagonal_within_band"] and moments[1]["offdiagonal_within_band"]
 
     def test_permutation_rep_with_diagonal_subsphere(self):
         cfg = rs.parse_config(json.dumps({
