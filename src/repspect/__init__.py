@@ -18,11 +18,9 @@ from .commutant import (
 from .groups import (
     ContinuousFamily,
     FiniteGroupTable,
-    GroupElement,
     GroupSpec,
     enumerate_closure,
     haar_matrices,
-    multiply,
     stream,
     substream,
 )

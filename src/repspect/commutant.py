@@ -20,11 +20,11 @@ space.  Its dimension, and that of its symmetric part, are first counted
 from the characters (Frobenius-Schur: (1/|G|) sum chi(g)^2 and
 (1/|G|) sum (chi(g)^2 + chi(g^2))/2), then a basis is read off from the
 Reynolds images of a few random matrices; the numerical rank and the
-symmetric split must both agree with the counts.  The reference path,
-used for all-element constraints and for continuous groups, is the SVD
-nullspace of stacked linear constraints rho(g) A - A rho(g) = 0, with g
-running over all table elements or over a batch of invariant-distributed
-samples.
+symmetric split must both agree with the counts.  A continuous group
+has no table: its span is the SVD nullspace of the stacked linear
+constraints rho(g) A - A rho(g) = 0, with g running over a batch of
+invariant-distributed samples that is doubled until the dimension
+stabilizes.
 """
 
 from __future__ import annotations
@@ -48,7 +48,10 @@ from .groups import ContinuousFamily, FiniteGroupTable, haar_matrices
 from .representations import Representation
 
 NULLSPACE_REL_THRESHOLD = 1e-8
-ELEMENT_SOURCE_CAP = 10_000
+# Sampled constraint images of the first round, and the most a continuous
+# commutant may take before its dimension must have stabilized.
+START_SAMPLES = 8
+MAX_SAMPLES = 64
 CHARACTER_COUNT_TOL = 1e-6   # distance from an integer a character count may have
 RANGE_OVERSAMPLE = 4         # random matrices pushed beyond the counted dimension
 # Each (d + RANGE_OVERSAMPLE, n, n) buffer of the Reynolds range (the random
@@ -238,21 +241,13 @@ def _sample_constraint_images(rep: Representation, rng: np.random.Generator, k: 
 
 def commutant_basis(
     rep: Representation,
-    source: str = "auto",
     *,
     rng: np.random.Generator | None = None,
     rel_threshold: float = NULLSPACE_REL_THRESHOLD,
-    element_cap: int = ELEMENT_SOURCE_CAP,
-    start_samples: int = 8,
-    max_samples: int = 64,
 ) -> CommutantBasis:
-    """Compute the commuting span of a representation.
+    """Compute the commuting span of a representation; its group decides how.
 
-    ``source`` selects how: ``generators`` or ``elements`` for finite
-    groups, ``samples`` for continuous families; ``auto`` picks generators
-    when finite, samples otherwise.
-
-    ``generators`` counts the dimension d and the symmetric dimension
+    A finite table counts the dimension d and the symmetric dimension
     from the characters of the table images, then takes the basis from
     the Reynolds images of d + 4 Gaussian matrices drawn from ``rng``;
     a count off an integer or a numerical rank other than d raises
@@ -262,40 +257,21 @@ def commutant_basis(
     matrix commuting with the generators commutes with all of their
     products.
 
-    ``elements`` (the reference) and ``samples`` take the SVD nullspace of
-    the stacked commutation constraints.  In the sampled case the batch is
-    doubled (8, 16, 32, ...) until the computed dimension agrees across two
-    consecutive rounds; failure to stabilize by ``max_samples`` raises
-    NonStabilizedDimension.
+    A continuous family takes the SVD nullspace of the stacked
+    commutation constraints of Haar-sampled images.  The batch is doubled
+    (``START_SAMPLES``, twice that, ...) until the computed dimension
+    agrees across two consecutive rounds; failure to stabilize by
+    ``MAX_SAMPLES`` raises NonStabilizedDimension.
     """
-    finite = isinstance(rep.group, FiniteGroupTable)
-    if source == "auto":
-        source = "generators" if finite else "samples"
     rng = np.random.default_rng(0) if rng is None else rng
-
     sym_count = None
-    if source in ("generators", "elements") and not finite:
-        raise BadParams(f"source {source!r} needs a finite group table")
-    if source == "generators":
+    if isinstance(rep.group, FiniteGroupTable):
         images = rep.generator_images()
         table_images = rep.table_images()
         dim, sym_count = character_counts(table_images)
         rows, threshold, ambiguous = _reynolds_range(table_images, dim, rng, rel_threshold)
-    elif source == "elements":
-        if rep.group.order > element_cap:
-            raise TooLarge(
-                f"table has {rep.group.order} elements; all-element constraints capped at {element_cap}"
-            )
-        images = rep.table_images()
-        rows, threshold, ambiguous = _nullspace_of_images(images, rel_threshold)
-    elif source == "samples":
-        if finite:
-            raise BadParams("source 'samples' is for continuous families")
-        images, rows, threshold, ambiguous = _stabilized_sampled_nullspace(
-            rep, rng, rel_threshold, start_samples, max_samples
-        )
     else:
-        raise BadParams(f"unknown constraint source {source!r}")
+        images, rows, threshold, ambiguous = _stabilized_sampled_nullspace(rep, rng, rel_threshold)
 
     basis = [row.reshape(rep.dim, rep.dim) for row in rows]
     cb = CommutantBasis(
@@ -323,11 +299,11 @@ def _nullspace_of_images(images: np.ndarray, rel_threshold: float):
     return trace_orthonormal_nullspace(stacked, rel_threshold)
 
 
-def _stabilized_sampled_nullspace(rep, rng, rel_threshold, start_samples, max_samples):
-    images = _sample_constraint_images(rep, rng, start_samples)
+def _stabilized_sampled_nullspace(rep, rng, rel_threshold):
+    images = _sample_constraint_images(rep, rng, START_SAMPLES)
     rows, threshold, ambiguous = _nullspace_of_images(images, rel_threshold)
-    k = start_samples
-    while 2 * k <= max_samples:
+    k = START_SAMPLES
+    while 2 * k <= MAX_SAMPLES:
         extra = _sample_constraint_images(rep, rng, k)
         images = np.concatenate([images, extra], axis=0)
         k *= 2

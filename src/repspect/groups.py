@@ -5,9 +5,12 @@ matrices) or by a named family, and are expanded to a full element table
 by breadth-first closure.  A table is one payload array (permutation
 images or matrices) plus a Schreier tree of parent pointers: each element
 is its parent times one generator, so images of every element follow
-from the generator images by one batched product per level.  Permutations
-are deduplicated by their bytes; matrices through a bucket index keyed by
-a fixed linear projection (``MatrixIndex``), so the closure and
+from the generator images by one batched product per level.  An element
+is its table index and nothing more: products, inverses and uniform
+draws are array operations on payload rows (``a[b]`` or ``a @ b``,
+``argsort`` or ``.T``, ``rng.integers(order)``).  Permutations are
+deduplicated by their bytes; matrices through a bucket index keyed by a
+fixed linear projection (``MatrixIndex``), so the closure and
 ``indices_of`` compare each matrix with a handful of stored elements
 instead of the whole table.  Continuous families (the orthogonal and
 special orthogonal groups) are sampled directly from their invariant
@@ -18,7 +21,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -50,28 +52,6 @@ def substream(seed, *path: int) -> SeedSequence:
 def stream(seed, *path: int) -> np.random.Generator:
     """Independent reproducible generator addressed by (seed, path)."""
     return default_rng(substream(seed, *path))
-
-
-@dataclass(frozen=True, eq=False)
-class GroupElement:
-    """A group element carried as a permutation or a real square matrix.
-
-    ``index`` is the element's position in its table, if any.
-    """
-
-    perm: tuple[int, ...] | None = None
-    matrix: np.ndarray | None = None
-    index: int | None = None
-
-    @property
-    def payload(self) -> np.ndarray:
-        """The permutation's images as an int array, or the matrix."""
-        return self.matrix if self.perm is None else np.array(self.perm, dtype=np.intp)
-
-    def __repr__(self) -> str:
-        if self.perm is not None:
-            return f"GroupElement(perm={self.perm})"
-        return f"GroupElement(matrix {self.matrix.shape[0]}x{self.matrix.shape[1]})"
 
 
 @dataclass(frozen=True)
@@ -124,17 +104,6 @@ class FiniteGroupTable:
     @property
     def order(self) -> int:
         return len(self.payload)
-
-    def element(self, i: int) -> GroupElement:
-        row = self.payload[i]
-        if row.ndim == 1:
-            return GroupElement(perm=tuple(row.tolist()), index=i)
-        return GroupElement(matrix=row, index=i)
-
-    @cached_property
-    def elements(self) -> list[GroupElement]:
-        """Every element as a GroupElement, in table order."""
-        return [self.element(i) for i in range(self.order)]
 
     def indices_of(self, stack) -> np.ndarray:
         """Table indices of a stack of payloads (exact for permutations,
@@ -252,29 +221,6 @@ class MatrixIndex:
 
 
 GroupSource = FiniteGroupTable | ContinuousFamily
-
-
-# ---------------------------------------------------------------------------
-# element arithmetic
-# ---------------------------------------------------------------------------
-
-def multiply(a: GroupElement, b: GroupElement) -> GroupElement:
-    """Group product a*b (function composition for permutations)."""
-    if (a.perm is None) != (b.perm is None):
-        raise BadParams("cannot multiply a permutation by a matrix element")
-    if a.perm is not None:
-        pa, pb = a.perm, b.perm
-        if len(pa) != len(pb):
-            raise BadParams("permutation degrees differ")
-        return GroupElement(perm=tuple(pa[i] for i in pb))
-    return GroupElement(matrix=a.matrix @ b.matrix)
-
-
-def inverse(a: GroupElement) -> GroupElement:
-    if a.perm is not None:
-        inv = tuple(int(i) for i in np.argsort(a.perm))
-        return GroupElement(perm=inv)
-    return GroupElement(matrix=np.linalg.inv(a.matrix))
 
 
 def orthogonality_defect(m: np.ndarray) -> float:
@@ -462,11 +408,6 @@ def _close_matrices(generators: np.ndarray, cap: int):
 # ---------------------------------------------------------------------------
 # Haar sampling
 # ---------------------------------------------------------------------------
-
-def haar_indices(table: FiniteGroupTable, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Batch of uniform element indices of a finite table."""
-    return rng.integers(table.order, size=size)
-
 
 def haar_matrices(family: ContinuousFamily, rng: np.random.Generator, size: int) -> np.ndarray:
     """Stack of ``size`` matrices drawn from the invariant distribution.

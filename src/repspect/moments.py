@@ -11,11 +11,12 @@ A measure with a finite law (a discrete measure, or an orbit of a finite
 group) has exact statistics: its point matrix, the orbit ``O = images @ v``
 or the weighted support, gives its second moment ``M = E[x x^T]`` as a
 ``SecondMomentMatrix(exact=True)`` with zero stderr, and ``|M|_F^2`` is
-its exact ``E<x,y>^2``.  ``exact_finite_orbit_moments``
-and ``exact_discrete_overlap`` expose that M.  Monte Carlo is only needed
-for measures with no finite law: the uniform sphere and subspheres and the
-orbits of continuous groups.  The invariance of a discrete measure is
-checked on the generator images alone.
+its exact ``E<x,y>^2``.  ``exact_finite_orbit_moments`` and
+``exact_discrete_overlap`` expose that M.  Monte Carlo covers only the
+measures with no finite law: the uniform sphere and subspheres and the
+orbits of continuous groups; ``make_sampler`` refuses the others.  The
+invariance of a discrete measure is checked on the generator images
+alone.
 
 Monte Carlo estimates are a deterministic function of (seed, worker
 count, sample count): sampling is partitioned into per-worker substreams
@@ -43,7 +44,7 @@ from .errors import (
     TooLarge,
     TraceNotOne,
 )
-from .groups import ContinuousFamily, FiniteGroupTable, GroupElement, haar_matrices, stream
+from .groups import ContinuousFamily, FiniteGroupTable, haar_matrices, stream
 from .representations import Representation, _check_unit
 
 PROB_SUM_TOL = 1e-12
@@ -73,9 +74,6 @@ class MeasureSpec:
     subspace: np.ndarray | None = None
     points: np.ndarray | None = None
     probs: np.ndarray | None = None
-
-    def label(self) -> str:
-        return self.kind
 
 
 @dataclass(frozen=True)
@@ -169,27 +167,6 @@ class _SubsphereSampler(VectorSampler):
         return self._inner.sample(rng, count) @ self.subspace.T
 
 
-class _DiscreteSampler(VectorSampler):
-    def __init__(self, points: np.ndarray, probs: np.ndarray):
-        super().__init__(points.shape[1])
-        self.points = points
-        self.probs = probs
-
-    def sample(self, rng, count):
-        idx = rng.choice(len(self.points), size=count, p=self.probs)
-        return self.points[idx]
-
-
-class _FiniteOrbitSampler(VectorSampler):
-    def __init__(self, rep: Representation, base: np.ndarray):
-        super().__init__(rep.dim)
-        self.orbit_vectors = rep.table_images() @ base
-        self.order = rep.group.order
-
-    def sample(self, rng, count):
-        return self.orbit_vectors[rng.integers(self.order, size=count)]
-
-
 class _ContinuousOrbitSampler(VectorSampler):
     def __init__(self, rep: Representation, base: np.ndarray):
         super().__init__(rep.dim)
@@ -211,11 +188,13 @@ class _ContinuousOrbitSampler(VectorSampler):
 
 
 def make_sampler(spec: MeasureSpec, rep: Representation) -> VectorSampler:
-    """Build the sampler realizing a measure on a representation's sphere.
+    """Build the sampler realizing a measure without a finite law.
 
-    Orbit measures draw a group element from the invariant distribution
-    and push it through g -> rho(g) base; any stabilizer of the base
-    point is handled implicitly by the push-forward.
+    Orbit measures of a continuous family draw a group element from the
+    invariant distribution and push it through g -> rho(g) base; any
+    stabilizer of the base point is handled implicitly by the
+    push-forward.  A discrete measure, or an orbit of a finite group, has
+    exact moments and no sampler: it raises BadMeasureSpec.
     """
     if spec.kind == "uniform_sphere":
         return _SphereSampler(rep.dim)
@@ -230,14 +209,14 @@ def make_sampler(spec: MeasureSpec, rep: Representation) -> VectorSampler:
             raise BadMeasureSpec(
                 f"points live in R^{spec.points.shape[1]}, representation in R^{rep.dim}"
             )
-        return _DiscreteSampler(spec.points, spec.probs)
+        raise BadMeasureSpec("a discrete measure has exact moments; it is not sampled")
     if spec.kind == "orbit":
         if spec.base.shape != (rep.dim,):
             raise BadMeasureSpec(
                 f"orbit base has shape {spec.base.shape}, representation dim {rep.dim}"
             )
         if isinstance(rep.group, FiniteGroupTable):
-            return _FiniteOrbitSampler(rep, spec.base)
+            raise BadMeasureSpec("an orbit of a finite group has exact moments; it is not sampled")
         if isinstance(rep.group, ContinuousFamily):
             return _ContinuousOrbitSampler(rep, spec.base)
         raise BadMeasureSpec("orbit measure needs a representation with a group source")
@@ -262,9 +241,9 @@ def _chunk_sizes(n: int, workers: int) -> list[int]:
 def _sample_blocks(sampler: VectorSampler, rng: np.random.Generator, size: int):
     """``size`` draws from rng, ``ORBIT_BLOCK_FLOATS // dim`` rows at a time.
 
-    Successive draws continue the stream, so the blocks stack to the draws
-    of one ``sampler.sample(rng, size)`` call for the samplers whose draws
-    are taken row by row (sphere, subsphere and continuous orbit).
+    Every sampler draws row by row and successive draws continue the
+    stream, so the blocks stack to the draws of one
+    ``sampler.sample(rng, size)`` call.
     """
     block = max(1, ORBIT_BLOCK_FLOATS // sampler.dim)
     for start in range(0, size, block):
@@ -515,7 +494,9 @@ def expectation_identity_check(
     Exact table averages are used for orbit and discrete measures of
     finite groups; otherwise both expectations are estimated on the same
     sample stream, drawn block by block, and the bands are ``band_sigma``
-    times the Euclidean aggregate of per-coordinate standard errors.
+    times the Euclidean aggregate of per-coordinate standard errors.  A
+    discrete measure of a continuous family has no sampler and raises
+    BadMeasureSpec.
     """
     finite = isinstance(rep.group, FiniteGroupTable)
     if finite and spec.kind in ("orbit", "discrete"):
@@ -537,12 +518,13 @@ def expectation_identity_check(
             exact=True,
         )
 
-    chunks = _chunk_sizes(n_samples, workers)  # checked before the projector is built
+    # Counts and measure are checked before the projector is built.
+    chunks = _chunk_sizes(n_samples, workers)
+    sampler = make_sampler(spec, rep)
     if finite:
         proj = reynolds_matrix(rep)
     else:
         proj = reynolds_matrix_mc(rep, stream(seed, 999), projector_samples)
-    sampler = make_sampler(spec, rep)
     total_x = np.zeros(rep.dim)
     total_x2 = np.zeros(rep.dim)
     total_d = np.zeros(rep.dim)
@@ -572,7 +554,7 @@ def expectation_identity_check(
 @dataclass(frozen=True)
 class InvarianceCheck:
     invariant: bool
-    violating_element: GroupElement | None
+    violating_generator: int | None  # table index of the first failing generator
 
 
 def check_discrete_invariance(
@@ -587,8 +569,8 @@ def check_discrete_invariance(
     generator does, since every inverse is a power of its element, so
     only the generator images are checked.  Points closer than
     ``point_tol`` (entrywise) are merged with summed probabilities before
-    comparison; the first generator that fails to map the weighted
-    support onto itself is reported.
+    comparison; the table index of the first generator that fails to map
+    the weighted support onto itself is reported.
     """
     if spec.kind != "discrete":
         raise NotDiscrete(f"measure kind is {spec.kind!r}")
@@ -598,8 +580,8 @@ def check_discrete_invariance(
         moved = spec.points @ image.T
         pts, pr = _merge_weighted_points(moved, spec.probs, point_tol)
         if not _same_weighted_points(ref_pts, ref_pr, pts, pr, point_tol, prob_tol):
-            return InvarianceCheck(invariant=False, violating_element=rep.group.element(index))
-    return InvarianceCheck(invariant=True, violating_element=None)
+            return InvarianceCheck(invariant=False, violating_generator=int(index))
+    return InvarianceCheck(invariant=True, violating_generator=None)
 
 
 def _merge_weighted_points(points: np.ndarray, probs: np.ndarray, tol: float):

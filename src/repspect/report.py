@@ -84,7 +84,7 @@ from .representations import (
 
 DEFAULT_SAMPLES = 100_000
 SEED_ENV_VAR = "REPSPECT_SEED"
-EXACT_SLACK = 1e-9  # absolute slack applied alongside stderr bands
+EXACT_SLACK = 1e-9  # absolute slack added to the stderr band of a sampled value
 
 GROUP_KINDS = FINITE_FAMILIES + CONTINUOUS_FAMILIES + (
     "permutation_generators",
@@ -471,7 +471,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
             else:
                 est = estimate_squared_overlap(*draw)
 
-        band = tol.band_sigma * est.stderr + EXACT_SLACK
+        band = tol.band_sigma * est.stderr + _slack(est.exact, rep.dim)
         eligible = spec.kind in ("orbit", "uniform_sphere") or invariant_verified is True
         measures.append(MeasureResult(
             kind=spec.kind,
@@ -509,7 +509,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     identities["sum_zero_cosine"] = _sum_zero_cosine_summary(cfg, rep)
     identities["skew_projection_max"] = _skew_projection_summary(cfg, rep, cb)
 
-    _cross_check(verdict, measures, tol)
+    _cross_check(verdict, measures, tol, rep.dim)
 
     provenance = {
         "seed": cfg.seed,
@@ -546,17 +546,15 @@ def _subsphere_is_invariant(spec: MeasureSpec, cb: CommutantBasis) -> bool:
 def _coordinate_moment_summary(cfg, rep, spec, i, reference, exact_m) -> dict:
     """E[x x^T] against I/n: the exact M when the measure has one, else sampled.
 
-    An exact M has zero stderr; its bands are the defect its inputs were
-    accepted with, ``dim * ORTHOGONALITY_TOL`` (images within
-    ``ORTHOGONALITY_TOL`` entrywise, discrete points matched to 1e-8).
+    An exact M has zero stderr, so its bands are its ``_slack``.
     """
-    smm, slack = exact_m, rep.dim * ORTHOGONALITY_TOL
+    smm = exact_m
     if smm is None:
         smm = coordinate_second_moments(
             make_sampler(spec, rep), cfg.samples,
             seed=substream(cfg.seed, 10, i, 2), workers=cfg.workers,
         )
-        slack = EXACT_SLACK
+    slack = _slack(smm.exact, rep.dim)
     n = rep.dim
     diag = np.diag_indices(n)
     off = ~np.eye(n, dtype=bool)
@@ -603,13 +601,20 @@ def _skew_projection_summary(cfg, rep, cb: CommutantBasis) -> float | None:
     return worst
 
 
-def _cross_check(verdict: TypeVerdict, measures: list[MeasureResult], tol: Tolerances):
+def _slack(exact: bool, dim: int) -> float:
+    """Absolute slack on top of a stderr band: an exact value may be off by the
+    defect its inputs were accepted with (images within ``ORTHOGONALITY_TOL``
+    entrywise, discrete points matched to 1e-8), a sampled one by EXACT_SLACK."""
+    return dim * ORTHOGONALITY_TOL if exact else EXACT_SLACK
+
+
+def _cross_check(verdict: TypeVerdict, measures: list[MeasureResult], tol: Tolerances, dim: int):
     if not verdict.irreducible:
         return
     for i, res in enumerate(measures):
         if not res.conflict_eligible:
             continue
-        slack = tol.conflict_sigma * res.estimate.stderr + EXACT_SLACK
+        slack = tol.conflict_sigma * res.estimate.stderr + _slack(res.estimate.exact, dim)
         if res.estimate.value - res.reference > slack:
             raise VerdictConflict(
                 f"measure[{i}] ({res.kind}) estimates {res.estimate.value:.6g} "

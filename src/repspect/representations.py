@@ -10,14 +10,14 @@ orthogonal form).
 
 Every representation maps a stack of group payloads (permutation images
 or matrices) to the stack of their images through one ``stack_map``;
-table images, sampled images and the image of a single element all come
-from it.  Orbit points rho(g) v of a payload stack come from ``orbit``,
-which applies the image stack to v unless the representation has a
-cheaper closed form: ``so3_traceless_symmetric`` maps v to the
-coordinates of R V R^T and builds no image.  ``explicit`` images are
-multiplied along the group table's Schreier tree, one batched product
-per level, and looked up by payload; their table images are that stack
-itself.
+table images and sampled images both come from it, and one payload p
+maps as ``stack_map(p[None])[0]``.  Orbit points rho(g) v of a payload
+stack come from ``orbit``, which applies the image stack to v unless the
+representation has a cheaper closed form: ``so3_traceless_symmetric``
+maps v to the coordinates of R V R^T and builds no image.  ``explicit``
+images are multiplied along the group table's Schreier tree, one batched
+product per level, and looked up by payload; their table images are that
+stack itself.
 
 The module also carries the geometry used downstream: the trace inner
 product on matrix space and the squaring map x -> x x^T from unit vectors
@@ -35,7 +35,6 @@ import numpy as np
 from .errors import BadParams, DimensionMismatch, NotUnitVector, SingularGram, UnknownName
 from .groups import (
     FiniteGroupTable,
-    GroupElement,
     GroupSource,
     GroupSpec,
     canonical_generators,
@@ -70,10 +69,6 @@ class Representation:
     @property
     def finite(self) -> bool:
         return isinstance(self.group, FiniteGroupTable)
-
-    def evaluate(self, g: GroupElement) -> np.ndarray:
-        """The image of one element."""
-        return self.stack_map(g.payload[None])[0]
 
     def orbit(self, payloads: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The ``(k, dim)`` rows rho(g_k) v of a stack of k payloads."""

@@ -127,14 +127,16 @@ def brute_word_images(table, generator_images):
 
 def brute_discrete_invariance(spec, rep, point_tol=1e-8, prob_tol=1e-10):
     """Independent oracle: whether every table element, not only each
-    generator, maps the weighted support of a discrete measure onto itself."""
+    generator, maps the weighted support of a discrete measure onto itself.
+    ``violating_generator`` holds the table index of the first element that
+    fails, generator or not."""
     ref_pts, ref_pr = _merge_weighted_points(spec.points, spec.probs, point_tol)
-    for el, image in zip(rep.group.elements, rep.table_images()):
+    for index, image in enumerate(rep.table_images()):
         moved = spec.points @ image.T
         pts, pr = _merge_weighted_points(moved, spec.probs, point_tol)
         if not _same_weighted_points(ref_pts, ref_pr, pts, pr, point_tol, prob_tol):
-            return InvarianceCheck(invariant=False, violating_element=el)
-    return InvarianceCheck(invariant=True, violating_element=None)
+            return InvarianceCheck(invariant=False, violating_generator=index)
+    return InvarianceCheck(invariant=True, violating_generator=None)
 
 
 def payload_table(payload, generators=()):

@@ -125,22 +125,19 @@ class TestCommutantBasis:
     ])
     def test_generators_match_brute_force_over_all_elements(self, builder, expected_dim):
         rep = builder()
-        cb = rs.commutant_basis(rep, source="generators")
+        cb = rs.commutant_basis(rep)
         oracle = brute_commutant(list(rep.table_images()))
         assert cb.dim == expected_dim
         assert oracle.shape[1] == expected_dim
         angle = max_principal_angle(span_columns(cb.basis), oracle)
         assert angle <= 1e-7
 
-    def test_element_source_agrees_with_generators(self, s4_table):
+    def test_all_element_oracle_agrees_with_generators(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
-        from_gens = rs.commutant_basis(rep, source="generators")
-        from_all = rs.commutant_basis(rep, source="elements")
-        assert from_gens.dim == from_all.dim == 2
-        angle = max_principal_angle(
-            span_columns(from_gens.basis), span_columns(from_all.basis)
-        )
-        assert angle <= 1e-10
+        from_gens = rs.commutant_basis(rep)
+        from_all = brute_commutant(list(rep.table_images()))
+        assert from_gens.dim == from_all.shape[1] == 2
+        assert max_principal_angle(span_columns(from_gens.basis), from_all) <= 1e-10
 
     def test_residual_and_identity_span(self, q8_table):
         rep = rs.build_named_rep("q8_left", q8_table)
@@ -154,7 +151,7 @@ class TestCommutantBasis:
         rep = rs.build_named_rep("q8_left", q8_table)
         cb = rs.commutant_basis(rep)
         images = rep.table_images()
-        for i in rs.groups.haar_indices(q8_table, rs.stream(4), 50):
+        for i in rs.stream(4).integers(q8_table.order, size=50):
             m = images[i]
             for b in cb.basis:
                 assert np.max(np.abs(m @ b @ m.T - b)) <= 1e-6
@@ -188,11 +185,13 @@ class TestCommutantBasis:
         cb = split_commutant(rep, rng=rs.stream(9))
         assert rs.classify_and_decide(cb).type == "R"
 
-    def test_non_stabilized_dimension_without_comparison_rounds(self):
+    def test_non_stabilized_dimension_without_comparison_rounds(self, monkeypatch):
         fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
         rep = rs.build_named_rep("so3_traceless_symmetric", fam)
+        monkeypatch.setattr("repspect.commutant.START_SAMPLES", 8)
+        monkeypatch.setattr("repspect.commutant.MAX_SAMPLES", 8)
         with pytest.raises(NonStabilizedDimension):
-            rs.commutant_basis(rep, rng=rs.stream(10), start_samples=8, max_samples=8)
+            rs.commutant_basis(rep, rng=rs.stream(10))
 
     def test_threshold_ambiguity_detection(self):
         rows, threshold, ambiguous = trace_orthonormal_nullspace(np.diag([1.0, 5e-8, 1e-12]))
@@ -202,17 +201,23 @@ class TestCommutantBasis:
 
     def test_threshold_ambiguity_warning_on_near_degenerate_constraints(self):
         # The perturbation's singular values land within a decade of the cutoff.
-        table = near_degenerate_fake_table()
-        rep = rs.Representation(dim=2, stack_map=lambda payload: payload, group=table)
+        # A continuous family whose sampled images cycle through the fake
+        # table's three images drives the sampled nullspace.
+        images = near_degenerate_fake_table().payload
+        rep = rs.Representation(
+            dim=2,
+            stack_map=lambda payload: images[np.arange(len(payload)) % len(images)],
+            group=rs.ContinuousFamily(kind="orthogonal", n=2),
+        )
         with pytest.warns(ThresholdAmbiguity):
-            cb = rs.commutant_basis(rep, source="elements")
+            cb = rs.commutant_basis(rep, rng=rs.stream(13))
         assert cb.ambiguous_sigma is not None
 
     def test_non_group_table_fails_the_character_count(self):
         table = near_degenerate_fake_table()
         rep = rs.Representation(dim=2, stack_map=lambda payload: payload, group=table)
         with pytest.raises(InconsistentDimensions):
-            rs.commutant_basis(rep, source="generators")
+            rs.commutant_basis(rep)
 
     def test_dihedral_48_commutant_stays_small(self):
         rep = dihedral_permutation_rep(48)

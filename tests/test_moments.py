@@ -16,7 +16,7 @@ from repspect.errors import (
     TraceNotOne,
 )
 
-from repspect.moments import _FiniteOrbitSampler, squared_overlap_values
+from repspect.moments import VectorSampler, squared_overlap_values
 
 from conftest import (
     brute_discrete_invariance,
@@ -41,6 +41,20 @@ def traced_peak(fn):
     return result, peak
 
 
+class FiniteLawSampler(VectorSampler):
+    """Monte Carlo draws of a finite law: rows of ``points`` with ``probs``
+    (uniform when None).  The library computes such laws exactly and never
+    samples them; this sampler checks the exact values statistically."""
+
+    def __init__(self, points, probs=None):
+        super().__init__(np.shape(points)[1])
+        self.points = np.asarray(points, dtype=float)
+        self.probs = probs
+
+    def sample(self, rng, count):
+        return self.points[rng.choice(len(self.points), size=count, p=self.probs)]
+
+
 @pytest.fixture(scope="module")
 def c4_rotation():
     return rs.build_named_rep("cyclic_rotation", cyclic_table(4))
@@ -54,12 +68,13 @@ def so3_tss():
 
 class TestSamplers:
     def test_rotation_orbit_hits_only_four_points(self, c4_rotation):
-        spec = rs.orbit_measure(np.array([1.0, 0.0]))
-        sampler = rs.make_sampler(spec, c4_rotation)
-        pts = sampler.sample(rs.stream(0), 500)
+        # The finite law behind the exact orbit moments: each of the four
+        # targets once.
+        pts = c4_rotation.table_images() @ np.array([1.0, 0.0])
         targets = np.array([[1, 0], [-1, 0], [0, 1], [0, -1]], dtype=float)
-        for p in pts:
-            assert min(np.max(np.abs(targets - p), axis=1)) <= 1e-12
+        hits = [int(np.argmin(np.max(np.abs(targets - p), axis=1))) for p in pts]
+        assert sorted(hits) == [0, 1, 2, 3]
+        np.testing.assert_allclose(pts, targets[hits], rtol=0, atol=1e-12)
 
     def test_sphere_samples_are_unit(self):
         fam = rs.ContinuousFamily(kind="orthogonal", n=3)
@@ -67,10 +82,14 @@ class TestSamplers:
         pts = rs.make_sampler(rs.uniform_sphere(), rep).sample(rs.stream(1), 1000)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
-    def test_single_point_measure_is_constant(self, c4_rotation):
-        spec = rs.discrete_measure([[1.0, 0.0]], [1.0])
-        pts = rs.make_sampler(spec, c4_rotation).sample(rs.stream(2), 50)
-        np.testing.assert_allclose(pts, np.tile([1.0, 0.0], (50, 1)))
+    @pytest.mark.parametrize("kind", ["discrete", "finite-orbit"])
+    def test_finite_laws_have_no_sampler(self, c4_rotation, kind):
+        spec = {
+            "discrete": rs.discrete_measure([[1.0, 0.0]], [1.0]),
+            "finite-orbit": rs.orbit_measure(np.array([1.0, 0.0])),
+        }[kind]
+        with pytest.raises(BadMeasureSpec, match="exact moments"):
+            rs.make_sampler(spec, c4_rotation)
 
     def test_subsphere_samples_live_in_subspace(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
@@ -110,9 +129,18 @@ class TestSamplers:
         whole = brute_haar_matrices(fam, rs.stream(5), 100_000)
         np.testing.assert_array_equal(pts, np.einsum("kij,j->ki", whole, base))
 
-    def test_dimension_mismatch_rejected(self, c4_rotation):
-        with pytest.raises(BadMeasureSpec):
+    def test_dimension_mismatch_rejected(self, c4_rotation, so3_tss):
+        with pytest.raises(BadMeasureSpec, match="orbit base has shape"):
             rs.make_sampler(rs.orbit_measure(np.array([1.0, 0.0, 0.0])), c4_rotation)
+        with pytest.raises(BadMeasureSpec, match="points live in R"):
+            rs.make_sampler(rs.discrete_measure([[1.0, 0.0, 0.0]], [1.0]), c4_rotation)
+        with pytest.raises(BadMeasureSpec, match="points live in R"):
+            rs.make_sampler(rs.discrete_measure([[1.0, 0.0]], [1.0]), so3_tss)
+
+    def test_orbit_needs_a_group(self):
+        rep = rs.Representation(2, lambda payload: payload)
+        with pytest.raises(BadMeasureSpec, match="group source"):
+            rs.make_sampler(rs.orbit_measure(np.array([1.0, 0.0])), rep)
 
     def test_bad_probabilities_rejected(self):
         with pytest.raises(BadMeasureSpec):
@@ -145,11 +173,10 @@ class TestEstimateSquaredOverlap:
         assert abs(est.value - 0.2) <= 4.0 * est.stderr
 
     def test_antipodal_two_point_measure(self):
-        rep3 = rs.build_named_rep("sn_permutation", symmetric_table(3))
         w = np.ones(3) / np.sqrt(3.0)
-        spec3 = rs.discrete_measure([w, -w], [0.5, 0.5])
-        est = rs.estimate_squared_overlap(rs.make_sampler(spec3, rep3), 10_000, seed=8)
-        assert abs(est.value - 1.0) <= max(4.0 * est.stderr, 1e-12)
+        est = rs.estimate_squared_overlap(FiniteLawSampler([w, -w], [0.5, 0.5]), 10_000, seed=8)
+        exact, _ = rs.exact_discrete_overlap(rs.discrete_measure([w, -w], [0.5, 0.5]))
+        assert abs(est.value - 1.0) <= 1e-12 and abs(exact.value - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("case", ["sphere_dim40", "subsphere", "so3_orbit"])
     def test_block_draws_match_whole_chunk_draws(self, so3_tss, case):
@@ -219,15 +246,13 @@ class TestEstimateSquaredOverlap:
         with pytest.raises(BadParams):
             run()
 
-    def test_matches_exact_value_on_discrete_measure(self, s4_table):
+    def test_matches_exact_value_on_discrete_measure(self):
         rng = rs.stream(10)
         pts = np.stack([random_unit(rng, 4) for _ in range(5)])
         pr = rng.dirichlet(np.ones(5))
         pr = pr / pr.sum()
-        spec = rs.discrete_measure(pts, pr)
-        exact, _ = rs.exact_discrete_overlap(spec)
-        rep = rs.build_named_rep("sn_permutation", s4_table)
-        est = rs.estimate_squared_overlap(rs.make_sampler(spec, rep), 100_000, seed=11)
+        exact, _ = rs.exact_discrete_overlap(rs.discrete_measure(pts, pr))
+        est = rs.estimate_squared_overlap(FiniteLawSampler(pts, pr), 100_000, seed=11)
         assert abs(est.value - exact.value) <= 4.0 * est.stderr
 
 
@@ -388,9 +413,7 @@ class TestExactSecondMoments:
     def test_sampled_finite_orbit_moments_agree_with_exact(self):
         rep = rs.build_named_rep("sn_permutation", symmetric_table(4))
         v = random_unit(rs.stream(34), 4)
-        sampler = rs.make_sampler(rs.orbit_measure(v), rep)
-        assert isinstance(sampler, _FiniteOrbitSampler)
-        smm = rs.coordinate_second_moments(sampler, 50_000, seed=35)
+        smm = rs.coordinate_second_moments(FiniteLawSampler(rep.table_images() @ v), 50_000, seed=35)
         exact = rs.exact_finite_orbit_moments(rep, v).second_moment
         assert np.all(np.abs(smm.entries - exact.entries) <= 4.0 * smm.stderr + 1e-12)
 
@@ -432,15 +455,14 @@ class TestCoordinateSecondMoments:
         assert np.all(np.abs(smm.entries[off]) <= 4.0 * smm.stderr[off])
 
     def test_rotation_orbit_matches_exact_enumeration(self, c4_rotation):
-        spec = rs.orbit_measure(np.array([1.0, 0.0]))
-        smm = rs.coordinate_second_moments(rs.make_sampler(spec, c4_rotation), 50_000, seed=15)
+        orbit = c4_rotation.table_images() @ np.array([1.0, 0.0])
+        smm = rs.coordinate_second_moments(FiniteLawSampler(orbit), 50_000, seed=15)
         exact = np.diag([0.5, 0.5])  # four orbit points +-e1, +-e2
         band = 4.0 * smm.stderr + 1e-12
         assert np.all(np.abs(smm.entries - exact) <= band)
 
-    def test_single_point_is_exact(self, c4_rotation):
-        spec = rs.discrete_measure([[1.0, 0.0]], [1.0])
-        smm = rs.coordinate_second_moments(rs.make_sampler(spec, c4_rotation), 100, seed=16)
+    def test_single_point_is_exact(self):
+        smm = rs.coordinate_second_moments(FiniteLawSampler([[1.0, 0.0]], [1.0]), 100, seed=16)
         np.testing.assert_allclose(smm.entries, [[1.0, 0.0], [0.0, 0.0]], atol=1e-15)
 
     def test_dim_40_memory_stays_small(self):
@@ -485,6 +507,11 @@ class TestExpectationIdentity:
         assert chk.residual <= chk.residual_band
         assert chk.mean_norm <= chk.mean_norm_band
 
+    def test_discrete_measure_of_continuous_family_is_refused(self, so3_tss):
+        spec = rs.discrete_measure([np.eye(5)[0]], [1.0])
+        with pytest.raises(BadMeasureSpec, match="exact moments"):
+            rs.expectation_identity_check(so3_tss, spec, n_samples=100, seed=19)
+
     def test_monte_carlo_path_on_finite_group_sphere(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         chk = rs.expectation_identity_check(rep, rs.uniform_sphere(), n_samples=20_000, seed=20)
@@ -496,13 +523,13 @@ class TestDiscreteInvariance:
         pts = [[1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0]]
         spec = rs.discrete_measure(pts, [0.25] * 4)
         chk = rs.check_discrete_invariance(spec, c4_rotation)
-        assert chk.invariant and chk.violating_element is None
+        assert chk.invariant and chk.violating_generator is None
 
     def test_single_point_moves_under_rotation(self, c4_rotation):
         spec = rs.discrete_measure([[1.0, 0.0]], [1.0])
         chk = rs.check_discrete_invariance(spec, c4_rotation)
         assert not chk.invariant
-        assert chk.violating_element is not None
+        assert chk.violating_generator == c4_rotation.group.generators[0]
 
     def test_antipodal_diagonal_pair_under_permutations(self, s3_table):
         rep = rs.build_named_rep("sn_permutation", s3_table)
@@ -567,20 +594,20 @@ class TestDiscreteInvarianceOracle:
             brute = brute_discrete_invariance(spec, rep)
             assert fast.invariant == brute.invariant, case
             if fast.invariant:
-                assert fast.violating_element is None
+                assert fast.violating_generator is None
             else:
-                assert fast.violating_element.index in rep.group.generators.tolist(), case
+                assert fast.violating_generator in rep.group.generators.tolist(), case
             outcomes.add(fast.invariant)
         assert outcomes == {True, False}
 
-    def test_violating_element_is_the_first_failing_generator(self, s4_table):
+    def test_violating_generator_is_the_first_failing_one(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         v = random_unit(rs.stream(52), 4)
         swap, cycle = rep.generator_images()
         chk = rs.check_discrete_invariance(weighted([v, swap @ v]), rep)
         assert not chk.invariant
-        assert chk.violating_element.index == s4_table.generators[1]
-        assert chk.violating_element.perm == (1, 2, 3, 0)
+        assert chk.violating_generator == s4_table.generators[1]
+        assert tuple(s4_table.payload[chk.violating_generator]) == (1, 2, 3, 0)
 
 
 class TestConvergenceTrace:

@@ -399,6 +399,28 @@ class TestRunAnalysis:
         assert report.verdict.type == "H"
         assert report.measures[0].estimate.value == pytest.approx(0.25, abs=1e-12)
 
+    def test_exact_overlap_band_covers_the_accepted_image_defect(self):
+        # D8 generators conjugated by I + eta N: not quite orthogonal, table
+        # defect 9.8e-9, accepted below ORTHOGONALITY_TOL.  The exact orbit
+        # overlaps miss 1/2 by up to ~1e-9 either way, within the
+        # 2 * ORTHOGONALITY_TOL defect the images were accepted with.
+        conj = np.eye(2) + 9.8e-9 * np.array([[0.3, 0.7], [-0.2, 0.5]])
+        rotation = rs.groups.rotation_matrix(np.pi / 4.0)
+        gens = [conj @ g @ np.linalg.inv(conj) for g in (rotation, np.diag([1.0, -1.0]))]
+        table = rs.enumerate_closure(rs.GroupSpec(kind="matrix_generators", generators=tuple(gens)))
+        assert table.order == 16
+        assert 9e-9 < orthogonality_defect(table.payload) < 1e-8
+        for angle in np.linspace(0.0, np.pi, 37):
+            report = rs.run_analysis(rs.parse_config(json.dumps({
+                "group": {"kind": "matrix_generators", "matrices": [g.tolist() for g in gens]},
+                "representation": {"name": "defining_orthogonal"},
+                "measure": {"kind": "orbit", "base": [np.cos(angle), np.sin(angle)]},
+                "seed": 1,
+            })))
+            assert report.verdict.irreducible, angle
+            assert report.measures[0].estimate.exact, angle
+            assert report.measures[0].matches_reference, angle
+
     def test_cross_check_raises_on_inflated_invariant_estimate(self):
         verdict = rs.TypeVerdict(irreducible=True, type="R", commutant_dim=1, sym_dim=1)
         inflated = MeasureResult(
@@ -412,7 +434,7 @@ class TestRunAnalysis:
             conflict_eligible=True,
         )
         with pytest.raises(VerdictConflict):
-            _cross_check(verdict, [inflated], Tolerances())
+            _cross_check(verdict, [inflated], Tolerances(), dim=4)
 
     def test_cross_check_ignores_subsphere(self):
         verdict = rs.TypeVerdict(irreducible=True, type="R", commutant_dim=1, sym_dim=1)
@@ -426,7 +448,7 @@ class TestRunAnalysis:
             below_lower_bound=False,
             conflict_eligible=False,
         )
-        _cross_check(verdict, [res], Tolerances())  # no exception
+        _cross_check(verdict, [res], Tolerances(), dim=4)  # no exception
 
     def test_convergence_trace_shares_the_estimate_draw(self, tmp_path, monkeypatch):
         draws = []
@@ -608,6 +630,16 @@ class TestCli:
         assert report["verdict"]["irreducible"] is True
         trace = (tmp_path / "trace.csv").read_text().splitlines()
         assert trace[0] == "n_samples,estimate,stderr,reference" and len(trace) > 1
+
+    def test_readme_library_block_runs(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        match = re.search(r"## Library\s*```python\n(.*?)```", readme, re.S)
+        exec(compile(match.group(1), "README.md", "exec"), {})
+        verdict, group_sum, overlap = capsys.readouterr().out.splitlines()
+        assert "irreducible=True" in verdict and "type='R'" in verdict
+        assert float(group_sum) == pytest.approx(30.0, abs=1e-9)
+        value, stderr = map(float, overlap.split())
+        assert abs(value - 0.25) <= 4.0 * stderr
 
     def test_import_leaves_scipy_out(self):
         src = str(Path(rs.__file__).resolve().parents[1])

@@ -28,6 +28,11 @@ from repspect.groups import orthogonality_defect
 from conftest import brute_ts_conjugation, cyclic_table, random_unit
 
 
+def image_of(rep, payload):
+    """The image of one element, from its payload."""
+    return rep.stack_map(np.asarray(payload)[None])[0]
+
+
 def unit_vectors(n):
     return arrays(
         np.float64, (n,),
@@ -41,8 +46,8 @@ class TestCatalog:
     def test_sum_zero_dimension_and_reflection(self, s3_table):
         rep = rs.build_named_rep("sn_sum_zero", s3_table)
         assert rep.dim == 2
-        swap = next(el for el in s3_table.elements if el.perm == (1, 0, 2))
-        m = rep.evaluate(swap)
+        swap = next(p for p in s3_table.payload if tuple(p) == (1, 0, 2))
+        m = image_of(rep, swap)
         np.testing.assert_allclose(m @ m, np.eye(2), atol=1e-12)  # involution
         assert np.linalg.det(m) == pytest.approx(-1.0, abs=1e-12)
 
@@ -55,8 +60,7 @@ class TestCatalog:
     def test_traceless_symmetric_identity(self):
         fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
         rep = rs.build_named_rep("so3_traceless_symmetric", fam)
-        ident = rs.GroupElement(matrix=np.eye(3))
-        np.testing.assert_allclose(rep.evaluate(ident), np.eye(5), atol=1e-12)
+        np.testing.assert_allclose(image_of(rep, np.eye(3)), np.eye(5), atol=1e-12)
 
     def test_sum_zero_basis_is_scipy_helmert_bit_for_bit(self):
         for n in range(2, 130):
@@ -110,18 +114,17 @@ class TestCatalog:
         rng = rs.stream(31)
         for _ in range(100):
             a, b = rs.haar_matrices(fam, rng, 2)
-            lhs = rep.evaluate(rs.GroupElement(matrix=a @ b))
-            rhs = rep.evaluate(rs.GroupElement(matrix=a)) @ rep.evaluate(rs.GroupElement(matrix=b))
+            lhs = image_of(rep, a @ b)
+            rhs = image_of(rep, a) @ image_of(rep, b)
             assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
     def test_scalar_product_invariance(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         rng = rs.stream(5)
-        for i in rs.groups.haar_indices(s4_table, rng, 20):
-            g = s4_table.elements[i]
+        for i in rng.integers(s4_table.order, size=20):
             u = rng.standard_normal(4)
             v = rng.standard_normal(4)
-            m = rep.evaluate(g)
+            m = image_of(rep, s4_table.payload[i])
             assert np.dot(m @ u, m @ v) == pytest.approx(np.dot(u, v), abs=1e-10)
 
 
@@ -190,7 +193,7 @@ class TestTableImages:
     def test_defining_images_equal_the_element_stack(self):
         table = rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=3000))
         rep = rs.build_named_rep("defining_orthogonal", table)
-        per_element = np.stack([rep.evaluate(g) for g in table.elements])
+        per_element = np.stack([image_of(rep, p) for p in table.payload])
         assert np.array_equal(rep.table_images(), per_element)
 
     def test_traceless_symmetric_images_of_a_finite_rotation_group(self):
@@ -202,7 +205,7 @@ class TestTableImages:
         )
         assert table.order == 24
         rep = rs.build_named_rep("so3_traceless_symmetric", table)
-        per_element = np.stack([rep.evaluate(g) for g in table.elements])
+        per_element = np.stack([image_of(rep, p) for p in table.payload])
         np.testing.assert_allclose(rep.table_images(), per_element, rtol=0, atol=1e-15)
 
 
@@ -229,8 +232,8 @@ class TestGramSymmetrize:
     def test_conjugated_permutation_rep_symmetrizes(self, s3_table):
         d = np.diag([1.0, 2.0, 3.0])
         rep = rs.gram_symmetrize(raw_permutation_images(s3_table, d), s3_table)
-        for el, p in zip(s3_table.elements, raw_permutation_images(s3_table)):
-            m = rep.evaluate(el)
+        for payload, p in zip(s3_table.payload, raw_permutation_images(s3_table)):
+            m = image_of(rep, payload)
             assert orthogonality_defect(m) <= 1e-10
             # conjugation preserves traces, so the result is similar to the original
             assert np.trace(m) == pytest.approx(np.trace(p), abs=1e-10)
@@ -290,8 +293,8 @@ class TestDiagMap:
     def test_equivariance_finite(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         rng = rs.stream(9)
-        for i in rs.groups.haar_indices(s4_table, rng, 10):
-            m = rep.evaluate(s4_table.elements[i])
+        for i in rng.integers(s4_table.order, size=10):
+            m = image_of(rep, s4_table.payload[i])
             x = random_unit(rng, 4)
             lhs = rs.diag_map(m @ x)
             rhs = m @ rs.diag_map(x) @ m.T
@@ -302,7 +305,7 @@ class TestDiagMap:
         rep = rs.build_named_rep("defining_orthogonal", fam)
         rng = rs.stream(10)
         for _ in range(10):
-            m = rep.evaluate(rs.GroupElement(matrix=rs.haar_matrices(fam, rng, 1)[0]))
+            m = image_of(rep, rs.haar_matrices(fam, rng, 1)[0])
             x = random_unit(rng, 3)
             lhs = rs.diag_map(m @ x)
             rhs = m @ rs.diag_map(x) @ m.T
@@ -328,8 +331,8 @@ class TestMatrixGeometry:
         rng = rs.stream(12)
         a = rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4))
-        for i in rs.groups.haar_indices(s4_table, rng, 10):
-            m = rep.evaluate(s4_table.elements[i])
+        for i in rng.integers(s4_table.order, size=10):
+            m = image_of(rep, s4_table.payload[i])
             lhs = rs.frobenius_inner(m @ a @ m.T, m @ b @ m.T)
             assert lhs == pytest.approx(rs.frobenius_inner(a, b), abs=1e-10)
 
@@ -339,28 +342,29 @@ class TestMatrixGeometry:
 
 
 def conjugate(rep, g, a):
-    """rho(g) a rho(g)^T; the images are orthogonal, so this is rho(g) a rho(g)^-1."""
-    m = rep.evaluate(g)
+    """rho(g) a rho(g)^T for the payload g; the images are orthogonal, so this
+    is rho(g) a rho(g)^-1."""
+    m = image_of(rep, g)
     return m @ a @ m.T
 
 
 class TestConjugationAction:
     def test_identity_matrix_is_fixed(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
-        g = s4_table.elements[5]
+        g = s4_table.payload[5]
         np.testing.assert_allclose(conjugate(rep, g, np.eye(4)), np.eye(4))
 
     def test_identity_element_fixes_everything(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         rng = rs.stream(15)
         a = rng.standard_normal((4, 4))
-        np.testing.assert_allclose(conjugate(rep, s4_table.elements[0], a), a, atol=1e-14)
+        np.testing.assert_allclose(conjugate(rep, s4_table.payload[0], a), a, atol=1e-14)
 
     def test_frobenius_norm_preserved(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         rng = rs.stream(16)
         a = rng.standard_normal((4, 4))
-        g = s4_table.elements[rs.groups.haar_indices(s4_table, rng, 1)[0]]
+        g = s4_table.payload[rng.integers(s4_table.order, size=1)[0]]
         assert np.linalg.norm(conjugate(rep, g, a)) == pytest.approx(
             np.linalg.norm(a), abs=1e-10
         )
