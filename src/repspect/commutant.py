@@ -147,7 +147,10 @@ def trace_orthonormal_nullspace(
     ``rel_threshold * sigma_max``, and ambiguous_sigma is the singular
     value closest to the cutoff if any lies within a factor of ten of it.
     """
-    _, sigma, vh = np.linalg.svd(stacked, full_matrices=True)
+    # A tall stack (the sampled constraints always are) needs no full U:
+    # its vh is square either way, and only a wide stack has rows of vh
+    # beyond the singular values.
+    _, sigma, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
     sigma = np.concatenate([sigma, np.zeros(stacked.shape[1] - len(sigma))])
     threshold, ambiguous = _singular_cutoff(sigma, rel_threshold)
     return vh[sigma <= threshold], threshold, ambiguous

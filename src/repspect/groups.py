@@ -2,7 +2,9 @@
 
 Finite groups are given by generators (permutations or invertible real
 matrices) or by a named family, and are expanded to a full element table
-by breadth-first closure.  A table is one payload array (permutation
+by breadth-first closure; the plane groups ``cyclic`` and ``dihedral``
+get the same breadth-first tree from integer labels and their matrices in
+closed form.  A table is one payload array (permutation
 images or matrices) plus a Schreier tree of parent pointers: each element
 is its parent times one generator, so images of every element follow
 from the generator images by one batched product per level.  An element
@@ -91,7 +93,9 @@ class FiniteGroupTable:
     element ``parent[i]`` times generator ``generator[i]`` (both -1 for the
     identity); parents come before their children and are nondecreasing,
     so each breadth-first level is a contiguous run.  ``generators`` holds
-    the table indices of the generators.
+    the table indices of the generators.  ``cyclic``/``dihedral`` payloads
+    are closed-form rotations and reflections by multiples of 2*pi/n on
+    that tree; other matrix payloads are the products along it.
     """
 
     payload: np.ndarray
@@ -313,7 +317,11 @@ def _require_n(spec: GroupSpec, minimum: int) -> int:
 def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroupTable:
     """Breadth-first closure of the generators into a full group table.
 
-    Each level multiplies every frontier element by every generator, in
+    ``cyclic`` and ``dihedral`` tables are built in closed form
+    (``_plane_group_table``): the same tree from integer labels, payloads
+    from cos/sin(2*pi*k/n), and the order checked against ``cap`` up
+    front.  Every other group is closed level by level: each level
+    multiplies every frontier element by every generator, in
     (element, generator) order, and keeps the products not seen before.
     Permutation products are ``frontier[:, gen]``, deduplicated exactly by
     their byte rows; matrix products are one batched product per generator,
@@ -330,6 +338,8 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
         raise BadParams("cap must be >= 1")
     if not spec.is_finite:
         raise BadParams(f"{spec.kind!r} is a continuous family; it has no finite table")
+    if spec.kind in ("cyclic", "dihedral"):
+        return _plane_group_table(spec, cap)
     generators = canonical_generators(spec)
     close = _close_permutations if generators.ndim == 2 else _close_matrices
     payload, parent, generator, index = close(generators, cap)
@@ -340,6 +350,64 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
         generators=np.array(_lookup(index, generators), dtype=np.intp),
         spec=spec,
         _index=index,
+    )
+
+
+def _plane_group_table(spec: GroupSpec, cap: int) -> FiniteGroupTable:
+    """The ``cyclic``/``dihedral`` table in closed form, on the closure's tree.
+
+    With r the rotation by 2*pi/n and s = diag(1, -1), element r^k s^e has
+    the integer label k + n*e, and right multiplication by the generators is
+    (k, e) r = (k + (-1)^e mod n, e) and (k, e) s = (k, 1 - e).  A
+    breadth-first pass over labels in (element, generator) order therefore
+    finds the elements in the order, and with the parents, that the matrix
+    closure of the generators finds, as long as that closure tells
+    neighbouring rotations apart (their entries differ by about 2*pi/n,
+    above ``MATRIX_DEDUP_TOL`` for n below about 6e8).  Each payload is then
+    R(2*pi*k/n) diag(1, (-1)^e) from one cos/sin, exact to rounding, rather
+    than a product along its path in the tree.  The order (n or 2n) is
+    checked against ``cap`` before anything is allocated.
+    """
+    n = _require_n(spec, minimum=1)
+    reflections = spec.kind == "dihedral"
+    order = 2 * n if reflections else n
+    if order > cap:
+        raise ClosureOverflow(f"closure exceeds cap={cap}: {spec.kind}({n}) has {order} elements")
+    # steps[g][label] is the label of (label) * generator g.
+    k = np.arange(n)
+    if reflections:
+        steps = [np.concatenate([(k + 1) % n, n + (k - 1) % n]), np.concatenate([k + n, k])]
+    else:
+        steps = [(k + 1) % n]
+    steps = [step.tolist() for step in steps]
+    position = [-1] * order  # table index of each label, -1 until it is found
+    position[0] = 0
+    labels, parent, generator = [0], [-1], [-1]
+    for i, label in enumerate(labels):  # a FIFO queue: found labels are appended
+        for g, step in enumerate(steps):
+            found = step[label]
+            if position[found] < 0:
+                position[found] = len(labels)
+                labels.append(found)
+                parent.append(i)
+                generator.append(g)
+    reflected, rotation = np.divmod(np.array(labels), n)
+    angle = 2.0 * np.pi * rotation / n
+    cos, sin = np.cos(angle), np.sin(angle)
+    sign = 1.0 - 2.0 * reflected
+    payload = np.empty((order, 2, 2))
+    payload[:, 0, 0] = cos
+    payload[:, 1, 0] = sin
+    payload[:, 0, 1] = 0.0 - sign * sin  # 0.0 - x: the identity keeps +0.0, as in eye(2)
+    payload[:, 1, 1] = sign * cos
+    generator_labels = [1 % n, n] if reflections else [1 % n]
+    return FiniteGroupTable(
+        payload=payload,
+        parent=np.array(parent, dtype=np.intp),
+        generator=np.array(generator, dtype=np.intp),
+        generators=np.array([position[label] for label in generator_labels], dtype=np.intp),
+        spec=spec,
+        _index=MatrixIndex.of(payload),
     )
 
 

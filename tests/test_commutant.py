@@ -230,6 +230,19 @@ class TestCommutantBasis:
         assert cb.dim == cb.sym_dim == 25
         assert peak < 150 * 2**20
 
+    def test_sampled_o12_commutant_stays_small(self):
+        # The sampled constraint stack is tall, (k * 144, 144); a full U
+        # would take (k * 144)^2 floats.
+        rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=12))
+        tracemalloc.start()
+        try:
+            cb = rs.commutant_basis(rep, rng=np.random.default_rng(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cb.dim == 1
+        assert peak < 16 * 2**20
+
     def test_oversized_range_rejected_before_allocation(self):
         spec = rs.GroupSpec(kind="permutation_generators", generators=(tuple(range(128)),))
         rep = rs.build_named_rep("sn_permutation", rs.enumerate_closure(spec))

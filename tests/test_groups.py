@@ -1,4 +1,5 @@
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -110,13 +111,35 @@ B3_GENERATORS = (
 )
 
 
+# Named plane groups checked against the linear-scan oracle; the library
+# builds them in closed form, and closes their generator stacks, given as
+# `matrix_generators`, by matrix BFS.
+ORACLE_PLANE_GROUPS = [*(("dihedral", n) for n in (1, 2, 3, 7, 12, 360)), ("cyclic", 997)]
+# Sizes on which the closed-form tree is compared with the library's BFS.
+BFS_PLANE_GROUPS = [
+    *(("dihedral", n) for n in (1, 2, 3, 4, 7, 360, 3000)),
+    *(("cyclic", n) for n in (1, 2, 3, 12, 997)),
+]
+
+
+def generator_stack_spec(kind, n):
+    """A named family's generator matrices as a ``matrix_generators`` spec."""
+    gens = rs.groups.canonical_generators(rs.GroupSpec(kind=kind, n=n))
+    return rs.GroupSpec(kind="matrix_generators", generators=tuple(gens))
+
+
 class TestMatrixClosure:
     @pytest.mark.parametrize("spec", [
-        *(rs.GroupSpec(kind="dihedral", n=n) for n in (1, 2, 3, 7, 12, 360)),
-        rs.GroupSpec(kind="cyclic", n=997),
-        rs.GroupSpec(kind="quaternion8"),
-        rs.GroupSpec(kind="matrix_generators", generators=B3_GENERATORS),
-    ], ids=lambda spec: f"{spec.kind}-{spec.n}")
+        *(
+            pytest.param(generator_stack_spec(kind, n), id=f"{kind}-{n}-matrix_generators")
+            for kind, n in ORACLE_PLANE_GROUPS
+        ),
+        pytest.param(rs.GroupSpec(kind="quaternion8"), id="quaternion8-None"),
+        pytest.param(
+            rs.GroupSpec(kind="matrix_generators", generators=B3_GENERATORS),
+            id="matrix_generators-None",
+        ),
+    ])
     def test_bit_identical_to_linear_scan_oracle(self, spec):
         table = rs.enumerate_closure(spec)
         gens = list(rs.groups.canonical_generators(spec))
@@ -128,6 +151,48 @@ class TestMatrixClosure:
             assert row.tobytes() == m.tobytes()
         for g, gen in zip(table.generators, gens):
             assert float(np.max(np.abs(table.payload[g] - gen))) < MATRIX_DEDUP_TOL
+
+    @pytest.mark.parametrize("kind,n", ORACLE_PLANE_GROUPS, ids=str)
+    def test_closed_form_table_matches_linear_scan_oracle(self, kind, n):
+        spec = rs.GroupSpec(kind=kind, n=n)
+        table = rs.enumerate_closure(spec)
+        gens = list(rs.groups.canonical_generators(spec))
+        matrices, words = brute_matrix_closure(gens)
+        assert table.order == len(matrices)
+        assert tree_words(table) == words
+        first_within_tol = [
+            min(i for i, m in enumerate(matrices) if np.abs(m - gen).max() < MATRIX_DEDUP_TOL)
+            for gen in gens
+        ]
+        assert table.generators.tolist() == first_within_tol
+        assert float(np.abs(table.payload - np.stack(matrices)).max()) <= 1e-12
+        assert orthogonality_defect(table.payload) <= 1e-15
+        assert table.payload[0].tobytes() == np.eye(2).tobytes()
+
+    @pytest.mark.parametrize("kind,n", BFS_PLANE_GROUPS, ids=str)
+    def test_closed_form_tree_equals_matrix_closure(self, kind, n):
+        table = rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n))
+        closed = rs.enumerate_closure(generator_stack_spec(kind, n))
+        assert np.array_equal(table.parent, closed.parent)
+        assert np.array_equal(table.generator, closed.generator)
+        assert np.array_equal(table.generators, closed.generators)
+        assert float(np.abs(table.payload - closed.payload).max()) <= 1e-12
+
+    @pytest.mark.parametrize("kind,n", [("dihedral", 10**12), ("cyclic", 10**12)])
+    def test_plane_group_order_checked_against_cap_first(self, kind, n):
+        start = time.perf_counter()
+        with pytest.raises(ClosureOverflow):
+            rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n))
+        assert time.perf_counter() - start < 0.1
+
+    def test_dihedral_3000_closure_time(self):
+        spec = rs.GroupSpec(kind="dihedral", n=3000)
+        best = float("inf")
+        for _ in range(5):
+            start = time.perf_counter()
+            rs.enumerate_closure(spec)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.02
 
     def test_neighbours_across_a_bucket_edge_dedupe(self):
         index = MatrixIndex(2)
@@ -195,6 +260,18 @@ class TestMatrixClosure:
         assert table._index.matrices is table.payload
         assert retained < 1.6 * 2**20
         assert np.array_equal(table.indices_of(table.payload[::-7]), np.arange(6000)[::-7])
+
+    def test_bfs_closed_matrix_table_retains_no_element_copies(self):
+        # The same contract on the matrix BFS, which `matrix_generators` takes.
+        spec = generator_stack_spec("dihedral", 3000)
+        tracemalloc.start()
+        try:
+            table = rs.enumerate_closure(spec)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert table._index.matrices is table.payload
+        assert retained < 1.6 * 2**20
 
 
 # Dihedral group of order 80 acting on 40 points: rotation i -> i+1 and

@@ -345,6 +345,18 @@ class TestRunAnalysis:
         assert moments[1]["max_diagonal_deviation"] <= 1e-15
         assert moments[1]["diagonal_within_band"] and moments[1]["offdiagonal_within_band"]
 
+    @pytest.mark.parametrize("kind,n", [("dihedral", 3000), ("cyclic", 997)])
+    def test_plane_group_orbit_moments_do_not_drift(self, kind, n):
+        # Closed-form table payloads: the exact orbit M is I/2 to rounding.
+        cfg = rs.parse_config(json.dumps({
+            "group": {"kind": kind, "n": n},
+            "representation": {"name": "defining_orthogonal"},
+            "measure": {"kind": "orbit", "base": [0.6, 0.8]},
+            "samples": 2000,
+        }))
+        moments = rs.run_analysis(cfg).identities["coordinate_moments"]
+        assert moments[0]["max_diagonal_deviation"] <= 1e-15
+
     def test_permutation_rep_with_diagonal_subsphere(self):
         cfg = rs.parse_config(json.dumps({
             "group": {"kind": "symmetric", "n": 4},
