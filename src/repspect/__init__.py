@@ -9,7 +9,7 @@ from .commutant import (
     WitnessSubspace,
     classify_and_decide,
     commutant_basis,
-    reynolds_matrix,
+    fixed_projector,
     span_project,
     span_residual,
     split_symmetric_skew,

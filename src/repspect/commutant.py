@@ -12,7 +12,9 @@ this package certifies:
   representation as real, complex or quaternionic type;
 * for reducible representations a symmetric commuting matrix that is not
   a multiple of the identity has an eigenspace that is a proper invariant
-  subspace, which is extracted as an explicit witness.
+  subspace, which is extracted as an explicit witness; the matrix is the
+  projection of a fixed, seed-free symmetric matrix, so the witness does
+  not depend on the basis.
 
 For a finite group table the span is the range of the Reynolds operator
 A -> (1/|G|) sum_g rho(g) A rho(g)^T, an orthogonal projector on matrix
@@ -25,6 +27,10 @@ has no table: its span is the SVD nullspace of the stacked linear
 constraints rho(g) A - A rho(g) = 0, with g running over a batch of
 invariant-distributed samples that is doubled until the dimension
 stabilizes.
+
+The vectors rho itself fixes, whose projector is the P of the expectation
+check E(x) = E(P x), are the nullspace of the stacked rho(g) - I under the
+same cutoff rule.
 """
 
 from __future__ import annotations
@@ -44,7 +50,7 @@ from .errors import (
     ThresholdAmbiguity,
     TooLarge,
 )
-from .groups import ContinuousFamily, FiniteGroupTable, haar_matrices
+from .groups import ContinuousFamily, FiniteGroupTable, golden_weights, haar_matrices
 from .representations import Representation
 
 NULLSPACE_REL_THRESHOLD = 1e-8
@@ -109,20 +115,6 @@ class WitnessSubspace:
     basis: np.ndarray  # (n, m), orthonormal columns
     m: int
     residual: float
-
-
-# ---------------------------------------------------------------------------
-# invariant projector
-# ---------------------------------------------------------------------------
-
-def reynolds_matrix(rep: Representation) -> np.ndarray:
-    """Exact group average of the representation matrices of a finite table."""
-    return rep.table_images().mean(axis=0)
-
-
-def reynolds_matrix_mc(rep: Representation, rng: np.random.Generator, n_samples: int) -> np.ndarray:
-    """Monte Carlo estimate of the group average of the images."""
-    return _sample_constraint_images(rep, rng, n_samples).mean(axis=0)
 
 
 # ---------------------------------------------------------------------------
@@ -327,6 +319,30 @@ def _commutation_residual(basis: list[np.ndarray], images: np.ndarray) -> float:
     return worst
 
 
+def fixed_projector(rep: Representation, rng: np.random.Generator | None = None) -> np.ndarray:
+    """Orthogonal projector V^T V onto the vectors every image fixes.
+
+    V is the nullspace of the stacked rho(g) - I, cut off by the same rule
+    as the commutant's.  A finite table stacks its generator images, since
+    a vector fixed by the generators is fixed by the group.  A continuous
+    family stacks the images of ``START_SAMPLES`` Haar draws from ``rng``,
+    which fix only the fixed vectors with probability one.  On O(n) the
+    first draw is turned into a reflection: all draws could otherwise lie
+    in SO(n), which fixes everything on O(1).
+    """
+    if isinstance(rep.group, FiniteGroupTable):
+        images = rep.generator_images()
+    else:
+        rng = np.random.default_rng(0) if rng is None else rng
+        draws = haar_matrices(rep.group, rng, START_SAMPLES)
+        if rep.group.kind == "orthogonal":
+            draws[0, :, 0] *= -np.sign(np.linalg.det(draws[0]))
+        images = rep.stack_map(draws)
+    moved = (images - np.eye(rep.dim)).reshape(-1, rep.dim)
+    rows, _, _ = trace_orthonormal_nullspace(moved)
+    return rows.T @ rows
+
+
 # ---------------------------------------------------------------------------
 # structure of the span
 # ---------------------------------------------------------------------------
@@ -416,60 +432,52 @@ def classify_and_decide(cb: CommutantBasis) -> TypeVerdict:
 # witness extraction
 # ---------------------------------------------------------------------------
 
-def witness_invariant_subspace(
-    cb: CommutantBasis,
-    rep: Representation,
-    gap_tol: float = WITNESS_GAP_TOL,
-    residual_tol: float = WITNESS_RESIDUAL_TOL,
-) -> WitnessSubspace:
+def witness_invariant_subspace(cb: CommutantBasis, rep: Representation) -> WitnessSubspace:
     """Extract a proper invariant subspace from a reducible commutant.
 
-    Takes a symmetric basis element independent of the identity,
-    removes its identity component, and returns the eigenspace of the
-    eigenvalue furthest from the spectral mean (ties: smaller eigenspace,
-    then lower eigenvalue).  Invariance is re-verified against the
-    constraint matrices that defined the commutant.
+    Projects the seed-free D = W + W^T (W the ``golden_weights``) onto the
+    symmetric part of the span, which does not depend on the basis, removes
+    its identity component, and returns the eigenspace of the eigenvalue
+    furthest from the spectral mean (ties: smaller eigenspace, then lower
+    eigenvalue).  Invariance is re-verified against the constraint
+    matrices that defined the commutant.
     """
     if cb.sym_dim is None:
         raise BadParams("witness extraction needs a split basis")
     if cb.sym_dim < 2:
         raise NotReducible("symmetric part is scalar; no proper invariant subspace exists")
     n = rep.dim
-    ident = np.eye(n) / np.sqrt(n)
-    candidate = None
-    for b in cb.basis[: cb.sym_dim]:
-        reduced = b - float(np.sum(ident * b)) * ident
-        nrm = float(np.linalg.norm(reduced))
-        if nrm > 1e-6:
-            candidate = reduced / nrm
-            break
-    if candidate is None:
-        raise DegenerateSpectrum("all symmetric elements are numerically scalar")
+    weights = golden_weights(n * n).reshape(n, n)
+    candidate = span_project(cb.basis[: cb.sym_dim], weights + weights.T)
+    candidate -= np.trace(candidate) / n * np.eye(n)
+    nrm = float(np.linalg.norm(candidate))
+    if nrm <= 1e-6:
+        raise DegenerateSpectrum("the symmetric projection of D is numerically scalar")
 
-    eigvals, eigvecs = np.linalg.eigh(candidate)
-    clusters = _eigenvalue_clusters(eigvals, gap_tol)
+    eigvals, eigvecs = np.linalg.eigh(candidate / nrm)
+    clusters = _eigenvalue_clusters(eigvals)
     if len(clusters) < 2:
         raise DegenerateSpectrum("witness matrix spectrum has no usable gap")
     mean = float(eigvals.mean())
     dists = [abs(val - mean) for val, _ in clusters]
     top = max(dists)
-    tied = [c for c, d in zip(clusters, dists) if top - d < gap_tol]
+    tied = [c for c, d in zip(clusters, dists) if top - d < WITNESS_GAP_TOL]
     value, indices = min(tied, key=lambda c: (len(c[1]), c[0]))
     basis = eigvecs[:, indices]
     residual = _subspace_invariance_residual(basis, cb.constraints)
-    if residual > residual_tol:
+    if residual > WITNESS_RESIDUAL_TOL:
         raise RepspectError(
             f"witness eigenspace moves under the group (residual {residual:.2e})"
         )
     return WitnessSubspace(basis=basis, m=basis.shape[1], residual=residual)
 
 
-def _eigenvalue_clusters(eigvals: np.ndarray, gap_tol: float):
-    """Group (sorted) eigenvalues whose gaps are below gap_tol."""
+def _eigenvalue_clusters(eigvals: np.ndarray):
+    """Group (sorted) eigenvalues whose gaps are below ``WITNESS_GAP_TOL``."""
     clusters = []
     start = 0
     for i in range(1, len(eigvals) + 1):
-        if i == len(eigvals) or eigvals[i] - eigvals[i - 1] > gap_tol:
+        if i == len(eigvals) or eigvals[i] - eigvals[i - 1] > WITNESS_GAP_TOL:
             idx = list(range(start, i))
             clusters.append((float(eigvals[idx].mean()), idx))
             start = i

@@ -161,6 +161,12 @@ def _lookup(index: dict | MatrixIndex, stack: np.ndarray) -> list[int | None]:
     return [index.get(key) for key in _row_keys(stack)]
 
 
+def golden_weights(count: int) -> np.ndarray:
+    """Weights in [1, 2) from the fractional parts of k * golden ratio,
+    k = 1..count: a constant, seed-free direction with generic entries."""
+    return 1.0 + np.modf(np.arange(1, count + 1) * 0.6180339887498949)[0]
+
+
 class MatrixIndex:
     """Bucket index of matrices for dedup at ``MATRIX_DEDUP_TOL``.
 
@@ -178,9 +184,7 @@ class MatrixIndex:
     """
 
     def __init__(self, n: int):
-        # Weights in [1, 2) from the fractional parts of k * golden ratio:
-        # a constant, seed-free direction that separates typical tables.
-        self.weights = 1.0 + np.modf(np.arange(1, n * n + 1) * 0.6180339887498949)[0]
+        self.weights = golden_weights(n * n)
         self.cell = 2.0 * MATRIX_DEDUP_TOL * float(self.weights.sum())
         self.shape = (n, n)
         # A list while the closure adds elements, then the table's payload.

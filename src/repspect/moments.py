@@ -16,7 +16,8 @@ its exact ``E<x,y>^2``.  ``exact_finite_orbit_moments`` and
 measures with no finite law: the uniform sphere and subspheres and the
 orbits of continuous groups; ``make_sampler`` refuses the others.  The
 invariance of a discrete measure is checked on the generator images
-alone.
+alone.  The expectation check E(x) = E(P x) takes P, the projector onto
+the fixed vectors, from ``commutant.fixed_projector``.
 
 Monte Carlo estimates are a deterministic function of (seed, worker
 count, sample count): sampling is partitioned into per-worker substreams
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import reynolds_matrix, reynolds_matrix_mc
+from .commutant import fixed_projector
 from .errors import (
     BadMeasureSpec,
     BadParams,
@@ -48,6 +49,8 @@ from .groups import ContinuousFamily, FiniteGroupTable, haar_matrices, stream
 from .representations import Representation, _check_unit
 
 PROB_SUM_TOL = 1e-12
+DISCRETE_POINT_TOL = 1e-8  # see check_discrete_invariance
+DISCRETE_PROB_TOL = 1e-10
 DEFAULT_PAIRS = 100_000
 # Floats per block of draws (~1.6 MB).  The overlap and expectation
 # estimators draw ORBIT_BLOCK_FLOATS // dim vectors at a time; a
@@ -487,20 +490,19 @@ def expectation_identity_check(
     seed=0,
     workers: int = 1,
     band_sigma: float = 4.0,
-    projector_samples: int = 8192,
 ) -> ExpectationCheck:
     """Check E(x) = E(P x) with P the projector onto the fixed subspace.
 
-    Exact table averages are used for orbit and discrete measures of
-    finite groups; otherwise both expectations are estimated on the same
-    sample stream, drawn block by block, and the bands are ``band_sigma``
-    times the Euclidean aggregate of per-coordinate standard errors.  A
-    discrete measure of a continuous family has no sampler and raises
-    BadMeasureSpec.
+    P is ``fixed_projector``, whose Haar draws on a continuous family come
+    from ``stream(seed, 999)``.  E(x) is an exact average for orbit and
+    discrete measures of finite groups; otherwise both expectations are
+    estimated on the same sample stream, drawn block by block, and the
+    bands are ``band_sigma`` times the Euclidean aggregate of
+    per-coordinate standard errors.  A discrete measure of a continuous
+    family has no sampler and raises BadMeasureSpec.
     """
-    finite = isinstance(rep.group, FiniteGroupTable)
-    if finite and spec.kind in ("orbit", "discrete"):
-        proj = reynolds_matrix(rep)
+    proj = fixed_projector(rep, stream(seed, 999))
+    if isinstance(rep.group, FiniteGroupTable) and spec.kind in ("orbit", "discrete"):
         if spec.kind == "orbit":
             mean_x = rep.table_images() @ _check_unit(spec.base, "orbit base")
             mean_x = mean_x.mean(axis=0)
@@ -518,13 +520,8 @@ def expectation_identity_check(
             exact=True,
         )
 
-    # Counts and measure are checked before the projector is built.
     chunks = _chunk_sizes(n_samples, workers)
     sampler = make_sampler(spec, rep)
-    if finite:
-        proj = reynolds_matrix(rep)
-    else:
-        proj = reynolds_matrix_mc(rep, stream(seed, 999), projector_samples)
     total_x = np.zeros(rep.dim)
     total_x2 = np.zeros(rep.dim)
     total_d = np.zeros(rep.dim)
@@ -557,29 +554,27 @@ class InvarianceCheck:
     violating_generator: int | None  # table index of the first failing generator
 
 
-def check_discrete_invariance(
-    spec: MeasureSpec,
-    rep: Representation,
-    point_tol: float = 1e-8,
-    prob_tol: float = 1e-10,
-) -> InvarianceCheck:
+def check_discrete_invariance(spec: MeasureSpec, rep: Representation) -> InvarianceCheck:
     """Whether the finite group permutes the weighted support of spec.
 
     A finite group maps the weighted support onto itself exactly when each
     generator does, since every inverse is a power of its element, so
     only the generator images are checked.  Points closer than
-    ``point_tol`` (entrywise) are merged with summed probabilities before
-    comparison; the table index of the first generator that fails to map
-    the weighted support onto itself is reported.
+    ``DISCRETE_POINT_TOL`` (entrywise) are merged with summed
+    probabilities before comparison, and matched probabilities may differ
+    by ``DISCRETE_PROB_TOL``; the table index of the first generator that
+    fails to map the weighted support onto itself is reported.
     """
     if spec.kind != "discrete":
         raise NotDiscrete(f"measure kind is {spec.kind!r}")
     images = rep.generator_images()
-    ref_pts, ref_pr = _merge_weighted_points(spec.points, spec.probs, point_tol)
+    ref_pts, ref_pr = _merge_weighted_points(spec.points, spec.probs, DISCRETE_POINT_TOL)
     for index, image in zip(rep.group.generators, images):
         moved = spec.points @ image.T
-        pts, pr = _merge_weighted_points(moved, spec.probs, point_tol)
-        if not _same_weighted_points(ref_pts, ref_pr, pts, pr, point_tol, prob_tol):
+        pts, pr = _merge_weighted_points(moved, spec.probs, DISCRETE_POINT_TOL)
+        if not _same_weighted_points(
+            ref_pts, ref_pr, pts, pr, DISCRETE_POINT_TOL, DISCRETE_PROB_TOL
+        ):
             return InvarianceCheck(invariant=False, violating_generator=int(index))
     return InvarianceCheck(invariant=True, violating_generator=None)
 

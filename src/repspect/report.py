@@ -8,9 +8,9 @@ measure, and cross-checks the algebraic verdict against the moment
 statistics.  A measure with a finite law (discrete, or an orbit of a
 finite group) gets one exact second moment M = E[x x^T], which gives its
 overlap |M|_F^2, its lower-bound gap and its coordinate-moment summary;
-its expectation check is an exact table average.  Only the other
-measures are sampled.  Reports are a pure function of (config, seed):
-repeated runs produce byte-identical output.
+its expectation check is exact.  Only the other measures are sampled.
+Reports are a pure function of (config, seed): repeated runs produce
+byte-identical output.
 """
 
 from __future__ import annotations
@@ -604,7 +604,8 @@ def _skew_projection_summary(cfg, rep, cb: CommutantBasis) -> float | None:
 def _slack(exact: bool, dim: int) -> float:
     """Absolute slack on top of a stderr band: an exact value may be off by the
     defect its inputs were accepted with (images within ``ORTHOGONALITY_TOL``
-    entrywise, discrete points matched to 1e-8), a sampled one by EXACT_SLACK."""
+    entrywise, discrete points matched to ``DISCRETE_POINT_TOL``), a sampled
+    one by EXACT_SLACK."""
     return dim * ORTHOGONALITY_TOL if exact else EXACT_SLACK
 
 

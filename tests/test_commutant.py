@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 import repspect as rs
 from repspect.commutant import trace_orthonormal_nullspace
+from repspect.representations import permutation_images
 from repspect.errors import (
     BadParams,
     DegenerateSpectrum,
@@ -22,6 +24,7 @@ from conftest import (
     payload_table,
     random_unit,
     span_columns,
+    symmetric_table,
 )
 
 
@@ -67,7 +70,7 @@ def rotation_plus_trivial_rep():
 
 
 def reynolds_project(rep, v):
-    return rs.reynolds_matrix(rep) @ v
+    return rs.fixed_projector(rep) @ v
 
 
 class TestReynolds:
@@ -107,6 +110,70 @@ class TestReynolds:
         samples = rep.stack_map(rs.haar_matrices(fam, rs.stream(3), 4096)) @ v
         stderr = np.linalg.norm(samples.std(axis=0, ddof=1) / np.sqrt(len(samples)))
         assert np.linalg.norm(samples.mean(axis=0)) <= 4.0 * stderr
+
+
+def cube_rotation_table():
+    """The rotation group of the cube, order 24, from quarter turns about z and x."""
+    quarter_z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+    quarter_x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+    return rs.enumerate_closure(
+        rs.GroupSpec(kind="matrix_generators", generators=(quarter_z, quarter_x))
+    )
+
+
+def intransitive_permutation_rep():
+    """<(0 1 2), (3 4)> on 6 points: orbits {0,1,2}, {3,4}, {5}, so 3 fixed dimensions."""
+    spec = rs.GroupSpec(kind="permutation_generators",
+                        generators=((1, 2, 0, 3, 4, 5), (0, 1, 2, 4, 3, 5)))
+    return rs.build_named_rep("sn_permutation", rs.enumerate_closure(spec))
+
+
+def explicit_s3_rep():
+    """S3 permuting coordinates, conjugated by diag(1, 2, 3) and symmetrized."""
+    s3 = symmetric_table(3)
+    d = np.diag([1.0, 2.0, 3.0])
+    raw = d @ permutation_images(s3.payload[s3.generators]) @ np.linalg.inv(d)
+    return rs.build_named_rep("explicit", s3, generator_images=list(raw))
+
+
+class TestFixedProjector:
+    @pytest.mark.parametrize("build", [
+        lambda: rs.build_named_rep("sn_permutation", symmetric_table(5)),
+        lambda: rs.build_named_rep("sn_sum_zero", symmetric_table(5)),
+        lambda: rs.build_named_rep("cyclic_rotation", cyclic_table(7)),
+        lambda: rs.build_named_rep(
+            "q8_left", rs.enumerate_closure(rs.GroupSpec(kind="quaternion8"))
+        ),
+        lambda: rs.build_named_rep("so3_traceless_symmetric", cube_rotation_table()),
+        lambda: rs.build_named_rep(
+            "defining_orthogonal", rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=12))
+        ),
+        explicit_s3_rep,
+        intransitive_permutation_rep,
+        rotation_plus_trivial_rep,
+    ], ids=["sn_permutation", "sn_sum_zero", "cyclic_rotation", "q8_left",
+            "so3_traceless_symmetric", "defining_orthogonal", "explicit",
+            "intransitive", "rotation_plus_trivial"])
+    def test_generators_give_the_table_average(self, build):
+        rep = build()
+        average = rep.table_images().mean(axis=0)
+        np.testing.assert_allclose(rs.fixed_projector(rep), average, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("kind,expected", [
+        ("special_orthogonal", [[1.0]]), ("orthogonal", [[0.0]]),
+    ])
+    def test_one_dimensional_families_are_exact(self, kind, expected):
+        rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind=kind, n=1))
+        # On O(1), stream(300, 999) draws +1 eight times; the first draw is
+        # made a reflection, so it fixes nothing all the same.
+        for seed in (0, 1, 2, 3, 300):
+            assert np.array_equal(rs.fixed_projector(rep, rs.stream(seed, 999)), expected)
+
+    def test_traceless_symmetric_fixes_nothing(self):
+        rep = rs.build_named_rep(
+            "so3_traceless_symmetric", rs.ContinuousFamily(kind="special_orthogonal", n=3)
+        )
+        assert np.max(np.abs(rs.fixed_projector(rep, rs.stream(5, 999)))) == 0.0
 
 
 class TestCommutantBasis:
@@ -363,6 +430,27 @@ class TestWitness:
         w = rs.witness_invariant_subspace(cb, rep)
         assert w.m == 2
         assert w.residual <= 1e-6
+
+    @pytest.mark.parametrize("build", [
+        lambda: dihedral_permutation_rep(40),
+        lambda: rs.build_named_rep("sn_permutation", symmetric_table(7)),
+    ], ids=["dihedral-40", "s7"])
+    def test_witness_does_not_depend_on_the_basis(self, build):
+        # Master seeds 0-3 draw different commutant bases (the report passes
+        # stream(seed, 1)); a random orthogonal mixing of the symmetric basis
+        # is one more.  Every one must give the same invariant subspace.
+        rep = build()
+        bases = [split_commutant(rep, rng=rs.stream(seed, 1)) for seed in range(4)]
+        cb = bases[0]
+        sym = np.stack(cb.basis[: cb.sym_dim])
+        mixing, _ = np.linalg.qr(rs.stream(13).standard_normal((cb.sym_dim, cb.sym_dim)))
+        mixed = list(np.einsum("ij,jkl->ikl", mixing, sym)) + cb.basis[cb.sym_dim :]
+        bases.append(dataclasses.replace(cb, basis=mixed))
+        witnesses = [rs.witness_invariant_subspace(b, rep) for b in bases]
+        reference = witnesses[0].basis @ witnesses[0].basis.T
+        for w in witnesses:
+            assert w.m == witnesses[0].m
+            np.testing.assert_allclose(w.basis @ w.basis.T, reference, rtol=0, atol=1e-9)
 
     def test_irreducible_rejected(self, q8_table):
         rep = rs.build_named_rep("q8_left", q8_table)

@@ -582,6 +582,18 @@ class TestCli:
         assert code == 0
         assert "provenance: seed=2" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", "1"), ("--workers", "0"), ("--seed", "-1"), ("--seed", str(2**64)),
+    ])
+    def test_override_out_of_bounds_exit_one(self, flag, value, tmp_path, capsys):
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "sn_sum_zero"},
+            "samples": 2000,
+        })
+        assert cli_main(["analyze", "--config", path, flag, value]) == 1
+        assert "config error" in capsys.readouterr().err
+
     def test_config_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{broken")

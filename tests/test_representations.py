@@ -17,7 +17,6 @@ from repspect.errors import (
     UnknownName,
 )
 from repspect.representations import (
-    TS_IMAGE_BLOCK,
     conjugation_on_traceless_symmetric,
     homomorphism_defect,
     permutation_images,
@@ -133,9 +132,7 @@ SO3 = rs.ContinuousFamily(kind="special_orthogonal", n=3)
 
 class TestTracelessSymmetricImages:
     def test_matches_the_two_einsum_oracle(self):
-        # Several full Kronecker blocks and a ragged tail.
         rots = rs.haar_matrices(SO3, rs.stream(41), 20_000)
-        assert 20_000 % TS_IMAGE_BLOCK
         images = conjugation_on_traceless_symmetric(rots)
         np.testing.assert_allclose(images, brute_ts_conjugation(rots), rtol=0, atol=1e-14)
 
