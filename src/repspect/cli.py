@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from .errors import (
     BadMeasureSpec,
@@ -32,7 +33,6 @@ CONFIG_ERRORS = (
     BadMeasureSpec,
     NonInvertibleGenerator,
     ClosureOverflow,
-    FileNotFoundError,
 )
 
 CATALOG_TEMPLATE = """\
@@ -96,7 +96,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = parse_config(args.config)
+        cfg = parse_config(Path(args.config))
         if args.samples is not None:
             if args.samples < 2:
                 raise ValidationError("--samples must be >= 2")

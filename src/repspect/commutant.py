@@ -439,8 +439,11 @@ def witness_invariant_subspace(cb: CommutantBasis, rep: Representation) -> Witne
     symmetric part of the span, which does not depend on the basis, removes
     its identity component, and returns the eigenspace of the eigenvalue
     furthest from the spectral mean (ties: smaller eigenspace, then lower
-    eigenvalue).  Invariance is re-verified against the constraint
-    matrices that defined the commutant.
+    eigenvalue).  eigh fixes neither the signs nor the basis of that
+    eigenspace, so the basis returned is the Q, with R's diagonal made
+    positive, of the QR of fixed golden-ratio columns projected onto it:
+    it depends on the subspace alone.  Invariance is re-verified against
+    the constraint matrices that defined the commutant.
     """
     if cb.sym_dim is None:
         raise BadParams("witness extraction needs a split basis")
@@ -462,8 +465,14 @@ def witness_invariant_subspace(cb: CommutantBasis, rep: Representation) -> Witne
     dists = [abs(val - mean) for val, _ in clusters]
     top = max(dists)
     tied = [c for c, d in zip(clusters, dists) if top - d < WITNESS_GAP_TOL]
-    value, indices = min(tied, key=lambda c: (len(c[1]), c[0]))
-    basis = eigvecs[:, indices]
+    _, indices = min(tied, key=lambda c: (len(c[1]), c[0]))
+    eigenspace = eigvecs[:, indices]
+    columns = golden_weights(n * len(indices)).reshape(n, -1)
+    basis, r = np.linalg.qr(eigenspace @ (eigenspace.T @ columns))
+    r_diag = np.diag(r)
+    if np.min(np.abs(r_diag)) <= WITNESS_GAP_TOL:
+        raise DegenerateSpectrum("the golden-ratio columns do not span the witness eigenspace")
+    basis = basis * np.sign(r_diag)
     residual = _subspace_invariance_residual(basis, cb.constraints)
     if residual > WITNESS_RESIDUAL_TOL:
         raise RepspectError(

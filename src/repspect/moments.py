@@ -16,13 +16,13 @@ its exact ``E<x,y>^2``.  ``exact_finite_orbit_moments`` and
 measures with no finite law: the uniform sphere and subspheres and the
 orbits of continuous groups; ``make_sampler`` refuses the others.  The
 invariance of a discrete measure is checked on the generator images
-alone.  The expectation check E(x) = E(P x) takes P, the projector onto
-the fixed vectors, from ``commutant.fixed_projector``.
+alone.  Every ``SecondMomentMatrix`` also holds E[x], so the expectation
+check E(x) = E(P x) reads that one moment record and draws nothing.
 
 Monte Carlo estimates are a deterministic function of (seed, worker
 count, sample count): sampling is partitioned into per-worker substreams
-and reduced in a fixed order.  The overlap and expectation estimators
-draw ``ORBIT_BLOCK_FLOATS // dim`` vectors at a time, successive draws
+and reduced in a fixed order.  The overlap estimators draw
+``ORBIT_BLOCK_FLOATS // dim`` vectors at a time, successive draws
 continuing each substream, and orbit samples of a continuous group are
 the representation's ``orbit`` points of Haar payloads drawn one block at
 a time, so memory stays bounded whatever the sample count.
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .commutant import fixed_projector
 from .errors import (
     BadMeasureSpec,
     BadParams,
@@ -51,9 +50,8 @@ from .representations import Representation, _check_unit
 PROB_SUM_TOL = 1e-12
 DISCRETE_POINT_TOL = 1e-8  # see check_discrete_invariance
 DISCRETE_PROB_TOL = 1e-10
-DEFAULT_PAIRS = 100_000
-# Floats per block of draws (~1.6 MB).  The overlap and expectation
-# estimators draw ORBIT_BLOCK_FLOATS // dim vectors at a time; a
+# Floats per block of draws (~1.6 MB).  The overlap estimators draw
+# ORBIT_BLOCK_FLOATS // dim vectors at a time; a
 # continuous orbit sampler draws ORBIT_BLOCK_FLOATS // max(n, dim)^2
 # payloads at a time, 8192 for SO(3) on dim 5, so its payloads, and the
 # images that the default ``orbit`` builds from them, stay at that size
@@ -91,12 +89,14 @@ class MomentEstimate:
 
 @dataclass
 class SecondMomentMatrix:
-    """Mean of x x^T with per-entry standard errors (zeros when exact)."""
+    """Mean of x x^T with per-entry standard errors (zeros when exact),
+    and the mean of x over the same draws or points."""
 
     entries: np.ndarray
     n_samples: int
     exact: bool
-    stderr: np.ndarray | None = None
+    stderr: np.ndarray
+    mean: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -329,14 +329,16 @@ def coordinate_second_moments(
     workers: int = 1,
     block: int = 65536,
 ) -> SecondMomentMatrix:
-    """Monte Carlo mean of x x^T with per-entry standard errors.
+    """Monte Carlo mean of x x^T with per-entry standard errors, and of x.
 
     Each block of ``block`` samples adds x^T x and (x*x)^T (x*x) to the
-    running sums, two GEMMs with O(block n + n^2) memory.
+    running sums, two GEMMs with O(block n + n^2) memory, and its column
+    sums to the running sum of x.
     """
     n = sampler.dim
     total = np.zeros((n, n))
     total_sq = np.zeros((n, n))
+    total_x = np.zeros(n)
     for w, size in enumerate(_chunk_sizes(n_samples, workers)):
         rng = stream(seed, w)
         done = 0
@@ -346,6 +348,7 @@ def coordinate_second_moments(
             x2 = x * x
             total += x.T @ x
             total_sq += x2.T @ x2
+            total_x += x.sum(axis=0)
             done += take
     mean = total / n_samples
     var = np.maximum(total_sq - n_samples * mean**2, 0.0) / (n_samples - 1)
@@ -354,6 +357,7 @@ def coordinate_second_moments(
         n_samples=n_samples,
         exact=False,
         stderr=np.sqrt(var / n_samples),
+        mean=total_x / n_samples,
     )
 
 
@@ -371,15 +375,17 @@ def exact_discrete_overlap(spec: MeasureSpec) -> tuple[MomentEstimate, SecondMom
     if spec.kind != "discrete":
         raise NotDiscrete(f"measure kind is {spec.kind!r}")
     m = _exact_second_moment(
-        np.einsum("k,ki,kj->ij", spec.probs, spec.points, spec.points), len(spec.points)
+        np.einsum("k,ki,kj->ij", spec.probs, spec.points, spec.points),
+        spec.probs @ spec.points,
+        len(spec.points),
     )
     value = float(np.sum(m.entries * m.entries))
     return MomentEstimate(value=value, stderr=0.0, n_samples=m.n_samples, exact=True), m
 
 
-def _exact_second_moment(entries: np.ndarray, n_points: int) -> SecondMomentMatrix:
+def _exact_second_moment(entries: np.ndarray, mean: np.ndarray, n_points: int):
     return SecondMomentMatrix(
-        entries=entries, n_samples=n_points, exact=True, stderr=np.zeros_like(entries)
+        entries=entries, n_samples=n_points, exact=True, stderr=np.zeros_like(entries), mean=mean
     )
 
 
@@ -426,7 +432,7 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
     (1/|G|^2) sum_{g,h} <gv, hv>^2 = |M|_F^2, which costs O(|G| n^2) and
     enumerates no pairs.  The single sum uses <gv, v> and not M, so the
     two remain independent certificates of each other.  M is returned
-    too: it is the measure's exact coordinate second moment.
+    too, with the orbit mean: it is the measure's exact moment record.
     """
     v = _check_unit(v, "orbit base")
     if v.shape != (rep.dim,):
@@ -434,7 +440,7 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
     orbit = rep.table_images() @ v
     single = float(np.mean((orbit @ v) ** 2))
     order = rep.group.order
-    m = _exact_second_moment((orbit.T @ orbit) / order, order)
+    m = _exact_second_moment((orbit.T @ orbit) / order, orbit.mean(axis=0), order)
     return OrbitMoments(
         single_sum=single,
         double_sum=float(np.sum(m.entries * m.entries)),
@@ -484,67 +490,39 @@ class ExpectationCheck:
 
 
 def expectation_identity_check(
-    rep: Representation,
-    spec: MeasureSpec,
-    n_samples: int = DEFAULT_PAIRS,
-    seed=0,
-    workers: int = 1,
+    m: SecondMomentMatrix,
+    proj: np.ndarray,
     band_sigma: float = 4.0,
 ) -> ExpectationCheck:
-    """Check E(x) = E(P x) with P the projector onto the fixed subspace.
+    """Check E(x) = E(P x) from a measure's moment record ``m``.
 
-    P is ``fixed_projector``, whose Haar draws on a continuous family come
-    from ``stream(seed, 999)``.  E(x) is an exact average for orbit and
-    discrete measures of finite groups; otherwise both expectations are
-    estimated on the same sample stream, drawn block by block, and the
-    bands are ``band_sigma`` times the Euclidean aggregate of
-    per-coordinate standard errors.  A discrete measure of a continuous
-    family has no sampler and raises BadMeasureSpec.
+    ``proj`` is P, the projector onto the fixed vectors
+    (``commutant.fixed_projector``), and the residual is |Q E[x]| with
+    Q = I - P.  An exact record has zero bands.  A sampled one bands the
+    residual and |E[x]| by ``band_sigma`` times the Euclidean aggregate of
+    the per-coordinate standard errors of d = Q x and of x, both read
+    from the sample covariance cov = (M - mu mu^T) N/(N-1): the variances
+    of d are the diagonal of Q cov Q^T.
     """
-    proj = fixed_projector(rep, stream(seed, 999))
-    if isinstance(rep.group, FiniteGroupTable) and spec.kind in ("orbit", "discrete"):
-        if spec.kind == "orbit":
-            mean_x = rep.table_images() @ _check_unit(spec.base, "orbit base")
-            mean_x = mean_x.mean(axis=0)
-        else:
-            mean_x = spec.probs @ spec.points
-        mean_proj = proj @ mean_x
-        residual = float(np.linalg.norm(mean_x - mean_proj))
-        return ExpectationCheck(
-            mean_x=mean_x,
-            mean_proj=mean_proj,
-            residual=residual,
-            residual_band=0.0,
-            mean_norm=float(np.linalg.norm(mean_x)),
-            mean_norm_band=0.0,
-            exact=True,
-        )
-
-    chunks = _chunk_sizes(n_samples, workers)
-    sampler = make_sampler(spec, rep)
-    total_x = np.zeros(rep.dim)
-    total_x2 = np.zeros(rep.dim)
-    total_d = np.zeros(rep.dim)
-    total_d2 = np.zeros(rep.dim)
-    for w, size in enumerate(chunks):
-        for x in _sample_blocks(sampler, stream(seed, w), size):
-            d = x - x @ proj.T
-            total_x += x.sum(axis=0)
-            total_x2 += (x**2).sum(axis=0)
-            total_d += d.sum(axis=0)
-            total_d2 += (d**2).sum(axis=0)
-    mean_x = total_x / n_samples
-    mean_d = total_d / n_samples
-    se_x = np.sqrt(np.maximum(total_x2 - n_samples * mean_x**2, 0.0) / (n_samples - 1) / n_samples)
-    se_d = np.sqrt(np.maximum(total_d2 - n_samples * mean_d**2, 0.0) / (n_samples - 1) / n_samples)
+    mean_x = m.mean
+    mean_proj = proj @ mean_x
+    residual_band = mean_norm_band = 0.0
+    if not m.exact:
+        n = m.n_samples
+        q = np.eye(len(mean_x)) - proj
+        cov = (m.entries - np.outer(mean_x, mean_x)) * (n / (n - 1))
+        se_x = np.sqrt(np.maximum(np.diag(cov), 0.0) / n)
+        se_d = np.sqrt(np.maximum(np.einsum("ij,jk,ik->i", q, cov, q), 0.0) / n)
+        residual_band = band_sigma * float(np.linalg.norm(se_d))
+        mean_norm_band = band_sigma * float(np.linalg.norm(se_x))
     return ExpectationCheck(
         mean_x=mean_x,
-        mean_proj=mean_x - mean_d,
-        residual=float(np.linalg.norm(mean_d)),
-        residual_band=band_sigma * float(np.linalg.norm(se_d)),
+        mean_proj=mean_proj,
+        residual=float(np.linalg.norm(mean_x - mean_proj)),
+        residual_band=residual_band,
         mean_norm=float(np.linalg.norm(mean_x)),
-        mean_norm_band=band_sigma * float(np.linalg.norm(se_x)),
-        exact=False,
+        mean_norm_band=mean_norm_band,
+        exact=m.exact,
     )
 
 

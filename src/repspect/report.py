@@ -6,9 +6,10 @@ representation is reducible, evaluates the exact finite-group identities
 that apply, estimates the squared-overlap moment for every configured
 measure, and cross-checks the algebraic verdict against the moment
 statistics.  A measure with a finite law (discrete, or an orbit of a
-finite group) gets one exact second moment M = E[x x^T], which gives its
-overlap |M|_F^2, its lower-bound gap and its coordinate-moment summary;
-its expectation check is exact.  Only the other measures are sampled.
+finite group) gets an exact moment record, M = E[x x^T] and E[x], which
+also gives its overlap |M|_F^2 and lower-bound gap; the others sample
+theirs.  That record gives the coordinate-moment summary and the
+expectation check E(x) = E(P x), P computed once per analysis.
 Reports are a pure function of (config, seed): repeated runs produce
 byte-identical output.
 """
@@ -35,6 +36,7 @@ from .commutant import (
     _subspace_invariance_residual,
     classify_and_decide,
     commutant_basis,
+    fixed_projector,
     span_residual,
     split_symmetric_skew,
     witness_invariant_subspace,
@@ -150,7 +152,8 @@ class Report:
 # ---------------------------------------------------------------------------
 
 def parse_config(source) -> AnalysisConfig:
-    """Parse a JSON config from a path or from literal JSON text.
+    """Parse a JSON config from a path or from literal JSON text; a
+    ``Path`` that cannot be read raises ParseError naming it.
 
     Fills defaults (samples, workers, seed from the REPSPECT_SEED
     environment variable when the config omits it) and validates every
@@ -158,7 +161,10 @@ def parse_config(source) -> AnalysisConfig:
     and the measures.
     """
     if isinstance(source, Path) or (isinstance(source, str) and os.path.exists(source)):
-        text = Path(source).read_text()
+        try:
+            text = Path(source).read_text()
+        except OSError as e:
+            raise ParseError(f"cannot read config {str(source)!r}: {e.strerror}") from e
     else:
         text = source
     try:
@@ -429,6 +435,8 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         "identity_span_residual": span_residual(cb.basis, np.eye(rep.dim) / math.sqrt(rep.dim)),
     }
     trace_rows = None
+    # P depends on the representation alone; stream 2 serves nothing else.
+    proj = fixed_projector(rep, stream(cfg.seed, 2))
 
     for i, spec in enumerate(cfg.measures):
         invariant_verified = None
@@ -487,13 +495,13 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         ))
 
         if eligible or _subsphere_is_invariant(spec, cb):
-            chk = expectation_identity_check(
-                rep, spec,
-                n_samples=cfg.samples,
-                seed=substream(cfg.seed, 10, i, 1),
-                workers=cfg.workers,
-                band_sigma=tol.band_sigma,
-            )
+            m = exact_m
+            if m is None:
+                m = coordinate_second_moments(
+                    make_sampler(spec, rep), cfg.samples,
+                    seed=substream(cfg.seed, 10, i, 2), workers=cfg.workers,
+                )
+            chk = expectation_identity_check(m, proj, band_sigma=tol.band_sigma)
             identities["expectation"].append({
                 "measure_index": i,
                 "residual": chk.residual,
@@ -503,7 +511,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
                 "exact": chk.exact,
             })
             identities["coordinate_moments"].append(
-                _coordinate_moment_summary(cfg, rep, spec, i, reference, exact_m)
+                _coordinate_moment_summary(m, i, reference, tol.band_sigma)
             )
 
     identities["sum_zero_cosine"] = _sum_zero_cosine_summary(cfg, rep)
@@ -543,22 +551,15 @@ def _subsphere_is_invariant(spec: MeasureSpec, cb: CommutantBasis) -> bool:
     return _subspace_invariance_residual(spec.subspace, cb.constraints) <= 1e-8
 
 
-def _coordinate_moment_summary(cfg, rep, spec, i, reference, exact_m) -> dict:
-    """E[x x^T] against I/n: the exact M when the measure has one, else sampled.
+def _coordinate_moment_summary(smm, i, reference, sigma) -> dict:
+    """E[x x^T] against I/n, banded by ``sigma`` stderrs plus ``_slack``.
 
     An exact M has zero stderr, so its bands are its ``_slack``.
     """
-    smm = exact_m
-    if smm is None:
-        smm = coordinate_second_moments(
-            make_sampler(spec, rep), cfg.samples,
-            seed=substream(cfg.seed, 10, i, 2), workers=cfg.workers,
-        )
-    slack = _slack(smm.exact, rep.dim)
-    n = rep.dim
+    n = smm.entries.shape[0]
+    slack = _slack(smm.exact, n)
     diag = np.diag_indices(n)
     off = ~np.eye(n, dtype=bool)
-    sigma = cfg.tolerances.band_sigma
     diag_dev = np.abs(smm.entries[diag] - reference)
     diag_band = sigma * smm.stderr[diag] + slack
     off_dev = np.abs(smm.entries[off])

@@ -233,7 +233,9 @@ def test_criterion_10_expectation_projector_identity():
         fixed_point_free.append(("q8_left", rs.build_named_rep("q8_left", q8), False))
         for label, rep, has_fixed in fixed_point_free:
             spec = rs.orbit_measure(random_unit(rng, rep.dim))
-            chk = rs.expectation_identity_check(rep, spec)
+            chk = rs.expectation_identity_check(
+                rs.exact_finite_orbit_moments(rep, spec.base).second_moment, rs.fixed_projector(rep)
+            )
             assert chk.exact, label
             assert chk.residual <= 1e-10, label
             if has_fixed is False:
@@ -250,7 +252,10 @@ def test_criterion_10_expectation_projector_identity():
         for i, (label, rep) in enumerate(continuous):
             spec = rs.orbit_measure(random_unit(rng, rep.dim))
             chk = rs.expectation_identity_check(
-                rep, spec, n_samples=50_000, seed=rs.substream(1001, i)
+                rs.coordinate_second_moments(
+                    rs.make_sampler(spec, rep), 50_000, seed=rs.substream(1001, i)
+                ),
+                rs.fixed_projector(rep, rs.stream(rs.substream(1001, i), 999)),
             )
             assert chk.residual <= chk.residual_band, label
             assert chk.mean_norm <= chk.mean_norm_band, label

@@ -431,14 +431,16 @@ class TestWitness:
         assert w.m == 2
         assert w.residual <= 1e-6
 
-    @pytest.mark.parametrize("build", [
-        lambda: dihedral_permutation_rep(40),
-        lambda: rs.build_named_rep("sn_permutation", symmetric_table(7)),
-    ], ids=["dihedral-40", "s7"])
-    def test_witness_does_not_depend_on_the_basis(self, build):
+    @pytest.mark.parametrize("build, m", [
+        (lambda: dihedral_permutation_rep(40), 1),
+        (lambda: rs.build_named_rep("sn_permutation", symmetric_table(7)), 1),
+        (o2_double_rep, 2),
+    ], ids=["dihedral-40", "s7", "o2-double"])
+    def test_witness_does_not_depend_on_the_basis(self, build, m):
         # Master seeds 0-3 draw different commutant bases (the report passes
         # stream(seed, 1)); a random orthogonal mixing of the symmetric basis
-        # is one more.  Every one must give the same invariant subspace.
+        # is one more.  Every one must give the same invariant subspace, in
+        # the same basis columns, signs included.
         rep = build()
         bases = [split_commutant(rep, rng=rs.stream(seed, 1)) for seed in range(4)]
         cb = bases[0]
@@ -449,8 +451,22 @@ class TestWitness:
         witnesses = [rs.witness_invariant_subspace(b, rep) for b in bases]
         reference = witnesses[0].basis @ witnesses[0].basis.T
         for w in witnesses:
-            assert w.m == witnesses[0].m
+            assert w.m == m
             np.testing.assert_allclose(w.basis @ w.basis.T, reference, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(w.basis, witnesses[0].basis, rtol=0, atol=1e-9)
+
+    def test_columns_outside_the_eigenspace_rejected(self, s3_table, monkeypatch):
+        # The witness of S3 on 3 points is the all-ones line; a sum-zero
+        # column projects onto it as zero and spans nothing.
+        rep = rs.build_named_rep("sn_permutation", s3_table)
+        cb = split_commutant(rep)
+        weights = rs.groups.golden_weights
+        monkeypatch.setattr(
+            "repspect.commutant.golden_weights",
+            lambda count: np.array([1.0, -1.0, 0.0]) if count == 3 else weights(count),
+        )
+        with pytest.raises(DegenerateSpectrum, match="do not span"):
+            rs.witness_invariant_subspace(cb, rep)
 
     def test_irreducible_rejected(self, q8_table):
         rep = rs.build_named_rep("q8_left", q8_table)

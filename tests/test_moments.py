@@ -197,24 +197,13 @@ class TestEstimateSquaredOverlap:
         brute = brute_squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
         assert np.array_equal(vals, brute)
 
-    @pytest.mark.parametrize("estimator", ["overlap", "expectation"])
-    def test_dim_40_sampled_memory_is_one_block(self, estimator):
+    def test_dim_40_sampled_memory_is_one_block(self):
         # A whole (200_000, 40) chunk is 64 MB per side; blocks are ~1.6 MB.
         fam = rs.ContinuousFamily(kind="orthogonal", n=40)
         sphere_rep = rs.build_named_rep("defining_orthogonal", fam)
-        cycle = rs.GroupSpec(kind="permutation_generators",
-                             generators=(tuple((i + 1) % 40 for i in range(40)),))
-        perm_rep = rs.build_named_rep("sn_permutation", rs.enumerate_closure(cycle))
-        perm_rep.table_images()  # cached before tracing: only the draws are measured
-        run = {
-            "overlap": lambda: rs.estimate_squared_overlap(
-                rs.make_sampler(rs.uniform_sphere(), sphere_rep), 200_000, seed=24
-            ),
-            "expectation": lambda: rs.expectation_identity_check(
-                perm_rep, rs.uniform_sphere(), n_samples=200_000, seed=24
-            ),
-        }[estimator]
-        _, peak = traced_peak(run)
+        _, peak = traced_peak(lambda: rs.estimate_squared_overlap(
+            rs.make_sampler(rs.uniform_sphere(), sphere_rep), 200_000, seed=24
+        ))
         assert peak < 16 * 2**20
 
     def test_reproducible_given_seed_and_workers(self, so3_tss):
@@ -229,7 +218,7 @@ class TestEstimateSquaredOverlap:
         b = rs.estimate_squared_overlap(sampler, 5000, seed=9, workers=2)
         assert a.value != b.value
 
-    @pytest.mark.parametrize("estimator", ["overlap", "coordinates", "expectation"])
+    @pytest.mark.parametrize("estimator", ["overlap", "coordinates"])
     @pytest.mark.parametrize("count, workers", [(1, 1), (0, 1), (100, 0), (100, -1)])
     def test_sample_and_worker_counts_checked(self, so3_tss, estimator, count, workers):
         spec = rs.uniform_sphere()
@@ -238,9 +227,6 @@ class TestEstimateSquaredOverlap:
             "overlap": lambda: rs.estimate_squared_overlap(sampler, count, workers=workers),
             "coordinates": lambda: rs.coordinate_second_moments(
                 sampler, count, workers=workers
-            ),
-            "expectation": lambda: rs.expectation_identity_check(
-                so3_tss, spec, n_samples=count, workers=workers
             ),
         }[estimator]
         with pytest.raises(BadParams):
@@ -478,16 +464,39 @@ class TestCoordinateSecondMoments:
         np.testing.assert_allclose(entries, np.diag([0.5, 0.5]), atol=1e-15)
 
 
+def per_sample_expectation_check(sampler, proj, n_samples, seed, workers, band_sigma=4.0):
+    """Independent oracle: E(x), the residual |E(d)| and the bands of the
+    expectation check from the draws themselves, d = x - P x per draw, each
+    band ``band_sigma`` times the norm of the per-coordinate standard errors.
+    Each worker chunk is drawn whole from ``stream(seed, w)``."""
+    base, rem = divmod(n_samples, workers)
+    x = np.concatenate([
+        sampler.sample(rs.stream(seed, w), base + (w < rem)) for w in range(workers)
+    ])
+    d = x - x @ proj.T
+
+    def band(a):
+        return band_sigma * float(np.linalg.norm(a.std(axis=0, ddof=1) / np.sqrt(n_samples)))
+
+    return x.mean(axis=0), float(np.linalg.norm(d.mean(axis=0))), band(d), band(x)
+
+
+def exact_orbit_check(rep, base):
+    return rs.expectation_identity_check(
+        rs.exact_finite_orbit_moments(rep, base).second_moment, rs.fixed_projector(rep)
+    )
+
+
 class TestExpectationIdentity:
     def test_rotation_orbit_exact_zero(self, c4_rotation):
-        chk = rs.expectation_identity_check(c4_rotation, rs.orbit_measure(np.array([1.0, 0.0])))
+        chk = exact_orbit_check(c4_rotation, np.array([1.0, 0.0]))
         assert chk.exact
         assert chk.residual <= 1e-10
         assert chk.mean_norm <= 1e-10
 
     def test_permutation_orbit_exact_mean(self, s3_table):
         rep = rs.build_named_rep("sn_permutation", s3_table)
-        chk = rs.expectation_identity_check(rep, rs.orbit_measure(np.eye(3)[0]))
+        chk = exact_orbit_check(rep, np.eye(3)[0])
         np.testing.assert_allclose(chk.mean_x, np.ones(3) / 3.0, atol=1e-12)
         np.testing.assert_allclose(chk.mean_proj, np.ones(3) / 3.0, atol=1e-12)
         assert chk.residual <= 1e-10
@@ -495,27 +504,50 @@ class TestExpectationIdentity:
     def test_sum_zero_orbit_mean_vanishes(self):
         table = symmetric_table(5)
         rep = rs.build_named_rep("sn_sum_zero", table)
-        spec = rs.orbit_measure(random_unit(rs.stream(17), 4))
-        chk = rs.expectation_identity_check(rep, spec)
+        chk = exact_orbit_check(rep, random_unit(rs.stream(17), 4))
         assert chk.exact
         assert chk.mean_norm <= 1e-10
 
+    def test_discrete_record_is_exact(self, s3_table):
+        rep = rs.build_named_rep("sn_permutation", s3_table)
+        _, m = rs.exact_discrete_overlap(rs.discrete_measure(np.eye(3)[:2], [0.25, 0.75]))
+        chk = rs.expectation_identity_check(m, rs.fixed_projector(rep))
+        np.testing.assert_allclose(chk.mean_x, [0.25, 0.75, 0.0], atol=1e-15)
+        assert chk.exact and chk.residual_band == chk.mean_norm_band == 0.0
+        assert chk.residual == pytest.approx(np.linalg.norm([-1 / 12, 5 / 12, -1 / 3]))
+
     def test_monte_carlo_path_on_continuous_group(self, so3_tss):
         spec = rs.orbit_measure(random_unit(rs.stream(18), 5))
-        chk = rs.expectation_identity_check(so3_tss, spec, n_samples=20_000, seed=19)
+        m = rs.coordinate_second_moments(rs.make_sampler(spec, so3_tss), 20_000, seed=19)
+        chk = rs.expectation_identity_check(m, rs.fixed_projector(so3_tss, rs.stream(19, 999)))
         assert not chk.exact
         assert chk.residual <= chk.residual_band
         assert chk.mean_norm <= chk.mean_norm_band
 
-    def test_discrete_measure_of_continuous_family_is_refused(self, so3_tss):
-        spec = rs.discrete_measure([np.eye(5)[0]], [1.0])
-        with pytest.raises(BadMeasureSpec, match="exact moments"):
-            rs.expectation_identity_check(so3_tss, spec, n_samples=100, seed=19)
-
     def test_monte_carlo_path_on_finite_group_sphere(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
-        chk = rs.expectation_identity_check(rep, rs.uniform_sphere(), n_samples=20_000, seed=20)
+        m = rs.coordinate_second_moments(rs.make_sampler(rs.uniform_sphere(), rep), 20_000, seed=20)
+        chk = rs.expectation_identity_check(m, rs.fixed_projector(rep))
         assert chk.residual <= chk.residual_band
+
+    @pytest.mark.parametrize("case", ["s4_sphere", "so3_orbit"])
+    def test_sampled_bands_match_per_sample_oracle(self, s4_table, so3_tss, case):
+        if case == "s4_sphere":  # P projects onto the all-ones line
+            rep, spec, workers = rs.build_named_rep("sn_permutation", s4_table), rs.uniform_sphere(), 2
+        else:  # P = 0
+            rep, spec, workers = so3_tss, rs.orbit_measure(random_unit(rs.stream(25), 5)), 1
+        proj = rs.fixed_projector(rep, rs.stream(26))
+        sampler = rs.make_sampler(spec, rep)
+        m = rs.coordinate_second_moments(sampler, 30_001, seed=27, workers=workers)
+        chk = rs.expectation_identity_check(m, proj)
+        mean_x, residual, residual_band, mean_norm_band = per_sample_expectation_check(
+            sampler, proj, 30_001, seed=27, workers=workers
+        )
+        assert (np.linalg.norm(proj) > 0.5) == (case == "s4_sphere")
+        np.testing.assert_allclose(chk.mean_x, mean_x, rtol=0, atol=1e-15)
+        assert chk.residual == pytest.approx(residual, rel=1e-12)
+        assert chk.residual_band == pytest.approx(residual_band, rel=1e-12)
+        assert chk.mean_norm_band == pytest.approx(mean_norm_band, rel=1e-12)
 
 
 class TestDiscreteInvariance:

@@ -10,6 +10,7 @@ import pytest
 
 import repspect as rs
 from repspect.cli import main as cli_main
+from repspect.commutant import START_SAMPLES
 from repspect.errors import BadParams, ParseError, UnknownName, ValidationError, VerdictConflict
 from repspect.groups import orthogonality_defect
 from repspect.moments import MomentEstimate
@@ -495,6 +496,33 @@ class TestRunAnalysis:
         assert report.trace_rows[-1][1] == pytest.approx(report.measures[0].estimate.value)
 
 
+    def test_sampled_measure_draws_overlap_and_moment_streams_only(self, monkeypatch):
+        # Per sampled measure: x and y for the overlap, one stream for its
+        # moment record (coordinate moments and expectation check), and no
+        # more; P takes START_SAMPLES draws once per analysis.
+        draws = {"moments": 0, "commutant": 0}
+
+        def counting(module):
+            def haar(family, rng, size):
+                draws[module] += size
+                return rs.haar_matrices(family, rng, size)
+            return haar
+
+        for module in draws:
+            monkeypatch.setattr(f"repspect.{module}.haar_matrices", counting(module))
+        cfg = rs.parse_config(json.dumps({
+            "group": {"kind": "special_orthogonal", "n": 3},
+            "representation": {"name": "so3_traceless_symmetric"},
+            "measures": [{"kind": "orbit", "base": [0.3, -0.1, 0.5, 0.2, 0.7]}],
+            "samples": 3000,
+            "seed": 12,
+        }))
+        report = rs.run_analysis(cfg)
+        assert report.identities["expectation"][0]["exact"] is False
+        assert draws["moments"] == 3 * 3000
+        assert draws["commutant"] == len(report.commutant.constraints) + START_SAMPLES
+
+
 class TestEmission:
     def test_json_top_level_keys_and_determinism(self, tmp_path):
         cfg = rs.parse_config(minimal_config(samples=2000, seed=3))
@@ -602,6 +630,11 @@ class TestCli:
 
     def test_missing_config_exit_one(self, capsys):
         assert cli_main(["analyze", "--config", "/nonexistent/cfg.json"]) == 1
+        assert "config error: cannot read config '/nonexistent/cfg.json'" in capsys.readouterr().err
+
+    def test_directory_config_exit_one(self, tmp_path, capsys):
+        assert cli_main(["analyze", "--config", str(tmp_path)]) == 1
+        assert f"config error: cannot read config '{tmp_path}'" in capsys.readouterr().err
 
     def test_validation_error_exit_one(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {
