@@ -23,14 +23,14 @@ from the characters (Frobenius-Schur: (1/|G|) sum chi(g)^2 and
 (1/|G|) sum (chi(g)^2 + chi(g^2))/2), then a basis is read off from the
 Reynolds images of a few random matrices; the numerical rank and the
 symmetric split must both agree with the counts.  A continuous group
-has no table: its span is the SVD nullspace of the stacked linear
-constraints rho(g) A - A rho(g) = 0, with g running over a batch of
-invariant-distributed samples that is doubled until the dimension
-stabilizes.
+has no table: its span is the fixed space of rho(g) (x) rho(g), the SVD
+nullspace of the stacked kron(rho(g), rho(g)) - I, with g running over a
+batch of invariant-distributed samples that is doubled until the
+dimension stabilizes.
 
 The vectors rho itself fixes, whose projector is the P of the expectation
-check E(x) = E(P x), are the nullspace of the stacked rho(g) - I under the
-same cutoff rule.
+check E(x) = E(P x), are the nullspace of the stacked rho(g) - I over the
+same constraint images, under the same cutoff rule.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from .errors import (
     ThresholdAmbiguity,
     TooLarge,
 )
-from .groups import ContinuousFamily, FiniteGroupTable, golden_weights, haar_matrices
+from .groups import FiniteGroupTable, golden_weights, haar_matrices
 from .representations import Representation
 
 NULLSPACE_REL_THRESHOLD = 1e-8
@@ -81,7 +81,7 @@ class CommutantBasis:
     is the largest commutation defect of any basis element against any
     constraint matrix; ``threshold`` is the singular-value cutoff that
     defined the nullspace.  ``constraints`` keeps the constraint images
-    so later stages can re-verify against the same evidence.
+    so later stages, the fixed projector included, read the same evidence.
     ``sym_count`` is the character count of the symmetric part on finite
     tables, which :func:`split_symmetric_skew` checks its split against;
     it is ``None`` when the basis came from an SVD nullspace.
@@ -120,13 +120,6 @@ class WitnessSubspace:
 # ---------------------------------------------------------------------------
 # nullspace machinery
 # ---------------------------------------------------------------------------
-
-def commutation_constraint_rows(image: np.ndarray) -> np.ndarray:
-    """Linear map A -> rho(g) A - A rho(g) on row-major vectorized A."""
-    n = image.shape[0]
-    eye = np.eye(n)
-    return np.kron(image, eye) - np.kron(eye, image.T)
-
 
 def trace_orthonormal_nullspace(
     stacked: np.ndarray,
@@ -228,12 +221,6 @@ def _reynolds_range(
     return vh[:rank], threshold, ambiguous
 
 
-def _sample_constraint_images(rep: Representation, rng: np.random.Generator, k: int) -> np.ndarray:
-    if not isinstance(rep.group, ContinuousFamily):
-        raise BadParams("sampled constraints need a continuous family")
-    return rep.stack_map(haar_matrices(rep.group, rng, k))
-
-
 def commutant_basis(
     rep: Representation,
     *,
@@ -252,11 +239,14 @@ def commutant_basis(
     matrix commuting with the generators commutes with all of their
     products.
 
-    A continuous family takes the SVD nullspace of the stacked
-    commutation constraints of Haar-sampled images.  The batch is doubled
+    A continuous family takes the vectorized A fixed by every
+    rho(g) A rho(g)^T, which for orthogonal images is the same as
+    commuting with them, over Haar-sampled images.  The batch is doubled
     (``START_SAMPLES``, twice that, ...) until the computed dimension
     agrees across two consecutive rounds; failure to stabilize by
-    ``MAX_SAMPLES`` raises NonStabilizedDimension.
+    ``MAX_SAMPLES`` raises NonStabilizedDimension.  On O(n) the first
+    draw is made a reflection, since draws that all lie in SO(n) would
+    give the commutant of SO(n).
     """
     rng = np.random.default_rng(0) if rng is None else rng
     sym_count = None
@@ -289,20 +279,34 @@ def commutant_basis(
     return cb
 
 
-def _nullspace_of_images(images: np.ndarray, rel_threshold: float):
-    stacked = np.concatenate([commutation_constraint_rows(m) for m in images], axis=0)
-    return trace_orthonormal_nullspace(stacked, rel_threshold)
+def _fixed_rows(stack: np.ndarray, rel_threshold: float):
+    """Nullspace rows of the stacked ``stack[i] - I``, which overwrites ``stack``."""
+    k, m, _ = stack.shape
+    stack[:, range(m), range(m)] -= 1.0
+    return trace_orthonormal_nullspace(stack.reshape(k * m, m), rel_threshold)
+
+
+def _conjugation_fixed_rows(images: np.ndarray, rel_threshold: float):
+    k, n, _ = images.shape
+    # Row (i, j), column (a, b) of rho (x) rho is rho[i, a] rho[j, b]: it
+    # maps row-major A to rho A rho^T.
+    kron = np.einsum("gia,gjb->gijab", images, images).reshape(k, n * n, n * n)
+    return _fixed_rows(kron, rel_threshold)
 
 
 def _stabilized_sampled_nullspace(rep, rng, rel_threshold):
-    images = _sample_constraint_images(rep, rng, START_SAMPLES)
-    rows, threshold, ambiguous = _nullspace_of_images(images, rel_threshold)
+    draws = haar_matrices(rep.group, rng, START_SAMPLES)
+    if rep.group.kind == "orthogonal":
+        draws[0, :, 0] *= -np.sign(np.linalg.det(draws[0]))
+    images = rep.stack_map(draws)
+    del draws
+    rows, threshold, ambiguous = _conjugation_fixed_rows(images, rel_threshold)
     k = START_SAMPLES
     while 2 * k <= MAX_SAMPLES:
-        extra = _sample_constraint_images(rep, rng, k)
+        extra = rep.stack_map(haar_matrices(rep.group, rng, k))
         images = np.concatenate([images, extra], axis=0)
         k *= 2
-        new_rows, threshold, ambiguous = _nullspace_of_images(images, rel_threshold)
+        new_rows, threshold, ambiguous = _conjugation_fixed_rows(images, rel_threshold)
         if len(new_rows) == len(rows):
             return images, new_rows, threshold, ambiguous
         rows = new_rows
@@ -319,27 +323,18 @@ def _commutation_residual(basis: list[np.ndarray], images: np.ndarray) -> float:
     return worst
 
 
-def fixed_projector(rep: Representation, rng: np.random.Generator | None = None) -> np.ndarray:
-    """Orthogonal projector V^T V onto the vectors every image fixes.
+def fixed_projector(
+    constraints: np.ndarray, rel_threshold: float = NULLSPACE_REL_THRESHOLD
+) -> np.ndarray:
+    """Orthogonal projector V^T V onto the vectors every constraint image fixes.
 
     V is the nullspace of the stacked rho(g) - I, cut off by the same rule
-    as the commutant's.  A finite table stacks its generator images, since
-    a vector fixed by the generators is fixed by the group.  A continuous
-    family stacks the images of ``START_SAMPLES`` Haar draws from ``rng``,
-    which fix only the fixed vectors with probability one.  On O(n) the
-    first draw is turned into a reflection: all draws could otherwise lie
-    in SO(n), which fixes everything on O(1).
+    as the commutant's.  ``constraints`` is ``CommutantBasis.constraints``:
+    the generator images of a finite table, whose fixed vectors are the
+    group's, or the Haar images that stabilized a continuous commutant,
+    which fix only the group's fixed vectors with probability one.
     """
-    if isinstance(rep.group, FiniteGroupTable):
-        images = rep.generator_images()
-    else:
-        rng = np.random.default_rng(0) if rng is None else rng
-        draws = haar_matrices(rep.group, rng, START_SAMPLES)
-        if rep.group.kind == "orthogonal":
-            draws[0, :, 0] *= -np.sign(np.linalg.det(draws[0]))
-        images = rep.stack_map(draws)
-    moved = (images - np.eye(rep.dim)).reshape(-1, rep.dim)
-    rows, _, _ = trace_orthonormal_nullspace(moved)
+    rows, _, _ = _fixed_rows(np.array(constraints, dtype=float), rel_threshold)
     return rows.T @ rows
 
 

@@ -152,17 +152,17 @@ class Report:
 # ---------------------------------------------------------------------------
 
 def parse_config(source) -> AnalysisConfig:
-    """Parse a JSON config from a path or from literal JSON text; a
-    ``Path`` that cannot be read raises ParseError naming it.
+    """Parse a JSON config from a ``Path``, read as a file (one that cannot
+    be read raises ParseError naming it), or from a ``str`` of JSON text.
 
     Fills defaults (samples, workers, seed from the REPSPECT_SEED
     environment variable when the config omits it) and validates every
     field, including dimension consistency between the representation
     and the measures.
     """
-    if isinstance(source, Path) or (isinstance(source, str) and os.path.exists(source)):
+    if isinstance(source, Path):
         try:
-            text = Path(source).read_text()
+            text = source.read_text()
         except OSError as e:
             raise ParseError(f"cannot read config {str(source)!r}: {e.strerror}") from e
     else:
@@ -435,8 +435,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         "identity_span_residual": span_residual(cb.basis, np.eye(rep.dim) / math.sqrt(rep.dim)),
     }
     trace_rows = None
-    # P depends on the representation alone; stream 2 serves nothing else.
-    proj = fixed_projector(rep, stream(cfg.seed, 2))
+    proj = fixed_projector(cb.constraints, tol.nullspace_rel)
 
     for i, spec in enumerate(cfg.measures):
         invariant_verified = None

@@ -234,7 +234,8 @@ def test_criterion_10_expectation_projector_identity():
         for label, rep, has_fixed in fixed_point_free:
             spec = rs.orbit_measure(random_unit(rng, rep.dim))
             chk = rs.expectation_identity_check(
-                rs.exact_finite_orbit_moments(rep, spec.base).second_moment, rs.fixed_projector(rep)
+                rs.exact_finite_orbit_moments(rep, spec.base).second_moment,
+                rs.fixed_projector(rs.commutant_basis(rep).constraints),
             )
             assert chk.exact, label
             assert chk.residual <= 1e-10, label
@@ -255,7 +256,9 @@ def test_criterion_10_expectation_projector_identity():
                 rs.coordinate_second_moments(
                     rs.make_sampler(spec, rep), 50_000, seed=rs.substream(1001, i)
                 ),
-                rs.fixed_projector(rep, rs.stream(rs.substream(1001, i), 999)),
+                rs.fixed_projector(
+                    rs.commutant_basis(rep, rng=rs.stream(rs.substream(1001, i), 999)).constraints
+                ),
             )
             assert chk.residual <= chk.residual_band, label
             assert chk.mean_norm <= chk.mean_norm_band, label

@@ -70,7 +70,7 @@ def rotation_plus_trivial_rep():
 
 
 def reynolds_project(rep, v):
-    return rs.fixed_projector(rep) @ v
+    return rs.fixed_projector(rs.commutant_basis(rep).constraints) @ v
 
 
 class TestReynolds:
@@ -157,23 +157,40 @@ class TestFixedProjector:
     def test_generators_give_the_table_average(self, build):
         rep = build()
         average = rep.table_images().mean(axis=0)
-        np.testing.assert_allclose(rs.fixed_projector(rep), average, rtol=0, atol=1e-12)
+        proj = rs.fixed_projector(rs.commutant_basis(rep).constraints)
+        np.testing.assert_allclose(proj, average, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("kind,expected", [
         ("special_orthogonal", [[1.0]]), ("orthogonal", [[0.0]]),
     ])
     def test_one_dimensional_families_are_exact(self, kind, expected):
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind=kind, n=1))
-        # On O(1), stream(300, 999) draws +1 eight times; the first draw is
-        # made a reflection, so it fixes nothing all the same.
+        # On O(1), stream(300, 999) draws +1 eight times; the commutant's
+        # first draw is made a reflection, so its constraints fix nothing
+        # all the same.
         for seed in (0, 1, 2, 3, 300):
-            assert np.array_equal(rs.fixed_projector(rep, rs.stream(seed, 999)), expected)
+            cb = rs.commutant_basis(rep, rng=rs.stream(seed, 999))
+            assert np.array_equal(rs.fixed_projector(cb.constraints), expected)
+
+    def test_cutoff_is_the_given_relative_threshold(self):
+        # rho - I stacks to singular values sqrt(2), sqrt(2) and |2 sin(5e-8)|,
+        # about 7e-8 relative: e_3 is fixed only under the looser cutoff.
+        quarter = np.eye(3)
+        quarter[:2, :2] = rs.groups.rotation_matrix(np.pi / 2.0)
+        tilt = np.eye(3)
+        tilt[1:, 1:] = rs.groups.rotation_matrix(1e-7)
+        constraints = np.stack([quarter, tilt])
+        assert np.max(np.abs(rs.fixed_projector(constraints, 1e-8))) == 0.0
+        proj = rs.fixed_projector(constraints, 1e-6)
+        assert np.trace(proj) == pytest.approx(1.0, abs=1e-12)
+        np.testing.assert_allclose(proj, np.diag([0.0, 0.0, 1.0]), atol=1e-6)
 
     def test_traceless_symmetric_fixes_nothing(self):
         rep = rs.build_named_rep(
             "so3_traceless_symmetric", rs.ContinuousFamily(kind="special_orthogonal", n=3)
         )
-        assert np.max(np.abs(rs.fixed_projector(rep, rs.stream(5, 999)))) == 0.0
+        cb = rs.commutant_basis(rep, rng=rs.stream(5, 999))
+        assert np.max(np.abs(rs.fixed_projector(cb.constraints))) == 0.0
 
 
 class TestCommutantBasis:
@@ -251,6 +268,15 @@ class TestCommutantBasis:
         rep = rs.build_named_rep("defining_orthogonal", fam)
         cb = split_commutant(rep, rng=rs.stream(9))
         assert rs.classify_and_decide(cb).type == "R"
+
+    @pytest.mark.parametrize("seed", [53294, 66312, 99868, 157098])
+    def test_orthogonal_draws_include_a_reflection(self, seed):
+        # At these seeds the 16 Haar draws of the first two rounds all lie in
+        # SO(2), whose commutant is a plane; the reflection rule keeps O(2)'s.
+        rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=2))
+        cb = rs.commutant_basis(rep, rng=rs.stream(seed, 1))
+        assert cb.dim == 1
+        assert np.linalg.det(cb.constraints[0]) == pytest.approx(-1.0)
 
     def test_non_stabilized_dimension_without_comparison_rounds(self, monkeypatch):
         fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)

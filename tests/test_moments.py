@@ -483,7 +483,8 @@ def per_sample_expectation_check(sampler, proj, n_samples, seed, workers, band_s
 
 def exact_orbit_check(rep, base):
     return rs.expectation_identity_check(
-        rs.exact_finite_orbit_moments(rep, base).second_moment, rs.fixed_projector(rep)
+        rs.exact_finite_orbit_moments(rep, base).second_moment,
+        rs.fixed_projector(rs.commutant_basis(rep).constraints),
     )
 
 
@@ -511,7 +512,8 @@ class TestExpectationIdentity:
     def test_discrete_record_is_exact(self, s3_table):
         rep = rs.build_named_rep("sn_permutation", s3_table)
         _, m = rs.exact_discrete_overlap(rs.discrete_measure(np.eye(3)[:2], [0.25, 0.75]))
-        chk = rs.expectation_identity_check(m, rs.fixed_projector(rep))
+        proj = rs.fixed_projector(rs.commutant_basis(rep).constraints)
+        chk = rs.expectation_identity_check(m, proj)
         np.testing.assert_allclose(chk.mean_x, [0.25, 0.75, 0.0], atol=1e-15)
         assert chk.exact and chk.residual_band == chk.mean_norm_band == 0.0
         assert chk.residual == pytest.approx(np.linalg.norm([-1 / 12, 5 / 12, -1 / 3]))
@@ -519,7 +521,8 @@ class TestExpectationIdentity:
     def test_monte_carlo_path_on_continuous_group(self, so3_tss):
         spec = rs.orbit_measure(random_unit(rs.stream(18), 5))
         m = rs.coordinate_second_moments(rs.make_sampler(spec, so3_tss), 20_000, seed=19)
-        chk = rs.expectation_identity_check(m, rs.fixed_projector(so3_tss, rs.stream(19, 999)))
+        proj = rs.fixed_projector(rs.commutant_basis(so3_tss, rng=rs.stream(19, 999)).constraints)
+        chk = rs.expectation_identity_check(m, proj)
         assert not chk.exact
         assert chk.residual <= chk.residual_band
         assert chk.mean_norm <= chk.mean_norm_band
@@ -527,7 +530,8 @@ class TestExpectationIdentity:
     def test_monte_carlo_path_on_finite_group_sphere(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         m = rs.coordinate_second_moments(rs.make_sampler(rs.uniform_sphere(), rep), 20_000, seed=20)
-        chk = rs.expectation_identity_check(m, rs.fixed_projector(rep))
+        proj = rs.fixed_projector(rs.commutant_basis(rep).constraints)
+        chk = rs.expectation_identity_check(m, proj)
         assert chk.residual <= chk.residual_band
 
     @pytest.mark.parametrize("case", ["s4_sphere", "so3_orbit"])
@@ -536,7 +540,7 @@ class TestExpectationIdentity:
             rep, spec, workers = rs.build_named_rep("sn_permutation", s4_table), rs.uniform_sphere(), 2
         else:  # P = 0
             rep, spec, workers = so3_tss, rs.orbit_measure(random_unit(rs.stream(25), 5)), 1
-        proj = rs.fixed_projector(rep, rs.stream(26))
+        proj = rs.fixed_projector(rs.commutant_basis(rep, rng=rs.stream(26)).constraints)
         sampler = rs.make_sampler(spec, rep)
         m = rs.coordinate_second_moments(sampler, 30_001, seed=27, workers=workers)
         chk = rs.expectation_identity_check(m, proj)

@@ -10,7 +10,6 @@ import pytest
 
 import repspect as rs
 from repspect.cli import main as cli_main
-from repspect.commutant import START_SAMPLES
 from repspect.errors import BadParams, ParseError, UnknownName, ValidationError, VerdictConflict
 from repspect.groups import orthogonality_defect
 from repspect.moments import MomentEstimate
@@ -42,6 +41,16 @@ class TestParseConfig:
         assert cfg.seed == 0
         assert cfg.format == "json"
         assert [m.kind for m in cfg.measures] == ["uniform_sphere"]
+
+    def test_a_path_is_read_and_a_str_is_json_text(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(minimal_config(seed=5))
+        assert rs.parse_config(path) == rs.parse_config(minimal_config(seed=5))
+        with pytest.raises(ParseError, match="not valid JSON"):
+            rs.parse_config(str(path))
+        missing = tmp_path / "missing.json"
+        with pytest.raises(ParseError, match=re.escape(f"cannot read config '{missing}'")):
+            rs.parse_config(missing)
 
     def test_parse_error_reports_position(self):
         with pytest.raises(ParseError, match=r"line 1"):
@@ -239,6 +248,31 @@ def test_validation_accepts_what_construction_accepts(name, group_label):
 
 
 class TestRunAnalysis:
+    @pytest.mark.parametrize("seed", [53294, 66312, 99868, 157098])
+    def test_orthogonal_2_is_real_type_at_seeds_drawing_only_rotations(self, seed):
+        cfg = rs.parse_config(json.dumps({
+            "group": {"kind": "orthogonal", "n": 2},
+            "representation": {"name": "defining_orthogonal"},
+            "measures": [{"kind": "uniform_sphere"}],
+            "samples": 2000,
+            "seed": seed,
+        }))
+        verdict = rs.run_analysis(cfg).verdict
+        assert (verdict.irreducible, verdict.type, verdict.commutant_dim) == (True, "R", 1)
+
+    def test_fixed_projector_takes_the_configured_cutoff(self, monkeypatch):
+        calls = []
+
+        def recording(constraints, rel_threshold):
+            calls.append(rel_threshold)
+            return rs.fixed_projector(constraints, rel_threshold)
+
+        monkeypatch.setattr("repspect.report.fixed_projector", recording)
+        rs.run_analysis(rs.parse_config(minimal_config(
+            samples=2000, tolerances={"nullspace_rel": 1e-9}
+        )))
+        assert calls == [1e-9]
+
     def test_sum_zero_with_orbit_measure(self):
         cfg = rs.parse_config(json.dumps({
             "group": {"kind": "symmetric", "n": 4},
@@ -499,7 +533,7 @@ class TestRunAnalysis:
     def test_sampled_measure_draws_overlap_and_moment_streams_only(self, monkeypatch):
         # Per sampled measure: x and y for the overlap, one stream for its
         # moment record (coordinate moments and expectation check), and no
-        # more; P takes START_SAMPLES draws once per analysis.
+        # more; P reads the commutant's constraint images and draws nothing.
         draws = {"moments": 0, "commutant": 0}
 
         def counting(module):
@@ -520,7 +554,7 @@ class TestRunAnalysis:
         report = rs.run_analysis(cfg)
         assert report.identities["expectation"][0]["exact"] is False
         assert draws["moments"] == 3 * 3000
-        assert draws["commutant"] == len(report.commutant.constraints) + START_SAMPLES
+        assert draws["commutant"] == len(report.commutant.constraints)
 
 
 class TestEmission:
