@@ -333,7 +333,8 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
     ``MatrixIndex`` (three buckets of a fixed projection hold every stored
     element within tol, see its docstring), so closure costs about O(|G| k)
     comparisons for k generators.  The dictionary or index stays on the
-    table for ``indices_of``.  Raises ClosureOverflow when more than ``cap``
+    table for ``indices_of``; a closed-form table builds its index on the
+    first lookup.  Raises ClosureOverflow when more than ``cap``
     distinct elements appear, or when a matrix product's projection is not
     finite (an entry overflowed or is NaN), which no element of a finite
     group has.
@@ -411,7 +412,6 @@ def _plane_group_table(spec: GroupSpec, cap: int) -> FiniteGroupTable:
         generator=np.array(generator, dtype=np.intp),
         generators=np.array([position[label] for label in generator_labels], dtype=np.intp),
         spec=spec,
-        _index=MatrixIndex.of(payload),
     )
 
 

@@ -21,11 +21,10 @@ check E(x) = E(P x) reads that one moment record and draws nothing.
 
 Monte Carlo estimates are a deterministic function of (seed, worker
 count, sample count): sampling is partitioned into per-worker substreams
-and reduced in a fixed order.  The overlap estimators draw
-``ORBIT_BLOCK_FLOATS // dim`` vectors at a time, successive draws
-continuing each substream, and orbit samples of a continuous group are
-the representation's ``orbit`` points of Haar payloads drawn one block at
-a time, so memory stays bounded whatever the sample count.
+and reduced in a fixed order.  Every estimator draws ``_sample_blocks``
+of about 1.6 MB, successive blocks continuing each substream, so memory
+stays bounded whatever the sample count.  The x and y blocks that give
+the overlaps ``<x,y>^2`` also give the measure's moment record.
 """
 
 from __future__ import annotations
@@ -50,12 +49,10 @@ from .representations import Representation, _check_unit
 PROB_SUM_TOL = 1e-12
 DISCRETE_POINT_TOL = 1e-8  # see check_discrete_invariance
 DISCRETE_PROB_TOL = 1e-10
-# Floats per block of draws (~1.6 MB).  The overlap estimators draw
-# ORBIT_BLOCK_FLOATS // dim vectors at a time; a
-# continuous orbit sampler draws ORBIT_BLOCK_FLOATS // max(n, dim)^2
-# payloads at a time, 8192 for SO(3) on dim 5, so its payloads, and the
-# images that the default ``orbit`` builds from them, stay at that size
-# whatever the sample count or dimension.
+# Floats per block of draws (~1.6 MB): a sampler's ``block`` is
+# ORBIT_BLOCK_FLOATS // dim vectors, or for a continuous orbit
+# ORBIT_BLOCK_FLOATS // max(n, dim)^2 payloads (8192 for SO(3) on dim 5),
+# so its payloads and the images the default ``orbit`` builds stay that size.
 ORBIT_BLOCK_FLOATS = 8192 * 25
 FACTORIAL_GUARD = 8
 
@@ -140,10 +137,12 @@ def discrete_measure(points, probs) -> MeasureSpec:
 # ---------------------------------------------------------------------------
 
 class VectorSampler:
-    """Stateless batch sampler of unit vectors for one measure."""
+    """Stateless batch sampler of unit vectors for one measure; the
+    estimators draw ``block`` rows at a time and may overwrite them."""
 
     def __init__(self, dim: int):
         self.dim = dim
+        self.block = max(1, ORBIT_BLOCK_FLOATS // dim)
 
     def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
         raise NotImplementedError
@@ -178,16 +177,7 @@ class _ContinuousOrbitSampler(VectorSampler):
         self.block = max(1, ORBIT_BLOCK_FLOATS // max(rep.group.n, rep.dim) ** 2)
 
     def sample(self, rng, count):
-        # One block of draws at a time: successive standard_normal calls
-        # continue the stream, so the draws equal those of one whole stack
-        # (barring a re-drawn singular draw, which has probability zero).
-        out = np.empty((count, self.dim))
-        for start in range(0, count, self.block):
-            size = min(self.block, count - start)
-            out[start:start + size] = self.rep.orbit(
-                haar_matrices(self.rep.group, rng, size), self.base
-            )
-        return out
+        return self.rep.orbit(haar_matrices(self.rep.group, rng, count), self.base)
 
 
 def make_sampler(spec: MeasureSpec, rep: Representation) -> VectorSampler:
@@ -242,15 +232,42 @@ def _chunk_sizes(n: int, workers: int) -> list[int]:
 
 
 def _sample_blocks(sampler: VectorSampler, rng: np.random.Generator, size: int):
-    """``size`` draws from rng, ``ORBIT_BLOCK_FLOATS // dim`` rows at a time.
+    """``size`` draws from rng, ``sampler.block`` rows at a time.
 
     Every sampler draws row by row and successive draws continue the
     stream, so the blocks stack to the draws of one
-    ``sampler.sample(rng, size)`` call.
+    ``sampler.sample(rng, size)`` call (barring a re-drawn singular Haar
+    draw, which has probability zero).
     """
-    block = max(1, ORBIT_BLOCK_FLOATS // sampler.dim)
-    for start in range(0, size, block):
-        yield sampler.sample(rng, min(block, size - start))
+    for start in range(0, size, sampler.block):
+        yield sampler.sample(rng, min(sampler.block, size - start))
+
+
+class _MomentSums:
+    """Running sums of x x^T, (x*x)^T (x*x) and x over blocks of draws:
+    two GEMMs per block and O(n^2) memory."""
+
+    def __init__(self, dim: int):
+        self.count = 0
+        self.outer = np.zeros((dim, dim))
+        self.outer_sq = np.zeros((dim, dim))
+        self.total = np.zeros(dim)
+
+    def add(self, x: np.ndarray) -> None:
+        """Add a block of draws, squaring it in place."""
+        self.count += len(x)
+        self.outer += x.T @ x
+        self.total += x.sum(axis=0)
+        x *= x
+        self.outer_sq += x.T @ x
+
+    def record(self) -> SecondMomentMatrix:
+        n = self.count
+        mean = self.outer / n
+        var = np.maximum(self.outer_sq - n * mean**2, 0.0) / (n - 1)
+        return SecondMomentMatrix(
+            entries=mean, n_samples=n, exact=False, stderr=np.sqrt(var / n), mean=self.total / n
+        )
 
 
 def squared_overlap_values(
@@ -258,19 +275,25 @@ def squared_overlap_values(
     n_pairs: int,
     seed=0,
     workers: int = 1,
-) -> np.ndarray:
-    """The n_pairs values <x_i, y_i>^2, in deterministic stream order.
+) -> tuple[np.ndarray, SecondMomentMatrix]:
+    """The n_pairs values <x_i, y_i>^2, in deterministic stream order, and
+    the moment record of the 2 n_pairs draws x_i, y_i.
 
     x and y come from independent substreams, one pair of substreams per
     worker chunk, drawn block by block; the concatenation order is fixed
-    by the worker index.
+    by the worker index.  Each block gives its overlaps before it is added
+    to the record.
     """
+    sums = _MomentSums(sampler.dim)
     out = []
     for w, size in enumerate(_chunk_sizes(n_pairs, workers)):
         xs = _sample_blocks(sampler, stream(seed, w, 0), size)
         ys = _sample_blocks(sampler, stream(seed, w, 1), size)
-        out.extend(np.einsum("ki,ki->k", x, y) ** 2 for x, y in zip(xs, ys))
-    return np.concatenate(out)
+        for x, y in zip(xs, ys):
+            out.append(np.einsum("ki,ki->k", x, y) ** 2)
+            sums.add(x)
+            sums.add(y)
+    return np.concatenate(out), sums.record()
 
 
 def estimate_squared_overlap(
@@ -278,9 +301,11 @@ def estimate_squared_overlap(
     n_pairs: int,
     seed=0,
     workers: int = 1,
-) -> MomentEstimate:
-    """Mean of <x,y>^2 over independent pairs, with its standard error."""
-    return _overlap_estimate(squared_overlap_values(sampler, n_pairs, seed, workers))
+) -> tuple[MomentEstimate, SecondMomentMatrix]:
+    """Mean of <x,y>^2 over independent pairs, with its standard error, and
+    the moment record of the same draws (``squared_overlap_values``)."""
+    vals, record = squared_overlap_values(sampler, n_pairs, seed, workers)
+    return _overlap_estimate(vals), record
 
 
 def _overlap_estimate(vals: np.ndarray) -> MomentEstimate:
@@ -298,14 +323,14 @@ def overlap_convergence_trace(
     n_pairs: int,
     seed=0,
     workers: int = 1,
-) -> tuple[MomentEstimate, list[tuple[int, float, float]]]:
-    """The estimate of ``estimate_squared_overlap`` and its running
-    (n, estimate, stderr) at powers of two, ending at n_pairs.
+) -> tuple[MomentEstimate, SecondMomentMatrix, list[tuple[int, float, float]]]:
+    """The estimate and record of ``estimate_squared_overlap`` and its
+    running (n, estimate, stderr) at powers of two, ending at n_pairs.
 
-    Both come from one draw, so the estimate is bit-identical to
-    ``estimate_squared_overlap`` with the same arguments.
+    All three come from one draw, so the estimate and record are
+    bit-identical to ``estimate_squared_overlap`` with the same arguments.
     """
-    vals = squared_overlap_values(sampler, n_pairs, seed, workers)
+    vals, record = squared_overlap_values(sampler, n_pairs, seed, workers)
     checkpoints = []
     k = 2
     while k < n_pairs:
@@ -319,7 +344,7 @@ def overlap_convergence_trace(
         mean = cum[k - 1] / k
         var = max(cum2[k - 1] - k * mean**2, 0.0) / (k - 1)
         rows.append((k, float(mean), float(math.sqrt(var / k))))
-    return _overlap_estimate(vals), rows
+    return _overlap_estimate(vals), record, rows
 
 
 def coordinate_second_moments(
@@ -327,38 +352,15 @@ def coordinate_second_moments(
     n_samples: int,
     seed=0,
     workers: int = 1,
-    block: int = 65536,
 ) -> SecondMomentMatrix:
-    """Monte Carlo mean of x x^T with per-entry standard errors, and of x.
-
-    Each block of ``block`` samples adds x^T x and (x*x)^T (x*x) to the
-    running sums, two GEMMs with O(block n + n^2) memory, and its column
-    sums to the running sum of x.
-    """
-    n = sampler.dim
-    total = np.zeros((n, n))
-    total_sq = np.zeros((n, n))
-    total_x = np.zeros(n)
+    """Monte Carlo mean of x x^T with per-entry standard errors, and of x,
+    over one stream of n_samples draws per worker chunk, drawn and summed
+    block by block as in ``squared_overlap_values``."""
+    sums = _MomentSums(sampler.dim)
     for w, size in enumerate(_chunk_sizes(n_samples, workers)):
-        rng = stream(seed, w)
-        done = 0
-        while done < size:
-            take = min(block, size - done)
-            x = sampler.sample(rng, take)
-            x2 = x * x
-            total += x.T @ x
-            total_sq += x2.T @ x2
-            total_x += x.sum(axis=0)
-            done += take
-    mean = total / n_samples
-    var = np.maximum(total_sq - n_samples * mean**2, 0.0) / (n_samples - 1)
-    return SecondMomentMatrix(
-        entries=mean,
-        n_samples=n_samples,
-        exact=False,
-        stderr=np.sqrt(var / n_samples),
-        mean=total_x / n_samples,
-    )
+        for x in _sample_blocks(sampler, stream(seed, w), size):
+            sums.add(x)
+    return sums.record()
 
 
 # ---------------------------------------------------------------------------

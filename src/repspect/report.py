@@ -7,9 +7,10 @@ that apply, estimates the squared-overlap moment for every configured
 measure, and cross-checks the algebraic verdict against the moment
 statistics.  A measure with a finite law (discrete, or an orbit of a
 finite group) gets an exact moment record, M = E[x x^T] and E[x], which
-also gives its overlap |M|_F^2 and lower-bound gap; the others sample
-theirs.  That record gives the coordinate-moment summary and the
-expectation check E(x) = E(P x), P computed once per analysis.
+also gives its overlap |M|_F^2 and lower-bound gap; the others take
+theirs from the x and y draws of their overlap estimate, one sampling
+pass per measure.  That record gives the coordinate-moment summary and
+the expectation check E(x) = E(P x), P computed once per analysis.
 Reports are a pure function of (config, seed): repeated runs produce
 byte-identical output.
 """
@@ -62,7 +63,7 @@ from .moments import (
     MeasureSpec,
     MomentEstimate,
     check_discrete_invariance,
-    coordinate_second_moments,
+    coordinate_second_moments,  # not called here: perfbench's Tracer.install wraps it by this name
     discrete_measure,
     estimate_squared_overlap,
     exact_discrete_overlap,
@@ -440,10 +441,9 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     for i, spec in enumerate(cfg.measures):
         invariant_verified = None
         lower_bound_gap = None
-        exact_m = None  # E[x x^T] of a measure with a finite law
         if spec.kind == "discrete":
-            est, exact_m = exact_discrete_overlap(spec)
-            lower_bound_gap = lower_bound_check(exact_m).gap
+            est, m = exact_discrete_overlap(spec)
+            lower_bound_gap = lower_bound_check(m).gap
             if finite:
                 inv = check_discrete_invariance(spec, rep)
                 invariant_verified = inv.invariant
@@ -453,10 +453,10 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         elif spec.kind == "orbit" and finite:
             om = exact_finite_orbit_moments(rep, spec.base)
             est = MomentEstimate(value=om.double_sum, stderr=0.0, n_samples=om.order, exact=True)
-            exact_m = om.second_moment
+            m = om.second_moment
             # Images are accepted with |g^T g - I|_2 up to dim * ORTHOGONALITY_TOL,
             # so orbit points, and the trace of M, may miss unit norm by that much.
-            lower_bound_gap = lower_bound_check(exact_m, trace_tol=rep.dim * ORTHOGONALITY_TOL).gap
+            lower_bound_gap = lower_bound_check(m, trace_tol=rep.dim * ORTHOGONALITY_TOL).gap
             identities["orbit_exact"].append({
                 "measure_index": i,
                 "order": om.order,
@@ -474,9 +474,9 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
             sampler = make_sampler(spec, rep)
             draw = (sampler, cfg.samples, substream(cfg.seed, 10, i, 0), cfg.workers)
             if cfg.trace_path is not None and trace_rows is None:
-                est, trace_rows = overlap_convergence_trace(*draw)
+                est, m, trace_rows = overlap_convergence_trace(*draw)
             else:
-                est = estimate_squared_overlap(*draw)
+                est, m = estimate_squared_overlap(*draw)
 
         band = tol.band_sigma * est.stderr + _slack(est.exact, rep.dim)
         eligible = spec.kind in ("orbit", "uniform_sphere") or invariant_verified is True
@@ -494,19 +494,14 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         ))
 
         if eligible or _subsphere_is_invariant(spec, cb):
-            m = exact_m
-            if m is None:
-                m = coordinate_second_moments(
-                    make_sampler(spec, rep), cfg.samples,
-                    seed=substream(cfg.seed, 10, i, 2), workers=cfg.workers,
-                )
             chk = expectation_identity_check(m, proj, band_sigma=tol.band_sigma)
+            slack = _slack(m.exact, rep.dim)
             identities["expectation"].append({
                 "measure_index": i,
                 "residual": chk.residual,
-                "residual_band": chk.residual_band,
+                "residual_band": chk.residual_band + slack,
                 "mean_norm": chk.mean_norm,
-                "mean_norm_band": chk.mean_norm_band,
+                "mean_norm_band": chk.mean_norm_band + slack,
                 "exact": chk.exact,
             })
             identities["coordinate_moments"].append(

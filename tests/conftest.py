@@ -209,6 +209,27 @@ def brute_squared_overlap_values(sampler, n_pairs, seed=0, workers=1):
     return np.concatenate(out)
 
 
+def brute_sampled_record(sampler, n_pairs, seed=0, workers=1):
+    """Independent oracle: the moment record of the overlap draws, with each
+    worker chunk's x and y drawn whole, one ``sample`` call per substream.
+
+    Returns (E[x x^T], its per-entry standard errors, E[x]) over all
+    2 n_pairs draws; each column of standard errors is the two-pass
+    ``std(ddof=1)`` of the products x_i x_j, one column at a time.
+    """
+    base, rem = divmod(n_pairs, workers)
+    z = np.concatenate([
+        sampler.sample(rs.stream(seed, w, side), base + (w < rem))
+        for w in range(workers)
+        for side in (0, 1)
+    ])
+    count = len(z)
+    stderr = np.stack(
+        [(z[:, [j]] * z).std(axis=0, ddof=1) for j in range(z.shape[1])], axis=1
+    ) / np.sqrt(count)
+    return z.T @ z / count, stderr, z.mean(axis=0)
+
+
 def brute_ts_conjugation(rots):
     """Independent oracle: images of rotations acting by conjugation on the
     traceless symmetric 3x3 matrices, in the orthonormal basis B.

@@ -109,7 +109,7 @@ def test_criterion_04_monte_carlo_sphere_and_orbit_moments():
             rep = rs.build_named_rep("defining_orthogonal", fam)
             sampler = rs.make_sampler(rs.uniform_sphere(), rep)
             start = time.monotonic()
-            est = rs.estimate_squared_overlap(sampler, n_pairs, seed=rs.substream(400, n))
+            est, _ = rs.estimate_squared_overlap(sampler, n_pairs, seed=rs.substream(400, n))
             assert time.monotonic() - start <= 60.0
             assert abs(est.value - 1.0 / n) <= 4.0 * est.stderr, f"sphere R^{n}"
         fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
@@ -117,7 +117,7 @@ def test_criterion_04_monte_carlo_sphere_and_orbit_moments():
         for tag, base in (("axis", np.eye(5)[4]), ("generic", random_unit(rs.stream(401), 5))):
             sampler = rs.make_sampler(rs.orbit_measure(base), rep)
             start = time.monotonic()
-            est = rs.estimate_squared_overlap(sampler, n_pairs, seed=rs.substream(402, hash(tag) % 100))
+            est, _ = rs.estimate_squared_overlap(sampler, n_pairs, seed=rs.substream(402, hash(tag) % 100))
             assert time.monotonic() - start <= 60.0
             assert abs(est.value - 0.2) <= 4.0 * est.stderr, tag
 
@@ -127,14 +127,14 @@ def test_criterion_05_invariant_subsphere_pushes_the_moment_up():
         for n in range(3, 6):
             rep = rs.build_named_rep("sn_permutation", symmetric_table(n))
             diag = np.ones((n, 1)) / np.sqrt(n)
-            est = rs.estimate_squared_overlap(
+            est, _ = rs.estimate_squared_overlap(
                 rs.make_sampler(rs.uniform_subsphere(diag), rep), 20_000,
                 seed=rs.substream(500, n),
             )
             assert abs(est.value - 1.0) <= 1e-12
             assert est.value > 1.0 / n
             zero_sum = rs.sum_zero_basis(n).T
-            est2 = rs.estimate_squared_overlap(
+            est2, _ = rs.estimate_squared_overlap(
                 rs.make_sampler(rs.uniform_subsphere(zero_sum), rep), 200_000,
                 seed=rs.substream(501, n),
             )

@@ -248,8 +248,9 @@ class TestMatrixClosure:
         assert peak < 8 * 2**20
 
     def test_closed_matrix_table_retains_no_element_copies(self):
-        # The index compares against the payload rows once the closure is
-        # done; per-element copies would add ~1 MiB on dihedral(3000).
+        # The closed-form table builds its index on the first lookup, and
+        # that index compares against the payload rows; per-element copies
+        # would add ~1 MiB on dihedral(3000).
         spec = rs.GroupSpec(kind="dihedral", n=3000)
         tracemalloc.start()
         try:
@@ -257,9 +258,10 @@ class TestMatrixClosure:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert table._index.matrices is table.payload
+        assert table._index is None
         assert retained < 1.6 * 2**20
         assert np.array_equal(table.indices_of(table.payload[::-7]), np.arange(6000)[::-7])
+        assert table._index.matrices is table.payload
 
     def test_bfs_closed_matrix_table_retains_no_element_copies(self):
         # The same contract on the matrix BFS, which `matrix_generators` takes.

@@ -16,13 +16,14 @@ from repspect.errors import (
     TraceNotOne,
 )
 
-from repspect.moments import VectorSampler, squared_overlap_values
+from repspect.moments import VectorSampler, _sample_blocks, squared_overlap_values
 
 from conftest import (
     brute_discrete_invariance,
     brute_haar_matrices,
     brute_orbit_second_moment,
     brute_pair_average,
+    brute_sampled_record,
     brute_squared_overlap_values,
     cyclic_table,
     random_unit,
@@ -108,7 +109,9 @@ class TestSamplers:
         # all draws, and within rounding of its image stack times the base.
         base = rs.sum_zero_basis(5)[0]
         sampler = rs.make_sampler(rs.orbit_measure(base), so3_tss)
-        pts, peak = traced_peak(lambda: sampler.sample(rs.stream(5), 50_000))
+        pts, peak = traced_peak(
+            lambda: np.concatenate(list(_sample_blocks(sampler, rs.stream(5), 50_000)))
+        )
         whole = rs.haar_matrices(so3_tss.group, rs.stream(5), 50_000)
         np.testing.assert_array_equal(pts, so3_tss.orbit(whole, base))
         images = so3_tss.stack_map(whole)
@@ -118,16 +121,24 @@ class TestSamplers:
         assert peak < 16 * 2**20
 
     def test_continuous_orbit_sampler_draws_in_blocks(self):
-        # O(8) payloads are drawn a block at a time: the whole 100,000-draw
-        # payload stack alone would be 51 MB.
+        # The estimators draw O(8) payloads a block at a time: the whole
+        # 100,000-draw payload stack alone would be 51 MB.
         fam = rs.ContinuousFamily(kind="orthogonal", n=8)
         rep = rs.build_named_rep("defining_orthogonal", fam)
         base = np.full(8, 1.0 / np.sqrt(8.0))
         sampler = rs.make_sampler(rs.orbit_measure(base), rep)
-        pts, peak = traced_peak(lambda: sampler.sample(rs.stream(5), 100_000))
+        whole = np.einsum("kij,j->ki", brute_haar_matrices(fam, rs.stream(5), 100_000), base)
+
+        def drawn_rows():
+            start = 0
+            for pts in _sample_blocks(sampler, rs.stream(5), 100_000):
+                np.testing.assert_array_equal(pts, whole[start:start + len(pts)])
+                start += len(pts)
+            return start
+
+        rows, peak = traced_peak(drawn_rows)
+        assert rows == 100_000
         assert peak < 16 * 2**20
-        whole = brute_haar_matrices(fam, rs.stream(5), 100_000)
-        np.testing.assert_array_equal(pts, np.einsum("kij,j->ki", whole, base))
 
     def test_dimension_mismatch_rejected(self, c4_rotation, so3_tss):
         with pytest.raises(BadMeasureSpec, match="orbit base has shape"):
@@ -161,7 +172,7 @@ class TestEstimateSquaredOverlap:
     def test_uniform_sphere_r3(self):
         fam = rs.ContinuousFamily(kind="orthogonal", n=3)
         rep = rs.build_named_rep("defining_orthogonal", fam)
-        est = rs.estimate_squared_overlap(
+        est, _ = rs.estimate_squared_overlap(
             rs.make_sampler(rs.uniform_sphere(), rep), 200_000, seed=5
         )
         assert abs(est.value - 1.0 / 3.0) <= 4.0 * est.stderr
@@ -169,18 +180,19 @@ class TestEstimateSquaredOverlap:
 
     def test_orbit_of_five_dimensional_conjugation_action(self, so3_tss):
         spec = rs.orbit_measure(random_unit(rs.stream(6), 5))
-        est = rs.estimate_squared_overlap(rs.make_sampler(spec, so3_tss), 200_000, seed=7)
+        est, _ = rs.estimate_squared_overlap(rs.make_sampler(spec, so3_tss), 200_000, seed=7)
         assert abs(est.value - 0.2) <= 4.0 * est.stderr
 
     def test_antipodal_two_point_measure(self):
         w = np.ones(3) / np.sqrt(3.0)
-        est = rs.estimate_squared_overlap(FiniteLawSampler([w, -w], [0.5, 0.5]), 10_000, seed=8)
+        est, _ = rs.estimate_squared_overlap(FiniteLawSampler([w, -w], [0.5, 0.5]), 10_000, seed=8)
         exact, _ = rs.exact_discrete_overlap(rs.discrete_measure([w, -w], [0.5, 0.5]))
         assert abs(est.value - 1.0) <= 1e-12 and abs(exact.value - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("case", ["sphere_dim40", "subsphere", "so3_orbit"])
     def test_block_draws_match_whole_chunk_draws(self, so3_tss, case):
-        # Each case spans several blocks of ORBIT_BLOCK_FLOATS // dim rows.
+        # Each case spans several blocks of the sampler's rows; the record
+        # of the overlap's own x and y draws matches one of whole draws.
         if case == "sphere_dim40":
             fam = rs.ContinuousFamily(kind="orthogonal", n=40)
             sampler = rs.make_sampler(rs.uniform_sphere(), rs.build_named_rep("defining_orthogonal", fam))
@@ -193,9 +205,15 @@ class TestEstimateSquaredOverlap:
             spec = rs.orbit_measure(random_unit(rs.stream(22), 5))
             sampler = rs.make_sampler(spec, so3_tss)
             n_pairs, workers = 90_001, 1
-        vals = squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
+        assert n_pairs > 2 * sampler.block
+        vals, record = squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
         brute = brute_squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
         assert np.array_equal(vals, brute)
+        entries, stderr, mean = brute_sampled_record(sampler, n_pairs, seed=23, workers=workers)
+        assert record.n_samples == 2 * n_pairs and not record.exact
+        np.testing.assert_allclose(record.entries, entries, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.stderr, stderr, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.mean, mean, rtol=0, atol=1e-12)
 
     def test_dim_40_sampled_memory_is_one_block(self):
         # A whole (200_000, 40) chunk is 64 MB per side; blocks are ~1.6 MB.
@@ -208,14 +226,15 @@ class TestEstimateSquaredOverlap:
 
     def test_reproducible_given_seed_and_workers(self, so3_tss):
         sampler = rs.make_sampler(rs.uniform_sphere(), so3_tss)
-        a = rs.estimate_squared_overlap(sampler, 5000, seed=9, workers=3)
-        b = rs.estimate_squared_overlap(sampler, 5000, seed=9, workers=3)
+        a, ra = rs.estimate_squared_overlap(sampler, 5000, seed=9, workers=3)
+        b, rb = rs.estimate_squared_overlap(sampler, 5000, seed=9, workers=3)
         assert a == b
+        assert np.array_equal(ra.entries, rb.entries) and np.array_equal(ra.mean, rb.mean)
 
     def test_worker_count_changes_the_stream(self, so3_tss):
         sampler = rs.make_sampler(rs.uniform_sphere(), so3_tss)
-        a = rs.estimate_squared_overlap(sampler, 5000, seed=9, workers=1)
-        b = rs.estimate_squared_overlap(sampler, 5000, seed=9, workers=2)
+        a, _ = rs.estimate_squared_overlap(sampler, 5000, seed=9, workers=1)
+        b, _ = rs.estimate_squared_overlap(sampler, 5000, seed=9, workers=2)
         assert a.value != b.value
 
     @pytest.mark.parametrize("estimator", ["overlap", "coordinates"])
@@ -238,7 +257,7 @@ class TestEstimateSquaredOverlap:
         pr = rng.dirichlet(np.ones(5))
         pr = pr / pr.sum()
         exact, _ = rs.exact_discrete_overlap(rs.discrete_measure(pts, pr))
-        est = rs.estimate_squared_overlap(FiniteLawSampler(pts, pr), 100_000, seed=11)
+        est, _ = rs.estimate_squared_overlap(FiniteLawSampler(pts, pr), 100_000, seed=11)
         assert abs(est.value - exact.value) <= 4.0 * est.stderr
 
 
@@ -649,11 +668,12 @@ class TestDiscreteInvarianceOracle:
 class TestConvergenceTrace:
     def test_checkpoints_are_powers_of_two(self, so3_tss):
         sampler = rs.make_sampler(rs.uniform_sphere(), so3_tss)
-        traced, rows = rs.moments.overlap_convergence_trace(sampler, 5000, seed=21)
+        traced, traced_record, rows = rs.moments.overlap_convergence_trace(sampler, 5000, seed=21)
         ns = [r[0] for r in rows]
         assert ns == [2, 4, 8, 16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 5000]
         final_n, final_est, final_err = rows[-1]
-        est = rs.estimate_squared_overlap(sampler, 5000, seed=21)
+        est, record = rs.estimate_squared_overlap(sampler, 5000, seed=21)
         assert final_est == pytest.approx(est.value, abs=1e-15)
         assert final_err == pytest.approx(est.stderr, rel=1e-10)
         assert traced == est
+        assert np.array_equal(traced_record.entries, record.entries)

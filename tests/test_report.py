@@ -12,7 +12,7 @@ import repspect as rs
 from repspect.cli import main as cli_main
 from repspect.errors import BadParams, ParseError, UnknownName, ValidationError, VerdictConflict
 from repspect.groups import orthogonality_defect
-from repspect.moments import MomentEstimate
+from repspect.moments import MomentEstimate, SecondMomentMatrix
 from repspect.report import (
     Tolerances,
     _cross_check,
@@ -360,9 +360,9 @@ class TestRunAnalysis:
 
     def test_exact_measures_draw_no_coordinate_samples(self, monkeypatch):
         def no_sampling(*args, **kwargs):
-            raise AssertionError("exact measures must not sample coordinate moments")
+            raise AssertionError("exact measures must not reach a sampler")
 
-        monkeypatch.setattr("repspect.report.coordinate_second_moments", no_sampling)
+        monkeypatch.setattr("repspect.report.make_sampler", no_sampling)
         axes = np.eye(3).tolist()
         cfg = rs.parse_config(json.dumps({
             "group": {"kind": "symmetric", "n": 3},
@@ -379,6 +379,41 @@ class TestRunAnalysis:
         assert [e["measure_index"] for e in moments] == [0, 2]
         assert moments[1]["max_diagonal_deviation"] <= 1e-15
         assert moments[1]["diagonal_within_band"] and moments[1]["offdiagonal_within_band"]
+
+    @pytest.mark.parametrize("case", ["s7_discrete_and_orbit", "dihedral40_orbit", "s3_fixed_line"])
+    def test_expectation_residual_within_its_band(self, case):
+        # Exact records, and a sampled record whose draws are all +-v for a
+        # fixed v, leave a rounding-level residual |Q E[x]|: their bands
+        # carry the same slack as the coordinate-moment bands.
+        n = 40
+        doc = {
+            "s7_discrete_and_orbit": {
+                "group": {"kind": "symmetric", "n": 7},
+                "representation": {"name": "sn_permutation"},
+                "measures": [
+                    {"kind": "discrete", "points": np.eye(7)[[3, 0, 6, 1, 5, 2, 4]].tolist(),
+                     "probs": [1 / 7] * 7},
+                    {"kind": "orbit", "base": rs.stream(61).standard_normal(7).tolist()},
+                ],
+            },
+            "dihedral40_orbit": {
+                "group": {"kind": "permutation_generators",
+                          "generators": [[(i + 1) % n for i in range(n)], [(-i) % n for i in range(n)]]},
+                "representation": {"name": "sn_permutation"},
+                "measure": {"kind": "orbit", "base": rs.stream(62).standard_normal(n).tolist()},
+            },
+            "s3_fixed_line": {
+                "group": {"kind": "symmetric", "n": 3},
+                "representation": {"name": "sn_permutation"},
+                "measure": {"kind": "uniform_subsphere", "basis": [(np.ones(3) / np.sqrt(3.0)).tolist()]},
+            },
+        }[case]
+        report = rs.run_analysis(rs.parse_config(json.dumps(dict(doc, samples=2000, seed=1))))
+        entries = report.identities["expectation"]
+        assert len(entries) == len(report.measures)
+        for e in entries:
+            assert e["residual"] > 0.0
+            assert e["residual"] <= e["residual_band"] <= 1e-6
 
     @pytest.mark.parametrize("kind,n", [("dihedral", 3000), ("cyclic", 997)])
     def test_plane_group_orbit_moments_do_not_drift(self, kind, n):
@@ -531,9 +566,9 @@ class TestRunAnalysis:
 
 
     def test_sampled_measure_draws_overlap_and_moment_streams_only(self, monkeypatch):
-        # Per sampled measure: x and y for the overlap, one stream for its
-        # moment record (coordinate moments and expectation check), and no
-        # more; P reads the commutant's constraint images and draws nothing.
+        # Per sampled measure: x and y for the overlap, whose draws are also
+        # its moment record (coordinate moments and expectation check), and
+        # no more; P reads the commutant's constraint images and draws nothing.
         draws = {"moments": 0, "commutant": 0}
 
         def counting(module):
@@ -553,7 +588,7 @@ class TestRunAnalysis:
         }))
         report = rs.run_analysis(cfg)
         assert report.identities["expectation"][0]["exact"] is False
-        assert draws["moments"] == 3 * 3000
+        assert draws["moments"] == 2 * 3000
         assert draws["commutant"] == len(report.commutant.constraints)
 
 
@@ -699,7 +734,12 @@ class TestCli:
     def test_verdict_conflict_exit_two(self, tmp_path, capsys, monkeypatch):
         # force an inflated estimate on an invariant measure
         def fake_estimate(sampler, n_pairs, seed=0, workers=1):
-            return MomentEstimate(value=0.9, stderr=1e-6, n_samples=n_pairs, exact=False)
+            d = sampler.dim
+            record = SecondMomentMatrix(
+                entries=np.eye(d) / d, n_samples=2 * n_pairs, exact=False,
+                stderr=np.zeros((d, d)), mean=np.zeros(d),
+            )
+            return MomentEstimate(value=0.9, stderr=1e-6, n_samples=n_pairs, exact=False), record
 
         monkeypatch.setattr("repspect.report.estimate_squared_overlap", fake_estimate)
         path = self.write_config(tmp_path, {

@@ -87,13 +87,13 @@ def test_tracer_records_finite_law_and_sampled_spans(tmp_path):
         "moments.make_sampler",
         "moments.estimate_squared_overlap",
         "moments.overlap_convergence_trace",
-        "moments.coordinate_second_moments",
         "moments.expectation_identity_check",
         "groups.haar_matrices",
     } <= spans
     counts = out["counts"]
     assert counts["groups.order"] == 24
     assert counts["moments.pairs"] == 4000  # the S4 sphere and the SO(3) orbit
+    assert "moments.coordinate_second_moments" not in spans  # their records share those draws
     assert counts["commutant.constraint_images"] > 0
     assert counts["report.bytes"] > 0
     assert (tmp_path / "so3.csv").read_text().startswith("n_samples,estimate,stderr,reference")
