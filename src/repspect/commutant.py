@@ -68,6 +68,9 @@ RANGE_BUFFER_BYTES = 256 * 2**20
 # Table images are averaged in blocks whose products stay below this size,
 # so the average adds little to the pipeline's peak memory.
 REYNOLDS_BLOCK_BYTES = 2**20
+# A sampled round's (k n^2, n^2) constraint stack may take at most this
+# much: O(40) stabilizes at 16 images, a 328 MB stack.
+SAMPLED_STACK_BYTES = 512 * 2**20
 WITNESS_GAP_TOL = 1e-8
 WITNESS_RESIDUAL_TOL = 1e-6
 
@@ -244,7 +247,9 @@ def commutant_basis(
     commuting with them, over Haar-sampled images.  The batch is doubled
     (``START_SAMPLES``, twice that, ...) until the computed dimension
     agrees across two consecutive rounds; failure to stabilize by
-    ``MAX_SAMPLES`` raises NonStabilizedDimension.  On O(n) the first
+    ``MAX_SAMPLES`` raises NonStabilizedDimension, and a round whose
+    constraint stack would exceed ``SAMPLED_STACK_BYTES`` raises TooLarge
+    before its draws (the first round's before any).  On O(n) the first
     draw is made a reflection, since draws that all lie in SO(n) would
     give the commutant of SO(n).
     """
@@ -295,23 +300,27 @@ def _conjugation_fixed_rows(images: np.ndarray, rel_threshold: float):
 
 
 def _stabilized_sampled_nullspace(rep, rng, rel_threshold):
-    draws = haar_matrices(rep.group, rng, START_SAMPLES)
-    if rep.group.kind == "orthogonal":
-        draws[0, :, 0] *= -np.sign(np.linalg.det(draws[0]))
-    images = rep.stack_map(draws)
-    del draws
-    rows, threshold, ambiguous = _conjugation_fixed_rows(images, rel_threshold)
+    images = np.empty((0, rep.dim, rep.dim))
+    rows = None
     k = START_SAMPLES
-    while 2 * k <= MAX_SAMPLES:
-        extra = rep.stack_map(haar_matrices(rep.group, rng, k))
-        images = np.concatenate([images, extra], axis=0)
-        k *= 2
+    while k <= MAX_SAMPLES:
+        if k * rep.dim**4 * 8 > SAMPLED_STACK_BYTES:
+            raise TooLarge(
+                f"{k} sampled constraint images in degree {rep.dim} need a "
+                f"{k * rep.dim**4 * 8} byte stack, above the {SAMPLED_STACK_BYTES} byte budget"
+            )
+        draws = haar_matrices(rep.group, rng, k - len(images))
+        if not len(images) and rep.group.kind == "orthogonal":
+            draws[0, :, 0] *= -np.sign(np.linalg.det(draws[0]))
+        images = np.concatenate([images, rep.stack_map(draws)], axis=0)
+        del draws
         new_rows, threshold, ambiguous = _conjugation_fixed_rows(images, rel_threshold)
-        if len(new_rows) == len(rows):
+        if rows is not None and len(new_rows) == len(rows):
             return images, new_rows, threshold, ambiguous
         rows = new_rows
+        k *= 2
     raise NonStabilizedDimension(
-        f"commutant dimension still changing at {k} sampled constraints"
+        f"commutant dimension still changing at {len(images)} sampled constraints"
     )
 
 

@@ -12,11 +12,12 @@ is its table index and nothing more: products, inverses and uniform
 draws are array operations on payload rows (``a[b]`` or ``a @ b``,
 ``argsort`` or ``.T``, ``rng.integers(order)``).  Permutations are
 deduplicated by their bytes; matrices through a bucket index keyed by a
-fixed linear projection (``MatrixIndex``), so the closure and
-``indices_of`` compare each matrix with a handful of stored elements
-instead of the whole table.  Continuous families (the orthogonal and
-special orthogonal groups) are sampled directly from their invariant
-distribution.
+fixed, non-additive linear projection (``MatrixIndex``), so the closure
+and ``indices_of`` compare each matrix with a handful of stored elements
+instead of the whole table, monomial groups included.  The same index
+decides which support points of a discrete measure coincide.
+Continuous families (the orthogonal and special orthogonal groups) are
+sampled directly from their invariant distribution.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class FiniteGroupTable:
     generator: np.ndarray
     generators: np.ndarray
     spec: GroupSpec | None = None
-    _index: dict | MatrixIndex | None = field(default=None, repr=False)
+    _index: PermutationIndex | MatrixIndex | None = field(default=None, repr=False)
 
     @property
     def order(self) -> int:
@@ -114,8 +115,12 @@ class FiniteGroupTable:
         within ``MATRIX_DEDUP_TOL`` for matrices); KeyError if one is absent."""
         stack = np.asarray(stack, dtype=self.payload.dtype)
         if self._index is None:
-            self._index = _payload_index(self.payload)
-        found = _lookup(self._index, stack)
+            # The payload holds each element once, so each row is filed
+            # under its own position.
+            self._index = _payload_index(self.payload.shape[1:])
+            self._index.add_absent(self.payload)
+            self._index.rows = self.payload
+        found = self._index.lookup(stack)
         if None in found:
             raise KeyError(f"payload {found.index(None)} of the stack is not in the table")
         return np.array(found, dtype=np.intp)
@@ -147,18 +152,10 @@ def _row_keys(rows: np.ndarray) -> list[bytes]:
     return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel().tolist()
 
 
-def _payload_index(payload: np.ndarray) -> dict | MatrixIndex:
-    if payload.ndim == 2:
-        return {key: i for i, key in enumerate(_row_keys(payload))}
-    return MatrixIndex.of(payload)
-
-
-def _lookup(index: dict | MatrixIndex, stack: np.ndarray) -> list[int | None]:
-    if isinstance(index, MatrixIndex):
-        return index.lookup(stack)
-    if stack.ndim != 2:
-        return [None] * len(stack)
-    return [index.get(key) for key in _row_keys(stack)]
+def _payload_index(shape: tuple[int, ...]) -> PermutationIndex | MatrixIndex:
+    """An empty index of payload rows: exact for permutation images,
+    within ``MATRIX_DEDUP_TOL`` for matrices."""
+    return PermutationIndex(shape) if len(shape) == 1 else MatrixIndex(shape, MATRIX_DEDUP_TOL)
 
 
 def golden_weights(count: int) -> np.ndarray:
@@ -167,65 +164,120 @@ def golden_weights(count: int) -> np.ndarray:
     return 1.0 + np.modf(np.arange(1, count + 1) * 0.6180339887498949)[0]
 
 
-class MatrixIndex:
-    """Bucket index of matrices for dedup at ``MATRIX_DEDUP_TOL``.
+def index_weights(count: int) -> np.ndarray:
+    """The ``MatrixIndex`` direction t^k, t = e^(1/count), k = 0..count-1:
+    distinct weights in [1, e).  Powers of the transcendental t have no
+    integer relation, so distinct integer matrices (signed permutations)
+    never share a projection; ``golden_weights`` are additive mod 1 and
+    crowd a monomial group into a few buckets."""
+    return np.exp(np.arange(count) / count)
 
-    A matrix m is filed under ``floor(<w, vec(m)> / cell)``, where ``w`` is
-    a fixed direction with positive weights and ``cell = 2 * tol * |w|_1``.
+
+class PermutationIndex:
+    """Exact index of permutation images by their bytes, with the two
+    operations of ``MatrixIndex``."""
+
+    def __init__(self, shape: tuple[int, ...]):
+        self.shape = tuple(shape)
+        self.positions: dict[bytes, int] = {}
+        self.rows: np.ndarray | None = None  # the table's payload, once it has one
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+    def lookup(self, stack: np.ndarray) -> list[int | None]:
+        """Stored position of each row of a stack, or None."""
+        if stack.shape[1:] != self.shape:
+            return [None] * len(stack)
+        return [self.positions.get(key) for key in _row_keys(stack)]
+
+    def add_absent(self, stack: np.ndarray, cap: float = math.inf) -> np.ndarray:
+        """Store the rows of a stack that are new, also against rows earlier
+        in the stack; returns their positions in the stack.  Storing more
+        than ``cap`` rows in all raises ClosureOverflow."""
+        positions, new = self.positions, []
+        for pos, key in enumerate(_row_keys(stack)):
+            if key not in positions:
+                if len(positions) >= cap:
+                    raise ClosureOverflow(f"closure exceeds cap={cap}")
+                positions[key] = len(positions)
+                new.append(pos)
+        return np.array(new, dtype=np.intp)
+
+
+class MatrixIndex:
+    """Bucket index of float rows of one shape, equal within ``tol``.
+
+    It decides when two group elements (``MATRIX_DEDUP_TOL``) or two
+    discrete support points (``moments.DISCRETE_POINT_TOL``) coincide:
+    rows a and b of any shape match when max|a - b| < tol.  A row r is
+    filed under ``floor(<w, vec(r)> / cell)``, where ``w`` is the fixed
+    direction ``index_weights`` and ``cell = 2 * tol * |w|_1``.
     Completeness: if max|a - b| < tol then
     |<w, vec(a)> - <w, vec(b)>| <= |w|_1 * max|a - b| < cell / 2, so the
-    keys of a and b differ by at most one, and every stored element within
+    keys of a and b differ by at most one, and every stored row within
     tol of a query lies in the query's bucket or one of its two
     neighbours.  The other half-cell absorbs the rounding of the two
     projections, which stays far below tol * |w|_1 while
-    n^2 * max|m| * 2^-52 << tol (orthogonal matrices of any practical n).
-    The buckets only prune which elements are compared: the test itself
-    stays max-abs < tol against a stored matrix.
+    size * max|r| * 2^-52 << tol, size being the number of entries:
+    orthogonal n x n matrices of any practical n, and unit vectors
+    (max|r| <= 1) of any dimension below about 10^6.  The buckets only
+    prune which rows are compared: the test itself stays max-abs < tol
+    against a stored row.
     """
 
-    def __init__(self, n: int):
-        self.weights = golden_weights(n * n)
-        self.cell = 2.0 * MATRIX_DEDUP_TOL * float(self.weights.sum())
-        self.shape = (n, n)
-        # A list while the closure adds elements, then the table's payload.
-        self.matrices: list[np.ndarray] | np.ndarray = []
+    def __init__(self, shape: tuple[int, ...], tol: float):
+        self.shape = tuple(shape)
+        self.tol = tol
+        self.weights = index_weights(math.prod(self.shape))
+        self.cell = 2.0 * tol * float(self.weights.sum())
+        # A list of row copies while rows are added, then the table's payload.
+        self.rows: list[np.ndarray] | np.ndarray = []
         self.buckets: dict[int, list[int]] = {}
 
-    @classmethod
-    def of(cls, matrices: np.ndarray) -> MatrixIndex:
-        """Index of a (k, n, n) stack, comparing against its rows."""
-        index = cls(matrices.shape[1])
-        for i, key in enumerate(index.keys(matrices)):
-            index.buckets.setdefault(key, []).append(i)
-        index.matrices = matrices
-        return index
+    def __len__(self) -> int:
+        return len(self.rows)
 
     def keys(self, stack: np.ndarray) -> list[int | None]:
-        """Bucket keys of a (k, n, n) stack; None where the projection is not finite."""
+        """Bucket keys of a stack; None where the projection is not finite."""
         with np.errstate(over="ignore", invalid="ignore"):
             q = (stack.reshape(len(stack), -1) @ self.weights) / self.cell
         return [math.floor(x) if math.isfinite(x) else None for x in q.tolist()]
 
     def lookup(self, stack: np.ndarray) -> list[int | None]:
-        """Smallest stored index within tol of each matrix of a stack, or None."""
+        """Smallest stored position within tol of each row of a stack, or None."""
         if stack.shape[1:] != self.shape:
             return [None] * len(stack)
-        keys = self.keys(stack)
-        return [None if key is None else self.find(m, key) for m, key in zip(stack, keys)]
-
-    def find(self, m: np.ndarray, key: int) -> int | None:
-        """``lookup`` for a matrix whose key is already known."""
-        hits = [
-            i
-            for k in (key - 1, key, key + 1)
-            for i in self.buckets.get(k, ())
-            if float(np.abs(self.matrices[i] - m).max()) < MATRIX_DEDUP_TOL
+        return [
+            None if key is None else self._find(row, key)
+            for row, key in zip(stack, self.keys(stack))
         ]
-        return min(hits) if hits else None
 
-    def add(self, m: np.ndarray, key: int) -> None:
-        self.buckets.setdefault(key, []).append(len(self.matrices))
-        self.matrices.append(m)
+    def add_absent(self, stack: np.ndarray, cap: float = math.inf) -> np.ndarray:
+        """Store the rows of a stack with no stored row within tol, also
+        against rows earlier in the stack; returns their positions in the
+        stack.  Storing more than ``cap`` rows in all, or a row whose
+        projection is not finite (an entry overflowed or is NaN, which no
+        element of a finite group has), raises ClosureOverflow."""
+        new = []
+        for pos, (row, key) in enumerate(zip(stack, self.keys(stack))):
+            if key is None:
+                raise ClosureOverflow(f"a row is not finite after {len(self.rows)} elements")
+            if self._find(row, key) is None:
+                if len(self.rows) >= cap:
+                    raise ClosureOverflow(f"closure exceeds cap={cap}")
+                self.buckets.setdefault(key, []).append(len(self.rows))
+                self.rows.append(row.copy())  # own its data rather than pin the stack
+                new.append(pos)
+        return np.array(new, dtype=np.intp)
+
+    def _find(self, row: np.ndarray, key: int) -> int | None:
+        found = None
+        for k in (key - 1, key, key + 1):
+            for i in self.buckets.get(k, ()):
+                if (found is None or i < found) and np.abs(self.rows[i] - row).max() < self.tol:
+                    found = i
+        return found
 
 
 GroupSource = FiniteGroupTable | ContinuousFamily
@@ -324,20 +376,21 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
     ``cyclic`` and ``dihedral`` tables are built in closed form
     (``_plane_group_table``): the same tree from integer labels, payloads
     from cos/sin(2*pi*k/n), and the order checked against ``cap`` up
-    front.  Every other group is closed level by level: each level
-    multiplies every frontier element by every generator, in
-    (element, generator) order, and keeps the products not seen before.
-    Permutation products are ``frontier[:, gen]``, deduplicated exactly by
-    their byte rows; matrix products are one batched product per generator,
-    deduplicated at entrywise distance below ``MATRIX_DEDUP_TOL`` through a
-    ``MatrixIndex`` (three buckets of a fixed projection hold every stored
-    element within tol, see its docstring), so closure costs about O(|G| k)
-    comparisons for k generators.  The dictionary or index stays on the
-    table for ``indices_of``; a closed-form table builds its index on the
-    first lookup.  Raises ClosureOverflow when more than ``cap``
-    distinct elements appear, or when a matrix product's projection is not
-    finite (an entry overflowed or is NaN), which no element of a finite
-    group has.
+    front.  Every other group is closed by one breadth-first loop: each
+    level multiplies every frontier element by every generator in one
+    batched product, in (element, generator) order, and the index's
+    ``add_absent`` keeps the products not seen before: exactly, by their
+    bytes, for permutations (``PermutationIndex``), and at entrywise
+    distance below ``MATRIX_DEDUP_TOL`` for matrices (``MatrixIndex``,
+    whose three buckets of a fixed projection hold every stored element
+    within tol).  Its direction spreads monomial groups (signed and plain
+    permutation matrices) over the buckets too, so closure costs about
+    O(|G| k) comparisons for k generators.  The index stays on the table
+    for ``indices_of``; a closed-form table builds its index on the first
+    lookup.  Raises ClosureOverflow when more than ``cap`` distinct
+    elements appear, or when a matrix product's projection is not finite
+    (an entry overflowed or is NaN), which no element of a finite group
+    has.
     """
     if cap < 1:
         raise BadParams("cap must be >= 1")
@@ -346,13 +399,12 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
     if spec.kind in ("cyclic", "dihedral"):
         return _plane_group_table(spec, cap)
     generators = canonical_generators(spec)
-    close = _close_permutations if generators.ndim == 2 else _close_matrices
-    payload, parent, generator, index = close(generators, cap)
+    payload, parent, generator, index = _close(generators, cap)
     return FiniteGroupTable(
         payload=payload,
         parent=parent,
         generator=generator,
-        generators=np.array(_lookup(index, generators), dtype=np.intp),
+        generators=np.array(index.lookup(generators), dtype=np.intp),
         spec=spec,
         _index=index,
     )
@@ -415,66 +467,29 @@ def _plane_group_table(spec: GroupSpec, cap: int) -> FiniteGroupTable:
     )
 
 
-def _close_permutations(generators: np.ndarray, cap: int):
-    k, degree = generators.shape
-    frontier = np.arange(degree, dtype=np.intp)[None]
-    seen = {_row_keys(frontier)[0]: 0}
+def _close(generators: np.ndarray, cap: int):
+    k, shape = len(generators), generators.shape[1:]
+    frontier = np.arange(shape[0])[None] if len(shape) == 1 else np.eye(shape[0])[None]
+    index = _payload_index(shape)
+    index.add_absent(frontier)
     levels, parents, generator_ids = [frontier], [np.array([-1])], [np.array([-1])]
     start = 0
     while len(frontier):
-        products = frontier[:, generators].reshape(-1, degree)  # row f*k + g is frontier[f] * gen g
-        new = []
-        for pos, key in enumerate(_row_keys(products)):
-            if key in seen:
-                continue
-            if len(seen) >= cap:
-                raise ClosureOverflow(f"closure exceeds cap={cap}")
-            seen[key] = len(seen)
-            new.append(pos)
-        new = np.array(new, dtype=np.intp)
+        # Row f*k + g is frontier[f] * generator g; one batched product per level.
+        if len(shape) == 1:
+            products = frontier[:, generators].reshape((-1,) + shape)
+        else:
+            products = (frontier[:, None] @ generators).reshape((-1,) + shape)
+        new = index.add_absent(products, cap)
         parents.append(start + new // k)
         generator_ids.append(new % k)
         start += len(frontier)
         frontier = products[new]
         levels.append(frontier)
-    return np.concatenate(levels), np.concatenate(parents), np.concatenate(generator_ids), seen
-
-
-def _close_matrices(generators: np.ndarray, cap: int):
-    n = generators.shape[1]
-    frontier = np.eye(n)[None]
-    index = MatrixIndex(n)
-    index.add(frontier[0], index.keys(frontier)[0])
-    parents, generator_ids = [-1], [-1]
-    start = 0
-    while len(frontier):
-        # One batched product and projection per generator and level; the
-        # batched matmul runs the same kernel per matrix as el @ gen.
-        products = [frontier @ gen for gen in generators]
-        keys = [index.keys(p) for p in products]
-        new = []
-        for f in range(len(frontier)):
-            for g in range(len(generators)):
-                prod, key = products[g][f], keys[g][f]
-                if key is None:  # an entry overflowed; no finite group has such an element
-                    raise ClosureOverflow(
-                        f"a product is not finite after {len(index.matrices)} elements"
-                    )
-                if index.find(prod, key) is not None:
-                    continue
-                if len(index.matrices) >= cap:
-                    raise ClosureOverflow(f"closure exceeds cap={cap}")
-                prod = prod.copy()  # own its data rather than pin the level's batch
-                index.add(prod, key)
-                new.append(prod)
-                parents.append(start + f)
-                generator_ids.append(g)
-        start += len(frontier)
-        frontier = np.array(new).reshape(-1, n, n)
-    # From here on the index compares against payload rows, and the
+    # From here on a matrix index compares against payload rows, and its
     # per-element copies are freed.
-    index.matrices = payload = np.stack(index.matrices)
-    return payload, np.array(parents, dtype=np.intp), np.array(generator_ids, dtype=np.intp), index
+    index.rows = payload = np.concatenate(levels)
+    return payload, np.concatenate(parents), np.concatenate(generator_ids), index
 
 
 # ---------------------------------------------------------------------------

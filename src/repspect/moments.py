@@ -43,7 +43,7 @@ from .errors import (
     TooLarge,
     TraceNotOne,
 )
-from .groups import ContinuousFamily, FiniteGroupTable, haar_matrices, stream
+from .groups import ContinuousFamily, FiniteGroupTable, MatrixIndex, haar_matrices, stream
 from .representations import Representation, _check_unit
 
 PROB_SUM_TOL = 1e-12
@@ -539,51 +539,24 @@ def check_discrete_invariance(spec: MeasureSpec, rep: Representation) -> Invaria
 
     A finite group maps the weighted support onto itself exactly when each
     generator does, since every inverse is a power of its element, so
-    only the generator images are checked.  Points closer than
-    ``DISCRETE_POINT_TOL`` (entrywise) are merged with summed
-    probabilities before comparison, and matched probabilities may differ
-    by ``DISCRETE_PROB_TOL``; the table index of the first generator that
-    fails to map the weighted support onto itself is reported.
+    only the generator images are checked.  The support is merged through
+    a ``MatrixIndex`` at ``DISCRETE_POINT_TOL`` (entrywise), each merged
+    point carrying the summed mass of its points.  A generator passes when
+    every moved point lies within tol of a merged point and the moved mass
+    on each merged point equals its mass within ``DISCRETE_PROB_TOL``
+    (as a one-to-one matching would decide while merged points are more
+    than 2 tol apart); the table index of the first failing generator is
+    reported.
     """
     if spec.kind != "discrete":
         raise NotDiscrete(f"measure kind is {spec.kind!r}")
-    images = rep.generator_images()
-    ref_pts, ref_pr = _merge_weighted_points(spec.points, spec.probs, DISCRETE_POINT_TOL)
-    for index, image in zip(rep.group.generators, images):
-        moved = spec.points @ image.T
-        pts, pr = _merge_weighted_points(moved, spec.probs, DISCRETE_POINT_TOL)
-        if not _same_weighted_points(
-            ref_pts, ref_pr, pts, pr, DISCRETE_POINT_TOL, DISCRETE_PROB_TOL
-        ):
-            return InvarianceCheck(invariant=False, violating_generator=int(index))
+    index = MatrixIndex(spec.points.shape[1:], DISCRETE_POINT_TOL)
+    index.add_absent(spec.points)
+    mass = np.bincount(index.lookup(spec.points), weights=spec.probs, minlength=len(index))
+    for generator, image in zip(rep.group.generators, rep.generator_images()):
+        slots = index.lookup(spec.points @ image.T)
+        if None in slots or np.abs(
+            np.bincount(slots, weights=spec.probs, minlength=len(index)) - mass
+        ).max() > DISCRETE_PROB_TOL:
+            return InvarianceCheck(invariant=False, violating_generator=int(generator))
     return InvarianceCheck(invariant=True, violating_generator=None)
-
-
-def _merge_weighted_points(points: np.ndarray, probs: np.ndarray, tol: float):
-    reps: list[np.ndarray] = []
-    weights: list[float] = []
-    for p, w in zip(points, probs):
-        for i, r in enumerate(reps):
-            if float(np.max(np.abs(r - p))) < tol:
-                weights[i] += float(w)
-                break
-        else:
-            reps.append(p)
-            weights.append(float(w))
-    return reps, weights
-
-
-def _same_weighted_points(ref_pts, ref_pr, pts, pr, point_tol, prob_tol) -> bool:
-    if len(ref_pts) != len(pts):
-        return False
-    used = [False] * len(ref_pts)
-    for p, w in zip(pts, pr):
-        for i, (r, rw) in enumerate(zip(ref_pts, ref_pr)):
-            if not used[i] and float(np.max(np.abs(r - p))) < point_tol:
-                if abs(rw - w) > prob_tol:
-                    return False
-                used[i] = True
-                break
-        else:
-            return False
-    return all(used)

@@ -3,7 +3,7 @@ import pytest
 import scipy.linalg
 
 import repspect as rs
-from repspect.moments import InvarianceCheck, _merge_weighted_points, _same_weighted_points
+from repspect.moments import InvarianceCheck
 from repspect.representations import traceless_symmetric_basis
 
 
@@ -128,13 +128,39 @@ def brute_word_images(table, generator_images):
 def brute_discrete_invariance(spec, rep, point_tol=1e-8, prob_tol=1e-10):
     """Independent oracle: whether every table element, not only each
     generator, maps the weighted support of a discrete measure onto itself.
-    ``violating_generator`` holds the table index of the first element that
-    fails, generator or not."""
-    ref_pts, ref_pr = _merge_weighted_points(spec.points, spec.probs, point_tol)
+
+    Each support, the given one and each moved one, is merged greedily: a
+    point joins the first kept point within ``point_tol`` (entrywise) and
+    adds its mass to it.  The merged supports must then match one to one,
+    each moved point taking the first unmatched reference point within
+    ``point_tol``, with masses within ``prob_tol``.  ``violating_generator``
+    holds the table index of the first element that fails, generator or
+    not.
+    """
+    def merged(points):
+        kept, mass = [], []
+        for p, w in zip(points, spec.probs):
+            near = [i for i, q in enumerate(kept) if np.abs(q - p).max() < point_tol]
+            if near:
+                mass[near[0]] += w
+            else:
+                kept.append(p)
+                mass.append(w)
+        return kept, mass
+
+    def matches(ref, moved):
+        (ref_pts, ref_mass), (pts, mass) = ref, moved
+        unmatched = list(range(len(ref_pts)))
+        for p, w in zip(pts, mass):
+            near = [i for i in unmatched if np.abs(ref_pts[i] - p).max() < point_tol]
+            if not near or abs(ref_mass[near[0]] - w) > prob_tol:
+                return False
+            unmatched.remove(near[0])
+        return not unmatched
+
+    ref = merged(spec.points)
     for index, image in enumerate(rep.table_images()):
-        moved = spec.points @ image.T
-        pts, pr = _merge_weighted_points(moved, spec.probs, point_tol)
-        if not _same_weighted_points(ref_pts, ref_pr, pts, pr, point_tol, prob_tol):
+        if not matches(ref, merged(spec.points @ image.T)):
             return InvarianceCheck(invariant=False, violating_generator=index)
     return InvarianceCheck(invariant=True, violating_generator=None)
 

@@ -342,6 +342,33 @@ class TestCommutantBasis:
         with pytest.raises(TooLarge):
             rs.commutant_basis(rep)
 
+    def test_oversized_sampled_stack_rejected_before_drawing(self, monkeypatch):
+        # O(128)'s first round would stack 8 images of 128^4 floats (17 GB).
+        def no_draws(*args):
+            raise AssertionError("drew Haar images before the budget check")
+
+        monkeypatch.setattr("repspect.commutant.haar_matrices", no_draws)
+        rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=128))
+        with pytest.raises(TooLarge, match="byte budget"):
+            rs.commutant_basis(rep, rng=np.random.default_rng(0))
+
+    def test_o40_rounds_fit_the_sampled_stack_budget(self, monkeypatch):
+        # O(32) and O(40) stabilize at 16 images; O(40)'s stack is 328 MB.
+        # The first round gets past the guard to its draws, and the 16-image
+        # round is within budget too.
+        class Drew(Exception):
+            pass
+
+        def sentinel(*args):
+            raise Drew
+
+        monkeypatch.setattr("repspect.commutant.haar_matrices", sentinel)
+        for n in (32, 40):
+            rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=n))
+            with pytest.raises(Drew):
+                rs.commutant_basis(rep, rng=np.random.default_rng(0))
+            assert 16 * n**4 * 8 <= rs.commutant.SAMPLED_STACK_BYTES
+
     def test_split_disagreeing_with_character_count_rejected(self, s4_table):
         cb = rs.commutant_basis(rs.build_named_rep("sn_permutation", s4_table))
         assert cb.sym_count == 2

@@ -1,3 +1,4 @@
+import collections
 import re
 import time
 import tracemalloc
@@ -122,6 +123,23 @@ BFS_PLANE_GROUPS = [
 ]
 
 
+def signed_permutation_spec(n):
+    """The signed permutation matrices of R^n (order 2^n n!) as
+    ``matrix_generators``: a swap, an n-cycle and one sign flip."""
+    eye = np.eye(n)
+    return rs.GroupSpec(kind="matrix_generators", generators=(
+        eye[[1, 0, *range(2, n)]],
+        eye[[*range(1, n), 0]],
+        np.diag([-1.0] + [1.0] * (n - 1)),
+    ))
+
+
+def largest_bucket(payload):
+    """The most payload rows filed under one ``MatrixIndex`` key."""
+    keys = MatrixIndex(payload.shape[1:], MATRIX_DEDUP_TOL).keys(payload)
+    return max(collections.Counter(keys).values())
+
+
 def generator_stack_spec(kind, n):
     """A named family's generator matrices as a ``matrix_generators`` spec."""
     gens = rs.groups.canonical_generators(rs.GroupSpec(kind=kind, n=n))
@@ -139,6 +157,7 @@ class TestMatrixClosure:
             rs.GroupSpec(kind="matrix_generators", generators=B3_GENERATORS),
             id="matrix_generators-None",
         ),
+        pytest.param(signed_permutation_spec(4), id="signed-permutations-4"),
     ])
     def test_bit_identical_to_linear_scan_oracle(self, spec):
         table = rs.enumerate_closure(spec)
@@ -194,8 +213,25 @@ class TestMatrixClosure:
             best = min(best, time.perf_counter() - start)
         assert best < 0.02
 
+    def test_signed_permutations_b5_spread_over_buckets(self, monkeypatch):
+        table = rs.enumerate_closure(signed_permutation_spec(5))
+        assert table.order == 3840
+        assert largest_bucket(table.payload) <= 4
+        # The golden-ratio weights are additive mod 1: 72 elements share a bucket.
+        monkeypatch.setattr("repspect.groups.index_weights", rs.groups.golden_weights)
+        assert largest_bucket(table.payload) > 4
+
+    def test_signed_permutations_b5_closure_time(self):
+        spec = signed_permutation_spec(5)
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            rs.enumerate_closure(spec)
+            best = min(best, time.perf_counter() - start)
+        assert best < 0.5
+
     def test_neighbours_across_a_bucket_edge_dedupe(self):
-        index = MatrixIndex(2)
+        index = MatrixIndex((2, 2), MATRIX_DEDUP_TOL)
         edge = 7 * index.cell
         a = np.zeros((2, 2))
         a[0, 0] = (edge - 0.1 * index.cell) / index.weights[0]
@@ -261,7 +297,7 @@ class TestMatrixClosure:
         assert table._index is None
         assert retained < 1.6 * 2**20
         assert np.array_equal(table.indices_of(table.payload[::-7]), np.arange(6000)[::-7])
-        assert table._index.matrices is table.payload
+        assert table._index.rows is table.payload
 
     def test_bfs_closed_matrix_table_retains_no_element_copies(self):
         # The same contract on the matrix BFS, which `matrix_generators` takes.
@@ -272,7 +308,7 @@ class TestMatrixClosure:
             retained = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
-        assert table._index.matrices is table.payload
+        assert table._index.rows is table.payload
         assert retained < 1.6 * 2**20
 
 

@@ -1,3 +1,4 @@
+import time
 import tracemalloc
 
 import numpy as np
@@ -663,6 +664,25 @@ class TestDiscreteInvarianceOracle:
         assert not chk.invariant
         assert chk.violating_generator == s4_table.generators[1]
         assert tuple(s4_table.payload[chk.violating_generator]) == (1, 2, 3, 0)
+
+
+class TestDiscreteInvarianceAtScale:
+    def test_s6_orbit_of_720_points(self):
+        table = symmetric_table(6)
+        rep = rs.build_named_rep("sn_permutation", table)
+        orbit = rep.table_images() @ random_unit(rs.stream(53), 6)
+        full, missing = weighted(orbit), weighted(orbit[1:])
+        best = float("inf")
+        for _ in range(3):
+            start = time.perf_counter()
+            chk = rs.check_discrete_invariance(full, rep)
+            chk_missing = rs.check_discrete_invariance(missing, rep)
+            best = min(best, time.perf_counter() - start)
+        assert chk.invariant and chk.violating_generator is None
+        # The one-to-one matching of merged supports named the swap too.
+        assert not chk_missing.invariant
+        assert chk_missing.violating_generator == table.generators[0]
+        assert best < 1.0
 
 
 class TestConvergenceTrace:
