@@ -1,9 +1,11 @@
 """Command-line interface: ``repspect analyze`` and ``repspect catalog``.
 
 Exit codes: 0 when the analysis ran to completion (whatever the verdict),
-1 for config errors, 2 for numerical failures (verdict conflict,
-non-stabilized commutant dimension, or a singular value too close to the
-nullspace cutoff).
+1 for config errors and for problems refused by size before they are
+allocated (``TooLarge``, printed as "too large: ..."), 2 for numerical
+failures (verdict conflict, disagreeing dimension counts, non-stabilized
+commutant dimension, or a singular value too close to the nullspace
+cutoff).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .errors import (
     NonInvertibleGenerator,
     ParseError,
     RepspectError,
+    TooLarge,
     UnknownName,
     ValidationError,
 )
@@ -121,6 +124,9 @@ def main(argv=None) -> int:
         report = run_analysis(cfg)
     except CONFIG_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
+        return 1
+    except TooLarge as e:
+        print(f"too large: {e}", file=sys.stderr)
         return 1
     except RepspectError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

@@ -16,7 +16,27 @@ this package certifies:
   projection of a fixed, seed-free symmetric matrix, so the witness does
   not depend on the basis.
 
-For a finite group table the span is the range of the Reynolds operator
+The permutation entries ``sn_permutation`` and ``sn_sum_zero`` have an
+exact, seed-free basis: the indicator matrices of the orbitals, the
+orbits of the group on ordered pairs of points (Higman, Coherent
+configurations I, 1970).  The n^2 pairs are labelled by label propagation
+under the generators' index maps; normalized indicators have disjoint
+supports, so they are orthonormal, and the basis comes out split: a
+self-paired orbital O = O^T is symmetric and each pair {O, O^T} gives
+(1_O +- 1_O^T) / sqrt(2 |O|).  The diagonal orbitals are the point
+orbits, so P = sum over point orbits O of 1_O 1_O^T / |O|.  ``sn_sum_zero``
+maps this span through A -> H A H^T, H the Helmert rows, after splitting
+off the part that map kills; its counts are d - 2t + 1 and s - t for t
+point orbits.  Both counts must equal those of the integer characters
+read off the payload (chi(g) the fixed points of ``payload[g]``, less 1
+on the sum-zero space, chi(g^2) those of ``payload[g][payload[g]]``), and
+the basis is still checked against the generator images.  No SVD runs and
+no table image is built; no singular value is cut either, so
+``threshold`` reports the relative cutoff itself (the commuting
+projector's singular values are exactly 0 and 1) and ``ambiguous_sigma``
+is None.
+
+Any other finite group table takes the range of the Reynolds operator
 A -> (1/|G|) sum_g rho(g) A rho(g)^T, an orthogonal projector on matrix
 space.  Its dimension, and that of its symmetric part, are first counted
 from the characters (Frobenius-Schur: (1/|G|) sum chi(g)^2 and
@@ -28,13 +48,15 @@ nullspace of the stacked kron(rho(g), rho(g)) - I, with g running over a
 batch of invariant-distributed samples that is doubled until the
 dimension stabilizes.
 
-The vectors rho itself fixes, whose projector is the P of the expectation
-check E(x) = E(P x), are the nullspace of the stacked rho(g) - I over the
-same constraint images, under the same cutoff rule.
+Outside the permutation entries, the vectors rho itself fixes, whose
+projector is the P of the expectation check E(x) = E(P x), are the
+nullspace of the stacked rho(g) - I over the same constraint images,
+under the same cutoff rule.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import warnings
 from dataclasses import dataclass
 
@@ -50,8 +72,8 @@ from .errors import (
     ThresholdAmbiguity,
     TooLarge,
 )
-from .groups import FiniteGroupTable, golden_weights, haar_matrices
-from .representations import Representation
+from .groups import FiniteGroupTable, golden_weights, haar_matrices, orbit_labels
+from .representations import Representation, sum_zero_basis
 
 NULLSPACE_REL_THRESHOLD = 1e-8
 # Sampled constraint images of the first round, and the most a continuous
@@ -68,9 +90,16 @@ RANGE_BUFFER_BYTES = 256 * 2**20
 # Table images are averaged in blocks whose products stay below this size,
 # so the average adds little to the pipeline's peak memory.
 REYNOLDS_BLOCK_BYTES = 2**20
+# The commutation residual moves the entries of this much of the basis at a
+# time when the images are permutation matrices.
+RESIDUAL_BLOCK_BYTES = 16 * 2**20
 # A sampled round's (k n^2, n^2) constraint stack may take at most this
 # much: O(40) stabilizes at 16 images, a 328 MB stack.
 SAMPLED_STACK_BYTES = 512 * 2**20
+# The dense orbital basis of a permutation entry, (d, n^2) floats, may take
+# at most this much, as may the pair labels that find it.
+ORBITAL_BASIS_BYTES = 256 * 2**20
+PERMUTATION_ENTRIES = ("sn_permutation", "sn_sum_zero")  # commutants read off orbitals
 WITNESS_GAP_TOL = 1e-8
 WITNESS_RESIDUAL_TOL = 1e-6
 
@@ -83,11 +112,15 @@ class CommutantBasis:
     after which the basis lists the symmetric elements first.  ``residual``
     is the largest commutation defect of any basis element against any
     constraint matrix; ``threshold`` is the singular-value cutoff that
-    defined the nullspace.  ``constraints`` keeps the constraint images
+    defined the nullspace (on orbitals, which cut nothing, the relative
+    cutoff itself).  ``constraints`` keeps the constraint images
     so later stages, the fixed projector included, read the same evidence.
     ``sym_count`` is the character count of the symmetric part on finite
     tables, which :func:`split_symmetric_skew` checks its split against;
     it is ``None`` when the basis came from an SVD nullspace.
+    ``projector`` is the projector P onto the fixed vectors when the basis
+    came from orbitals, which give it exactly; it is ``None`` otherwise,
+    and :func:`fixed_projector` reads P off ``constraints``.
     """
 
     basis: list[np.ndarray]
@@ -99,6 +132,7 @@ class CommutantBasis:
     constraints: np.ndarray
     ambiguous_sigma: float | None = None
     sym_count: int | None = None
+    projector: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -169,7 +203,12 @@ def character_counts(images: np.ndarray) -> tuple[int, int]:
     InconsistentDimensions.
     """
     chi = np.trace(images, axis1=1, axis2=2)
-    chi_of_square = np.einsum("kij,kji->k", images, images)
+    return _dimension_counts(chi, np.einsum("kij,kji->k", images, images))
+
+
+def _dimension_counts(chi: np.ndarray, chi_of_square: np.ndarray) -> tuple[int, int]:
+    """The counts of :func:`character_counts` from chi(g) and chi(g^2) over
+    the table."""
     d = float(np.mean(chi * chi))
     s = float(np.mean(chi * chi + chi_of_square)) / 2.0
     for label, count in (("commutant", d), ("symmetric commutant", s)):
@@ -224,6 +263,182 @@ def _reynolds_range(
     return vh[:rank], threshold, ambiguous
 
 
+# ---------------------------------------------------------------------------
+# permutation entries: orbitals
+# ---------------------------------------------------------------------------
+
+def _orbitals(generators: np.ndarray):
+    """The orbitals of the group generated by ``(k, n)`` permutation images.
+
+    Returns ``(orbital, roots, transpose, point_orbit)``:
+    ``orbital[i * n + j]`` numbers the orbit of the pair (i, j), orbitals
+    ordered by their first pair ``roots[o]`` in row-major order;
+    ``transpose[o]`` is the orbital of the pairs of o reversed; and
+    ``point_orbit[i]`` numbers the orbit of point i the same way, read off
+    the diagonal orbitals.
+    """
+    k, n = generators.shape
+    pair_maps = (generators[:, :, None] * n + generators[:, None, :]).reshape(k, n * n)
+    roots, orbital = np.unique(orbit_labels(pair_maps), return_inverse=True)
+    transpose = orbital[(roots % n) * n + roots // n]
+    point_orbit = np.unique(orbital[np.arange(n) * (n + 1)], return_inverse=True)[1]
+    return orbital, roots, transpose, point_orbit
+
+
+def _orbital_split(orbital: np.ndarray, transpose: np.ndarray):
+    """Orthonormal symmetric and skew rows (vectorized n x n matrices)
+    spanning the span of the orbital indicators, with the orbital that
+    leads each row.
+
+    A self-paired orbital O = O^T gives its normalized indicator, and each
+    pair {O, O^T} gives (1_O +- 1_O^T) / sqrt(2 |O|); disjoint supports
+    make the rows orthonormal.
+    """
+    d = len(transpose)
+    own = np.arange(d)
+    paired = transpose != own
+    support = np.bincount(orbital) * (1 + paired)  # entries of each orbital's rows
+    value = 1.0 / np.sqrt(support)
+    sym_leads, sym_of = np.unique(np.minimum(own, transpose), return_inverse=True)
+    skew_leads = np.flatnonzero(own < transpose)
+    skew_of = np.zeros(d, dtype=np.intp)
+    skew_of[skew_leads] = skew_of[transpose[skew_leads]] = np.arange(len(skew_leads))
+    pairs = np.arange(len(orbital))
+    sym = np.zeros((len(sym_leads), len(orbital)))
+    sym[sym_of[orbital], pairs] = value[orbital]
+    skew = np.zeros((len(skew_leads), len(orbital)))
+    on = paired[orbital]
+    signed = np.where(own < transpose, value, -value)
+    skew[skew_of[orbital[on]], pairs[on]] = signed[orbital[on]]
+    return (sym, sym_leads), (skew, skew_leads)
+
+
+def _complement(beta: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning the complement of a unit vector: all
+    but the first column of the Householder reflection that maps e_0 to
+    -beta (or to beta), computed with no cancellation."""
+    w = beta * (1.0 if beta[0] >= 0 else -1.0)
+    w[0] += 1.0
+    return (np.eye(len(w)) - np.outer(w, w) / w[0])[:, 1:]
+
+
+def _sum_zero_split(parts, blocks, point_orbit: np.ndarray):
+    """Symmetric and skew rows of the sum-zero commutant, in ambient
+    coordinates, from the split rows of the permutation commutant.
+
+    With Q = I - J/n, A -> Q A Q maps the permutation commutant onto the
+    sum-zero one and kills A = 1 u^T + w 1^T, u and w constant on point
+    orbits.  Its image splits orthogonally into the centered rows, which
+    Q A Q keeps, and U (x) U, U the vectors constant on point orbits and
+    orthogonal to 1.  The rows of one parity whose orbitals lie in the
+    blocks a x b and b x a of two point orbits meet the block sums in one
+    direction beta (none for skew rows with a = b), whose orthogonal
+    complement is centered; U is the complement of 1 in the normalized
+    orbit indicators.  ``blocks[p]`` holds the sorted (a, b) of each row
+    of ``parts[p]``.
+    """
+    n = len(point_orbit)
+    indicators = np.eye(point_orbit.max() + 1)[point_orbit]  # column a is 1_a
+    sizes = indicators.sum(axis=0)
+    u = (indicators / np.sqrt(sizes)) @ _complement(np.sqrt(sizes / n))
+    uu = np.einsum("ik,jl->klij", u, u).reshape(u.shape[1], u.shape[1], n * n)
+    high, low = np.triu_indices(u.shape[1], 1)
+    block_sum_parts = (
+        np.concatenate([uu[range(u.shape[1]), range(u.shape[1])],
+                        (uu[high, low] + uu[low, high]) / np.sqrt(2.0)]),
+        (uu[high, low] - uu[low, high]) / np.sqrt(2.0),
+    )
+    out = []
+    for skew, (rows, keys), extra in zip((False, True), zip(parts, blocks), block_sum_parts):
+        centered = []
+        for a, b in sorted(set(map(tuple, keys))):
+            group = rows[(keys == (a, b)).all(axis=1)]
+            if skew and a == b:
+                centered.append(group)
+                continue
+            beta = group @ np.outer(indicators[:, a], indicators[:, b]).reshape(-1)
+            centered.append(_complement(beta / np.linalg.norm(beta)).T @ group)
+        out.append(np.concatenate(centered + [extra]))
+    return out, u
+
+
+def _helmert_conjugates(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """H X H^T of each row X (a vectorized n x n matrix) in two products:
+    the stacked X H^T, then H against them side by side."""
+    m, n = len(rows), h.shape[1]
+    right = (rows.reshape(m * n, n) @ h.T).reshape(m, n, n - 1)
+    both = h @ right.transpose(1, 0, 2).reshape(n, m * (n - 1))
+    return both.reshape(n - 1, m, n - 1).transpose(1, 0, 2).reshape(m, (n - 1) ** 2)
+
+
+def _payload_characters(payload: np.ndarray, shift: int):
+    """chi(g) and chi(g^2) of every table element, less ``shift``: the fixed
+    points of ``payload[g]`` and of ``payload[g][payload[g]]``."""
+    points = np.arange(payload.shape[1])
+    chi = np.count_nonzero(payload == points, axis=1) - shift
+    squares = np.take_along_axis(payload, payload, axis=1)
+    return chi, np.count_nonzero(squares == points, axis=1) - shift
+
+
+def _check_orbital_budget(rows: int, n: int, what: str) -> None:
+    if rows * n * n * 8 > ORBITAL_BASIS_BYTES:
+        raise TooLarge(
+            f"{what} on {n} points needs {rows} x {n * n} floats, above the "
+            f"{ORBITAL_BASIS_BYTES} byte budget"
+        )
+
+
+def _orbital_commutant(rep: Representation, rel_threshold: float) -> CommutantBasis:
+    """The split commutant of ``sn_permutation`` or ``sn_sum_zero``, read off
+    the orbitals of the generators (see the module docstring).
+
+    The counts d and s of the orbitals must equal those of the characters
+    of the payload, or InconsistentDimensions is raised; the pair labels
+    and the dense basis are checked against ``ORBITAL_BASIS_BYTES``
+    before they are allocated.
+    """
+    table = rep.group
+    n = table.payload.shape[1]
+    generators = table.payload[table.generators]
+    _check_orbital_budget(len(generators) + 2, n, "orbital labels")
+    orbital, roots, transpose, point_orbit = _orbitals(generators)
+    sum_zero = rep.catalog_id == "sn_sum_zero"
+    t = int(point_orbit.max()) + 1
+    d, s = len(roots), int(np.count_nonzero(transpose >= np.arange(len(roots))))
+    if sum_zero:
+        d, s = d - 2 * t + 1, s - t
+    dim, sym_count = _dimension_counts(*_payload_characters(table.payload, int(sum_zero)))
+    if (d, s) != (dim, sym_count):
+        raise InconsistentDimensions(
+            f"the orbitals give commutant dimension {d} ({s} symmetric); "
+            f"the characters of the payload give {dim} ({sym_count})"
+        )
+    _check_orbital_budget(len(roots), n, f"orbital basis of dimension {len(roots)}")
+    (sym, sym_leads), (skew, skew_leads) = _orbital_split(orbital, transpose)
+    if sum_zero:
+        h = sum_zero_basis(n)
+        blocks = [np.sort(point_orbit[np.stack(np.divmod(roots[leads], n), axis=1)])
+                  for leads in (sym_leads, skew_leads)]
+        (sym, skew), u = _sum_zero_split((sym, skew), blocks, point_orbit)
+        sym, skew = _helmert_conjugates(sym, h), _helmert_conjugates(skew, h)
+        fixed = h @ u
+    else:
+        fixed = np.eye(t)[point_orbit] / np.sqrt(np.bincount(point_orbit))
+    basis = [row.reshape(rep.dim, rep.dim) for row in np.concatenate([sym, skew])]
+    images = rep.generator_images()
+    return CommutantBasis(
+        basis=basis,
+        dim=dim,
+        sym_dim=len(sym),
+        skew_dim=len(skew),
+        residual=_commutation_residual(basis, images, permutes=not sum_zero),
+        threshold=rel_threshold,
+        constraints=images,
+        sym_count=sym_count,
+        projector=fixed @ fixed.T,
+    )
+
+
 def commutant_basis(
     rep: Representation,
     *,
@@ -232,7 +447,13 @@ def commutant_basis(
 ) -> CommutantBasis:
     """Compute the commuting span of a representation; its group decides how.
 
-    A finite table counts the dimension d and the symmetric dimension
+    ``sn_permutation`` and ``sn_sum_zero`` read a split basis and the
+    fixed projector off the orbitals of their generators (see the module
+    docstring); their counts must equal the payload's character counts,
+    or InconsistentDimensions is raised, and a basis or pair labelling
+    above ``ORBITAL_BASIS_BYTES`` raises TooLarge before it is allocated.
+
+    Any other finite table counts the dimension d and the symmetric dimension
     from the characters of the table images, then takes the basis from
     the Reynolds images of d + 4 Gaussian matrices drawn from ``rng``;
     a count off an integer or a numerical rank other than d raises
@@ -253,6 +474,8 @@ def commutant_basis(
     draw is made a reflection, since draws that all lie in SO(n) would
     give the commutant of SO(n).
     """
+    if rep.catalog_id in PERMUTATION_ENTRIES:
+        return _orbital_commutant(rep, rel_threshold)
     rng = np.random.default_rng(0) if rng is None else rng
     sym_count = None
     if isinstance(rep.group, FiniteGroupTable):
@@ -324,8 +547,30 @@ def _stabilized_sampled_nullspace(rep, rng, rel_threshold):
     )
 
 
-def _commutation_residual(basis: list[np.ndarray], images: np.ndarray) -> float:
+def _commutation_residual(
+    basis: list[np.ndarray], images: np.ndarray, permutes: bool = False
+) -> float:
+    """Largest entry of rho b - b rho over the basis and the images.
+
+    ``permutes`` says the images should be permutation matrices, as
+    ``sn_permutation``'s are.  When they are, the entries of rho b - b rho
+    are those of rho b rho^T - b with its columns moved, and rho b rho^T
+    moves the entries of b exactly: one ``take`` per image on stacks of
+    ``RESIDUAL_BLOCK_BYTES`` of the basis, and no product.
+    """
+    k, n, _ = images.shape
     worst = 0.0
+    ones = images.argmax(axis=2) if permutes else None  # rho e_ones[r] = e_r
+    if permutes and np.array_equal(images, np.eye(n)[ones]):
+        moves = (ones[:, :, None] * n + ones[:, None, :]).reshape(k, n * n)
+        block = max(1, RESIDUAL_BLOCK_BYTES // (n * n * 8))
+        for start in range(0, len(basis), block):
+            rows = np.stack(basis[start : start + block]).reshape(-1, n * n)
+            for move in moves:
+                defects = np.take(rows, move, axis=1)
+                defects -= rows
+                worst = max(worst, float(defects.max()), float(-defects.min()))
+        return worst
     for b in basis:
         defects = images @ b - b @ images  # broadcast over the stack
         worst = max(worst, float(np.max(np.abs(defects))))
@@ -369,35 +614,35 @@ def split_symmetric_skew(cb: CommutantBasis) -> CommutantBasis:
 
     Transposition maps the commuting span to itself (the images are
     orthogonal), so the span splits exactly into its symmetric and skew
-    parts; (B +- B^T)/2 of every basis element spans them.
+    parts; (B +- B^T)/2 of every basis element spans them.  A basis that
+    is split already (``sym_dim`` set, as orbitals give it) is only
+    checked against the character count.
     """
     n = cb.basis[0].shape[0] if cb.basis else 0
     if cb.dim == 0:
         raise RepspectError("empty commutant basis; the identity should always be present")
-    sym_rows = np.stack([((b + b.T) / 2.0).reshape(-1) for b in cb.basis])
-    skew_rows = np.stack([((b - b.T) / 2.0).reshape(-1) for b in cb.basis])
-    sym = _orthonormal_rows(sym_rows)
-    skew = _orthonormal_rows(skew_rows)
-    if len(sym) + len(skew) != cb.dim:
-        raise InconsistentDimensions(
-            f"symmetric/skew split gives {len(sym)} + {len(skew)} != {cb.dim}"
+    if cb.sym_dim is None:
+        sym_rows = np.stack([((b + b.T) / 2.0).reshape(-1) for b in cb.basis])
+        skew_rows = np.stack([((b - b.T) / 2.0).reshape(-1) for b in cb.basis])
+        sym = _orthonormal_rows(sym_rows)
+        skew = _orthonormal_rows(skew_rows)
+        if len(sym) + len(skew) != cb.dim:
+            raise InconsistentDimensions(
+                f"symmetric/skew split gives {len(sym)} + {len(skew)} != {cb.dim}"
+            )
+        basis = [r.reshape(n, n) for r in sym] + [r.reshape(n, n) for r in skew]
+        cb = dataclasses.replace(
+            cb,
+            basis=basis,
+            sym_dim=len(sym),
+            skew_dim=len(skew),
+            residual=_commutation_residual(basis, cb.constraints),
         )
-    if cb.sym_count is not None and len(sym) != cb.sym_count:
+    if cb.sym_count is not None and cb.sym_dim != cb.sym_count:
         raise InconsistentDimensions(
-            f"symmetric part has dimension {len(sym)}; the character count is {cb.sym_count}"
+            f"symmetric part has dimension {cb.sym_dim}; the character count is {cb.sym_count}"
         )
-    basis = [r.reshape(n, n) for r in sym] + [r.reshape(n, n) for r in skew]
-    return CommutantBasis(
-        basis=basis,
-        dim=cb.dim,
-        sym_dim=len(sym),
-        skew_dim=len(skew),
-        residual=_commutation_residual(basis, cb.constraints),
-        threshold=cb.threshold,
-        constraints=cb.constraints,
-        ambiguous_sigma=cb.ambiguous_sigma,
-        sym_count=cb.sym_count,
-    )
+    return cb
 
 
 def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:

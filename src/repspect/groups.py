@@ -146,6 +146,29 @@ class FiniteGroupTable:
         return images
 
 
+def orbit_labels(maps: np.ndarray) -> np.ndarray:
+    """The least element of the orbit of each i in range(m) under the group
+    generated by the ``(k, m)`` index permutations ``maps``.
+
+    Each round gives every element and its image under each map the lesser
+    of their two labels, then replaces each label by its own label.  A label
+    is always an element of the same orbit and never rises, so the rounds
+    stop, and they stop only when each map keeps every label: the labels
+    are then constant on orbits, and the least element of an orbit keeps
+    its own.
+    """
+    labels = np.arange(maps.shape[1])
+    while True:
+        new = labels.copy()
+        for image in maps:
+            np.minimum(new, labels[image], out=new)
+            new[image] = np.minimum(new[image], labels)
+        new = new[new]
+        if np.array_equal(new, labels):
+            return labels
+        labels = new
+
+
 def _row_keys(rows: np.ndarray) -> list[bytes]:
     """The bytes of each row of a 2-D array, as dictionary keys."""
     rows = np.ascontiguousarray(rows)

@@ -8,11 +8,12 @@ irreducible; the estimators and exact finite-group sums here put numbers
 on both sides of that statement.
 
 A measure with a finite law (a discrete measure, or an orbit of a finite
-group) has exact statistics: its point matrix, the orbit ``O = images @ v``
-or the weighted support, gives its second moment ``M = E[x x^T]`` as a
-``SecondMomentMatrix(exact=True)`` with zero stderr, and ``|M|_F^2`` is
-its exact ``E<x,y>^2``.  ``exact_finite_orbit_moments`` and
-``exact_discrete_overlap`` expose that M.  Monte Carlo covers only the
+group) has exact statistics: its point matrix, the orbit ``O`` (rows
+rho(g) v) or the weighted support, gives its second moment
+``M = E[x x^T]`` as a ``SecondMomentMatrix(exact=True)`` with zero
+stderr, and ``|M|_F^2`` is its exact ``E<x,y>^2``.
+``exact_finite_orbit_moments`` and ``exact_discrete_overlap`` expose
+that M.  Monte Carlo covers only the
 measures with no finite law: the uniform sphere and subspheres and the
 orbits of continuous groups; ``make_sampler`` refuses the others.  The
 invariance of a discrete measure is checked on the generator images
@@ -435,11 +436,17 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
     enumerates no pairs.  The single sum uses <gv, v> and not M, so the
     two remain independent certificates of each other.  M is returned
     too, with the orbit mean: it is the measure's exact moment record.
+    The orbit comes from the representation's ``orbit_map`` over the
+    payload when it has one, with no table image built, else from the
+    table images.
     """
     v = _check_unit(v, "orbit base")
     if v.shape != (rep.dim,):
         raise BadParams(f"base has shape {v.shape}, representation dim {rep.dim}")
-    orbit = rep.table_images() @ v
+    if rep.orbit_map is None:
+        orbit = rep.table_images() @ v
+    else:
+        orbit = rep.orbit_map(rep.group.payload, v)
     single = float(np.mean((orbit @ v) ** 2))
     order = rep.group.order
     m = _exact_second_moment((orbit.T @ orbit) / order, orbit.mean(axis=0), order)

@@ -436,7 +436,9 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         "identity_span_residual": span_residual(cb.basis, np.eye(rep.dim) / math.sqrt(rep.dim)),
     }
     trace_rows = None
-    proj = fixed_projector(cb.constraints, tol.nullspace_rel)
+    proj = cb.projector
+    if proj is None:
+        proj = fixed_projector(cb.constraints, tol.nullspace_rel)
 
     for i, spec in enumerate(cfg.measures):
         invariant_verified = None

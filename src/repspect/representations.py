@@ -15,7 +15,9 @@ maps as ``stack_map(p[None])[0]``.  Orbit points rho(g) v of a payload
 stack come from ``orbit``, which applies the image stack to v unless the
 representation has a cheaper closed form: ``so3_traceless_symmetric``
 maps v to the coordinates of R V R^T and builds no image, and its images
-are that same map applied to the five basis vectors.  ``explicit``
+are that same map applied to the five basis vectors; ``sn_permutation``
+moves the coordinates of v by the payload, and ``sn_sum_zero`` does the
+same to v in ambient coordinates.  ``explicit``
 images are multiplied along the group table's Schreier tree, one batched
 product per level, and looked up by payload; their table images are that
 stack itself.
@@ -99,6 +101,14 @@ def permutation_images(payload: np.ndarray) -> np.ndarray:
     """Permutation matrices of a ``(k, n)`` stack of images: image j sends
     basis vector i to basis vector ``payload[j, i]``."""
     return np.eye(payload.shape[1])[payload].transpose(0, 2, 1)
+
+
+def permutation_orbit(payload: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The ``(k, n)`` rows P(g) v of a ``(k, n)`` stack of images, with no
+    image built: P(g) moves coordinate i of v to ``payload[g, i]``."""
+    rows = np.empty(payload.shape)
+    np.put_along_axis(rows, payload, np.broadcast_to(v, payload.shape), axis=1)
+    return rows
 
 
 def sum_zero_basis(n: int) -> np.ndarray:
@@ -237,12 +247,17 @@ class CatalogEntry:
 
 
 def _permutation_rep(group, dim, _images) -> Representation:
-    return Representation(dim, permutation_images, group)
+    return Representation(dim, permutation_images, group, orbit_map=permutation_orbit)
 
 
 def _sum_zero_rep(group, dim, _images) -> Representation:
     h = sum_zero_basis(dim + 1)
-    return Representation(dim, lambda payload: h @ permutation_images(payload) @ h.T, group)
+    return Representation(
+        dim,
+        lambda payload: h @ permutation_images(payload) @ h.T,
+        group,
+        orbit_map=lambda payload, v: permutation_orbit(payload, h.T @ v) @ h.T,
+    )
 
 
 def _matrix_rep(stack_map, group, dim, _images, orbit_map=None) -> Representation:

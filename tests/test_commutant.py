@@ -45,13 +45,27 @@ def o2_double_rep():
     return rs.Representation(dim=4, stack_map=stack_map, group=fam)
 
 
+def dihedral_generators(n):
+    """Rotation i -> i+1 and reflection i -> -i of n points."""
+    return (tuple((i + 1) % n for i in range(n)), tuple((-i) % n for i in range(n)))
+
+
+def permutation_group_rep(generators, name="sn_permutation"):
+    spec = rs.GroupSpec(kind="permutation_generators", generators=tuple(generators))
+    return rs.build_named_rep(name, rs.enumerate_closure(spec))
+
+
 def dihedral_permutation_rep(n):
-    """Rotation i -> i+1 and reflection i -> -i acting on n points."""
-    spec = rs.GroupSpec(kind="permutation_generators", generators=(
-        tuple((i + 1) % n for i in range(n)),
-        tuple((-i) % n for i in range(n)),
-    ))
-    return rs.build_named_rep("sn_permutation", rs.enumerate_closure(spec))
+    return permutation_group_rep(dihedral_generators(n))
+
+
+def matrix_permutation_rep(generators):
+    """The permutation matrices of the generators as a matrix group acting
+    on column vectors: the permutation action, reached through a matrix
+    payload and so through the Reynolds range."""
+    matrices = tuple(permutation_images(np.array(generators)))
+    spec = rs.GroupSpec(kind="matrix_generators", generators=matrices)
+    return rs.build_named_rep("defining_orthogonal", rs.enumerate_closure(spec))
 
 
 def near_degenerate_fake_table():
@@ -313,7 +327,7 @@ class TestCommutantBasis:
             rs.commutant_basis(rep)
 
     def test_dihedral_48_commutant_stays_small(self):
-        rep = dihedral_permutation_rep(48)
+        rep = matrix_permutation_rep(dihedral_generators(48))
         tracemalloc.start()
         try:
             cb = split_commutant(rep)
@@ -322,6 +336,18 @@ class TestCommutantBasis:
             tracemalloc.stop()
         assert cb.dim == cb.sym_dim == 25
         assert peak < 150 * 2**20
+
+    def test_dihedral_48_orbital_commutant_stays_small(self):
+        # 25 orbitals of 2304 pairs: a 0.46 MB basis.
+        rep = dihedral_permutation_rep(48)
+        tracemalloc.start()
+        try:
+            cb = split_commutant(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cb.dim == cb.sym_dim == 25
+        assert peak < 4 * 2**20
 
     def test_sampled_o12_commutant_stays_small(self):
         # The sampled constraint stack is tall, (k * 144, 144); a full U
@@ -337,10 +363,22 @@ class TestCommutantBasis:
         assert peak < 16 * 2**20
 
     def test_oversized_range_rejected_before_allocation(self):
-        spec = rs.GroupSpec(kind="permutation_generators", generators=(tuple(range(128)),))
-        rep = rs.build_named_rep("sn_permutation", rs.enumerate_closure(spec))
+        rep = matrix_permutation_rep([tuple(range(128))])
         with pytest.raises(TooLarge):
             rs.commutant_basis(rep)
+
+    @pytest.mark.parametrize("name", ["sn_permutation", "sn_sum_zero"])
+    def test_oversized_orbital_basis_rejected_before_allocation(self, name):
+        # The trivial group on 128 points has 16,384 orbitals: a 2 GiB basis.
+        rep = permutation_group_rep([tuple(range(128))], name)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="byte budget"):
+                rs.commutant_basis(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_oversized_sampled_stack_rejected_before_drawing(self, monkeypatch):
         # O(128)'s first round would stack 8 images of 128^4 floats (17 GB).
@@ -369,9 +407,16 @@ class TestCommutantBasis:
                 rs.commutant_basis(rep, rng=np.random.default_rng(0))
             assert 16 * n**4 * 8 <= rs.commutant.SAMPLED_STACK_BYTES
 
-    def test_split_disagreeing_with_character_count_rejected(self, s4_table):
-        cb = rs.commutant_basis(rs.build_named_rep("sn_permutation", s4_table))
+    def test_split_disagreeing_with_character_count_rejected(self):
+        cb = rs.commutant_basis(matrix_permutation_rep([(1, 0, 2, 3), (1, 2, 3, 0)]))
         assert cb.sym_count == 2
+        cb.sym_count = 1
+        with pytest.raises(InconsistentDimensions):
+            rs.split_symmetric_skew(cb)
+
+    def test_orbital_split_disagreeing_with_character_count_rejected(self, s4_table):
+        cb = rs.commutant_basis(rs.build_named_rep("sn_permutation", s4_table))
+        assert cb.sym_count == cb.sym_dim == 2
         cb.sym_count = 1
         with pytest.raises(InconsistentDimensions):
             rs.split_symmetric_skew(cb)
@@ -391,8 +436,8 @@ class TestSplitAndClassify:
         for b in cb.basis[cb.sym_dim :]:
             np.testing.assert_allclose(b, -b.T, atol=1e-10)
 
-    def test_classify_requires_split(self, s3_table):
-        rep = rs.build_named_rep("sn_permutation", s3_table)
+    def test_classify_requires_split(self, q8_table):
+        rep = rs.build_named_rep("q8_left", q8_table)
         with pytest.raises(BadParams):
             rs.classify_and_decide(rs.commutant_basis(rep))
 
@@ -545,3 +590,103 @@ class TestWitness:
         cb.skew_dim = 0
         with pytest.raises(DegenerateSpectrum):
             rs.witness_invariant_subspace(cb, rep)
+
+
+ORBITAL_GROUPS = {
+    "s3": lambda: symmetric_table(3),
+    "s4": lambda: symmetric_table(4),
+    "c5": lambda: rs.enumerate_closure(rs.GroupSpec(
+        kind="permutation_generators", generators=((1, 2, 3, 4, 0),))),
+    "d6": lambda: rs.enumerate_closure(rs.GroupSpec(
+        kind="permutation_generators", generators=dihedral_generators(6))),
+    # <(0 1), (2 3 4)> on 6 points: orbits {0, 1}, {2, 3, 4} and the fixed point 5.
+    "intransitive": lambda: rs.enumerate_closure(rs.GroupSpec(
+        kind="permutation_generators", generators=((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 2, 5)))),
+}
+ENTRIES = ["sn_permutation", "sn_sum_zero"]
+
+
+class TestOrbitalCommutant:
+    @pytest.mark.parametrize("name", ENTRIES)
+    @pytest.mark.parametrize("group", sorted(ORBITAL_GROUPS))
+    def test_matches_the_oracles(self, group, name):
+        rep = rs.build_named_rep(name, ORBITAL_GROUPS[group]())
+        cb = rs.commutant_basis(rep)
+        images = rep.table_images()
+        oracle = brute_commutant(list(images))
+        assert (cb.dim, cb.sym_dim) == rs.commutant.character_counts(images)
+        assert cb.dim == oracle.shape[1] == cb.sym_dim + cb.skew_dim
+        assert max_principal_angle(span_columns(cb.basis), oracle) <= 1e-10
+        rows = span_columns(cb.basis)
+        np.testing.assert_allclose(rows.T @ rows, np.eye(cb.dim), rtol=0, atol=1e-12)
+        for b in cb.basis[: cb.sym_dim]:
+            np.testing.assert_allclose(b, b.T, rtol=0, atol=1e-15)
+        for b in cb.basis[cb.sym_dim :]:
+            np.testing.assert_allclose(b, -b.T, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cb.projector, images.mean(axis=0), rtol=0, atol=1e-12)
+        assert cb.residual <= 1e-12
+        assert rs.split_symmetric_skew(cb) is cb
+
+    @pytest.mark.parametrize("group", sorted(ORBITAL_GROUPS))
+    def test_sum_zero_counts_follow_the_point_orbits(self, group):
+        table = ORBITAL_GROUPS[group]()
+        full = rs.commutant_basis(rs.build_named_rep("sn_permutation", table))
+        sum_zero = rs.commutant_basis(rs.build_named_rep("sn_sum_zero", table))
+        # Burnside: the number of point orbits is the mean number of fixed points.
+        t = round(np.mean(np.count_nonzero(table.payload == np.arange(table.payload.shape[1]), axis=1)))
+        assert (sum_zero.dim, sum_zero.sym_dim) == (full.dim - 2 * t + 1, full.sym_dim - t)
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_counts_match_the_characters_across_symmetric_groups(self, name, n):
+        rep = rs.build_named_rep(name, symmetric_table(n))
+        cb = rs.commutant_basis(rep)
+        assert (cb.dim, cb.sym_dim) == rs.commutant.character_counts(rep.table_images())
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    @pytest.mark.parametrize("table", [
+        # the identity and a 3-cycle without its square: not closed
+        lambda: payload_table([[0, 1, 2], [1, 2, 0]], generators=[1]),
+        # all of S3, but listing only a transposition as its generator
+        lambda: payload_table(symmetric_table(3).payload,
+                              generators=[symmetric_table(3).indices_of([[1, 0, 2]])[0]]),
+    ], ids=["not_closed", "wrong_generators"])
+    def test_forged_table_is_rejected(self, name, table):
+        rep = rs.build_named_rep(name, table())
+        with pytest.raises(InconsistentDimensions):
+            rs.commutant_basis(rep)
+
+    def test_permutation_residual_moves_entries_exactly(self):
+        # On permutation images the entry moves give the products' residual,
+        # bit for bit, on matrices that do not commute; other images take
+        # the products whatever the flag says.
+        rng = rs.stream(61)
+        basis = list(rng.standard_normal((5, 7, 7)))
+        perms = permutation_images(np.stack([rng.permutation(7) for _ in range(3)]))
+        residual = rs.commutant._commutation_residual
+        assert residual(basis, perms, permutes=True) == residual(basis, perms) > 0.1
+        rotation = np.eye(7)
+        rotation[:2, :2] = rs.groups.rotation_matrix(0.3)
+        mixed = np.concatenate([perms, rotation[None]])
+        assert residual(basis, mixed, permutes=True) == residual(basis, mixed)
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_needs_no_svd_and_no_table_images(self, name, monkeypatch):
+        table = symmetric_table(5)
+        rep = rs.build_named_rep(name, table)
+        average = rep.table_images().mean(axis=0)
+        v = random_unit(rs.stream(60), rep.dim)
+        moments = rs.exact_finite_orbit_moments(rep, v)
+        rep = rs.build_named_rep(name, table)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the orbital path called an SVD or built table images")
+
+        monkeypatch.setattr(np.linalg, "svd", refuse)
+        monkeypatch.setattr(rs.Representation, "table_images", refuse)
+        cb = rs.split_symmetric_skew(rs.commutant_basis(rep))
+        assert (cb.dim, cb.sym_dim) == {"sn_permutation": (2, 2), "sn_sum_zero": (1, 1)}[name]
+        np.testing.assert_allclose(cb.projector, average, rtol=0, atol=1e-12)
+        again = rs.exact_finite_orbit_moments(rep, v)
+        np.testing.assert_allclose(again.second_moment.entries, moments.second_moment.entries,
+                                   rtol=0, atol=1e-15)

@@ -342,6 +342,30 @@ class TestPermutationClosure:
             rs.enumerate_closure(spec, cap=23)
 
 
+class TestOrbitLabels:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_least_element_of_each_orbit(self, seed):
+        # A few random permutations of 60 points, each with most points fixed,
+        # so the orbits are of many sizes; the oracle walks each orbit.
+        rng = rs.stream(seed, 70)
+        maps = np.tile(np.arange(60), (3, 1))
+        for m in maps:
+            moved = rng.choice(60, size=8, replace=False)
+            m[moved] = rng.permutation(moved)
+        expected = np.arange(60)
+        for start in range(60):
+            orbit, frontier = {start}, [start]
+            while frontier:
+                frontier = [int(m[i]) for i in frontier for m in maps if int(m[i]) not in orbit]
+                orbit.update(frontier)
+            expected[start] = min(orbit)
+        assert np.array_equal(rs.groups.orbit_labels(maps), expected)
+
+    def test_one_long_cycle(self):
+        cycle = np.roll(np.arange(500), 1)[None]
+        assert np.array_equal(rs.groups.orbit_labels(cycle), np.zeros(500, dtype=int))
+
+
 class TestTreeProduct:
     @pytest.mark.parametrize("kind,n", [("symmetric", 4), ("quaternion8", None)])
     def test_explicit_images_equal_word_products_bit_for_bit(self, kind, n):

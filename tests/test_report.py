@@ -269,9 +269,29 @@ class TestRunAnalysis:
 
         monkeypatch.setattr("repspect.report.fixed_projector", recording)
         rs.run_analysis(rs.parse_config(minimal_config(
-            samples=2000, tolerances={"nullspace_rel": 1e-9}
+            group={"kind": "dihedral", "n": 5},
+            representation={"name": "defining_orthogonal"},
+            samples=2000,
+            tolerances={"nullspace_rel": 1e-9},
         )))
         assert calls == [1e-9]
+
+    def test_permutation_entries_take_the_orbital_projector(self, monkeypatch):
+        def refuse(constraints, rel_threshold):
+            raise AssertionError("the orbitals give P; no nullspace is taken")
+
+        monkeypatch.setattr("repspect.report.fixed_projector", refuse)
+        report = rs.run_analysis(rs.parse_config(json.dumps({
+            "group": {"kind": "permutation_generators",
+                      "generators": [[1, 0, 2, 3, 4], [0, 1, 3, 4, 2]]},
+            "representation": {"name": "sn_sum_zero"},
+            "measure": {"kind": "orbit", "base": [0.4, -0.1, 0.3, 0.2, -0.8]},
+        })))
+        # Orbits {0, 1} and {2, 3, 4}: P fixes one line of the sum-zero space,
+        # and the orbit mean lies on it.
+        assert np.trace(report.commutant.projector) == pytest.approx(1.0, abs=1e-12)
+        entry = report.identities["expectation"][0]
+        assert entry["exact"] and entry["residual"] <= 1e-12 < entry["mean_norm"]
 
     def test_sum_zero_with_orbit_measure(self):
         cfg = rs.parse_config(json.dumps({
@@ -749,6 +769,21 @@ class TestCli:
         })
         assert cli_main(["analyze", "--config", path]) == 2
         assert "numerical failure" in capsys.readouterr().err
+
+    def test_size_refusal_exit_one(self, tmp_path, capsys, monkeypatch):
+        # O(128)'s first sampled round would stack 8 images of 128^4 floats.
+        def no_draws(*args):
+            raise AssertionError("drew Haar images before the budget check")
+
+        monkeypatch.setattr("repspect.commutant.haar_matrices", no_draws)
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "orthogonal", "n": 128},
+            "representation": {"name": "defining_orthogonal"},
+            "samples": 2000,
+        })
+        assert cli_main(["analyze", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("too large: ") and "byte budget" in err
 
     def test_readme_example_config_runs(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -170,20 +170,35 @@ class TestOrbit:
             np.testing.assert_allclose(rep.orbit(payload, v), images @ v, rtol=0, atol=1e-15)
 
     @pytest.mark.parametrize("name, group", [
-        ("defining_orthogonal", "o4"), ("sn_sum_zero", "s4"), ("q8_left", "q8"),
+        ("defining_orthogonal", "o4"), ("cyclic_rotation", "c6"), ("q8_left", "q8"),
     ])
-    def test_default_applies_the_images(self, name, group, s4_table, q8_table):
+    def test_default_applies_the_images(self, name, group, q8_table):
         # Without a closed form, orbit is the image stack applied to v, bit for bit.
         if group == "o4":
             source = rs.ContinuousFamily(kind="orthogonal", n=4)
             payload = rs.haar_matrices(source, rs.stream(45), 1000)
         else:
-            source = {"s4": s4_table, "q8": q8_table}[group]
+            source = {"c6": cyclic_table(6), "q8": q8_table}[group]
             payload = source.payload
         rep = rs.build_named_rep(name, source)
         v = random_unit(rs.stream(46), rep.dim)
         expected = np.einsum("kij,j->ki", rep.stack_map(payload), v)
         assert np.array_equal(rep.orbit(payload, v), expected)
+
+
+    @pytest.mark.parametrize("name", ["sn_permutation", "sn_sum_zero"])
+    def test_permutation_entries_move_coordinates(self, name, s4_table):
+        # The closed form scatters v by the payload and builds no image; on
+        # sn_permutation it is the image stack applied to v, bit for bit.
+        rep = rs.build_named_rep(name, s4_table)
+        v = random_unit(rs.stream(47), rep.dim)
+        expected = rep.table_images() @ v
+        rep.stack_map = None
+        orbit = rep.orbit(s4_table.payload, v)
+        if name == "sn_permutation":
+            assert np.array_equal(orbit, expected)
+        else:
+            np.testing.assert_allclose(orbit, expected, rtol=0, atol=1e-15)
 
 
 class TestTableImages:

@@ -47,9 +47,13 @@ def traced_analyses(tmp_path, docs):
 
 
 def test_tracer_records_finite_law_and_sampled_spans(tmp_path):
+    # S4 as its permutation matrices: a matrix payload, so table images are built.
     s4 = {
-        "group": {"kind": "symmetric", "n": 4},
-        "representation": {"name": "sn_permutation"},
+        "group": {"kind": "matrix_generators", "matrices": [
+            [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+            [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+        ]},
+        "representation": {"name": "defining_orthogonal"},
         "measures": [
             {"kind": "orbit", "base": [0.5, -0.1, 0.3, 0.8]},
             {"kind": "discrete", "points": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
@@ -97,3 +101,21 @@ def test_tracer_records_finite_law_and_sampled_spans(tmp_path):
     assert counts["commutant.constraint_images"] > 0
     assert counts["report.bytes"] > 0
     assert (tmp_path / "so3.csv").read_text().startswith("n_samples,estimate,stderr,reference")
+
+
+def test_permutation_entries_build_no_table_images(tmp_path):
+    docs = [
+        {
+            "group": {"kind": "symmetric", "n": 5},
+            "representation": {"name": name},
+            "measures": [{"kind": "orbit", "base": [0.5, -0.1, 0.3, 0.8, 0.2][: 5 - i]}],
+            "samples": 2000,
+            "outputs": {"report": str(tmp_path / f"{name}.json")},
+        }
+        for i, name in enumerate(["sn_permutation", "sn_sum_zero"])
+    ]
+    out = traced_analyses(tmp_path, docs)
+    assert out["codes"] == [0, 0]
+    assert "representations.table_images" not in out["spans"]
+    assert "moments.exact_finite_orbit_moments" in out["spans"]
+    assert out["counts"]["representations.table_image_bytes"] == 0
