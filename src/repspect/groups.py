@@ -408,9 +408,11 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
     whose three buckets of a fixed projection hold every stored element
     within tol).  Its direction spreads monomial groups (signed and plain
     permutation matrices) over the buckets too, so closure costs about
-    O(|G| k) comparisons for k generators.  The index stays on the table
-    for ``indices_of``; a closed-form table builds its index on the first
-    lookup.  Raises ClosureOverflow when more than ``cap`` distinct
+    O(|G| k) comparisons for k generators.  A ``MatrixIndex``, whose rows
+    are then the payload itself, stays on the table for ``indices_of``; a
+    ``PermutationIndex`` keys a bytes copy of every element, so it is
+    dropped, and a permutation or closed-form table builds its index on
+    the first lookup.  Raises ClosureOverflow when more than ``cap`` distinct
     elements appear, or when a matrix product's projection is not finite
     (an entry overflowed or is NaN), which no element of a finite group
     has.
@@ -429,7 +431,7 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
         generator=generator,
         generators=np.array(index.lookup(generators), dtype=np.intp),
         spec=spec,
-        _index=index,
+        _index=index if isinstance(index, MatrixIndex) else None,
     )
 
 

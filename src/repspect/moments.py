@@ -24,8 +24,12 @@ Monte Carlo estimates are a deterministic function of (seed, worker
 count, sample count): sampling is partitioned into per-worker substreams
 and reduced in a fixed order.  Every estimator draws ``_sample_blocks``
 of about 1.6 MB, successive blocks continuing each substream, so memory
-stays bounded whatever the sample count.  The x and y blocks that give
-the overlaps ``<x,y>^2`` also give the measure's moment record.
+stays bounded whatever the sample count.  The blocks that give the
+overlaps also give the measure's moment record.  An orbit of a compact
+group needs one Haar draw per pair: <rho(g) v, rho(h) v> = <v, rho(g^-1 h) v>
+and g^-1 h is again Haar distributed, so <rho(k) v, v>^2 has the law of
+<x,y>^2, and the x = rho(k) v alone give the record.  The uniform sphere
+and subspheres draw x and y, and both give the record.
 """
 
 from __future__ import annotations
@@ -139,7 +143,11 @@ def discrete_measure(points, probs) -> MeasureSpec:
 
 class VectorSampler:
     """Stateless batch sampler of unit vectors for one measure; the
-    estimators draw ``block`` rows at a time and may overwrite them."""
+    estimators draw ``block`` rows at a time and may overwrite them.
+    ``base`` is the base point v of an orbit sampler, whose draws are
+    rho(g) v, and None for every other sampler."""
+
+    base: np.ndarray | None = None
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -277,18 +285,30 @@ def squared_overlap_values(
     seed=0,
     workers: int = 1,
 ) -> tuple[np.ndarray, SecondMomentMatrix]:
-    """The n_pairs values <x_i, y_i>^2, in deterministic stream order, and
-    the moment record of the 2 n_pairs draws x_i, y_i.
+    """n_pairs values with the law of <x, y>^2 for independent draws x, y,
+    in deterministic stream order, and the moment record of their draws.
 
-    x and y come from independent substreams, one pair of substreams per
-    worker chunk, drawn block by block; the concatenation order is fixed
-    by the worker index.  Each block gives its overlaps before it is added
-    to the record.
+    Each worker chunk draws x from substream ``(w, 0)``, block by block;
+    the concatenation order is fixed by the worker index.  An orbit
+    sampler, one with a ``base`` v, draws nothing else: x_i = rho(k_i) v
+    for a Haar k_i, and since <rho(g) v, rho(h) v> = <v, rho(g^-1 h) v>
+    with g^-1 h again Haar distributed, <x_i, v>^2 has exactly the law of
+    <x, y>^2; the record is that of the n_pairs draws x_i.  Any other
+    sampler also draws y from substream ``(w, 1)`` and gives <x_i, y_i>^2,
+    and its record holds all 2 n_pairs draws (on a sphere the one-draw
+    value <x, e>^2 would be a diagonal entry of its own record).  Each
+    block gives its overlaps before it is added to the record.
     """
+    base = sampler.base
     sums = _MomentSums(sampler.dim)
     out = []
     for w, size in enumerate(_chunk_sizes(n_pairs, workers)):
         xs = _sample_blocks(sampler, stream(seed, w, 0), size)
+        if base is not None:
+            for x in xs:
+                out.append((x @ base) ** 2)
+                sums.add(x)
+            continue
         ys = _sample_blocks(sampler, stream(seed, w, 1), size)
         for x, y in zip(xs, ys):
             out.append(np.einsum("ki,ki->k", x, y) ** 2)

@@ -8,7 +8,7 @@ measure, and cross-checks the algebraic verdict against the moment
 statistics.  A measure with a finite law (discrete, or an orbit of a
 finite group) gets an exact moment record, M = E[x x^T] and E[x], which
 also gives its overlap |M|_F^2 and lower-bound gap; the others take
-theirs from the x and y draws of their overlap estimate, one sampling
+theirs from the draws of their overlap estimate, one sampling
 pass per measure.  That record gives the coordinate-moment summary and
 the expectation check E(x) = E(P x), P computed once per analysis.
 Reports are a pure function of (config, seed): repeated runs produce

@@ -256,6 +256,33 @@ def brute_sampled_record(sampler, n_pairs, seed=0, workers=1):
     return z.T @ z / count, stderr, z.mean(axis=0)
 
 
+def brute_orbit_overlap_values(sampler, images, n_pairs, seed=0, workers=1):
+    """Independent oracle: the one-draw orbit values <rho(k_i) v, v>^2 and
+    the orbit points rho(k_i) v of a continuous orbit sampler with base v.
+
+    Each worker chunk's Haar draws k_i are made whole by
+    ``brute_haar_matrices`` from substream (w, 0) and mapped through the
+    explicit image stack ``images(k)``, applied to v.
+    """
+    rep, v = sampler.rep, sampler.base
+    base, rem = divmod(n_pairs, workers)
+    x = np.concatenate([
+        images(brute_haar_matrices(rep.group, rs.stream(seed, w, 0), base + (w < rem))) @ v
+        for w in range(workers)
+    ])
+    return (x @ v) ** 2, x
+
+
+def brute_points_record(z):
+    """Independent oracle: (E[x x^T], its per-entry standard errors, E[x])
+    over the rows x of z, each column of standard errors the two-pass
+    ``std(ddof=1)`` of the products x_i x_j, one column at a time."""
+    stderr = np.stack(
+        [(z[:, [j]] * z).std(axis=0, ddof=1) for j in range(z.shape[1])], axis=1
+    ) / np.sqrt(len(z))
+    return z.T @ z / len(z), stderr, z.mean(axis=0)
+
+
 def brute_ts_conjugation(rots):
     """Independent oracle: images of rotations acting by conjugation on the
     traceless symmetric 3x3 matrices, in the orthonormal basis B.

@@ -23,6 +23,7 @@ from conftest import (
     brute_word_images,
     cyclic_table,
     payload_table,
+    symmetric_table,
     tree_words,
 )
 
@@ -334,6 +335,31 @@ class TestPermutationClosure:
         assert [tuple(row) for row in table.payload.tolist()] == perms
         assert tree_words(table) == words
         assert [perms[g] for g in table.generators] == [tuple(g) for g in gens.tolist()]
+
+    def test_closed_s9_table_retains_no_index(self):
+        # A kept PermutationIndex would key a bytes copy of each of the
+        # 362,880 elements: ~66 MiB more.  The table keeps its payload
+        # (24.9 MiB) and its parent and generator arrays (2.8 MiB each).
+        spec = rs.GroupSpec(kind="symmetric", n=9)
+        tracemalloc.start()
+        try:
+            table = rs.enumerate_closure(spec)
+            retained = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert table.order == 362_880 and table._index is None
+        assert retained < 32 * 2**20
+
+    def test_indices_of_rebuilds_the_permutation_index(self):
+        table = symmetric_table(5)
+        assert table._index is None
+        probes = table.payload[rs.stream(46).permutation(table.order)[:40]]
+        expected = [int(np.flatnonzero((table.payload == p).all(axis=1))[0]) for p in probes]
+        assert table.indices_of(probes).tolist() == expected
+        assert table._index is not None  # kept for later lookups
+        assert table.indices_of(probes).tolist() == expected
+        with pytest.raises(KeyError):
+            table.indices_of([[0, 0, 1, 2, 3]])
 
     def test_overflow_at_cap(self):
         spec = rs.GroupSpec(kind="symmetric", n=4)

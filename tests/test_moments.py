@@ -1,3 +1,4 @@
+import math
 import time
 import tracemalloc
 
@@ -22,10 +23,13 @@ from repspect.moments import VectorSampler, _sample_blocks, squared_overlap_valu
 from conftest import (
     brute_discrete_invariance,
     brute_haar_matrices,
+    brute_orbit_overlap_values,
     brute_orbit_second_moment,
     brute_pair_average,
+    brute_points_record,
     brute_sampled_record,
     brute_squared_overlap_values,
+    brute_ts_conjugation,
     cyclic_table,
     random_unit,
     symmetric_table,
@@ -55,6 +59,18 @@ class FiniteLawSampler(VectorSampler):
 
     def sample(self, rng, count):
         return self.points[rng.choice(len(self.points), size=count, p=self.probs)]
+
+
+def o3_plus_trivial():
+    """O(3) acting on R^3 + R by diag(R, 1): a representation with a
+    trivial summand (dim 4), whose orbits do not give 1/dim."""
+    def stack_map(rots):
+        images = np.zeros((len(rots), 4, 4))
+        images[:, :3, :3] = rots
+        images[:, 3, 3] = 1.0
+        return images
+
+    return rs.Representation(4, stack_map, rs.ContinuousFamily(kind="orthogonal", n=3))
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +200,38 @@ class TestEstimateSquaredOverlap:
         est, _ = rs.estimate_squared_overlap(rs.make_sampler(spec, so3_tss), 200_000, seed=7)
         assert abs(est.value - 0.2) <= 4.0 * est.stderr
 
+    @pytest.mark.parametrize("seed", [41, 42, 43])
+    def test_one_draw_orbit_value_where_it_is_not_one_over_n(self, seed):
+        # Base v = (u, d): <x, y> = |u|^2 c + d^2 with c the cosine of two
+        # uniform directions of R^3 (E c = 0, E c^2 = 1/3), so
+        # E<x,y>^2 = (1 - d^2)^2 / 3 + d^4 = 0.4528, not 1/4.
+        d, n_pairs = 0.8, 200_000
+        u = random_unit(rs.stream(seed), 3) * math.sqrt(1.0 - d * d)
+        sampler = rs.make_sampler(rs.orbit_measure(np.append(u, d)), o3_plus_trivial())
+        exact = (1.0 - d * d) ** 2 / 3.0 + d**4
+        est, record = rs.estimate_squared_overlap(sampler, n_pairs, seed=seed)
+        assert record.n_samples == n_pairs
+        assert abs(est.value - exact) <= 4.0 * est.stderr
+        assert abs(exact - 0.25) > 50.0 * est.stderr
+        two_draw = brute_squared_overlap_values(sampler, n_pairs, seed=seed)
+        two_draw_stderr = two_draw.std(ddof=1) / math.sqrt(n_pairs)
+        assert abs(est.value - two_draw.mean()) <= 4.0 * math.hypot(est.stderr, two_draw_stderr)
+
+    def test_qr_path_orbit_draws_one_haar_matrix_per_pair(self, monkeypatch):
+        # O(8) draws through the batched QR, not the closed-form 3 x 3 frames.
+        draws = []
+
+        def counting_haar_matrices(family, rng, size):
+            draws.append(size)
+            return rs.haar_matrices(family, rng, size)
+
+        monkeypatch.setattr("repspect.moments.haar_matrices", counting_haar_matrices)
+        rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=8))
+        sampler = rs.make_sampler(rs.orbit_measure(random_unit(rs.stream(44), 8)), rep)
+        est, record = rs.estimate_squared_overlap(sampler, 5_001, seed=45, workers=2)
+        assert sum(draws) == record.n_samples == 5_001
+        assert abs(est.value - 1.0 / 8.0) <= 4.0 * est.stderr
+
     def test_antipodal_two_point_measure(self):
         w = np.ones(3) / np.sqrt(3.0)
         est, _ = rs.estimate_squared_overlap(FiniteLawSampler([w, -w], [0.5, 0.5]), 10_000, seed=8)
@@ -193,7 +241,8 @@ class TestEstimateSquaredOverlap:
     @pytest.mark.parametrize("case", ["sphere_dim40", "subsphere", "so3_orbit"])
     def test_block_draws_match_whole_chunk_draws(self, so3_tss, case):
         # Each case spans several blocks of the sampler's rows; the record
-        # of the overlap's own x and y draws matches one of whole draws.
+        # of the overlap's own draws (x and y, or the orbit's x alone)
+        # matches one of whole draws.
         if case == "sphere_dim40":
             fam = rs.ContinuousFamily(kind="orthogonal", n=40)
             sampler = rs.make_sampler(rs.uniform_sphere(), rs.build_named_rep("defining_orthogonal", fam))
@@ -205,13 +254,23 @@ class TestEstimateSquaredOverlap:
         else:
             spec = rs.orbit_measure(random_unit(rs.stream(22), 5))
             sampler = rs.make_sampler(spec, so3_tss)
-            n_pairs, workers = 90_001, 1
+            n_pairs, workers = 90_001, 2
         assert n_pairs > 2 * sampler.block
         vals, record = squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
-        brute = brute_squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
-        assert np.array_equal(vals, brute)
-        entries, stderr, mean = brute_sampled_record(sampler, n_pairs, seed=23, workers=workers)
-        assert record.n_samples == 2 * n_pairs and not record.exact
+        if case == "so3_orbit":
+            # QR draws and explicit conjugation images, against the closed-form
+            # frames and orbit map: equal to rounding.
+            brute, x = brute_orbit_overlap_values(
+                sampler, brute_ts_conjugation, n_pairs, seed=23, workers=workers
+            )
+            np.testing.assert_allclose(vals, brute, rtol=0, atol=1e-12)
+            entries, stderr, mean = brute_points_record(x)
+            assert record.n_samples == n_pairs and not record.exact
+        else:
+            brute = brute_squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
+            assert np.array_equal(vals, brute)
+            entries, stderr, mean = brute_sampled_record(sampler, n_pairs, seed=23, workers=workers)
+            assert record.n_samples == 2 * n_pairs and not record.exact
         np.testing.assert_allclose(record.entries, entries, rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.stderr, stderr, rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.mean, mean, rtol=0, atol=1e-12)

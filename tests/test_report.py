@@ -586,9 +586,10 @@ class TestRunAnalysis:
 
 
     def test_sampled_measure_draws_overlap_and_moment_streams_only(self, monkeypatch):
-        # Per sampled measure: x and y for the overlap, whose draws are also
-        # its moment record (coordinate moments and expectation check), and
-        # no more; P reads the commutant's constraint images and draws nothing.
+        # Per sampled orbit: one Haar draw per pair for the overlap, whose
+        # draws are also its moment record (coordinate moments and
+        # expectation check), and no more; P reads the commutant's
+        # constraint images and draws nothing.
         draws = {"moments": 0, "commutant": 0}
 
         def counting(module):
@@ -608,7 +609,7 @@ class TestRunAnalysis:
         }))
         report = rs.run_analysis(cfg)
         assert report.identities["expectation"][0]["exact"] is False
-        assert draws["moments"] == 2 * 3000
+        assert draws["moments"] == 3000
         assert draws["commutant"] == len(report.commutant.constraints)
 
 
