@@ -17,24 +17,25 @@ this package certifies:
   not depend on the basis.
 
 The permutation entries ``sn_permutation`` and ``sn_sum_zero`` have an
-exact, seed-free basis: the indicator matrices of the orbitals, the
-orbits of the group on ordered pairs of points (Higman, Coherent
-configurations I, 1970).  The n^2 pairs are labelled by label propagation
-under the generators' index maps; normalized indicators have disjoint
-supports, so they are orthonormal, and the basis comes out split: a
-self-paired orbital O = O^T is symmetric and each pair {O, O^T} gives
-(1_O +- 1_O^T) / sqrt(2 |O|).  The diagonal orbitals are the point
-orbits, so P = sum over point orbits O of 1_O 1_O^T / |O|.  ``sn_sum_zero``
-maps this span through A -> H A H^T, H the Helmert rows, after splitting
-off the part that map kills; its counts are d - 2t + 1 and s - t for t
-point orbits.  Both counts must equal those of the integer characters
-read off the payload (chi(g) the fixed points of ``payload[g]``, less 1
-on the sum-zero space, chi(g^2) those of ``payload[g][payload[g]]``), and
-the basis is still checked against the generator images.  No SVD runs and
-no table image is built; no singular value is cut either, so
-``threshold`` reports the relative cutoff itself (the commuting
-projector's singular values are exactly 0 and 1) and ``ambiguous_sigma``
-is None.
+exact, seed-free basis: the indicator matrices of the orbitals, the orbits
+of the group on ordered pairs of points (Higman, Coherent configurations
+I, 1970), labelled by label propagation under the generators' index maps.
+Normalized indicators have disjoint supports, so they are orthonormal, and
+the basis comes out split: a self-paired orbital O = O^T is symmetric and
+each pair {O, O^T} gives (1_O +- 1_O^T) / sqrt(2 |O|).  The diagonal
+orbitals are the point orbits, so P = sum over point orbits O of
+1_O 1_O^T / |O|.  For ``sn_sum_zero``, A -> H A H^T (H the Helmert rows)
+maps the commuting A with zero row sums, and so zero column sums,
+isometrically onto its commutant; keeping the combinations of each part
+with zero row sums (t and t - 1 constraints for t point orbits) gives
+counts d - 2t + 1 and s - t, and P is H P H^T.  Both counts must equal
+those of the integer characters read off the payload (chi(g) the fixed
+points of ``payload[g]``, less 1 on the sum-zero space, chi(g^2) those of
+``payload[g][payload[g]]``), and the basis is checked against the
+generator images.  No SVD runs and no table image is built; no singular
+value is cut, so ``threshold`` reports the relative cutoff itself (the
+commuting projector's singular values are exactly 0 and 1) and
+``ambiguous_sigma`` is None.
 
 Any other finite group table takes the range of the Reynolds operator
 A -> (1/|G|) sum_g rho(g) A rho(g)^T, an orthogonal projector on matrix
@@ -51,7 +52,7 @@ dimension stabilizes.
 Outside the permutation entries, the vectors rho itself fixes, whose
 projector is the P of the expectation check E(x) = E(P x), are the
 nullspace of the stacked rho(g) - I over the same constraint images,
-under the same cutoff rule.
+under the same cutoff rule; every basis carries its P.
 """
 
 from __future__ import annotations
@@ -90,9 +91,6 @@ RANGE_BUFFER_BYTES = 256 * 2**20
 # Table images are averaged in blocks whose products stay below this size,
 # so the average adds little to the pipeline's peak memory.
 REYNOLDS_BLOCK_BYTES = 2**20
-# The commutation residual moves the entries of this much of the basis at a
-# time when the images are permutation matrices.
-RESIDUAL_BLOCK_BYTES = 16 * 2**20
 # A sampled round's (k n^2, n^2) constraint stack may take at most this
 # much: O(40) stabilizes at 16 images, a 328 MB stack.
 SAMPLED_STACK_BYTES = 512 * 2**20
@@ -113,14 +111,13 @@ class CommutantBasis:
     is the largest commutation defect of any basis element against any
     constraint matrix; ``threshold`` is the singular-value cutoff that
     defined the nullspace (on orbitals, which cut nothing, the relative
-    cutoff itself).  ``constraints`` keeps the constraint images
-    so later stages, the fixed projector included, read the same evidence.
-    ``sym_count`` is the character count of the symmetric part on finite
-    tables, which :func:`split_symmetric_skew` checks its split against;
-    it is ``None`` when the basis came from an SVD nullspace.
-    ``projector`` is the projector P onto the fixed vectors when the basis
-    came from orbitals, which give it exactly; it is ``None`` otherwise,
-    and :func:`fixed_projector` reads P off ``constraints``.
+    cutoff itself).  ``constraints`` keeps the constraint images so later
+    stages read the same evidence, and ``projector`` is P, the projector
+    onto the vectors they fix: exact on orbitals, otherwise
+    :func:`fixed_projector` of ``constraints``.  ``sym_count`` is the
+    character count of the symmetric part on finite tables, which
+    :func:`split_symmetric_skew` checks its split against; it is ``None``
+    when the basis came from an SVD nullspace.
     """
 
     basis: list[np.ndarray]
@@ -130,9 +127,9 @@ class CommutantBasis:
     residual: float
     threshold: float
     constraints: np.ndarray
+    projector: np.ndarray
     ambiguous_sigma: float | None = None
     sym_count: int | None = None
-    projector: np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -287,8 +284,7 @@ def _orbitals(generators: np.ndarray):
 
 def _orbital_split(orbital: np.ndarray, transpose: np.ndarray):
     """Orthonormal symmetric and skew rows (vectorized n x n matrices)
-    spanning the span of the orbital indicators, with the orbital that
-    leads each row.
+    spanning the span of the orbital indicators.
 
     A self-paired orbital O = O^T gives its normalized indicator, and each
     pair {O, O^T} gives (1_O +- 1_O^T) / sqrt(2 |O|); disjoint supports
@@ -299,67 +295,37 @@ def _orbital_split(orbital: np.ndarray, transpose: np.ndarray):
     paired = transpose != own
     support = np.bincount(orbital) * (1 + paired)  # entries of each orbital's rows
     value = 1.0 / np.sqrt(support)
-    sym_leads, sym_of = np.unique(np.minimum(own, transpose), return_inverse=True)
+    sym_of = np.unique(np.minimum(own, transpose), return_inverse=True)[1]
     skew_leads = np.flatnonzero(own < transpose)
     skew_of = np.zeros(d, dtype=np.intp)
     skew_of[skew_leads] = skew_of[transpose[skew_leads]] = np.arange(len(skew_leads))
     pairs = np.arange(len(orbital))
-    sym = np.zeros((len(sym_leads), len(orbital)))
+    sym = np.zeros((sym_of.max() + 1, len(orbital)))
     sym[sym_of[orbital], pairs] = value[orbital]
     skew = np.zeros((len(skew_leads), len(orbital)))
     on = paired[orbital]
     signed = np.where(own < transpose, value, -value)
     skew[skew_of[orbital[on]], pairs[on]] = signed[orbital[on]]
-    return (sym, sym_leads), (skew, skew_leads)
+    return sym, skew
 
 
-def _complement(beta: np.ndarray) -> np.ndarray:
-    """Orthonormal columns spanning the complement of a unit vector: all
-    but the first column of the Householder reflection that maps e_0 to
-    -beta (or to beta), computed with no cancellation."""
-    w = beta * (1.0 if beta[0] >= 0 else -1.0)
-    w[0] += 1.0
-    return (np.eye(len(w)) - np.outer(w, w) / w[0])[:, 1:]
+def _zero_row_sums(rows: np.ndarray, point_orbit: np.ndarray, constraints: int) -> np.ndarray:
+    """Orthonormal combinations of the orthonormal commuting ``rows``, all
+    symmetric or all skew, whose row sums vanish.
 
-
-def _sum_zero_split(parts, blocks, point_orbit: np.ndarray):
-    """Symmetric and skew rows of the sum-zero commutant, in ambient
-    coordinates, from the split rows of the permutation commutant.
-
-    With Q = I - J/n, A -> Q A Q maps the permutation commutant onto the
-    sum-zero one and kills A = 1 u^T + w 1^T, u and w constant on point
-    orbits.  Its image splits orthogonally into the centered rows, which
-    Q A Q keeps, and U (x) U, U the vectors constant on point orbits and
-    orthogonal to 1.  The rows of one parity whose orbitals lie in the
-    blocks a x b and b x a of two point orbits meet the block sums in one
-    direction beta (none for skew rows with a = b), whose orthogonal
-    complement is centered; U is the complement of 1 in the normalized
-    orbit indicators.  ``blocks[p]`` holds the sorted (a, b) of each row
-    of ``parts[p]``.
+    Row sums of a commuting matrix are constant on point orbits, so its sums
+    at one point of each of the first ``constraints`` orbits (the margins)
+    are the constraints; a complete QR of the margins gives the combinations
+    past its first ``constraints`` columns when the margins have full rank.
+    Symmetric rows take all t orbits: an orbit's diagonal orbital adds to
+    its margin alone.  Skew rows take t - 1: their margins weighted by orbit
+    size sum to 1^T X 1 = 0, and for any two orbits a and b a paired
+    orbital in a x b has margins e_a/|a| - e_b/|b| up to a factor.
     """
     n = len(point_orbit)
-    indicators = np.eye(point_orbit.max() + 1)[point_orbit]  # column a is 1_a
-    sizes = indicators.sum(axis=0)
-    u = (indicators / np.sqrt(sizes)) @ _complement(np.sqrt(sizes / n))
-    uu = np.einsum("ik,jl->klij", u, u).reshape(u.shape[1], u.shape[1], n * n)
-    high, low = np.triu_indices(u.shape[1], 1)
-    block_sum_parts = (
-        np.concatenate([uu[range(u.shape[1]), range(u.shape[1])],
-                        (uu[high, low] + uu[low, high]) / np.sqrt(2.0)]),
-        (uu[high, low] - uu[low, high]) / np.sqrt(2.0),
-    )
-    out = []
-    for skew, (rows, keys), extra in zip((False, True), zip(parts, blocks), block_sum_parts):
-        centered = []
-        for a, b in sorted(set(map(tuple, keys))):
-            group = rows[(keys == (a, b)).all(axis=1)]
-            if skew and a == b:
-                centered.append(group)
-                continue
-            beta = group @ np.outer(indicators[:, a], indicators[:, b]).reshape(-1)
-            centered.append(_complement(beta / np.linalg.norm(beta)).T @ group)
-        out.append(np.concatenate(centered + [extra]))
-    return out, u
+    leads = np.unique(point_orbit, return_index=True)[1][:constraints]
+    margins = rows.reshape(len(rows), n, n)[:, leads].sum(axis=2)
+    return np.linalg.qr(margins, mode="complete")[0][:, constraints:].T @ rows
 
 
 def _helmert_conjugates(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
@@ -389,8 +355,9 @@ def _check_orbital_budget(rows: int, n: int, what: str) -> None:
 
 
 def _orbital_commutant(rep: Representation, rel_threshold: float) -> CommutantBasis:
-    """The split commutant of ``sn_permutation`` or ``sn_sum_zero``, read off
-    the orbitals of the generators (see the module docstring).
+    """The split commutant of ``sn_permutation``, or of ``sn_sum_zero``
+    through its rows with zero row sums, read off the orbitals of the
+    generators (see the module docstring).
 
     The counts d and s of the orbitals must equal those of the characters
     of the payload, or InconsistentDimensions is raised; the pair labels
@@ -414,16 +381,14 @@ def _orbital_commutant(rep: Representation, rel_threshold: float) -> CommutantBa
             f"the characters of the payload give {dim} ({sym_count})"
         )
     _check_orbital_budget(len(roots), n, f"orbital basis of dimension {len(roots)}")
-    (sym, sym_leads), (skew, skew_leads) = _orbital_split(orbital, transpose)
+    sym, skew = _orbital_split(orbital, transpose)
+    fixed = np.eye(t)[point_orbit] / np.sqrt(np.bincount(point_orbit))
+    projector = fixed @ fixed.T
     if sum_zero:
         h = sum_zero_basis(n)
-        blocks = [np.sort(point_orbit[np.stack(np.divmod(roots[leads], n), axis=1)])
-                  for leads in (sym_leads, skew_leads)]
-        (sym, skew), u = _sum_zero_split((sym, skew), blocks, point_orbit)
-        sym, skew = _helmert_conjugates(sym, h), _helmert_conjugates(skew, h)
-        fixed = h @ u
-    else:
-        fixed = np.eye(t)[point_orbit] / np.sqrt(np.bincount(point_orbit))
+        sym = _helmert_conjugates(_zero_row_sums(sym, point_orbit, t), h)
+        skew = _helmert_conjugates(_zero_row_sums(skew, point_orbit, t - 1), h)
+        projector = h @ projector @ h.T
     basis = [row.reshape(rep.dim, rep.dim) for row in np.concatenate([sym, skew])]
     images = rep.generator_images()
     return CommutantBasis(
@@ -431,11 +396,11 @@ def _orbital_commutant(rep: Representation, rel_threshold: float) -> CommutantBa
         dim=dim,
         sym_dim=len(sym),
         skew_dim=len(skew),
-        residual=_commutation_residual(basis, images, permutes=not sum_zero),
+        residual=_commutation_residual(basis, images),
         threshold=rel_threshold,
         constraints=images,
+        projector=projector,
         sym_count=sym_count,
-        projector=fixed @ fixed.T,
     )
 
 
@@ -447,11 +412,11 @@ def commutant_basis(
 ) -> CommutantBasis:
     """Compute the commuting span of a representation; its group decides how.
 
-    ``sn_permutation`` and ``sn_sum_zero`` read a split basis and the
-    fixed projector off the orbitals of their generators (see the module
-    docstring); their counts must equal the payload's character counts,
-    or InconsistentDimensions is raised, and a basis or pair labelling
-    above ``ORBITAL_BASIS_BYTES`` raises TooLarge before it is allocated.
+    ``sn_permutation`` and ``sn_sum_zero`` read a split basis and P off
+    the orbitals of their generators; counts other than the payload's
+    character counts raise InconsistentDimensions, and a basis or pair
+    labelling above ``ORBITAL_BASIS_BYTES`` raises TooLarge before it is
+    allocated.  Every other group takes P from :func:`fixed_projector`.
 
     Any other finite table counts the dimension d and the symmetric dimension
     from the characters of the table images, then takes the basis from
@@ -495,6 +460,7 @@ def commutant_basis(
         residual=_commutation_residual(basis, images),
         threshold=threshold,
         constraints=images,
+        projector=fixed_projector(images, rel_threshold),
         ambiguous_sigma=ambiguous,
         sym_count=sym_count,
     )
@@ -547,30 +513,9 @@ def _stabilized_sampled_nullspace(rep, rng, rel_threshold):
     )
 
 
-def _commutation_residual(
-    basis: list[np.ndarray], images: np.ndarray, permutes: bool = False
-) -> float:
-    """Largest entry of rho b - b rho over the basis and the images.
-
-    ``permutes`` says the images should be permutation matrices, as
-    ``sn_permutation``'s are.  When they are, the entries of rho b - b rho
-    are those of rho b rho^T - b with its columns moved, and rho b rho^T
-    moves the entries of b exactly: one ``take`` per image on stacks of
-    ``RESIDUAL_BLOCK_BYTES`` of the basis, and no product.
-    """
-    k, n, _ = images.shape
+def _commutation_residual(basis: list[np.ndarray], images: np.ndarray) -> float:
+    """Largest entry of rho b - b rho over the basis and the images."""
     worst = 0.0
-    ones = images.argmax(axis=2) if permutes else None  # rho e_ones[r] = e_r
-    if permutes and np.array_equal(images, np.eye(n)[ones]):
-        moves = (ones[:, :, None] * n + ones[:, None, :]).reshape(k, n * n)
-        block = max(1, RESIDUAL_BLOCK_BYTES // (n * n * 8))
-        for start in range(0, len(basis), block):
-            rows = np.stack(basis[start : start + block]).reshape(-1, n * n)
-            for move in moves:
-                defects = np.take(rows, move, axis=1)
-                defects -= rows
-                worst = max(worst, float(defects.max()), float(-defects.min()))
-        return worst
     for b in basis:
         defects = images @ b - b @ images  # broadcast over the stack
         worst = max(worst, float(np.max(np.abs(defects))))

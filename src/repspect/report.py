@@ -37,7 +37,6 @@ from .commutant import (
     _subspace_invariance_residual,
     classify_and_decide,
     commutant_basis,
-    fixed_projector,
     span_residual,
     split_symmetric_skew,
     witness_invariant_subspace,
@@ -436,9 +435,6 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         "identity_span_residual": span_residual(cb.basis, np.eye(rep.dim) / math.sqrt(rep.dim)),
     }
     trace_rows = None
-    proj = cb.projector
-    if proj is None:
-        proj = fixed_projector(cb.constraints, tol.nullspace_rel)
 
     for i, spec in enumerate(cfg.measures):
         invariant_verified = None
@@ -496,7 +492,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         ))
 
         if eligible or _subsphere_is_invariant(spec, cb):
-            chk = expectation_identity_check(m, proj, band_sigma=tol.band_sigma)
+            chk = expectation_identity_check(m, cb.projector, band_sigma=tol.band_sigma)
             slack = _slack(m.exact, rep.dim)
             identities["expectation"].append({
                 "measure_index": i,

@@ -602,6 +602,9 @@ ORBITAL_GROUPS = {
     # <(0 1), (2 3 4)> on 6 points: orbits {0, 1}, {2, 3, 4} and the fixed point 5.
     "intransitive": lambda: rs.enumerate_closure(rs.GroupSpec(
         kind="permutation_generators", generators=((1, 0, 2, 3, 4, 5), (0, 1, 3, 4, 2, 5)))),
+    # <(0 1 2), (3 4)> on 5 points: two orbits and no fixed point.
+    "c3xc2": lambda: rs.enumerate_closure(rs.GroupSpec(
+        kind="permutation_generators", generators=((1, 2, 0, 3, 4), (0, 1, 2, 4, 3)))),
 }
 ENTRIES = ["sn_permutation", "sn_sum_zero"]
 
@@ -626,6 +629,29 @@ class TestOrbitalCommutant:
         np.testing.assert_allclose(cb.projector, images.mean(axis=0), rtol=0, atol=1e-12)
         assert cb.residual <= 1e-12
         assert rs.split_symmetric_skew(cb) is cb
+
+    @pytest.mark.parametrize("name", ENTRIES)
+    def test_trivial_group_on_seven_points_commutes_with_everything(self, name):
+        # Every point is its own orbit (t = 7), the most constraints the
+        # zero-row-sum cut can take.  The commutant is the whole matrix
+        # space, the exact oracle here: the sum-zero image H H^T equals I
+        # only up to rounding, and brute_commutant's cutoff, relative to
+        # its largest singular value, keeps the commutant of that rounding.
+        table = rs.enumerate_closure(rs.GroupSpec(
+            kind="permutation_generators", generators=(tuple(range(7)),)))
+        rep = rs.build_named_rep(name, table)
+        cb = rs.commutant_basis(rep)
+        n = rep.dim
+        assert (cb.dim, cb.sym_dim) == rs.commutant.character_counts(rep.table_images())
+        assert (cb.dim, cb.sym_dim) == (n * n, n * (n + 1) // 2)
+        rows = span_columns(cb.basis)
+        np.testing.assert_allclose(rows.T @ rows, np.eye(cb.dim), rtol=0, atol=1e-12)
+        for b in cb.basis[: cb.sym_dim]:
+            np.testing.assert_allclose(b, b.T, rtol=0, atol=1e-15)
+        for b in cb.basis[cb.sym_dim :]:
+            np.testing.assert_allclose(b, -b.T, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(cb.projector, np.eye(n), rtol=0, atol=1e-12)
+        assert cb.residual <= 1e-12
 
     @pytest.mark.parametrize("group", sorted(ORBITAL_GROUPS))
     def test_sum_zero_counts_follow_the_point_orbits(self, group):
@@ -655,20 +681,6 @@ class TestOrbitalCommutant:
         rep = rs.build_named_rep(name, table())
         with pytest.raises(InconsistentDimensions):
             rs.commutant_basis(rep)
-
-    def test_permutation_residual_moves_entries_exactly(self):
-        # On permutation images the entry moves give the products' residual,
-        # bit for bit, on matrices that do not commute; other images take
-        # the products whatever the flag says.
-        rng = rs.stream(61)
-        basis = list(rng.standard_normal((5, 7, 7)))
-        perms = permutation_images(np.stack([rng.permutation(7) for _ in range(3)]))
-        residual = rs.commutant._commutation_residual
-        assert residual(basis, perms, permutes=True) == residual(basis, perms) > 0.1
-        rotation = np.eye(7)
-        rotation[:2, :2] = rs.groups.rotation_matrix(0.3)
-        mixed = np.concatenate([perms, rotation[None]])
-        assert residual(basis, mixed, permutes=True) == residual(basis, mixed)
 
     @pytest.mark.parametrize("name", ENTRIES)
     def test_needs_no_svd_and_no_table_images(self, name, monkeypatch):

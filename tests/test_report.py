@@ -267,7 +267,7 @@ class TestRunAnalysis:
             calls.append(rel_threshold)
             return rs.fixed_projector(constraints, rel_threshold)
 
-        monkeypatch.setattr("repspect.report.fixed_projector", recording)
+        monkeypatch.setattr("repspect.commutant.fixed_projector", recording)
         rs.run_analysis(rs.parse_config(minimal_config(
             group={"kind": "dihedral", "n": 5},
             representation={"name": "defining_orthogonal"},
@@ -280,7 +280,7 @@ class TestRunAnalysis:
         def refuse(constraints, rel_threshold):
             raise AssertionError("the orbitals give P; no nullspace is taken")
 
-        monkeypatch.setattr("repspect.report.fixed_projector", refuse)
+        monkeypatch.setattr("repspect.commutant.fixed_projector", refuse)
         report = rs.run_analysis(rs.parse_config(json.dumps({
             "group": {"kind": "permutation_generators",
                       "generators": [[1, 0, 2, 3, 4], [0, 1, 3, 4, 2]]},
