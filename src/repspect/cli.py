@@ -92,6 +92,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def flag_overrides(args) -> dict:
+    """The config fields that the ``analyze`` flags given replace."""
+
+    def given(*keys):
+        return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
+
+    overrides, outputs = given("samples", "seed", "workers"), given("format", "trace")
+    return dict(overrides, outputs=outputs) if outputs else overrides
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "catalog":
@@ -99,23 +109,7 @@ def main(argv=None) -> int:
         return 0
 
     try:
-        cfg = parse_config(Path(args.config))
-        if args.samples is not None:
-            if args.samples < 2:
-                raise ValidationError("--samples must be >= 2")
-            cfg.samples = args.samples
-        if args.seed is not None:
-            if not 0 <= args.seed < 2**64:
-                raise ValidationError("--seed must fit in an unsigned 64-bit integer")
-            cfg.seed = args.seed
-        if args.workers is not None:
-            if args.workers < 1:
-                raise ValidationError("--workers must be >= 1")
-            cfg.workers = args.workers
-        if args.format is not None:
-            cfg.format = args.format
-        if args.trace is not None:
-            cfg.trace_path = args.trace
+        cfg = parse_config(Path(args.config), flag_overrides(args))
     except CONFIG_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -49,6 +49,10 @@ nullspace of the stacked kron(rho(g), rho(g)) - I, with g running over a
 batch of invariant-distributed samples that is doubled until the
 dimension stabilizes.
 
+Every basis comes out split, as one array with the symmetric elements
+first: transposition maps the span to itself, so the Reynolds and sampled
+bases split exactly into the ranges of (B + B^T)/2 and (B - B^T)/2, and
+the finite tables check the symmetric part against its character count.
 Outside the permutation entries, the vectors rho itself fixes, whose
 projector is the P of the expectation check E(x) = E(P x), are the
 nullspace of the stacked rho(g) - I over the same constraint images,
@@ -57,14 +61,13 @@ under the same cutoff rule; every basis carries its P.
 
 from __future__ import annotations
 
-import dataclasses
+import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import (
-    BadParams,
     DegenerateSpectrum,
     InconsistentDimensions,
     NonStabilizedDimension,
@@ -104,32 +107,28 @@ WITNESS_RESIDUAL_TOL = 1e-6
 
 @dataclass
 class CommutantBasis:
-    """Orthonormal basis (trace inner product) of the commuting span.
+    """Orthonormal basis (trace inner product) of the commuting span, split.
 
-    ``sym_dim``/``skew_dim`` are populated by :func:`split_symmetric_skew`,
-    after which the basis lists the symmetric elements first.  ``residual``
-    is the largest commutation defect of any basis element against any
-    constraint matrix; ``threshold`` is the singular-value cutoff that
-    defined the nullspace (on orbitals, which cut nothing, the relative
-    cutoff itself).  ``constraints`` keeps the constraint images so later
-    stages read the same evidence, and ``projector`` is P, the projector
-    onto the vectors they fix: exact on orbitals, otherwise
-    :func:`fixed_projector` of ``constraints``.  ``sym_count`` is the
-    character count of the symmetric part on finite tables, which
-    :func:`split_symmetric_skew` checks its split against; it is ``None``
-    when the basis came from an SVD nullspace.
+    ``basis`` is a ``(dim, n, n)`` array: ``sym_dim`` symmetric elements
+    first, then ``skew_dim`` skew ones.  ``residual`` is the largest
+    commutation defect of any basis element against any constraint
+    matrix; ``threshold`` is the singular-value cutoff that defined the
+    nullspace (on orbitals, which cut nothing, the relative cutoff
+    itself).  ``constraints`` keeps the constraint images so later stages
+    read the same evidence, and ``projector`` is P, the projector onto the
+    vectors they fix: exact on orbitals, otherwise :func:`fixed_projector`
+    of ``constraints``.
     """
 
-    basis: list[np.ndarray]
+    basis: np.ndarray
     dim: int
-    sym_dim: int | None
-    skew_dim: int | None
+    sym_dim: int
+    skew_dim: int
     residual: float
     threshold: float
     constraints: np.ndarray
     projector: np.ndarray
     ambiguous_sigma: float | None = None
-    sym_count: int | None = None
 
 
 @dataclass(frozen=True)
@@ -389,18 +388,23 @@ def _orbital_commutant(rep: Representation, rel_threshold: float) -> CommutantBa
         sym = _helmert_conjugates(_zero_row_sums(sym, point_orbit, t), h)
         skew = _helmert_conjugates(_zero_row_sums(skew, point_orbit, t - 1), h)
         projector = h @ projector @ h.T
-    basis = [row.reshape(rep.dim, rep.dim) for row in np.concatenate([sym, skew])]
-    images = rep.generator_images()
+    return _split_basis(sym, skew, rep.generator_images(), rel_threshold, projector)
+
+
+def _split_basis(sym, skew, images, threshold, projector, ambiguous=None) -> CommutantBasis:
+    """The :class:`CommutantBasis` of orthonormal symmetric and skew rows."""
+    n = images.shape[1]
+    basis = np.concatenate([sym, skew]).reshape(-1, n, n)
     return CommutantBasis(
         basis=basis,
-        dim=dim,
+        dim=len(basis),
         sym_dim=len(sym),
         skew_dim=len(skew),
         residual=_commutation_residual(basis, images),
-        threshold=rel_threshold,
+        threshold=threshold,
         constraints=images,
         projector=projector,
-        sym_count=sym_count,
+        ambiguous_sigma=ambiguous,
     )
 
 
@@ -410,7 +414,8 @@ def commutant_basis(
     rng: np.random.Generator | None = None,
     rel_threshold: float = NULLSPACE_REL_THRESHOLD,
 ) -> CommutantBasis:
-    """Compute the commuting span of a representation; its group decides how.
+    """Compute the split commuting span of a representation; its group
+    decides how.
 
     ``sn_permutation`` and ``sn_sum_zero`` read a split basis and P off
     the orbitals of their generators; counts other than the payload's
@@ -421,9 +426,10 @@ def commutant_basis(
     Any other finite table counts the dimension d and the symmetric dimension
     from the characters of the table images, then takes the basis from
     the Reynolds images of d + 4 Gaussian matrices drawn from ``rng``;
-    a count off an integer or a numerical rank other than d raises
-    InconsistentDimensions, and a range too large for the buffer budget
-    raises TooLarge before anything is drawn.  The generator images are
+    a count off an integer, a numerical rank other than d or a symmetric
+    part of another dimension raises InconsistentDimensions, and a range
+    too large for the buffer budget raises TooLarge before anything is
+    drawn.  The generator images are
     kept as the constraints that later stages re-verify against: a
     matrix commuting with the generators commutes with all of their
     products.
@@ -438,6 +444,10 @@ def commutant_basis(
     before its draws (the first round's before any).  On O(n) the first
     draw is made a reflection, since draws that all lie in SO(n) would
     give the commutant of SO(n).
+
+    Both split their rows with :func:`split_symmetric_skew`, after warning
+    with ThresholdAmbiguity when a singular value sits within a decade of
+    the cutoff; an empty span raises RepspectError.
     """
     if rep.catalog_id in PERMUTATION_ENTRIES:
         return _orbital_commutant(rep, rel_threshold)
@@ -450,27 +460,19 @@ def commutant_basis(
         rows, threshold, ambiguous = _reynolds_range(table_images, dim, rng, rel_threshold)
     else:
         images, rows, threshold, ambiguous = _stabilized_sampled_nullspace(rep, rng, rel_threshold)
-
-    basis = [row.reshape(rep.dim, rep.dim) for row in rows]
-    cb = CommutantBasis(
-        basis=basis,
-        dim=len(basis),
-        sym_dim=None,
-        skew_dim=None,
-        residual=_commutation_residual(basis, images),
-        threshold=threshold,
-        constraints=images,
-        projector=fixed_projector(images, rel_threshold),
-        ambiguous_sigma=ambiguous,
-        sym_count=sym_count,
-    )
     if ambiguous is not None:
         warnings.warn(
             ThresholdAmbiguity(
                 f"singular value {ambiguous:.3e} within a decade of cutoff {threshold:.3e}"
             )
         )
-    return cb
+    sym, skew = split_symmetric_skew(rows)
+    if sym_count is not None and len(sym) != sym_count:
+        raise InconsistentDimensions(
+            f"symmetric part has dimension {len(sym)}; the character count is {sym_count}"
+        )
+    projector = fixed_projector(images, rel_threshold)
+    return _split_basis(sym, skew, images, threshold, projector, ambiguous)
 
 
 def _fixed_rows(stack: np.ndarray, rel_threshold: float):
@@ -513,7 +515,7 @@ def _stabilized_sampled_nullspace(rep, rng, rel_threshold):
     )
 
 
-def _commutation_residual(basis: list[np.ndarray], images: np.ndarray) -> float:
+def _commutation_residual(basis: np.ndarray, images: np.ndarray) -> float:
     """Largest entry of rho b - b rho over the basis and the images."""
     worst = 0.0
     for b in basis:
@@ -541,7 +543,7 @@ def fixed_projector(
 # structure of the span
 # ---------------------------------------------------------------------------
 
-def span_project(basis: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+def span_project(basis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Orthogonal projection of x onto the span of an orthonormal basis."""
     out = np.zeros_like(np.asarray(x, dtype=float))
     for b in basis:
@@ -549,55 +551,34 @@ def span_project(basis: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def span_residual(basis: list[np.ndarray], x: np.ndarray) -> float:
+def span_residual(basis: np.ndarray, x: np.ndarray) -> float:
     """Frobenius distance from x to the span of an orthonormal basis."""
     return float(np.linalg.norm(x - span_project(basis, x)))
 
 
-def split_symmetric_skew(cb: CommutantBasis) -> CommutantBasis:
-    """Re-basis the span into purely symmetric and purely skew elements.
+def split_symmetric_skew(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal symmetric and skew rows spanning the span of the
+    orthonormal commuting ``rows`` (vectorized n x n matrices).
 
     Transposition maps the commuting span to itself (the images are
     orthogonal), so the span splits exactly into its symmetric and skew
-    parts; (B +- B^T)/2 of every basis element spans them.  A basis that
-    is split already (``sym_dim`` set, as orbitals give it) is only
-    checked against the character count.
+    parts; (B +- B^T)/2 of every row spans them.  Those are orthogonal
+    projections of an orthonormal set, so their singular values sit near
+    0 or 1 and a 0.5 cutoff is unambiguous.
     """
-    n = cb.basis[0].shape[0] if cb.basis else 0
-    if cb.dim == 0:
+    d = len(rows)
+    if d == 0:
         raise RepspectError("empty commutant basis; the identity should always be present")
-    if cb.sym_dim is None:
-        sym_rows = np.stack([((b + b.T) / 2.0).reshape(-1) for b in cb.basis])
-        skew_rows = np.stack([((b - b.T) / 2.0).reshape(-1) for b in cb.basis])
-        sym = _orthonormal_rows(sym_rows)
-        skew = _orthonormal_rows(skew_rows)
-        if len(sym) + len(skew) != cb.dim:
-            raise InconsistentDimensions(
-                f"symmetric/skew split gives {len(sym)} + {len(skew)} != {cb.dim}"
-            )
-        basis = [r.reshape(n, n) for r in sym] + [r.reshape(n, n) for r in skew]
-        cb = dataclasses.replace(
-            cb,
-            basis=basis,
-            sym_dim=len(sym),
-            skew_dim=len(skew),
-            residual=_commutation_residual(basis, cb.constraints),
-        )
-    if cb.sym_count is not None and cb.sym_dim != cb.sym_count:
-        raise InconsistentDimensions(
-            f"symmetric part has dimension {cb.sym_dim}; the character count is {cb.sym_count}"
-        )
-    return cb
-
-
-def _orthonormal_rows(rows: np.ndarray) -> np.ndarray:
-    """Orthonormal basis of the row space.
-
-    The rows are orthogonal projections of an orthonormal set, so their
-    singular values sit near 0 or 1 and a 0.5 cutoff is unambiguous.
-    """
-    _, sigma, vh = np.linalg.svd(rows, full_matrices=False)
-    return vh[sigma > 0.5]
+    n = math.isqrt(rows.shape[1])
+    transposed = rows.reshape(d, n, n).transpose(0, 2, 1).reshape(d, n * n)
+    parts = []
+    for part in (rows + transposed, rows - transposed):
+        _, sigma, vh = np.linalg.svd(part / 2.0, full_matrices=False)
+        parts.append(vh[sigma > 0.5])
+    sym, skew = parts
+    if len(sym) + len(skew) != d:
+        raise InconsistentDimensions(f"symmetric/skew split gives {len(sym)} + {len(skew)} != {d}")
+    return sym, skew
 
 
 def classify_and_decide(cb: CommutantBasis) -> TypeVerdict:
@@ -609,8 +590,6 @@ def classify_and_decide(cb: CommutantBasis) -> TypeVerdict:
     identity.  For irreducible representations the span is a real
     division algebra and its dimension must be 1, 2 or 4.
     """
-    if cb.sym_dim is None:
-        raise BadParams("classify needs a split basis; call split_symmetric_skew first")
     irreducible = cb.sym_dim == 1
     if not irreducible:
         return TypeVerdict(False, "not_applicable", cb.dim, cb.sym_dim)
@@ -639,8 +618,6 @@ def witness_invariant_subspace(cb: CommutantBasis, rep: Representation) -> Witne
     it depends on the subspace alone.  Invariance is re-verified against
     the constraint matrices that defined the commutant.
     """
-    if cb.sym_dim is None:
-        raise BadParams("witness extraction needs a split basis")
     if cb.sym_dim < 2:
         raise NotReducible("symmetric part is scalar; no proper invariant subspace exists")
     n = rep.dim

@@ -103,7 +103,6 @@ class FiniteGroupTable:
     parent: np.ndarray
     generator: np.ndarray
     generators: np.ndarray
-    spec: GroupSpec | None = None
     _index: PermutationIndex | MatrixIndex | None = field(default=None, repr=False)
 
     @property
@@ -430,7 +429,6 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
         parent=parent,
         generator=generator,
         generators=np.array(index.lookup(generators), dtype=np.intp),
-        spec=spec,
         _index=index if isinstance(index, MatrixIndex) else None,
     )
 
@@ -488,7 +486,6 @@ def _plane_group_table(spec: GroupSpec, cap: int) -> FiniteGroupTable:
         parent=np.array(parent, dtype=np.intp),
         generator=np.array(generator, dtype=np.intp),
         generators=np.array([position[label] for label in generator_labels], dtype=np.intp),
-        spec=spec,
     )
 
 

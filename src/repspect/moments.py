@@ -126,6 +126,8 @@ def uniform_subsphere(subspace: np.ndarray) -> MeasureSpec:
 def discrete_measure(points, probs) -> MeasureSpec:
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     pr = np.asarray(probs, dtype=float)
+    if pr.ndim != 1:
+        raise BadMeasureSpec(f"probabilities must be a flat list of numbers, got shape {pr.shape}")
     if pts.shape[0] != pr.shape[0]:
         raise BadMeasureSpec(f"{pts.shape[0]} points vs {pr.shape[0]} probabilities")
     if (pr < 0).any():

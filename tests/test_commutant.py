@@ -8,11 +8,11 @@ import repspect as rs
 from repspect.commutant import trace_orthonormal_nullspace
 from repspect.representations import permutation_images
 from repspect.errors import (
-    BadParams,
     DegenerateSpectrum,
     InconsistentDimensions,
     NonStabilizedDimension,
     NotReducible,
+    RepspectError,
     ThresholdAmbiguity,
     TooLarge,
 )
@@ -26,10 +26,6 @@ from conftest import (
     span_columns,
     symmetric_table,
 )
-
-
-def split_commutant(rep, **kwargs):
-    return rs.split_symmetric_skew(rs.commutant_basis(rep, **kwargs))
 
 
 def o2_double_rep():
@@ -273,14 +269,14 @@ class TestCommutantBasis:
     def test_so2_defining_commutant_is_a_plane(self):
         fam = rs.ContinuousFamily(kind="special_orthogonal", n=2)
         rep = rs.build_named_rep("defining_orthogonal", fam)
-        cb = split_commutant(rep, rng=rs.stream(8))
+        cb = rs.commutant_basis(rep, rng=rs.stream(8))
         assert (cb.dim, cb.sym_dim, cb.skew_dim) == (2, 1, 1)
         assert rs.classify_and_decide(cb).type == "C"
 
     def test_full_orthogonal_defining_commutant_is_scalar(self):
         fam = rs.ContinuousFamily(kind="orthogonal", n=3)
         rep = rs.build_named_rep("defining_orthogonal", fam)
-        cb = split_commutant(rep, rng=rs.stream(9))
+        cb = rs.commutant_basis(rep, rng=rs.stream(9))
         assert rs.classify_and_decide(cb).type == "R"
 
     @pytest.mark.parametrize("seed", [53294, 66312, 99868, 157098])
@@ -309,16 +305,17 @@ class TestCommutantBasis:
     def test_threshold_ambiguity_warning_on_near_degenerate_constraints(self):
         # The perturbation's singular values land within a decade of the cutoff.
         # A continuous family whose sampled images cycle through the fake
-        # table's three images drives the sampled nullspace.
+        # table's three images drives the sampled nullspace.  The warning
+        # comes before the refusal of the span it leaves empty.
         images = near_degenerate_fake_table().payload
         rep = rs.Representation(
             dim=2,
             stack_map=lambda payload: images[np.arange(len(payload)) % len(images)],
             group=rs.ContinuousFamily(kind="orthogonal", n=2),
         )
-        with pytest.warns(ThresholdAmbiguity):
-            cb = rs.commutant_basis(rep, rng=rs.stream(13))
-        assert cb.ambiguous_sigma is not None
+        with pytest.warns(ThresholdAmbiguity, match="within a decade of cutoff"):
+            with pytest.raises(RepspectError, match="empty commutant basis"):
+                rs.commutant_basis(rep, rng=rs.stream(13))
 
     def test_non_group_table_fails_the_character_count(self):
         table = near_degenerate_fake_table()
@@ -330,7 +327,7 @@ class TestCommutantBasis:
         rep = matrix_permutation_rep(dihedral_generators(48))
         tracemalloc.start()
         try:
-            cb = split_commutant(rep)
+            cb = rs.commutant_basis(rep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -342,7 +339,7 @@ class TestCommutantBasis:
         rep = dihedral_permutation_rep(48)
         tracemalloc.start()
         try:
-            cb = split_commutant(rep)
+            cb = rs.commutant_basis(rep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -407,19 +404,25 @@ class TestCommutantBasis:
                 rs.commutant_basis(rep, rng=np.random.default_rng(0))
             assert 16 * n**4 * 8 <= rs.commutant.SAMPLED_STACK_BYTES
 
-    def test_split_disagreeing_with_character_count_rejected(self):
-        cb = rs.commutant_basis(matrix_permutation_rep([(1, 0, 2, 3), (1, 2, 3, 0)]))
-        assert cb.sym_count == 2
-        cb.sym_count = 1
-        with pytest.raises(InconsistentDimensions):
-            rs.split_symmetric_skew(cb)
+    def test_split_disagreeing_with_character_count_rejected(self, monkeypatch):
+        rep = matrix_permutation_rep([(1, 0, 2, 3), (1, 2, 3, 0)])
+        assert rs.commutant_basis(rep).sym_dim == 2
+        counts = rs.commutant.character_counts
+        monkeypatch.setattr(
+            "repspect.commutant.character_counts", lambda images: (counts(images)[0], 1)
+        )
+        with pytest.raises(InconsistentDimensions, match="symmetric part has dimension 2"):
+            rs.commutant_basis(rep)
 
-    def test_orbital_split_disagreeing_with_character_count_rejected(self, s4_table):
-        cb = rs.commutant_basis(rs.build_named_rep("sn_permutation", s4_table))
-        assert cb.sym_count == cb.sym_dim == 2
-        cb.sym_count = 1
-        with pytest.raises(InconsistentDimensions):
-            rs.split_symmetric_skew(cb)
+    def test_orbital_split_disagreeing_with_character_count_rejected(self, s4_table, monkeypatch):
+        rep = rs.build_named_rep("sn_permutation", s4_table)
+        assert rs.commutant_basis(rep).sym_dim == 2
+        counts = rs.commutant._dimension_counts
+        monkeypatch.setattr(
+            "repspect.commutant._dimension_counts", lambda *chis: (counts(*chis)[0], 1)
+        )
+        with pytest.raises(InconsistentDimensions, match=r"\(2 symmetric\)"):
+            rs.commutant_basis(rep)
 
 
 class TestSplitAndClassify:
@@ -429,49 +432,44 @@ class TestSplitAndClassify:
         (lambda: rs.build_named_rep("q8_left", rs.enumerate_closure(rs.GroupSpec(kind="quaternion8"))), (1, 3)),
     ])
     def test_symmetric_skew_dimensions(self, builder, expected):
-        cb = split_commutant(builder())
+        cb = rs.commutant_basis(builder())
         assert (cb.sym_dim, cb.skew_dim) == expected
         for b in cb.basis[: cb.sym_dim]:
             np.testing.assert_allclose(b, b.T, atol=1e-10)
         for b in cb.basis[cb.sym_dim :]:
             np.testing.assert_allclose(b, -b.T, atol=1e-10)
 
-    def test_classify_requires_split(self, q8_table):
-        rep = rs.build_named_rep("q8_left", q8_table)
-        with pytest.raises(BadParams):
-            rs.classify_and_decide(rs.commutant_basis(rep))
-
     def test_type_real(self):
         table = rs.enumerate_closure(rs.GroupSpec(kind="symmetric", n=5))
-        cb = split_commutant(rs.build_named_rep("sn_sum_zero", table))
+        cb = rs.commutant_basis(rs.build_named_rep("sn_sum_zero", table))
         v = rs.classify_and_decide(cb)
         assert v.irreducible and v.type == "R"
 
     def test_type_complex(self):
-        cb = split_commutant(rs.build_named_rep("cyclic_rotation", cyclic_table(7)))
+        cb = rs.commutant_basis(rs.build_named_rep("cyclic_rotation", cyclic_table(7)))
         v = rs.classify_and_decide(cb)
         assert v.irreducible and v.type == "C"
 
     def test_type_quaternionic(self, q8_table):
-        cb = split_commutant(rs.build_named_rep("q8_left", q8_table))
+        cb = rs.commutant_basis(rs.build_named_rep("q8_left", q8_table))
         v = rs.classify_and_decide(cb)
         assert v.irreducible and v.type == "H"
 
     def test_reducible_permutation_rep(self, s3_table):
-        cb = split_commutant(rs.build_named_rep("sn_permutation", s3_table))
+        cb = rs.commutant_basis(rs.build_named_rep("sn_permutation", s3_table))
         v = rs.classify_and_decide(cb)
         assert not v.irreducible and v.type == "not_applicable"
         assert v.sym_dim == 2
 
     def test_inconsistent_dimension_rejected(self, q8_table):
         rep = rs.build_named_rep("q8_left", q8_table)
-        cb = split_commutant(rep)
+        cb = rs.commutant_basis(rep)
         cb.dim = 3  # corrupt: scalar symmetric part with a 3-dim algebra
         with pytest.raises(InconsistentDimensions):
             rs.classify_and_decide(cb)
 
     def test_quaternionic_skew_elements_are_orthogonal(self, q8_table):
-        cb = split_commutant(rs.build_named_rep("q8_left", q8_table))
+        cb = rs.commutant_basis(rs.build_named_rep("q8_left", q8_table))
         skew = cb.basis[cb.sym_dim :]
         assert len(skew) == 3
         ident = np.eye(4)
@@ -486,7 +484,7 @@ class TestSplitAndClassify:
     ])
     def test_skew_projection_of_squared_vectors_vanishes(self, builder):
         rep = builder()
-        cb = split_commutant(rep)
+        cb = rs.commutant_basis(rep)
         skew = cb.basis[cb.sym_dim :]
         rng = rs.stream(11)
         for _ in range(50):
@@ -498,7 +496,7 @@ class TestSplitAndClassify:
 class TestWitness:
     def test_permutation_rep_recovers_diagonal_line(self, s3_table):
         rep = rs.build_named_rep("sn_permutation", s3_table)
-        cb = split_commutant(rep)
+        cb = rs.commutant_basis(rep)
         w = rs.witness_invariant_subspace(cb, rep)
         assert w.residual <= 1e-6
         diag_line = np.ones((3, 1)) / np.sqrt(3.0)
@@ -510,7 +508,7 @@ class TestWitness:
 
     def test_rotation_plus_trivial_recovers_fixed_line(self):
         rep = rotation_plus_trivial_rep()
-        cb = split_commutant(rep)
+        cb = rs.commutant_basis(rep)
         assert not rs.classify_and_decide(cb).irreducible
         w = rs.witness_invariant_subspace(cb, rep)
         line = np.zeros((3, 1))
@@ -523,7 +521,7 @@ class TestWitness:
 
     def test_doubled_plane_rep_gives_two_dimensional_witness(self):
         rep = o2_double_rep()
-        cb = split_commutant(rep, rng=rs.stream(12))
+        cb = rs.commutant_basis(rep, rng=rs.stream(12))
         assert cb.dim == 4 and cb.sym_dim == 3
         w = rs.witness_invariant_subspace(cb, rep)
         assert w.m == 2
@@ -540,11 +538,11 @@ class TestWitness:
         # is one more.  Every one must give the same invariant subspace, in
         # the same basis columns, signs included.
         rep = build()
-        bases = [split_commutant(rep, rng=rs.stream(seed, 1)) for seed in range(4)]
+        bases = [rs.commutant_basis(rep, rng=rs.stream(seed, 1)) for seed in range(4)]
         cb = bases[0]
-        sym = np.stack(cb.basis[: cb.sym_dim])
+        sym = cb.basis[: cb.sym_dim]
         mixing, _ = np.linalg.qr(rs.stream(13).standard_normal((cb.sym_dim, cb.sym_dim)))
-        mixed = list(np.einsum("ij,jkl->ikl", mixing, sym)) + cb.basis[cb.sym_dim :]
+        mixed = np.concatenate([np.einsum("ij,jkl->ikl", mixing, sym), cb.basis[cb.sym_dim :]])
         bases.append(dataclasses.replace(cb, basis=mixed))
         witnesses = [rs.witness_invariant_subspace(b, rep) for b in bases]
         reference = witnesses[0].basis @ witnesses[0].basis.T
@@ -557,7 +555,7 @@ class TestWitness:
         # The witness of S3 on 3 points is the all-ones line; a sum-zero
         # column projects onto it as zero and spans nothing.
         rep = rs.build_named_rep("sn_permutation", s3_table)
-        cb = split_commutant(rep)
+        cb = rs.commutant_basis(rep)
         weights = rs.groups.golden_weights
         monkeypatch.setattr(
             "repspect.commutant.golden_weights",
@@ -568,13 +566,13 @@ class TestWitness:
 
     def test_irreducible_rejected(self, q8_table):
         rep = rs.build_named_rep("q8_left", q8_table)
-        cb = split_commutant(rep)
+        cb = rs.commutant_basis(rep)
         with pytest.raises(NotReducible):
             rs.witness_invariant_subspace(cb, rep)
 
     def test_witness_columns_are_orthonormal(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
-        cb = split_commutant(rep)
+        cb = rs.commutant_basis(rep)
         w = rs.witness_invariant_subspace(cb, rep)
         np.testing.assert_allclose(w.basis.T @ w.basis, np.eye(w.m), atol=1e-12)
         assert 0 < w.m < 4
@@ -582,9 +580,9 @@ class TestWitness:
     def test_degenerate_spectrum_rejected(self, s3_table):
         # corrupted basis whose symmetric part is numerically scalar
         rep = rs.build_named_rep("sn_permutation", s3_table)
-        cb = split_commutant(rep)
+        cb = rs.commutant_basis(rep)
         scalar = np.eye(3) / np.sqrt(3.0)
-        cb.basis = [scalar, scalar + 1e-9 * np.eye(3)]
+        cb.basis = np.stack([scalar, scalar + 1e-9 * np.eye(3)])
         cb.dim = 2
         cb.sym_dim = 2
         cb.skew_dim = 0
@@ -628,7 +626,8 @@ class TestOrbitalCommutant:
             np.testing.assert_allclose(b, -b.T, rtol=0, atol=1e-15)
         np.testing.assert_allclose(cb.projector, images.mean(axis=0), rtol=0, atol=1e-12)
         assert cb.residual <= 1e-12
-        assert rs.split_symmetric_skew(cb) is cb
+        sym, skew = rs.split_symmetric_skew(cb.basis.reshape(cb.dim, -1))
+        assert (len(sym), len(skew)) == (cb.sym_dim, cb.skew_dim)
 
     @pytest.mark.parametrize("name", ENTRIES)
     def test_trivial_group_on_seven_points_commutes_with_everything(self, name):
@@ -696,7 +695,7 @@ class TestOrbitalCommutant:
 
         monkeypatch.setattr(np.linalg, "svd", refuse)
         monkeypatch.setattr(rs.Representation, "table_images", refuse)
-        cb = rs.split_symmetric_skew(rs.commutant_basis(rep))
+        cb = rs.commutant_basis(rep)
         assert (cb.dim, cb.sym_dim) == {"sn_permutation": (2, 2), "sn_sum_zero": (1, 1)}[name]
         np.testing.assert_allclose(cb.projector, average, rtol=0, atol=1e-12)
         again = rs.exact_finite_orbit_moments(rep, v)

@@ -52,6 +52,12 @@ class TestParseConfig:
         with pytest.raises(ParseError, match=re.escape(f"cannot read config '{missing}'")):
             rs.parse_config(missing)
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e999"])
+    def test_non_finite_numbers_rejected(self, token):
+        text = minimal_config(samples=2000).replace("2000", token)
+        with pytest.raises(ParseError, match=f"non-finite number {token}"):
+            rs.parse_config(text)
+
     def test_parse_error_reports_position(self):
         with pytest.raises(ParseError, match=r"line 1"):
             rs.parse_config("{not json")
@@ -710,6 +716,54 @@ class TestCli:
             "samples": 2000,
         })
         assert cli_main(["analyze", "--config", path, flag, value]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_flags_update_the_outputs_object(self, tmp_path, capsys):
+        report_path, trace_path = tmp_path / "report.txt", tmp_path / "trace.csv"
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "sn_sum_zero"},
+            "samples": 2000,
+            "outputs": {"report": str(report_path), "format": "json"},
+        })
+        code = cli_main(["analyze", "--config", path, "--format", "text", "--trace", str(trace_path)])
+        assert code == 0
+        assert report_path.read_text().startswith("verdict: irreducible")
+        assert trace_path.read_text().startswith("n_samples,estimate,stderr,reference")
+
+    @pytest.mark.parametrize("fields", [
+        # Each of these ran at one time: the NaN base to a report with bare
+        # NaN tokens, the probabilities to an accepted measure, the image to
+        # an uncaught ValueError, and the tolerances to a disabled
+        # cross-check and a band that holds every estimate.
+        {"measures": [{"kind": "orbit", "base": [float("nan"), 1.0]}]},
+        {"measures": [{"kind": "discrete", "points": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+                       "probs": [float("nan"), 0.5, 0.5]}]},
+        {"representation": {"name": "explicit", "generator_images": [[[float("nan")]], [[1.0]]]}},
+        {"tolerances": {"conflict_sigma": float("nan")}},
+        {"tolerances": {"band_sigma": float("inf")}},
+    ], ids=["orbit_base", "probs", "explicit_image", "conflict_sigma", "band_sigma"])
+    def test_non_finite_numbers_exit_one(self, fields, tmp_path, capsys):
+        doc = dict({
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "sn_sum_zero"},
+            "samples": 2000,
+        }, **fields)
+        assert cli_main(["analyze", "--config", self.write_config(tmp_path, doc)]) == 1
+        assert "config error: config holds the non-finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [
+        {"outputs": {"report": 3}},
+        {"outputs": {"trace": ["trace.csv"]}},
+        {"measures": [{"kind": "discrete", "points": [[1.0, 0.0]], "probs": [[1.0]]}]},
+    ], ids=["report_path", "trace_path", "probs_2d"])
+    def test_malformed_outputs_and_probabilities_exit_one(self, fields, tmp_path, capsys):
+        doc = dict({
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "sn_sum_zero"},
+            "samples": 2000,
+        }, **fields)
+        assert cli_main(["analyze", "--config", self.write_config(tmp_path, doc)]) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_config_error_exit_one(self, tmp_path, capsys):
