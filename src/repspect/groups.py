@@ -32,7 +32,8 @@ from .errors import BadParams, ClosureOverflow, NonInvertibleGenerator
 
 MATRIX_DEDUP_TOL = 1e-8      # entrywise distance below which two elements coincide
 DEFAULT_CLOSURE_CAP = 1_000_000
-SINGULAR_DET = 1e-250        # |det| of a Gaussian draw below which it is re-drawn
+SINGULAR_DRAW = 1e-250       # |det| of a Gaussian matrix, or |q|^2 of a Gaussian quaternion,
+                             # below which the draw is re-drawn
 
 FINITE_FAMILIES = ("symmetric", "cyclic", "dihedral", "quaternion8")
 CONTINUOUS_FAMILIES = ("orthogonal", "special_orthogonal")
@@ -521,14 +522,14 @@ def _close(generators: np.ndarray, cap: int):
 def haar_matrices(family: ContinuousFamily, rng: np.random.Generator, size: int) -> np.ndarray:
     """Stack of ``size`` matrices drawn from the invariant distribution.
 
-    A standard Gaussian matrix is QR-factorized and the Q columns are
-    rescaled by the signs of R's diagonal; making the factorization unique
-    makes the resulting distribution exactly invariant (Mezzadri, Notices
-    AMS 2007).  For the special orthogonal family the last column sign is
-    flipped whenever the determinant is -1, which maps the invariant
-    distribution of the full group onto the subgroup.  For n = 3 that Q is
-    built in closed form from the same Gaussian draws (``_haar_frames_3``);
-    other sizes go through the batched LAPACK QR.
+    For n = 3 each rotation comes from a standard Gaussian quaternion
+    (``_haar_rotations_3``): four draws per matrix.  Other sizes QR-factorize
+    a standard Gaussian matrix and rescale the Q columns by the signs of R's
+    diagonal; making the factorization unique makes the resulting
+    distribution exactly invariant (Mezzadri, Notices AMS 2007).  For the
+    special orthogonal family the last column sign is flipped whenever the
+    determinant is -1, which maps the invariant distribution of the full
+    group onto the subgroup.
     """
     n = family.n
     if n < 1:
@@ -537,15 +538,15 @@ def haar_matrices(family: ContinuousFamily, rng: np.random.Generator, size: int)
         raise BadParams(f"unknown continuous family {family.kind!r}")
     special = family.kind == "special_orthogonal"
     if n == 3:
-        return _haar_frames_3(rng, size, special)
+        return _haar_rotations_3(rng, size, special)
     q, r = np.linalg.qr(rng.standard_normal((size, n, n)))
     diag = np.diagonal(r, axis1=1, axis2=2)
     # A singular Gaussian draw has probability zero; re-draw defensively.
     # |prod diag r| = |det z|, so the factorization itself flags it.
-    bad = np.flatnonzero(np.abs(diag.prod(axis=1)) < SINGULAR_DET)
+    bad = np.flatnonzero(np.abs(diag.prod(axis=1)) < SINGULAR_DRAW)
     while bad.size:
         q[bad], r[bad] = np.linalg.qr(rng.standard_normal((bad.size, n, n)))
-        bad = bad[np.abs(diag[bad].prod(axis=1)) < SINGULAR_DET]
+        bad = bad[np.abs(diag[bad].prod(axis=1)) < SINGULAR_DRAW]
     signs = np.where(diag < 0, -1.0, 1.0)
     q = q * signs[:, None, :]
     if special:
@@ -554,37 +555,44 @@ def haar_matrices(family: ContinuousFamily, rng: np.random.Generator, size: int)
     return q
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot products of two (k, 3) arrays."""
-    return np.einsum("ki,ki->k", a, b)
+def _haar_rotations_3(rng: np.random.Generator, size: int, special: bool) -> np.ndarray:
+    """``size`` invariant 3x3 draws from standard Gaussian quaternions.
 
+    A standard Gaussian q in R^4 has a uniform direction, so q/|q| is a
+    uniform unit quaternion and its rotation R(q) is Haar on SO(3)
+    (Shoemake, Graphics Gems III, 1992).  With (w, x, y, z) = q sqrt(2/|q|^2),
+    so that w^2 + x^2 + y^2 + z^2 = 2, the Euler-Rodrigues formula reads
 
-def _haar_frames_3(rng: np.random.Generator, size: int, special: bool) -> np.ndarray:
-    """The sign-corrected QR factor of ``size`` Gaussian 3x3 draws, without LAPACK.
+        R = [[1 - (y^2 + z^2), xy - wz,          xz + wy        ],
+             [xy + wz,         1 - (x^2 + z^2),  yz - wx        ],
+             [xz - wy,         yz + wx,          1 - (x^2 + y^2)]].
 
-    With R's diagonal positive, Q is the Gram-Schmidt frame of the columns
-    z1, z2, z3: q1 = z1/|z1|, q2 the normalized part of z2 orthogonal to
-    q1 (projected twice, so q1.q2 is at rounding level), and
-    q3 = sign(det z) q1 x q2, since det z = det Q det R with det R > 0.
-    The special orthogonal family takes q3 = q1 x q2, which is the QR
-    path's flip of the last column.  ``det z = z3 . (z1 x z2)`` replaces
-    ``prod diag r`` in the singular-draw guard, which re-draws before
-    anything is normalized, so the generator is called exactly as on the
-    QR path.
+    q and -q give the same rotation and the Gaussian law is symmetric, so
+    sign(w) is a fair coin independent of R(q): the orthogonal family takes
+    sign(w) R(q), Haar on O(3) = SO(3) x {I, -I}, with no further draw.  A
+    row with |q|^2 below ``SINGULAR_DRAW`` (probability zero) is re-drawn
+    before anything is normalized.
     """
-    z = rng.standard_normal((size, 3, 3))
-    a, b, c = z[:, :, 0], z[:, :, 1], z[:, :, 2]  # views: re-drawn rows show through
-    det = _dot(c, np.cross(a, b))
-    bad = np.flatnonzero(np.abs(det) < SINGULAR_DET)
+    q = rng.standard_normal((size, 4))
+    norm2 = np.einsum("ki,ki->k", q, q)
+    bad = np.flatnonzero(norm2 < SINGULAR_DRAW)
     while bad.size:
-        z[bad] = rng.standard_normal((bad.size, 3, 3))
-        det[bad] = _dot(c[bad], np.cross(a[bad], b[bad]))
-        bad = bad[np.abs(det[bad]) < SINGULAR_DET]
-    q1 = a / np.sqrt(_dot(a, a))[:, None]
-    for _ in range(2):
-        b = b - _dot(q1, b)[:, None] * q1
-    q2 = b / np.sqrt(_dot(b, b))[:, None]
-    q3 = np.cross(q1, q2)
+        q[bad] = rng.standard_normal((bad.size, 4))
+        norm2[bad] = np.einsum("ki,ki->k", q[bad], q[bad])
+        bad = bad[norm2[bad] < SINGULAR_DRAW]
+    w, x, y, z = q.T * np.sqrt(2.0 / norm2)
+    xx, yy, zz = x * x, y * y, z * z
+    xy, xz, yz, wx, wy, wz = x * y, x * z, y * z, w * x, w * y, w * z
+    r = np.empty((size, 3, 3))
+    r[:, 0, 0] = 1.0 - (yy + zz)
+    r[:, 0, 1] = xy - wz
+    r[:, 0, 2] = xz + wy
+    r[:, 1, 0] = xy + wz
+    r[:, 1, 1] = 1.0 - (xx + zz)
+    r[:, 1, 2] = yz - wx
+    r[:, 2, 0] = xz - wy
+    r[:, 2, 1] = yz + wx
+    r[:, 2, 2] = 1.0 - (xx + yy)
     if not special:
-        q3 *= np.sign(det)[:, None]
-    return np.stack([q1, q2, q3], axis=2)
+        r *= np.where(w < 0, -1.0, 1.0)[:, None, None]
+    return r

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import importlib.metadata
 import json
 import math
 import os
@@ -248,7 +247,7 @@ def _validate_group(node) -> GroupSpec:
             arrays = tuple(np.asarray(m, dtype=float) for m in mats)
         except (TypeError, ValueError):
             raise ValidationError("group.matrices must be nested numeric arrays")
-        return GroupSpec(kind=kind, generators=arrays)
+        return GroupSpec(kind=kind, generators=tuple(_finite(m, "group.matrices") for m in arrays))
     if kind == "quaternion8":
         return GroupSpec(kind=kind)
     n = node.get("n")
@@ -280,6 +279,7 @@ def _validate_representation(node, group: GroupSpec):
             gen_images = [np.asarray(m, dtype=float) for m in gen_images]
         except (TypeError, ValueError):
             raise ValidationError("generator_images must be nested numeric arrays")
+        gen_images = [_finite(m, "generator_images") for m in gen_images]
     try:
         dim = catalog_dim(name, group, rep_n, gen_images)
     except RepspectError as e:
@@ -308,7 +308,7 @@ def _validate_one_measure(node, i, dim, rep_name: str) -> MeasureSpec:
         if kind == "uniform_sphere":
             return uniform_sphere()
         if kind == "orbit":
-            base = np.asarray(node.get("base"), dtype=float)
+            base = _finite(np.asarray(node.get("base"), dtype=float), f"measures[{i}].base")
             if base.ndim != 1:
                 raise ValidationError(f"measures[{i}].base must be a vector")
             if rep_name == "sn_sum_zero" and base.shape[0] == dim + 1:
@@ -327,15 +327,15 @@ def _validate_one_measure(node, i, dim, rep_name: str) -> MeasureSpec:
                 raise ValidationError(f"measures[{i}].base is zero")
             return orbit_measure(base / nrm)
         if kind == "uniform_subsphere":
-            vectors = np.asarray(node.get("basis"), dtype=float)
+            vectors = _finite(np.asarray(node.get("basis"), dtype=float), f"measures[{i}].basis")
             if vectors.ndim != 2 or vectors.shape[1] != dim:
                 raise ValidationError(
                     f"measures[{i}].basis must be a list of vectors of length {dim}"
                 )
             return uniform_subsphere(vectors.T)
         if kind == "discrete":
-            points = np.asarray(node.get("points"), dtype=float)
-            probs = np.asarray(node.get("probs"), dtype=float)
+            points = _finite(np.asarray(node.get("points"), dtype=float), f"measures[{i}].points")
+            probs = _finite(np.asarray(node.get("probs"), dtype=float), f"measures[{i}].probs")
             if points.ndim != 2 or points.shape[1] != dim:
                 raise ValidationError(
                     f"measures[{i}].points must be vectors of length {dim}"
@@ -349,6 +349,13 @@ def _validate_one_measure(node, i, dim, rep_name: str) -> MeasureSpec:
     except (TypeError, ValueError) as e:
         raise ValidationError(f"measures[{i}]: {e}") from e
     raise ValidationError(f"measures[{i}].kind {node.get('kind')!r} is unknown")
+
+
+def _finite(arr: np.ndarray, what: str) -> np.ndarray:
+    """``arr`` itself when every entry is finite; ValidationError otherwise."""
+    if not np.isfinite(arr).all():
+        raise ValidationError(f"{what} must hold finite numbers")
+    return arr
 
 
 def _is_int(val) -> bool:
@@ -394,8 +401,9 @@ def _validate_tolerances(node) -> Tolerances:
         if key == "closure_cap":
             if not _is_int(val) or val <= 0:
                 raise ValidationError("tolerance 'closure_cap' must be a positive integer")
-        elif isinstance(val, bool) or not isinstance(val, (int, float)) or val <= 0:
-            raise ValidationError(f"tolerance {key!r} must be positive")
+        elif (isinstance(val, bool) or not isinstance(val, (int, float))
+              or not math.isfinite(val) or val <= 0):
+            raise ValidationError(f"tolerance {key!r} must be positive and finite")
         setattr(tol, key, val if key == "closure_cap" else float(val))
     return tol
 
@@ -539,11 +547,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         "group": {"kind": cfg.group.kind, "n": cfg.group.n,
                   "order": group.order if finite else None},
         "representation": {"name": cfg.rep_name, "dim": rep.dim},
-        "versions": {
-            "repspect": __version__,
-            "numpy": np.__version__,
-            "scipy": importlib.metadata.version("scipy"),
-        },
+        "versions": {"repspect": __version__, "numpy": np.__version__},
     }
     return Report(
         verdict=verdict,

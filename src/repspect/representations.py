@@ -137,6 +137,7 @@ def traceless_symmetric_basis() -> np.ndarray:
 
 
 _TS_BASIS = traceless_symmetric_basis()
+_SQRT2, _SQRT6 = np.sqrt(2.0), np.sqrt(6.0)
 
 
 def conjugation_on_traceless_symmetric(rots: np.ndarray) -> np.ndarray:
@@ -151,13 +152,27 @@ def conjugation_on_traceless_symmetric(rots: np.ndarray) -> np.ndarray:
 def conjugation_orbit_on_traceless_symmetric(rots: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The (k, 5) rows rho(R) v of a (k, 3, 3) stack of rotations.
 
-    rho(R) v holds the coordinates of R V R^T, where V = sum_b v_b B_b is
-    the matrix of v: one GEMM for R V, one batched product for (R V) R^T
-    and one GEMM against the basis, with no image built.
+    rho(R) v holds the coordinates of S = R V R^T, where V = sum_b v_b B_b
+    is the matrix of v.  R V is one GEMM; S is symmetric, so its six
+    entries S_ij = <(R V)_i, R_j> (rows i of R V and j of R) are three-term
+    products, and the five Frobenius coordinates <B_a, S>, in the order of
+    ``traceless_symmetric_basis``, are read off them, with no image built.
     """
     k = rots.shape[0]
     rv = (rots.reshape(3 * k, 3) @ np.einsum("a,aij->ij", v, _TS_BASIS)).reshape(k, 3, 3)
-    return np.matmul(rv, rots.transpose(0, 2, 1)).reshape(k, 9) @ _TS_BASIS.reshape(5, 9).T
+
+    def entry(i, j):
+        a, r = rv[:, i], rots[:, j]
+        return a[:, 0] * r[:, 0] + a[:, 1] * r[:, 1] + a[:, 2] * r[:, 2]
+
+    s00, s11, s22 = entry(0, 0), entry(1, 1), entry(2, 2)
+    out = np.empty((k, 5))
+    out[:, 0] = _SQRT2 * entry(0, 1)
+    out[:, 1] = _SQRT2 * entry(0, 2)
+    out[:, 2] = _SQRT2 * entry(1, 2)
+    out[:, 3] = (s00 - s11) / _SQRT2
+    out[:, 4] = (s00 + s11 - 2.0 * s22) / _SQRT6
+    return out
 
 
 # ---------------------------------------------------------------------------

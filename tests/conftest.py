@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.spatial.transform import Rotation
 
 import repspect as rs
 from repspect.moments import InvarianceCheck
@@ -182,8 +183,7 @@ def brute_haar_matrices(family, rng, size):
     by the signs of R's diagonal, and on SO(n) the last column is flipped
     where the determinant is -1; singular draws (|prod diag r| < 1e-250)
     are re-drawn with the same calls as the library.  This is the
-    library's path for every n but 3, where it builds the same Q in closed
-    form.
+    library's path for every n but 3, which it draws from quaternions.
     """
     n = family.n
     q, r = np.linalg.qr(rng.standard_normal((size, n, n)))
@@ -196,6 +196,27 @@ def brute_haar_matrices(family, rng, size):
     if family.kind == "special_orthogonal":
         q[np.linalg.det(q) < 0, :, -1] *= -1.0
     return q
+
+
+def brute_quaternion_rotations(family, rng, size):
+    """Independent oracle: invariant draws of O(3)/SO(3) from Gaussian
+    quaternions, made by scipy.
+
+    ``size`` standard Gaussian rows (w, x, y, z) are drawn, rows with
+    |q|^2 < 1e-250 re-drawn with the same calls as the library, and each
+    row is turned into its rotation matrix by scipy's
+    ``Rotation.from_quat(..., scalar_first=True)``; on O(3) the rotation is
+    multiplied by the sign of w.
+    """
+    q = rng.standard_normal((size, 4))
+    bad = np.flatnonzero(np.sum(q * q, axis=1) < 1e-250)
+    while bad.size:
+        q[bad] = rng.standard_normal((bad.size, 4))
+        bad = bad[np.sum(q[bad] * q[bad], axis=1) < 1e-250]
+    r = Rotation.from_quat(q, scalar_first=True).as_matrix()
+    if family.kind == "orthogonal":
+        r *= np.where(q[:, 0] < 0, -1.0, 1.0)[:, None, None]
+    return r
 
 
 def brute_pair_average(rep, v, block=4096):
@@ -256,18 +277,20 @@ def brute_sampled_record(sampler, n_pairs, seed=0, workers=1):
     return z.T @ z / count, stderr, z.mean(axis=0)
 
 
-def brute_orbit_overlap_values(sampler, images, n_pairs, seed=0, workers=1):
+def brute_orbit_overlap_values(
+    sampler, images, n_pairs, seed=0, workers=1, haar=brute_haar_matrices
+):
     """Independent oracle: the one-draw orbit values <rho(k_i) v, v>^2 and
     the orbit points rho(k_i) v of a continuous orbit sampler with base v.
 
-    Each worker chunk's Haar draws k_i are made whole by
-    ``brute_haar_matrices`` from substream (w, 0) and mapped through the
-    explicit image stack ``images(k)``, applied to v.
+    Each worker chunk's Haar draws k_i are made whole by the oracle
+    ``haar`` (``brute_haar_matrices`` unless given) from substream (w, 0)
+    and mapped through the explicit image stack ``images(k)``, applied to v.
     """
     rep, v = sampler.rep, sampler.base
     base, rem = divmod(n_pairs, workers)
     x = np.concatenate([
-        images(brute_haar_matrices(rep.group, rs.stream(seed, w, 0), base + (w < rem))) @ v
+        images(haar(rep.group, rs.stream(seed, w, 0), base + (w < rem))) @ v
         for w in range(workers)
     ])
     return (x @ v) ** 2, x

@@ -20,6 +20,7 @@ from conftest import (
     brute_haar_matrices,
     brute_matrix_closure,
     brute_permutation_closure,
+    brute_quaternion_rotations,
     brute_word_images,
     cyclic_table,
     payload_table,
@@ -456,7 +457,7 @@ class TestContinuousSampling:
 
     def test_singular_draw_is_redrawn(self):
         class FirstDrawSingular:
-            """Returns a first Gaussian stack with one singular matrix, then real draws."""
+            """Returns a first Gaussian stack with one zero row, then real draws."""
 
             def __init__(self):
                 self.rng = rs.stream(9)
@@ -466,13 +467,13 @@ class TestContinuousSampling:
                 self.calls.append(shape)
                 z = self.rng.standard_normal(shape)
                 if len(self.calls) == 1:
-                    z[1, :, 2] = 0.0
+                    z[1] = 0.0  # a zero quaternion
                 return z
 
         fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
         rng = FirstDrawSingular()
         q = rs.haar_matrices(fam, rng, 4)
-        assert rng.calls == [(4, 3, 3), (1, 3, 3)]
+        assert rng.calls == [(4, 4), (1, 4)]
         assert orthogonality_defect(q) <= 1e-12
         np.testing.assert_allclose(np.linalg.det(q), 1.0, atol=1e-12)
 
@@ -483,11 +484,11 @@ class TestContinuousSampling:
         assert orthogonality_defect(m) <= 1e-8
 
     @pytest.mark.parametrize("kind", ["orthogonal", "special_orthogonal"])
-    def test_closed_form_3_matches_qr_on_the_same_stream(self, kind):
+    def test_quaternion_draws_match_scipy_rotations(self, kind):
         fam = rs.ContinuousFamily(kind=kind, n=3)
         q = rs.haar_matrices(fam, rs.stream(31), 100_000)
-        ref = brute_haar_matrices(fam, rs.stream(31), 100_000)
-        assert float(np.max(np.abs(q - ref))) <= 1e-12
+        ref = brute_quaternion_rotations(fam, rs.stream(31), 100_000)
+        assert float(np.max(np.abs(q - ref))) <= 1e-14
         assert orthogonality_defect(q) <= 1e-14
 
     def test_closed_form_3_special_orthogonal_determinant(self):
@@ -499,10 +500,19 @@ class TestContinuousSampling:
         n_draws = 100_000
         fam = rs.ContinuousFamily(kind="orthogonal", n=3)
         dets = np.linalg.det(rs.haar_matrices(fam, rs.stream(41), n_draws))
-        z = rs.stream(41).standard_normal((n_draws, 3, 3))  # the draws' own stream
-        assert float(np.max(np.abs(dets - np.sign(np.linalg.det(z))))) <= 1e-14
+        w = rs.stream(41).standard_normal((n_draws, 4))[:, 0]  # the draws' own stream
+        assert float(np.max(np.abs(dets - np.sign(w)))) <= 1e-14
         share = np.mean(dets < 0)
         assert abs(share - 0.5) <= 4.0 * np.sqrt(0.25 / n_draws)
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "special_orthogonal"])
+    def test_squared_trace_has_mean_one(self, kind):
+        # Schur orthogonality: the defining representation of SO(3), and of
+        # O(3), is irreducible, so its character has E[(tr R)^2] = 1.
+        fam = rs.ContinuousFamily(kind=kind, n=3)
+        sq = np.trace(rs.haar_matrices(fam, rs.stream(47), 100_000), axis1=1, axis2=2) ** 2
+        stderr = sq.std(ddof=1) / np.sqrt(len(sq))
+        assert abs(sq.mean() - 1.0) <= 4.0 * stderr
 
     @pytest.mark.parametrize("kind", ["orthogonal", "special_orthogonal"])
     @pytest.mark.parametrize("n", [1, 2, 4, 5])

@@ -27,6 +27,7 @@ from conftest import (
     brute_orbit_second_moment,
     brute_pair_average,
     brute_points_record,
+    brute_quaternion_rotations,
     brute_sampled_record,
     brute_squared_overlap_values,
     brute_ts_conjugation,
@@ -218,7 +219,7 @@ class TestEstimateSquaredOverlap:
         assert abs(est.value - two_draw.mean()) <= 4.0 * math.hypot(est.stderr, two_draw_stderr)
 
     def test_qr_path_orbit_draws_one_haar_matrix_per_pair(self, monkeypatch):
-        # O(8) draws through the batched QR, not the closed-form 3 x 3 frames.
+        # O(8) draws through the batched QR, not the 3 x 3 quaternion rotations.
         draws = []
 
         def counting_haar_matrices(family, rng, size):
@@ -258,10 +259,11 @@ class TestEstimateSquaredOverlap:
         assert n_pairs > 2 * sampler.block
         vals, record = squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
         if case == "so3_orbit":
-            # QR draws and explicit conjugation images, against the closed-form
-            # frames and orbit map: equal to rounding.
+            # scipy's quaternion rotations and explicit conjugation images,
+            # against the library's rotations and orbit map: equal to rounding.
             brute, x = brute_orbit_overlap_values(
-                sampler, brute_ts_conjugation, n_pairs, seed=23, workers=workers
+                sampler, brute_ts_conjugation, n_pairs, seed=23, workers=workers,
+                haar=brute_quaternion_rotations,
             )
             np.testing.assert_allclose(vals, brute, rtol=0, atol=1e-12)
             entries, stderr, mean = brute_points_record(x)

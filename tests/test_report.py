@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -57,6 +58,30 @@ class TestParseConfig:
         text = minimal_config(samples=2000).replace("2000", token)
         with pytest.raises(ParseError, match=f"non-finite number {token}"):
             rs.parse_config(text)
+
+    @pytest.mark.parametrize("fields, where", [
+        ({"tolerances": {"band_sigma": math.inf, "conflict_sigma": math.nan},
+          "measures": [{"kind": "orbit", "base": [math.nan, 1.0]}]}, "base"),
+        ({"tolerances": {"band_sigma": math.inf}}, "band_sigma"),
+        ({"tolerances": {"conflict_sigma": math.nan}}, "conflict_sigma"),
+        ({"tolerances": {"nullspace_rel": math.inf}}, "nullspace_rel"),
+        ({"measures": [{"kind": "uniform_subsphere", "basis": [[1.0, math.inf]]}]}, "basis"),
+        ({"measures": [{"kind": "discrete", "points": [[1.0, -math.inf]], "probs": [1.0]}]},
+         "points"),
+        ({"measures": [{"kind": "discrete", "points": [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]],
+                        "probs": [math.nan, 0.5, 0.5]}]}, "probs"),
+        ({"representation": {"name": "explicit", "generator_images": [[[math.nan]], [[1.0]]]}},
+         "generator_images"),
+        ({"group": {"kind": "matrix_generators", "matrices": [[[1.0, 0.0], [0.0, math.nan]]]},
+          "representation": {"name": "defining_orthogonal"}}, "group.matrices"),
+    ], ids=["orbit_base_and_tolerances", "band_sigma", "conflict_sigma", "nullspace_rel",
+            "subsphere_basis", "points", "probs", "explicit_image", "group_matrices"])
+    def test_validate_config_names_the_non_finite_field(self, fields, where):
+        # The dict entry point reads no JSON, so it checks finiteness itself.
+        doc = dict({"group": {"kind": "symmetric", "n": 3},
+                    "representation": {"name": "sn_sum_zero"}}, **fields)
+        with pytest.raises(ValidationError, match=f"{re.escape(where)}.*finite"):
+            validate_config(doc)
 
     def test_parse_error_reports_position(self):
         with pytest.raises(ParseError, match=r"line 1"):
@@ -862,10 +887,11 @@ class TestCli:
         value, stderr = map(float, overlap.split())
         assert abs(value - 0.25) <= 4.0 * stderr
 
-    def test_import_leaves_scipy_out(self):
+    @pytest.mark.parametrize("module", ["scipy", "importlib.metadata"])
+    def test_import_leaves_scipy_out(self, module):
         src = str(Path(rs.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
-        code = "import sys, repspect.cli; sys.exit('scipy' in sys.modules)"
+        code = f"import sys, repspect.cli; sys.exit({module!r} in sys.modules)"
         assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_catalog_lists_names(self, capsys):
