@@ -45,12 +45,14 @@ from the characters (Frobenius-Schur: (1/|G|) sum chi(g)^2 and
 Reynolds images of a few random matrices; the numerical rank and the
 symmetric split must both agree with the counts.  A continuous group
 has no table: its span is the fixed space of rho(g) (x) rho(g), the SVD
-nullspace of the stacked kron(rho(g), rho(g)) - I, with g running over a
-batch of invariant-distributed samples that is doubled until the
-dimension stabilizes.
+nullspace of the stacked kron(rho(g), rho(g)) - I, with g running over
+the family's fixed topological generators (two rotations by generic
+angles, and a reflection on O(n)).  A matrix commuting with a set
+commutes with the closed group it generates, here the whole family, so
+this span is exact, seed-free and one SVD.
 
 Every basis comes out split, as one array with the symmetric elements
-first: transposition maps the span to itself, so the Reynolds and sampled
+first: transposition maps the span to itself, so the Reynolds and SVD
 bases split exactly into the ranges of (B + B^T)/2 and (B - B^T)/2, and
 the finite tables check the symmetric part against its character count.
 Outside the permutation entries, the vectors rho itself fixes, whose
@@ -70,20 +72,16 @@ import numpy as np
 from .errors import (
     DegenerateSpectrum,
     InconsistentDimensions,
-    NonStabilizedDimension,
     NotReducible,
     RepspectError,
     ThresholdAmbiguity,
     TooLarge,
 )
-from .groups import FiniteGroupTable, golden_weights, haar_matrices, orbit_labels
+from .groups import FiniteGroupTable, golden_weights, orbit_labels, topological_generators
+from .groups import haar_matrices  # not called here: perfbench's Tracer.install wraps it by this name
 from .representations import Representation, sum_zero_basis
 
 NULLSPACE_REL_THRESHOLD = 1e-8
-# Sampled constraint images of the first round, and the most a continuous
-# commutant may take before its dimension must have stabilized.
-START_SAMPLES = 8
-MAX_SAMPLES = 64
 CHARACTER_COUNT_TOL = 1e-6   # distance from an integer a character count may have
 RANGE_OVERSAMPLE = 4         # random matrices pushed beyond the counted dimension
 # Each (d + RANGE_OVERSAMPLE, n, n) buffer of the Reynolds range (the random
@@ -94,8 +92,8 @@ RANGE_BUFFER_BYTES = 256 * 2**20
 # Table images are averaged in blocks whose products stay below this size,
 # so the average adds little to the pipeline's peak memory.
 REYNOLDS_BLOCK_BYTES = 2**20
-# A sampled round's (k n^2, n^2) constraint stack may take at most this
-# much: O(40) stabilizes at 16 images, a 328 MB stack.
+# A continuous family's (k n^2, n^2) constraint stack, k <= 3 topological
+# generators, may take at most this much: O(68) fits, O(69) does not.
 SAMPLED_STACK_BYTES = 512 * 2**20
 # The dense orbital basis of a permutation entry, (d, n^2) floats, may take
 # at most this much, as may the pair labels that find it.
@@ -165,7 +163,7 @@ def trace_orthonormal_nullspace(
     ``rel_threshold * sigma_max``, and ambiguous_sigma is the singular
     value closest to the cutoff if any lies within a factor of ten of it.
     """
-    # A tall stack (the sampled constraints always are) needs no full U:
+    # A tall stack (continuous constraints of k >= 2 images are) needs no full U:
     # its vh is square either way, and only a wide stack has rows of vh
     # beyond the singular values.
     _, sigma, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
@@ -415,7 +413,8 @@ def commutant_basis(
     rel_threshold: float = NULLSPACE_REL_THRESHOLD,
 ) -> CommutantBasis:
     """Compute the split commuting span of a representation; its group
-    decides how.
+    decides how.  Only the Reynolds range of a finite table reads ``rng``
+    (a fixed stream when None); the other paths are seed-free.
 
     ``sn_permutation`` and ``sn_sum_zero`` read a split basis and P off
     the orbitals of their generators; counts other than the payload's
@@ -436,14 +435,10 @@ def commutant_basis(
 
     A continuous family takes the vectorized A fixed by every
     rho(g) A rho(g)^T, which for orthogonal images is the same as
-    commuting with them, over Haar-sampled images.  The batch is doubled
-    (``START_SAMPLES``, twice that, ...) until the computed dimension
-    agrees across two consecutive rounds; failure to stabilize by
-    ``MAX_SAMPLES`` raises NonStabilizedDimension, and a round whose
-    constraint stack would exceed ``SAMPLED_STACK_BYTES`` raises TooLarge
-    before its draws (the first round's before any).  On O(n) the first
-    draw is made a reflection, since draws that all lie in SO(n) would
-    give the commutant of SO(n).
+    commuting with them, over the images of its topological generators,
+    which are kept as the constraints; on O(n) the first is the
+    reflection diag(-1, 1, ..., 1).  A constraint stack above
+    ``SAMPLED_STACK_BYTES`` raises TooLarge before any image is built.
 
     Both split their rows with :func:`split_symmetric_skew`, after warning
     with ThresholdAmbiguity when a singular value sits within a decade of
@@ -451,15 +446,15 @@ def commutant_basis(
     """
     if rep.catalog_id in PERMUTATION_ENTRIES:
         return _orbital_commutant(rep, rel_threshold)
-    rng = np.random.default_rng(0) if rng is None else rng
     sym_count = None
     if isinstance(rep.group, FiniteGroupTable):
         images = rep.generator_images()
         table_images = rep.table_images()
         dim, sym_count = character_counts(table_images)
+        rng = np.random.default_rng(0) if rng is None else rng
         rows, threshold, ambiguous = _reynolds_range(table_images, dim, rng, rel_threshold)
     else:
-        images, rows, threshold, ambiguous = _stabilized_sampled_nullspace(rep, rng, rel_threshold)
+        images, rows, threshold, ambiguous = _continuous_nullspace(rep, rel_threshold)
     if ambiguous is not None:
         warnings.warn(
             ThresholdAmbiguity(
@@ -482,37 +477,19 @@ def _fixed_rows(stack: np.ndarray, rel_threshold: float):
     return trace_orthonormal_nullspace(stack.reshape(k * m, m), rel_threshold)
 
 
-def _conjugation_fixed_rows(images: np.ndarray, rel_threshold: float):
-    k, n, _ = images.shape
+def _continuous_nullspace(rep: Representation, rel_threshold: float):
+    """The images of the family's topological generators, and the nullspace
+    rows of their stacked kron(rho(g), rho(g)) - I."""
+    elements = topological_generators(rep.group)
+    k, n = len(elements), rep.dim
+    if k * n**4 * 8 > SAMPLED_STACK_BYTES:
+        raise TooLarge(f"{k} constraint images in degree {n} need a {k * n**4 * 8} byte "
+                       f"stack, above the {SAMPLED_STACK_BYTES} byte budget")
+    images = rep.stack_map(elements)
     # Row (i, j), column (a, b) of rho (x) rho is rho[i, a] rho[j, b]: it
     # maps row-major A to rho A rho^T.
-    kron = np.einsum("gia,gjb->gijab", images, images).reshape(k, n * n, n * n)
-    return _fixed_rows(kron, rel_threshold)
-
-
-def _stabilized_sampled_nullspace(rep, rng, rel_threshold):
-    images = np.empty((0, rep.dim, rep.dim))
-    rows = None
-    k = START_SAMPLES
-    while k <= MAX_SAMPLES:
-        if k * rep.dim**4 * 8 > SAMPLED_STACK_BYTES:
-            raise TooLarge(
-                f"{k} sampled constraint images in degree {rep.dim} need a "
-                f"{k * rep.dim**4 * 8} byte stack, above the {SAMPLED_STACK_BYTES} byte budget"
-            )
-        draws = haar_matrices(rep.group, rng, k - len(images))
-        if not len(images) and rep.group.kind == "orthogonal":
-            draws[0, :, 0] *= -np.sign(np.linalg.det(draws[0]))
-        images = np.concatenate([images, rep.stack_map(draws)], axis=0)
-        del draws
-        new_rows, threshold, ambiguous = _conjugation_fixed_rows(images, rel_threshold)
-        if rows is not None and len(new_rows) == len(rows):
-            return images, new_rows, threshold, ambiguous
-        rows = new_rows
-        k *= 2
-    raise NonStabilizedDimension(
-        f"commutant dimension still changing at {len(images)} sampled constraints"
-    )
+    kron = np.einsum("gia,gjb->gijab", images, images).reshape(len(images), n * n, n * n)
+    return images, *_fixed_rows(kron, rel_threshold)
 
 
 def _commutation_residual(basis: np.ndarray, images: np.ndarray) -> float:
@@ -531,9 +508,9 @@ def fixed_projector(
 
     V is the nullspace of the stacked rho(g) - I, cut off by the same rule
     as the commutant's.  ``constraints`` is ``CommutantBasis.constraints``:
-    the generator images of a finite table, whose fixed vectors are the
-    group's, or the Haar images that stabilized a continuous commutant,
-    which fix only the group's fixed vectors with probability one.
+    the generator images of a finite table or the images of a continuous
+    family's topological generators; either way their fixed vectors are
+    the group's.
     """
     rows, _, _ = _fixed_rows(np.array(constraints, dtype=float), rel_threshold)
     return rows.T @ rows

@@ -43,10 +43,6 @@ class ThresholdAmbiguity(UserWarning):
     """A singular value sits within a decade of the nullspace cutoff."""
 
 
-class NonStabilizedDimension(RepspectError):
-    """Sampled commutant dimension failed to stabilize."""
-
-
 class NotReducible(RepspectError):
     """Witness extraction requires a reducible representation."""
 

@@ -16,8 +16,8 @@ fixed, non-additive linear projection (``MatrixIndex``), so the closure
 and ``indices_of`` compare each matrix with a handful of stored elements
 instead of the whole table, monomial groups included.  The same index
 decides which support points of a discrete measure coincide.
-Continuous families (the orthogonal and special orthogonal groups) are
-sampled directly from their invariant distribution.
+Continuous families (O(n) and SO(n)) are sampled directly from their
+invariant distribution, and have a fixed stack of topological generators.
 """
 
 from __future__ import annotations
@@ -83,6 +83,12 @@ class ContinuousFamily:
 
     kind: str  # "orthogonal" | "special_orthogonal"
     n: int
+
+    def __post_init__(self):
+        if self.kind not in CONTINUOUS_FAMILIES:
+            raise BadParams(f"unknown continuous family {self.kind!r}")
+        if self.n < 1:
+            raise BadParams("family dimension must be >= 1")
 
 
 @dataclass(eq=False)
@@ -532,10 +538,6 @@ def haar_matrices(family: ContinuousFamily, rng: np.random.Generator, size: int)
     group onto the subgroup.
     """
     n = family.n
-    if n < 1:
-        raise BadParams("family dimension must be >= 1")
-    if family.kind not in CONTINUOUS_FAMILIES:
-        raise BadParams(f"unknown continuous family {family.kind!r}")
     special = family.kind == "special_orthogonal"
     if n == 3:
         return _haar_rotations_3(rng, size, special)
@@ -596,3 +598,24 @@ def _haar_rotations_3(rng: np.random.Generator, size: int, special: bool) -> np.
     if not special:
         r *= np.where(w < 0, -1.0, 1.0)[:, None, None]
     return r
+
+
+def topological_generators(family: ContinuousFamily) -> np.ndarray:
+    """A fixed ``(k, n, n)`` stack, k <= 3, generating a dense subgroup.
+
+    ``a`` turns the planes (0, 1), (2, 3), ... and ``b`` the planes (1, 2),
+    (3, 4), ..., plane (i, i + 1) by theta_i, the ``index_weights`` of the
+    n - 1 planes.  These have no integer relation, so the powers of a fill
+    the torus of its planes, and those of b theirs; the two tori hold every
+    exp(t L_i), L_i = E_{i,i+1} - E_{i+1,i}, and the L_i generate so(n)
+    (Hall, Lie Groups, Lie Algebras, and Representations, 2015, ch. 4).
+    O(n) puts r = diag(-1, 1, ..., 1) first.  n = 2 takes a alone; SO(1)
+    takes the identity, and O(1) r.
+    """
+    n, theta = family.n, index_weights(family.n - 1)
+    elements = [np.diag([-1.0] + [1.0] * (n - 1))] if family.kind == "orthogonal" else []
+    for first in range(min(2, n - 1)):
+        elements.append(np.eye(n))
+        for i in range(first, n - 1, 2):
+            elements[-1][i : i + 2, i : i + 2] = rotation_matrix(theta[i])
+    return np.stack(elements or [np.eye(n)])

@@ -404,6 +404,8 @@ def _validate_tolerances(node) -> Tolerances:
         elif (isinstance(val, bool) or not isinstance(val, (int, float))
               or not math.isfinite(val) or val <= 0):
             raise ValidationError(f"tolerance {key!r} must be positive and finite")
+        elif key == "nullspace_rel" and val >= 1:  # a cutoff of sigma_max calls all null
+            raise ValidationError("tolerance 'nullspace_rel' must be below 1")
         setattr(tol, key, val if key == "closure_cap" else float(val))
     return tol
 

@@ -10,7 +10,6 @@ from repspect.representations import permutation_images
 from repspect.errors import (
     DegenerateSpectrum,
     InconsistentDimensions,
-    NonStabilizedDimension,
     NotReducible,
     RepspectError,
     ThresholdAmbiguity,
@@ -175,9 +174,8 @@ class TestFixedProjector:
     ])
     def test_one_dimensional_families_are_exact(self, kind, expected):
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind=kind, n=1))
-        # On O(1), stream(300, 999) draws +1 eight times; the commutant's
-        # first draw is made a reflection, so its constraints fix nothing
-        # all the same.
+        # SO(1)'s constraint is the identity and O(1)'s the reflection -1,
+        # whatever the stream; stream(300, 999) once drew +1 eight times.
         for seed in (0, 1, 2, 3, 300):
             cb = rs.commutant_basis(rep, rng=rs.stream(seed, 999))
             assert np.array_equal(rs.fixed_projector(cb.constraints), expected)
@@ -260,7 +258,7 @@ class TestCommutantBasis:
             for b in cb.basis:
                 assert np.max(np.abs(m @ b @ m.T - b)) <= 1e-6
 
-    def test_sampled_dimension_stabilizes(self):
+    def test_so3_traceless_symmetric_commutant_is_scalar(self):
         fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
         rep = rs.build_named_rep("so3_traceless_symmetric", fam)
         cb = rs.commutant_basis(rep, rng=rs.stream(7))
@@ -281,20 +279,13 @@ class TestCommutantBasis:
 
     @pytest.mark.parametrize("seed", [53294, 66312, 99868, 157098])
     def test_orthogonal_draws_include_a_reflection(self, seed):
-        # At these seeds the 16 Haar draws of the first two rounds all lie in
-        # SO(2), whose commutant is a plane; the reflection rule keeps O(2)'s.
+        # At these seeds the 16 Haar draws of a sampled commutant all lay in
+        # SO(2), whose commutant is a plane.  The constraints are now fixed,
+        # the reflection diag(-1, 1) first, so no stream can lose O(2)'s.
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=2))
         cb = rs.commutant_basis(rep, rng=rs.stream(seed, 1))
         assert cb.dim == 1
         assert np.linalg.det(cb.constraints[0]) == pytest.approx(-1.0)
-
-    def test_non_stabilized_dimension_without_comparison_rounds(self, monkeypatch):
-        fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
-        rep = rs.build_named_rep("so3_traceless_symmetric", fam)
-        monkeypatch.setattr("repspect.commutant.START_SAMPLES", 8)
-        monkeypatch.setattr("repspect.commutant.MAX_SAMPLES", 8)
-        with pytest.raises(NonStabilizedDimension):
-            rs.commutant_basis(rep, rng=rs.stream(10))
 
     def test_threshold_ambiguity_detection(self):
         rows, threshold, ambiguous = trace_orthonormal_nullspace(np.diag([1.0, 5e-8, 1e-12]))
@@ -304,18 +295,18 @@ class TestCommutantBasis:
 
     def test_threshold_ambiguity_warning_on_near_degenerate_constraints(self):
         # The perturbation's singular values land within a decade of the cutoff.
-        # A continuous family whose sampled images cycle through the fake
-        # table's three images drives the sampled nullspace.  The warning
-        # comes before the refusal of the span it leaves empty.
+        # A continuous family whose images of its topological generators are
+        # the fake table's three images drives the continuous nullspace.  The
+        # warning comes before the refusal of the span it leaves empty.
         images = near_degenerate_fake_table().payload
         rep = rs.Representation(
             dim=2,
-            stack_map=lambda payload: images[np.arange(len(payload)) % len(images)],
+            stack_map=lambda payload: images,
             group=rs.ContinuousFamily(kind="orthogonal", n=2),
         )
         with pytest.warns(ThresholdAmbiguity, match="within a decade of cutoff"):
             with pytest.raises(RepspectError, match="empty commutant basis"):
-                rs.commutant_basis(rep, rng=rs.stream(13))
+                rs.commutant_basis(rep)
 
     def test_non_group_table_fails_the_character_count(self):
         table = near_degenerate_fake_table()
@@ -346,9 +337,9 @@ class TestCommutantBasis:
         assert cb.dim == cb.sym_dim == 25
         assert peak < 4 * 2**20
 
-    def test_sampled_o12_commutant_stays_small(self):
-        # The sampled constraint stack is tall, (k * 144, 144); a full U
-        # would take (k * 144)^2 floats.
+    def test_o12_commutant_stays_small(self):
+        # The constraint stack is tall, (3 * 144, 144); a full U would take
+        # (3 * 144)^2 floats.
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=12))
         tracemalloc.start()
         try:
@@ -378,31 +369,31 @@ class TestCommutantBasis:
         assert peak < 4 * 2**20
 
     def test_oversized_sampled_stack_rejected_before_drawing(self, monkeypatch):
-        # O(128)'s first round would stack 8 images of 128^4 floats (17 GB).
+        # O(128)'s three constraint images would stack 3 * 128^4 floats
+        # (6.4 GB).  The guard refuses them before any image is built, and
+        # a continuous commutant draws nothing at all.
         def no_draws(*args):
-            raise AssertionError("drew Haar images before the budget check")
+            raise AssertionError("drew Haar images for a continuous commutant")
 
         monkeypatch.setattr("repspect.commutant.haar_matrices", no_draws)
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=128))
         with pytest.raises(TooLarge, match="byte budget"):
             rs.commutant_basis(rep, rng=np.random.default_rng(0))
 
-    def test_o40_rounds_fit_the_sampled_stack_budget(self, monkeypatch):
-        # O(32) and O(40) stabilize at 16 images; O(40)'s stack is 328 MB.
-        # The first round gets past the guard to its draws, and the 16-image
-        # round is within budget too.
-        class Drew(Exception):
+    def test_o68_fits_the_constraint_stack_budget_and_o69_does_not(self):
+        # 3 * 68^4 floats are 513 MB, within the 512 MiB budget; 3 * 69^4
+        # floats are 544 MB.  The guard decides before stack_map runs.
+        class Mapped(Exception):
             pass
 
-        def sentinel(*args):
-            raise Drew
+        def sentinel(payload):
+            raise Mapped
 
-        monkeypatch.setattr("repspect.commutant.haar_matrices", sentinel)
-        for n in (32, 40):
+        for n, outcome in ((68, Mapped), (69, TooLarge)):
             rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=n))
-            with pytest.raises(Drew):
-                rs.commutant_basis(rep, rng=np.random.default_rng(0))
-            assert 16 * n**4 * 8 <= rs.commutant.SAMPLED_STACK_BYTES
+            rep.stack_map = sentinel
+            with pytest.raises(outcome):
+                rs.commutant_basis(rep)
 
     def test_split_disagreeing_with_character_count_rejected(self, monkeypatch):
         rep = matrix_permutation_rep([(1, 0, 2, 3), (1, 2, 3, 0)])
@@ -423,6 +414,65 @@ class TestCommutantBasis:
         )
         with pytest.raises(InconsistentDimensions, match=r"\(2 symmetric\)"):
             rs.commutant_basis(rep)
+
+
+# The continuous catalog: (entry, family, n) and the textbook (d, s).
+CONTINUOUS_CATALOG = [
+    ("defining_orthogonal", kind, n, (2, 1) if (kind, n) == ("special_orthogonal", 2) else (1, 1))
+    for n in (1, 2, 3, 4, 5, 6, 7, 8, 10, 16)
+    for kind in ("special_orthogonal", "orthogonal")
+] + [
+    ("cyclic_rotation", "special_orthogonal", 2, (2, 1)),
+    ("cyclic_rotation", "orthogonal", 2, (1, 1)),
+    ("q8_left", "special_orthogonal", 4, (1, 1)),
+    ("q8_left", "orthogonal", 4, (1, 1)),
+    ("so3_traceless_symmetric", "special_orthogonal", 3, (1, 1)),
+    ("so3_traceless_symmetric", "orthogonal", 3, (1, 1)),
+]
+
+
+class TestContinuousCommutant:
+    @pytest.mark.parametrize("name,kind,n", [
+        ("defining_orthogonal", "special_orthogonal", 2),
+        ("defining_orthogonal", "orthogonal", 5),
+        ("so3_traceless_symmetric", "orthogonal", 3),
+    ])
+    def test_seed_free(self, name, kind, n):
+        class NoStream:
+            def __getattr__(self, attr):
+                raise AssertionError(f"a continuous commutant read rng.{attr}")
+
+        rep = rs.build_named_rep(name, rs.ContinuousFamily(kind=kind, n=n))
+        reference = rs.commutant_basis(rep)
+        for rng in [NoStream()] + [rs.stream(seed, 1) for seed in range(4)]:
+            cb = rs.commutant_basis(rep, rng=rng)
+            assert cb.basis.tobytes() == reference.basis.tobytes()
+            assert cb.constraints.tobytes() == reference.constraints.tobytes()
+
+    @pytest.mark.parametrize("name,kind,n,expected", CONTINUOUS_CATALOG,
+                             ids=[f"{e[0]}-{e[1]}-{e[2]}" for e in CONTINUOUS_CATALOG])
+    def test_catalog_matches_the_oracle_on_haar_images(self, name, kind, n, expected):
+        fam = rs.ContinuousFamily(kind=kind, n=n)
+        rep = rs.build_named_rep(name, fam)
+        cb = rs.commutant_basis(rep)
+        images = rep.stack_map(rs.haar_matrices(fam, rs.stream(2200, n), 16))
+        oracle = brute_commutant(list(images)).T.reshape(-1, rep.dim, rep.dim)
+        symmetric = (oracle + oracle.transpose(0, 2, 1)).reshape(len(oracle), -1)
+        oracle_counts = (len(oracle), int(np.linalg.matrix_rank(symmetric, tol=1e-6)))
+        assert (cb.dim, cb.sym_dim) == oracle_counts == expected
+
+    def test_o24_commutant_stays_small(self):
+        # Three constraint images of 24^4 floats are an 8 MB stack; the bound
+        # leaves room for its SVD, not for a stack of 16 images (42 MB).
+        rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=24))
+        tracemalloc.start()
+        try:
+            cb = rs.commutant_basis(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cb.dim == 1
+        assert peak < 40 * 2**20
 
 
 class TestSplitAndClassify:

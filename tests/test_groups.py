@@ -529,3 +529,30 @@ class TestContinuousSampling:
 
         with pytest.raises(BadParams, match="unknown continuous family"):
             rs.haar_matrices(rs.ContinuousFamily(kind="unitary", n=n), NoDraws(), 4)
+
+
+class TestTopologicalGenerators:
+    @pytest.mark.parametrize("kind,n,count", [
+        ("special_orthogonal", 1, 1), ("orthogonal", 1, 1),
+        ("special_orthogonal", 2, 1), ("orthogonal", 2, 2),
+        ("special_orthogonal", 3, 2), ("orthogonal", 3, 3),
+        ("special_orthogonal", 8, 2), ("orthogonal", 9, 3),
+    ])
+    def test_fixed_rotations_and_the_reflection_first(self, kind, n, count):
+        elements = rs.groups.topological_generators(rs.ContinuousFamily(kind=kind, n=n))
+        assert elements.shape == (count, n, n)
+        assert rs.groups.orthogonality_defect(elements) <= 1e-15
+        dets = np.linalg.det(elements)
+        reflection = np.diag([-1.0] + [1.0] * (n - 1))
+        if kind == "orthogonal":
+            assert np.array_equal(elements[0], reflection)
+            dets = dets[1:]
+        np.testing.assert_allclose(dets, 1.0, atol=1e-14)
+
+    @pytest.mark.parametrize("n", [4, 7])
+    def test_planes_alternate_between_the_two_rotations(self, n):
+        a, b = rs.groups.topological_generators(rs.ContinuousFamily(kind="special_orthogonal", n=n))
+        theta = rs.groups.index_weights(n - 1)
+        for i in range(n - 1):
+            rotation = (a, b)[i % 2]
+            assert rotation[i + 1, i] == pytest.approx(np.sin(theta[i]), abs=1e-15)

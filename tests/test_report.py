@@ -619,8 +619,8 @@ class TestRunAnalysis:
     def test_sampled_measure_draws_overlap_and_moment_streams_only(self, monkeypatch):
         # Per sampled orbit: one Haar draw per pair for the overlap, whose
         # draws are also its moment record (coordinate moments and
-        # expectation check), and no more; P reads the commutant's
-        # constraint images and draws nothing.
+        # expectation check), and no more.  The commutant's constraints are
+        # fixed topological generators, and P reads them: neither draws.
         draws = {"moments": 0, "commutant": 0}
 
         def counting(module):
@@ -641,7 +641,7 @@ class TestRunAnalysis:
         report = rs.run_analysis(cfg)
         assert report.identities["expectation"][0]["exact"] is False
         assert draws["moments"] == 3000
-        assert draws["commutant"] == len(report.commutant.constraints)
+        assert draws["commutant"] == 0
 
 
 class TestEmission:
@@ -791,6 +791,23 @@ class TestCli:
         assert cli_main(["analyze", "--config", self.write_config(tmp_path, doc)]) == 1
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group,name,cutoff", [
+        ({"kind": "special_orthogonal", "n": 3}, "so3_traceless_symmetric", 1.5),
+        ({"kind": "special_orthogonal", "n": 3}, "so3_traceless_symmetric", 1.0),
+        ({"kind": "dihedral", "n": 5}, "defining_orthogonal", 1.5),
+    ])
+    def test_nullspace_cutoff_of_one_or_more_exit_one(self, group, name, cutoff, tmp_path, capsys):
+        # A cutoff at or above the largest singular value calls every
+        # direction null; these ran on to a numerical failure (exit 2).
+        path = self.write_config(tmp_path, {
+            "group": group,
+            "representation": {"name": name},
+            "samples": 2000,
+            "tolerances": {"nullspace_rel": cutoff},
+        })
+        assert cli_main(["analyze", "--config", path]) == 1
+        assert "config error: tolerance 'nullspace_rel' must be below 1" in capsys.readouterr().err
+
     def test_config_error_exit_one(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text("{broken")
@@ -851,9 +868,10 @@ class TestCli:
         assert "numerical failure" in capsys.readouterr().err
 
     def test_size_refusal_exit_one(self, tmp_path, capsys, monkeypatch):
-        # O(128)'s first sampled round would stack 8 images of 128^4 floats.
+        # O(128)'s three constraint images would stack 3 * 128^4 floats; the
+        # guard refuses them before any is built, and nothing is drawn.
         def no_draws(*args):
-            raise AssertionError("drew Haar images before the budget check")
+            raise AssertionError("drew Haar images for a continuous commutant")
 
         monkeypatch.setattr("repspect.commutant.haar_matrices", no_draws)
         path = self.write_config(tmp_path, {
