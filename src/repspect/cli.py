@@ -3,9 +3,8 @@
 Exit codes: 0 when the analysis ran to completion (whatever the verdict),
 1 for config errors and for problems refused by size before they are
 allocated (``TooLarge``, printed as "too large: ..."), 2 for numerical
-failures (verdict conflict, disagreeing dimension counts, non-stabilized
-commutant dimension, or a singular value too close to the nullspace
-cutoff).
+failures (verdict conflict, disagreeing dimension counts, or a singular
+value too close to the nullspace cutoff).
 """
 
 from __future__ import annotations

@@ -42,14 +42,16 @@ A -> (1/|G|) sum_g rho(g) A rho(g)^T, an orthogonal projector on matrix
 space.  Its dimension, and that of its symmetric part, are first counted
 from the characters (Frobenius-Schur: (1/|G|) sum chi(g)^2 and
 (1/|G|) sum (chi(g)^2 + chi(g^2))/2), then a basis is read off from the
-Reynolds images of a few random matrices; the numerical rank and the
-symmetric split must both agree with the counts.  A continuous group
+Reynolds images of a few rank-one probes u w^T with fixed Gaussian u and
+w, each the cross second moment of two orbits; the numerical rank and
+the symmetric split must both agree with the counts.  A continuous group
 has no table: its span is the fixed space of rho(g) (x) rho(g), the SVD
 nullspace of the stacked kron(rho(g), rho(g)) - I, with g running over
 the family's fixed topological generators (two rotations by generic
 angles, and a reflection on O(n)).  A matrix commuting with a set
 commutes with the closed group it generates, here the whole family, so
-this span is exact, seed-free and one SVD.
+this span is exact, seed-free and one SVD.  No path reads a seed: every
+commutant is a function of the representation.
 
 Every basis comes out split, as one array with the symmetric elements
 first: transposition maps the span to itself, so the Reynolds and SVD
@@ -83,14 +85,15 @@ from .representations import Representation, sum_zero_basis
 
 NULLSPACE_REL_THRESHOLD = 1e-8
 CHARACTER_COUNT_TOL = 1e-6   # distance from an integer a character count may have
-RANGE_OVERSAMPLE = 4         # random matrices pushed beyond the counted dimension
-# Each (d + RANGE_OVERSAMPLE, n, n) buffer of the Reynolds range (the random
-# matrices, their average, the SVD input) may take at most this much: a
+RANGE_OVERSAMPLE = 4         # probes pushed beyond the counted dimension
+# Each (d + RANGE_OVERSAMPLE, n, n) buffer of the Reynolds range (the probe
+# images being averaged, the SVD input) may take at most this much: a
 # few of them plus the SVD workspace must fit a 2-core, 7 GB machine next
 # to the rest of the pipeline.
 RANGE_BUFFER_BYTES = 256 * 2**20
-# Table images are averaged in blocks whose products stay below this size,
-# so the average adds little to the pipeline's peak memory.
+# Table images are averaged in blocks whose (b, n, d + RANGE_OVERSAMPLE)
+# orbit stacks of the probes stay below this size, so the average adds
+# little to the pipeline's peak memory.
 REYNOLDS_BLOCK_BYTES = 2**20
 # A continuous family's (k n^2, n^2) constraint stack, k <= 3 topological
 # generators, may take at most this much: O(68) fits, O(69) does not.
@@ -215,17 +218,17 @@ def _dimension_counts(chi: np.ndarray, chi_of_square: np.ndarray) -> tuple[int, 
 
 
 def _reynolds_range(
-    images: np.ndarray,
-    dim: int,
-    rng: np.random.Generator,
-    rel_threshold: float,
+    images: np.ndarray, dim: int, rel_threshold: float
 ) -> tuple[np.ndarray, float, float | None]:
     """Orthonormal rows spanning the Reynolds range, whose rank must be ``dim``.
 
-    The group average of rho(g) A rho(g)^T projects orthogonally onto the
-    commuting span, so ``dim + RANGE_OVERSAMPLE`` Gaussian matrices pushed
-    through it span the whole of it with probability one, and the spread
-    of their singular values keeps clear of the cutoff.
+    The group average R of rho(g) A rho(g)^T projects orthogonally onto the
+    commuting span C, so <R(u w^T), X> = u^T X w for every X in C: the
+    images of ``dim + RANGE_OVERSAMPLE`` rank-one probes u w^T, with u and
+    w Gaussian columns of one fixed stream, miss part of C only on a null
+    set, and the spread of their singular values keeps clear of the
+    cutoff.  R(u w^T) = (1/|G|) sum_g (rho(g) u)(rho(g) w)^T, the cross
+    second moment of two orbits.
     """
     k, n, _ = images.shape
     m = min(dim + RANGE_OVERSAMPLE, n * n)
@@ -234,19 +237,14 @@ def _reynolds_range(
             f"commutant of dimension {dim} in degree {n} needs {m} x {n * n} buffers "
             f"above the {RANGE_BUFFER_BYTES} byte budget"
         )
-    draws = rng.standard_normal((m, n, n))
-    side_by_side = draws.transpose(1, 0, 2).reshape(n, m * n)  # [A_1 | ... | A_m]
-    acc = np.zeros((m * n, n))
-    block = max(1, REYNOLDS_BLOCK_BYTES // (m * n * n * 8))
+    probes = np.hstack(np.random.default_rng(0).standard_normal((2, n, m)))  # [u_j | w_j]
+    acc = np.zeros((m, n, n))
+    block = max(1, REYNOLDS_BLOCK_BYTES // (2 * n * m * 8))
     for start in range(0, k, block):
         rho = images[start : start + block]
-        b = len(rho)
-        # Rows (j, i) and columns (g, c) of left hold (rho(g) A_j)[i, c];
-        # contracting (g, c) against rho(g)[l, c] sums rho(g) A_j rho(g)^T
-        # over the block in one matrix product.
-        left = (rho.reshape(b * n, n) @ side_by_side).reshape(b, n, m, n)
-        left = left.transpose(2, 1, 0, 3).reshape(m * n, b * n)
-        acc += left @ rho.transpose(0, 2, 1).reshape(b * n, n)
+        orbits = (rho.reshape(-1, n) @ probes).reshape(len(rho), n, 2 * m)
+        # acc[j] += sum over the block of (rho(g) u_j)(rho(g) w_j)^T.
+        acc += orbits[:, :, :m].transpose(2, 1, 0) @ orbits[:, :, m:].transpose(2, 0, 1)
     _, sigma, vh = np.linalg.svd(acc.reshape(m, n * n) / k, full_matrices=False)
     threshold, ambiguous = _singular_cutoff(sigma, rel_threshold)
     rank = int(np.count_nonzero(sigma > threshold))
@@ -409,12 +407,10 @@ def _split_basis(sym, skew, images, threshold, projector, ambiguous=None) -> Com
 def commutant_basis(
     rep: Representation,
     *,
-    rng: np.random.Generator | None = None,
     rel_threshold: float = NULLSPACE_REL_THRESHOLD,
 ) -> CommutantBasis:
     """Compute the split commuting span of a representation; its group
-    decides how.  Only the Reynolds range of a finite table reads ``rng``
-    (a fixed stream when None); the other paths are seed-free.
+    decides how.  Every path is a function of the representation alone.
 
     ``sn_permutation`` and ``sn_sum_zero`` read a split basis and P off
     the orbitals of their generators; counts other than the payload's
@@ -422,14 +418,14 @@ def commutant_basis(
     labelling above ``ORBITAL_BASIS_BYTES`` raises TooLarge before it is
     allocated.  Every other group takes P from :func:`fixed_projector`.
 
-    Any other finite table counts the dimension d and the symmetric dimension
-    from the characters of the table images, then takes the basis from
-    the Reynolds images of d + 4 Gaussian matrices drawn from ``rng``;
-    a count off an integer, a numerical rank other than d or a symmetric
-    part of another dimension raises InconsistentDimensions, and a range
-    too large for the buffer budget raises TooLarge before anything is
-    drawn.  The generator images are
-    kept as the constraints that later stages re-verify against: a
+    Any other finite table counts the dimension d and the symmetric
+    dimension from the characters of the table images, then takes the
+    basis from the Reynolds images of d + 4 fixed rank-one probes
+    (:func:`_reynolds_range`); a count off an integer, a numerical rank
+    other than d or a symmetric part of another dimension raises
+    InconsistentDimensions, and a range too large for the buffer budget
+    raises TooLarge before anything is averaged.  The generator images
+    are kept as the constraints that later stages re-verify against: a
     matrix commuting with the generators commutes with all of their
     products.
 
@@ -451,8 +447,7 @@ def commutant_basis(
         images = rep.generator_images()
         table_images = rep.table_images()
         dim, sym_count = character_counts(table_images)
-        rng = np.random.default_rng(0) if rng is None else rng
-        rows, threshold, ambiguous = _reynolds_range(table_images, dim, rng, rel_threshold)
+        rows, threshold, ambiguous = _reynolds_range(table_images, dim, rel_threshold)
     else:
         images, rows, threshold, ambiguous = _continuous_nullspace(rep, rel_threshold)
     if ambiguous is not None:

@@ -236,8 +236,8 @@ def _chunk_sizes(n: int, workers: int) -> list[int]:
     its samples here, so this is where their counts are checked."""
     if n < 2:
         raise BadParams(f"need at least 2 samples, got {n}")
-    if workers < 1:
-        raise BadParams(f"workers must be >= 1, got {workers}")
+    if not 1 <= workers <= n:
+        raise BadParams(f"workers must be between 1 and the {n} samples, got {workers}")
     base, rem = divmod(n, workers)
     return [base + 1] * rem + [base] * (workers - rem)
 

@@ -12,7 +12,8 @@ theirs from the draws of their overlap estimate, one sampling
 pass per measure.  That record gives the coordinate-moment summary and
 the expectation check E(x) = E(P x), P computed once per analysis.
 Reports are a pure function of (config, seed): repeated runs produce
-byte-identical output.
+byte-identical output.  The seed reaches only the Monte Carlo draws; the
+identity checks that hold for every vector take theirs from fixed streams.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .groups import (
     FiniteGroupTable,
     GroupSpec,
     enumerate_closure,
-    stream,
     substream,
 )
 from .moments import (
@@ -79,7 +79,6 @@ from .representations import (
     ORTHOGONALITY_TOL,
     build_named_rep,
     catalog_dim,
-    diag_map,
     sum_zero_basis,
 )
 
@@ -208,6 +207,8 @@ def validate_config(doc: dict) -> AnalysisConfig:
 
     samples = _int_field(doc, "samples", DEFAULT_SAMPLES, minimum=2)
     workers = _int_field(doc, "workers", 1, minimum=1)
+    if workers > samples:
+        raise ValidationError(f"workers ({workers}) must not exceed samples ({samples})")
     seed = _validate_seed(doc)
     tolerances = _validate_tolerances(doc.get("tolerances"))
     report_path, fmt, trace_path = _validate_outputs(doc.get("outputs"))
@@ -449,7 +450,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     rep = build_named_rep(cfg.rep_name, group, n=cfg.rep_n, generator_images=cfg.generator_images)
     reference = 1.0 / rep.dim
 
-    cb = commutant_basis(rep, rng=stream(cfg.seed, 1), rel_threshold=tol.nullspace_rel)
+    cb = commutant_basis(rep, rel_threshold=tol.nullspace_rel)
     verdict = classify_and_decide(cb)
     witness = None if verdict.irreducible else witness_invariant_subspace(cb, rep)
 
@@ -536,8 +537,8 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
                 _coordinate_moment_summary(m, i, reference, tol.band_sigma)
             )
 
-    identities["sum_zero_cosine"] = _sum_zero_cosine_summary(cfg, rep)
-    identities["skew_projection_max"] = _skew_projection_summary(cfg, rep, cb)
+    identities["sum_zero_cosine"] = _sum_zero_cosine_summary(rep)
+    identities["skew_projection_max"] = _skew_projection_summary(rep, cb)
 
     _cross_check(verdict, measures, tol, rep.dim)
 
@@ -592,32 +593,27 @@ def _coordinate_moment_summary(smm, i, reference, sigma) -> dict:
     }
 
 
-def _sum_zero_cosine_summary(cfg, rep) -> dict | None:
+def _sum_zero_cosine_summary(rep) -> dict | None:
     if rep.catalog_id != "sn_sum_zero":
         return None
     degree = rep.dim + 1
     if degree > 8:
         return None
-    rng = stream(cfg.seed, 3)
-    x = rng.standard_normal(degree)
+    x = np.random.default_rng(3).standard_normal(degree)
     x -= x.mean()
     value = sn_cosine_identity(x)
     ref = math.factorial(degree) / (degree - 1)
     return {"degree": degree, "value": value, "reference": ref, "residual": abs(value - ref)}
 
 
-def _skew_projection_summary(cfg, rep, cb: CommutantBasis) -> float | None:
+def _skew_projection_summary(rep, cb: CommutantBasis) -> float | None:
     if not cb.skew_dim:
         return None
-    skew = cb.basis[cb.sym_dim:]
-    rng = stream(cfg.seed, 4)
-    worst = 0.0
-    for _ in range(50):
-        x = rng.standard_normal(rep.dim)
-        x /= np.linalg.norm(x)
-        m = diag_map(x)
-        worst = max(worst, max(abs(float(np.sum(b * m))) for b in skew))
-    return worst
+    xs = np.random.default_rng(4).standard_normal((50, rep.dim))
+    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
+    squares = (xs[:, :, None] * xs[:, None, :]).reshape(len(xs), -1)  # rows x x^T
+    skew = cb.basis[cb.sym_dim:].reshape(cb.skew_dim, -1)
+    return float(np.max(np.abs(skew @ squares.T)))
 
 
 def _slack(exact: bool, dim: int) -> float:

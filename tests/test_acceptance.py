@@ -256,9 +256,7 @@ def test_criterion_10_expectation_projector_identity():
                 rs.coordinate_second_moments(
                     rs.make_sampler(spec, rep), 50_000, seed=rs.substream(1001, i)
                 ),
-                rs.fixed_projector(
-                    rs.commutant_basis(rep, rng=rs.stream(rs.substream(1001, i), 999)).constraints
-                ),
+                rs.fixed_projector(rs.commutant_basis(rep).constraints),
             )
             assert chk.residual <= chk.residual_band, label
             assert chk.mean_norm <= chk.mean_norm_band, label

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -76,6 +77,15 @@ def rotation_plus_trivial_rep():
     gen[:2, :2] = rs.groups.rotation_matrix(2.0 * np.pi / 3.0)
     table = rs.enumerate_closure(rs.GroupSpec(kind="matrix_generators", generators=(gen,)))
     return rs.build_named_rep("defining_orthogonal", table)
+
+
+def assert_seed_free(rep):
+    """``commutant_basis`` takes no stream, and two calls give the same bytes."""
+    assert "rng" not in inspect.signature(rs.commutant_basis).parameters
+    first, second = rs.commutant_basis(rep), rs.commutant_basis(rep)
+    for field in ("basis", "constraints", "projector"):
+        assert getattr(first, field).tobytes() == getattr(second, field).tobytes()
+    assert (first.residual, first.threshold) == (second.residual, second.threshold)
 
 
 def reynolds_project(rep, v):
@@ -174,11 +184,9 @@ class TestFixedProjector:
     ])
     def test_one_dimensional_families_are_exact(self, kind, expected):
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind=kind, n=1))
-        # SO(1)'s constraint is the identity and O(1)'s the reflection -1,
-        # whatever the stream; stream(300, 999) once drew +1 eight times.
-        for seed in (0, 1, 2, 3, 300):
-            cb = rs.commutant_basis(rep, rng=rs.stream(seed, 999))
-            assert np.array_equal(rs.fixed_projector(cb.constraints), expected)
+        # SO(1)'s constraint is the identity and O(1)'s the reflection -1.
+        cb = rs.commutant_basis(rep)
+        assert np.array_equal(rs.fixed_projector(cb.constraints), expected)
 
     def test_cutoff_is_the_given_relative_threshold(self):
         # rho - I stacks to singular values sqrt(2), sqrt(2) and |2 sin(5e-8)|,
@@ -197,7 +205,7 @@ class TestFixedProjector:
         rep = rs.build_named_rep(
             "so3_traceless_symmetric", rs.ContinuousFamily(kind="special_orthogonal", n=3)
         )
-        cb = rs.commutant_basis(rep, rng=rs.stream(5, 999))
+        cb = rs.commutant_basis(rep)
         assert np.max(np.abs(rs.fixed_projector(cb.constraints))) == 0.0
 
 
@@ -251,7 +259,7 @@ class TestCommutantBasis:
     def test_conjugation_fixes_basis_elements_continuous(self):
         fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
         rep = rs.build_named_rep("so3_traceless_symmetric", fam)
-        cb = rs.commutant_basis(rep, rng=rs.stream(5))
+        cb = rs.commutant_basis(rep)
         rng = rs.stream(6)
         mats = rs.haar_matrices(fam, rng, 50)
         for m in rep.stack_map(mats):
@@ -261,31 +269,35 @@ class TestCommutantBasis:
     def test_so3_traceless_symmetric_commutant_is_scalar(self):
         fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
         rep = rs.build_named_rep("so3_traceless_symmetric", fam)
-        cb = rs.commutant_basis(rep, rng=rs.stream(7))
+        cb = rs.commutant_basis(rep)
         assert cb.dim == 1
 
     def test_so2_defining_commutant_is_a_plane(self):
         fam = rs.ContinuousFamily(kind="special_orthogonal", n=2)
         rep = rs.build_named_rep("defining_orthogonal", fam)
-        cb = rs.commutant_basis(rep, rng=rs.stream(8))
+        cb = rs.commutant_basis(rep)
         assert (cb.dim, cb.sym_dim, cb.skew_dim) == (2, 1, 1)
         assert rs.classify_and_decide(cb).type == "C"
 
     def test_full_orthogonal_defining_commutant_is_scalar(self):
         fam = rs.ContinuousFamily(kind="orthogonal", n=3)
         rep = rs.build_named_rep("defining_orthogonal", fam)
-        cb = rs.commutant_basis(rep, rng=rs.stream(9))
+        cb = rs.commutant_basis(rep)
         assert rs.classify_and_decide(cb).type == "R"
 
-    @pytest.mark.parametrize("seed", [53294, 66312, 99868, 157098])
-    def test_orthogonal_draws_include_a_reflection(self, seed):
-        # At these seeds the 16 Haar draws of a sampled commutant all lay in
-        # SO(2), whose commutant is a plane.  The constraints are now fixed,
-        # the reflection diag(-1, 1) first, so no stream can lose O(2)'s.
+    def test_orthogonal_draws_include_a_reflection(self):
+        # The constraints are fixed, the reflection diag(-1, 1) first, so
+        # O(2)'s commutant is the scalars, never the plane of SO(2)'s.
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=2))
-        cb = rs.commutant_basis(rep, rng=rs.stream(seed, 1))
+        cb = rs.commutant_basis(rep)
         assert cb.dim == 1
         assert np.linalg.det(cb.constraints[0]) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("build", [
+        dihedral_permutation_rep, lambda n: matrix_permutation_rep(dihedral_generators(n)),
+    ], ids=["orbital", "reynolds"])
+    def test_finite_commutants_are_seed_free(self, build):
+        assert_seed_free(build(12))
 
     def test_threshold_ambiguity_detection(self):
         rows, threshold, ambiguous = trace_orthonormal_nullspace(np.diag([1.0, 5e-8, 1e-12]))
@@ -343,7 +355,7 @@ class TestCommutantBasis:
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=12))
         tracemalloc.start()
         try:
-            cb = rs.commutant_basis(rep, rng=np.random.default_rng(0))
+            cb = rs.commutant_basis(rep)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -378,7 +390,7 @@ class TestCommutantBasis:
         monkeypatch.setattr("repspect.commutant.haar_matrices", no_draws)
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=128))
         with pytest.raises(TooLarge, match="byte budget"):
-            rs.commutant_basis(rep, rng=np.random.default_rng(0))
+            rs.commutant_basis(rep)
 
     def test_o68_fits_the_constraint_stack_budget_and_o69_does_not(self):
         # 3 * 68^4 floats are 513 MB, within the 512 MiB budget; 3 * 69^4
@@ -416,6 +428,88 @@ class TestCommutantBasis:
             rs.commutant_basis(rep)
 
 
+PHI = (1.0 + 5.0**0.5) / 2.0
+AXIS_CYCLE = np.eye(3)[[1, 2, 0]]
+HALF_TURN_X = np.diag([1.0, -1.0, -1.0])
+# Rotation groups of the tetrahedron, cube and icosahedron; the last adds a
+# fifth-turn about (0, 1/phi, phi) to the tetrahedral generators.
+POLYHEDRAL = {
+    "tetrahedral": ((AXIS_CYCLE, HALF_TURN_X), 12),
+    "octahedral": ((AXIS_CYCLE, np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])), 24),
+    "icosahedral": ((AXIS_CYCLE, HALF_TURN_X, 0.5 * np.array([
+        [1.0, -PHI, 1.0 / PHI], [PHI, 1.0 / PHI, -1.0], [1.0 / PHI, 1.0, PHI],
+    ])), 60),
+}
+
+
+def doubled_explicit_rep(group_spec, name):
+    """rho + rho of a catalog representation through ``explicit``, conjugated
+    by a fixed orthogonal matrix."""
+    table = rs.enumerate_closure(group_spec)
+    images = rs.build_named_rep(name, table).generator_images()
+    k, n, _ = images.shape
+    doubled = np.zeros((k, 2 * n, 2 * n))
+    doubled[:, :n, :n] = doubled[:, n:, n:] = images
+    q, _ = np.linalg.qr(rs.stream(2300, n).standard_normal((2 * n, 2 * n)))
+    return rs.build_named_rep("explicit", table, generator_images=list(q @ doubled @ q.T))
+
+
+class TestReynoldsKnownAnswers:
+    """Finite tables outside the permutation entries, against known answers."""
+
+    @pytest.mark.parametrize("group,name,d,s,m", [
+        ("tetrahedral", "so3_traceless_symmetric", 3, 2, 2),
+        ("octahedral", "so3_traceless_symmetric", 2, 2, 2),
+        ("icosahedral", "so3_traceless_symmetric", 1, 1, None),
+        ("tetrahedral", "defining_orthogonal", 1, 1, None),
+        ("octahedral", "defining_orthogonal", 1, 1, None),
+        ("icosahedral", "defining_orthogonal", 1, 1, None),
+    ])
+    def test_polyhedral_groups(self, group, name, d, s, m):
+        generators, order = POLYHEDRAL[group]
+        table = rs.enumerate_closure(rs.GroupSpec(kind="matrix_generators", generators=generators))
+        assert table.order == order
+        rep = rs.build_named_rep(name, table)
+        cb = rs.commutant_basis(rep)
+        assert (cb.dim, cb.sym_dim) == (d, s)
+        if m is None:
+            assert rs.classify_and_decide(cb).type == "R"
+        else:
+            assert rs.witness_invariant_subspace(cb, rep).m == m
+
+    @pytest.mark.parametrize("spec,name,d,s,m", [
+        (rs.GroupSpec(kind="dihedral", n=5), "defining_orthogonal", 4, 3, 2),
+        (rs.GroupSpec(kind="cyclic", n=5), "cyclic_rotation", 8, 4, 2),
+        (rs.GroupSpec(kind="quaternion8"), "q8_left", 16, 6, 4),
+    ], ids=["dihedral5", "cyclic5", "quaternion8"])
+    def test_doubled_explicit_reps(self, spec, name, d, s, m):
+        rep = doubled_explicit_rep(spec, name)
+        cb = rs.commutant_basis(rep)
+        assert (cb.dim, cb.sym_dim) == (d, s)
+        assert rs.witness_invariant_subspace(cb, rep).m == m
+
+    @pytest.mark.parametrize("n", [12, 40])
+    def test_dihedral_matrices_match_the_orbitals(self, n):
+        reynolds = matrix_permutation_rep(dihedral_generators(n))
+        orbital = dihedral_permutation_rep(n)
+        cb_r, cb_o = rs.commutant_basis(reynolds), rs.commutant_basis(orbital)
+        assert (cb_r.dim, cb_r.sym_dim) == (cb_o.dim, cb_o.sym_dim)
+        np.testing.assert_allclose(cb_r.projector, cb_o.projector, rtol=0, atol=1e-12)
+        w_r = rs.witness_invariant_subspace(cb_r, reynolds)
+        w_o = rs.witness_invariant_subspace(cb_o, orbital)
+        assert w_r.m == w_o.m
+        assert max_principal_angle(w_r.basis, w_o.basis) <= 1e-10
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_trivial_group_commutes_with_everything(self, n):
+        # d = n^2 leaves no room to oversample; the probes must still span,
+        # clear of the cutoff (a ThresholdAmbiguity warning fails the test).
+        table = rs.enumerate_closure(rs.GroupSpec(kind="matrix_generators", generators=(np.eye(n),)))
+        rep = rs.build_named_rep("explicit", table, generator_images=[np.eye(n)])
+        cb = rs.commutant_basis(rep)
+        assert (cb.dim, cb.sym_dim) == (n * n, n * (n + 1) // 2)
+
+
 # The continuous catalog: (entry, family, n) and the textbook (d, s).
 CONTINUOUS_CATALOG = [
     ("defining_orthogonal", kind, n, (2, 1) if (kind, n) == ("special_orthogonal", 2) else (1, 1))
@@ -438,16 +532,7 @@ class TestContinuousCommutant:
         ("so3_traceless_symmetric", "orthogonal", 3),
     ])
     def test_seed_free(self, name, kind, n):
-        class NoStream:
-            def __getattr__(self, attr):
-                raise AssertionError(f"a continuous commutant read rng.{attr}")
-
-        rep = rs.build_named_rep(name, rs.ContinuousFamily(kind=kind, n=n))
-        reference = rs.commutant_basis(rep)
-        for rng in [NoStream()] + [rs.stream(seed, 1) for seed in range(4)]:
-            cb = rs.commutant_basis(rep, rng=rng)
-            assert cb.basis.tobytes() == reference.basis.tobytes()
-            assert cb.constraints.tobytes() == reference.constraints.tobytes()
+        assert_seed_free(rs.build_named_rep(name, rs.ContinuousFamily(kind=kind, n=n)))
 
     @pytest.mark.parametrize("name,kind,n,expected", CONTINUOUS_CATALOG,
                              ids=[f"{e[0]}-{e[1]}-{e[2]}" for e in CONTINUOUS_CATALOG])
@@ -571,7 +656,7 @@ class TestWitness:
 
     def test_doubled_plane_rep_gives_two_dimensional_witness(self):
         rep = o2_double_rep()
-        cb = rs.commutant_basis(rep, rng=rs.stream(12))
+        cb = rs.commutant_basis(rep)
         assert cb.dim == 4 and cb.sym_dim == 3
         w = rs.witness_invariant_subspace(cb, rep)
         assert w.m == 2
@@ -583,17 +668,19 @@ class TestWitness:
         (o2_double_rep, 2),
     ], ids=["dihedral-40", "s7", "o2-double"])
     def test_witness_does_not_depend_on_the_basis(self, build, m):
-        # Master seeds 0-3 draw different commutant bases (the report passes
-        # stream(seed, 1)); a random orthogonal mixing of the symmetric basis
-        # is one more.  Every one must give the same invariant subspace, in
-        # the same basis columns, signs included.
+        # Random orthogonal mixings of the symmetric and of the skew basis
+        # are other bases of the same span.  Every one must give the same
+        # invariant subspace, in the same basis columns, signs included.
         rep = build()
-        bases = [rs.commutant_basis(rep, rng=rs.stream(seed, 1)) for seed in range(4)]
-        cb = bases[0]
-        sym = cb.basis[: cb.sym_dim]
-        mixing, _ = np.linalg.qr(rs.stream(13).standard_normal((cb.sym_dim, cb.sym_dim)))
-        mixed = np.concatenate([np.einsum("ij,jkl->ikl", mixing, sym), cb.basis[cb.sym_dim :]])
-        bases.append(dataclasses.replace(cb, basis=mixed))
+        cb = rs.commutant_basis(rep)
+        bases = [cb]
+        for seed in range(4):
+            rng = rs.stream(13, seed)
+            parts = []
+            for part in (cb.basis[: cb.sym_dim], cb.basis[cb.sym_dim :]):
+                mixing, _ = np.linalg.qr(rng.standard_normal((len(part), len(part))))
+                parts.append(np.einsum("ij,jkl->ikl", mixing, part))
+            bases.append(dataclasses.replace(cb, basis=np.concatenate(parts)))
         witnesses = [rs.witness_invariant_subspace(b, rep) for b in bases]
         reference = witnesses[0].basis @ witnesses[0].basis.T
         for w in witnesses:

@@ -300,7 +300,7 @@ class TestEstimateSquaredOverlap:
         assert a.value != b.value
 
     @pytest.mark.parametrize("estimator", ["overlap", "coordinates"])
-    @pytest.mark.parametrize("count, workers", [(1, 1), (0, 1), (100, 0), (100, -1)])
+    @pytest.mark.parametrize("count, workers", [(1, 1), (0, 1), (100, 0), (100, -1), (2, 3)])
     def test_sample_and_worker_counts_checked(self, so3_tss, estimator, count, workers):
         spec = rs.uniform_sphere()
         sampler = rs.make_sampler(spec, so3_tss)
@@ -602,7 +602,7 @@ class TestExpectationIdentity:
     def test_monte_carlo_path_on_continuous_group(self, so3_tss):
         spec = rs.orbit_measure(random_unit(rs.stream(18), 5))
         m = rs.coordinate_second_moments(rs.make_sampler(spec, so3_tss), 20_000, seed=19)
-        proj = rs.fixed_projector(rs.commutant_basis(so3_tss, rng=rs.stream(19, 999)).constraints)
+        proj = rs.fixed_projector(rs.commutant_basis(so3_tss).constraints)
         chk = rs.expectation_identity_check(m, proj)
         assert not chk.exact
         assert chk.residual <= chk.residual_band
@@ -621,7 +621,7 @@ class TestExpectationIdentity:
             rep, spec, workers = rs.build_named_rep("sn_permutation", s4_table), rs.uniform_sphere(), 2
         else:  # P = 0
             rep, spec, workers = so3_tss, rs.orbit_measure(random_unit(rs.stream(25), 5)), 1
-        proj = rs.fixed_projector(rs.commutant_basis(rep, rng=rs.stream(26)).constraints)
+        proj = rs.fixed_projector(rs.commutant_basis(rep).constraints)
         sampler = rs.make_sampler(spec, rep)
         m = rs.coordinate_second_moments(sampler, 30_001, seed=27, workers=workers)
         chk = rs.expectation_identity_check(m, proj)

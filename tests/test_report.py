@@ -288,8 +288,42 @@ class TestRunAnalysis:
             "samples": 2000,
             "seed": seed,
         }))
-        verdict = rs.run_analysis(cfg).verdict
+        report = rs.run_analysis(cfg)
+        verdict = report.verdict
         assert (verdict.irreducible, verdict.type, verdict.commutant_dim) == (True, "R", 1)
+        assert np.linalg.det(report.commutant.constraints[0]) == pytest.approx(-1.0)
+
+    @pytest.mark.parametrize("group,rep,measures", [
+        ({"kind": "permutation_generators", "generators": [[1, 2, 3, 4, 0]]}, "sn_sum_zero",
+         [{"kind": "orbit", "base": [1.0, -0.5, 0.25, 0.0]}, {"kind": "uniform_sphere"}]),
+        ({"kind": "matrix_generators", "matrices": [np.eye(5)[[1, 2, 3, 4, 0]].tolist()]},
+         "defining_orthogonal",
+         [{"kind": "orbit", "base": [1.0, -0.5, 0.25, 0.0, 2.0]},
+          {"kind": "discrete", "points": np.eye(5).tolist(), "probs": [0.2] * 5},
+          {"kind": "uniform_sphere"}]),
+        ({"kind": "special_orthogonal", "n": 2}, "defining_orthogonal",
+         [{"kind": "orbit", "base": [0.6, 0.8]}, {"kind": "uniform_sphere"}]),
+    ], ids=["orbital", "reynolds", "continuous"])
+    def test_only_monte_carlo_reads_the_seed(self, group, rep, measures):
+        exact_identities = (
+            "orbit_exact", "discrete_invariance", "sum_zero_cosine",
+            "skew_projection_max", "identity_span_residual",
+        )
+
+        def seed_free_part(seed):
+            doc = report_document(rs.run_analysis(rs.parse_config(json.dumps({
+                "group": group, "representation": {"name": rep},
+                "measures": measures, "samples": 200, "seed": seed,
+            }))))
+            assert doc["identities"]["skew_projection_max"] is not None
+            return json.dumps([
+                doc["verdict"], doc["commutant"], doc["witness"],
+                [doc["identities"][key] for key in exact_identities],
+                [m for m in doc["measures"] if m["exact"]],
+            ])
+
+        first = seed_free_part(1)
+        assert all(seed_free_part(seed) == first for seed in (2, 3))
 
     def test_fixed_projector_takes_the_configured_cutoff(self, monkeypatch):
         calls = []
@@ -741,6 +775,17 @@ class TestCli:
             "samples": 2000,
         })
         assert cli_main(["analyze", "--config", path, flag, value]) == 1
+        assert "config error" in capsys.readouterr().err
+
+    def test_more_workers_than_samples_exit_one(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "orthogonal", "n": 3},
+            "representation": {"name": "defining_orthogonal"},
+            "measures": [{"kind": "uniform_sphere"}],
+            "samples": 2,
+            "workers": 3,
+        })
+        assert cli_main(["analyze", "--config", path]) == 1
         assert "config error" in capsys.readouterr().err
 
     def test_flags_update_the_outputs_object(self, tmp_path, capsys):
