@@ -532,25 +532,26 @@ def split_symmetric_skew(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal symmetric and skew rows spanning the span of the
     orthonormal commuting ``rows`` (vectorized n x n matrices).
 
-    Transposition maps the commuting span to itself (the images are
-    orthogonal), so the span splits exactly into its symmetric and skew
-    parts; (B +- B^T)/2 of every row spans them.  Those are orthogonal
-    projections of an orthonormal set, so their singular values sit near
-    0 or 1 and a 0.5 cutoff is unambiguous.
+    Transposition T maps the commuting span to itself (the images are
+    orthogonal), and it is a symmetric involution, so in the basis of the
+    orthonormal rows it is the d x d matrix A = rows T(rows)^T, with
+    eigenvalues +1 (symmetric) and -1 (skew).  One ``eigh`` of A gives both parts as
+    combinations of the rows.  An eigenvalue more than 0.5 from +-1 means
+    the span is not closed under transposition, and raises
+    InconsistentDimensions.
     """
     d = len(rows)
     if d == 0:
         raise RepspectError("empty commutant basis; the identity should always be present")
     n = math.isqrt(rows.shape[1])
     transposed = rows.reshape(d, n, n).transpose(0, 2, 1).reshape(d, n * n)
-    parts = []
-    for part in (rows + transposed, rows - transposed):
-        _, sigma, vh = np.linalg.svd(part / 2.0, full_matrices=False)
-        parts.append(vh[sigma > 0.5])
-    sym, skew = parts
-    if len(sym) + len(skew) != d:
-        raise InconsistentDimensions(f"symmetric/skew split gives {len(sym)} + {len(skew)} != {d}")
-    return sym, skew
+    w, u = np.linalg.eigh(rows @ transposed.T)
+    if (np.abs(np.abs(w) - 1.0) > 0.5).any():
+        raise InconsistentDimensions(
+            f"transposition on the {d}-dim commuting span has eigenvalues in "
+            f"[{w.min():.3g}, {w.max():.3g}], not +-1 within 0.5"
+        )
+    return u[:, w > 0].T @ rows, u[:, w < 0].T @ rows
 
 
 def classify_and_decide(cb: CommutantBasis) -> TypeVerdict:

@@ -24,12 +24,13 @@ Monte Carlo estimates are a deterministic function of (seed, worker
 count, sample count): sampling is partitioned into per-worker substreams
 and reduced in a fixed order.  Every estimator draws ``_sample_blocks``
 of about 1.6 MB, successive blocks continuing each substream, so memory
-stays bounded whatever the sample count.  The blocks that give the
-overlaps also give the measure's moment record.  An orbit of a compact
-group needs one Haar draw per pair: <rho(g) v, rho(h) v> = <v, rho(g^-1 h) v>
-and g^-1 h is again Haar distributed, so <rho(k) v, v>^2 has the law of
-<x,y>^2, and the x = rho(k) v alone give the record.  The uniform sphere
-and subspheres draw x and y, and both give the record.
+stays bounded whatever the sample count.  Every sampled measure draws
+one point per pair: a worker chunk of N pairs draws N + 1 points and
+chains them, <x_i, x_{i+1}>^2.  The chained values are iid on an
+invariant measure: on a sphere or subsphere by rotation invariance, and
+on an orbit x_j = rho(k_j) v because k_i^-1 k_{i+1} is again Haar
+distributed and independent of k_0 ... k_i.  The same draws give the
+measure's moment record.
 """
 
 from __future__ import annotations
@@ -146,10 +147,8 @@ def discrete_measure(points, probs) -> MeasureSpec:
 class VectorSampler:
     """Stateless batch sampler of unit vectors for one measure; the
     estimators draw ``block`` rows at a time and may overwrite them.
-    ``base`` is the base point v of an orbit sampler, whose draws are
-    rho(g) v, and None for every other sampler."""
-
-    base: np.ndarray | None = None
+    Draws are iid and row by row, so successive blocks continue one
+    stream, and ``squared_overlap_values`` pairs each draw with the next."""
 
     def __init__(self, dim: int):
         self.dim = dim
@@ -162,12 +161,13 @@ class VectorSampler:
 class _SphereSampler(VectorSampler):
     def sample(self, rng, count):
         z = rng.standard_normal((count, self.dim))
-        norms = np.linalg.norm(z, axis=1)
+        norms = np.sqrt(np.einsum("ki,ki->k", z, z))
         while (norms < 1e-12).any():  # probability-zero guard
             bad = norms < 1e-12
             z[bad] = rng.standard_normal((int(bad.sum()), self.dim))
-            norms = np.linalg.norm(z, axis=1)
-        return z / norms[:, None]
+            norms = np.sqrt(np.einsum("ki,ki->k", z, z))
+        z /= norms[:, None]
+        return z
 
 
 class _SubsphereSampler(VectorSampler):
@@ -268,7 +268,7 @@ class _MomentSums:
         """Add a block of draws, squaring it in place."""
         self.count += len(x)
         self.outer += x.T @ x
-        self.total += x.sum(axis=0)
+        self.total += np.einsum("ki->i", x)
         x *= x
         self.outer_sq += x.T @ x
 
@@ -287,36 +287,37 @@ def squared_overlap_values(
     seed=0,
     workers: int = 1,
 ) -> tuple[np.ndarray, SecondMomentMatrix]:
-    """n_pairs values with the law of <x, y>^2 for independent draws x, y,
-    in deterministic stream order, and the moment record of their draws.
+    """n_pairs iid values with the law of <x, y>^2 for independent draws
+    x, y, in deterministic stream order, and the moment record of their
+    draws.
 
-    Each worker chunk draws x from substream ``(w, 0)``, block by block;
-    the concatenation order is fixed by the worker index.  An orbit
-    sampler, one with a ``base`` v, draws nothing else: x_i = rho(k_i) v
-    for a Haar k_i, and since <rho(g) v, rho(h) v> = <v, rho(g^-1 h) v>
-    with g^-1 h again Haar distributed, <x_i, v>^2 has exactly the law of
-    <x, y>^2; the record is that of the n_pairs draws x_i.  Any other
-    sampler also draws y from substream ``(w, 1)`` and gives <x_i, y_i>^2,
-    and its record holds all 2 n_pairs draws (on a sphere the one-draw
-    value <x, e>^2 would be a diagonal entry of its own record).  Each
-    block gives its overlaps before it is added to the record.
+    A worker chunk of ``size`` pairs draws ``size + 1`` points x_0 ...
+    x_size from substream ``(w, 0)``, block by block, and gives the chained
+    values <x_i, x_{i+1}>^2; the concatenation order is fixed by the
+    worker index.  Given x_0 ... x_i, the value <x_i, x_{i+1}> has a fixed
+    law, on a sphere or subsphere by rotation invariance, and on an orbit
+    x_j = rho(k_j) v because k_i^-1 k_{i+1} is Haar distributed and
+    independent of k_0 ... k_i; so the values are independent, not only
+    identically distributed, and their sample stderr holds.  The record
+    holds all n_pairs + workers draws.  Each block gives its overlaps, and
+    a copy of its last row for the next block's first overlap, before it
+    is added to the record.
     """
-    base = sampler.base
     sums = _MomentSums(sampler.dim)
-    out = []
+    vals = np.empty(n_pairs)
+    end = 0
     for w, size in enumerate(_chunk_sizes(n_pairs, workers)):
-        xs = _sample_blocks(sampler, stream(seed, w, 0), size)
-        if base is not None:
-            for x in xs:
-                out.append((x @ base) ** 2)
-                sums.add(x)
-            continue
-        ys = _sample_blocks(sampler, stream(seed, w, 1), size)
-        for x, y in zip(xs, ys):
-            out.append(np.einsum("ki,ki->k", x, y) ** 2)
+        last = None
+        for x in _sample_blocks(sampler, stream(seed, w, 0), size + 1):
+            if last is not None:
+                np.einsum("ki,ki->k", last, x[:1], out=vals[end : end + 1])
+                end += 1
+            start, end = end, end + len(x) - 1
+            np.einsum("ki,ki->k", x[:-1], x[1:], out=vals[start:end])
+            last = x[-1:].copy()
             sums.add(x)
-            sums.add(y)
-    return np.concatenate(out), sums.record()
+    vals *= vals
+    return vals, sums.record()
 
 
 def estimate_squared_overlap(
@@ -325,8 +326,9 @@ def estimate_squared_overlap(
     seed=0,
     workers: int = 1,
 ) -> tuple[MomentEstimate, SecondMomentMatrix]:
-    """Mean of <x,y>^2 over independent pairs, with its standard error, and
-    the moment record of the same draws (``squared_overlap_values``)."""
+    """Mean of <x,y>^2 over independent chained pairs, with its standard
+    error, and the moment record of the same draws
+    (``squared_overlap_values``)."""
     vals, record = squared_overlap_values(sampler, n_pairs, seed, workers)
     return _overlap_estimate(vals), record
 

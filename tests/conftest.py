@@ -306,6 +306,31 @@ def brute_points_record(z):
     return z.T @ z / len(z), stderr, z.mean(axis=0)
 
 
+def brute_chain_draws(sampler, n_pairs, seed=0, workers=1):
+    """The points of each worker chunk of the chained estimator, drawn whole:
+    size + 1 points for a chunk of size pairs, in one ``sample`` call on
+    substream (w, 0)."""
+    base, rem = divmod(n_pairs, workers)
+    return [
+        sampler.sample(rs.stream(seed, w, 0), base + (w < rem) + 1) for w in range(workers)
+    ]
+
+
+def brute_chain_overlap_values(sampler, n_pairs, seed=0, workers=1):
+    """Independent oracle: the chained values <x_i, x_{i+1}>^2 of successive
+    points within each worker chunk, the chunk drawn whole."""
+    return np.concatenate([
+        np.einsum("ki,ki->k", x[:-1], x[1:]) ** 2
+        for x in brute_chain_draws(sampler, n_pairs, seed, workers)
+    ])
+
+
+def brute_chain_record(sampler, n_pairs, seed=0, workers=1):
+    """Independent oracle: (E[x x^T], its per-entry standard errors, E[x])
+    over all n_pairs + workers chained points, each chunk drawn whole."""
+    return brute_points_record(np.concatenate(brute_chain_draws(sampler, n_pairs, seed, workers)))
+
+
 def brute_ts_conjugation(rots):
     """Independent oracle: images of rotations acting by conjugation on the
     traceless symmetric 3x3 matrices, in the orthonormal basis B.

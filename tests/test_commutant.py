@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import math
 import tracemalloc
 
 import numpy as np
@@ -560,6 +561,26 @@ class TestContinuousCommutant:
         assert peak < 40 * 2**20
 
 
+def svd_split(rows):
+    """Test-local oracle: the symmetric and skew rows of a span closed under
+    transposition, from the SVDs of (B + B^T)/2 and (B - B^T)/2 over its
+    orthonormal rows B, right singular vectors above 0.5."""
+    d, n = len(rows), math.isqrt(rows.shape[1])
+    transposed = rows.reshape(d, n, n).transpose(0, 2, 1).reshape(d, n * n)
+    parts = []
+    for part in (rows + transposed, rows - transposed):
+        _, sigma, vh = np.linalg.svd(part / 2.0, full_matrices=False)
+        parts.append(vh[sigma > 0.5])
+    return parts
+
+
+def mixed_rows(rows, seed):
+    """The orthonormal rows times a fixed orthogonal matrix: the same span,
+    with symmetric and skew parts mixed in every row."""
+    q, _ = np.linalg.qr(rs.stream(seed).standard_normal((len(rows), len(rows))))
+    return q @ rows
+
+
 class TestSplitAndClassify:
     @pytest.mark.parametrize("builder,expected", [
         (lambda: rs.build_named_rep("sn_sum_zero", rs.enumerate_closure(rs.GroupSpec(kind="symmetric", n=4))), (1, 0)),
@@ -573,6 +594,40 @@ class TestSplitAndClassify:
             np.testing.assert_allclose(b, b.T, atol=1e-10)
         for b in cb.basis[cb.sym_dim :]:
             np.testing.assert_allclose(b, -b.T, atol=1e-10)
+
+    @pytest.mark.parametrize("case", ["d128"] + [f"trivial{n}" for n in range(1, 13)])
+    def test_split_matches_the_svd_oracle(self, case):
+        # D128 permutation matrices (d = 65, all symmetric), and the trivial
+        # group in degree n, whose commutant is every n x n matrix
+        # (n(n+1)/2 symmetric).
+        if case == "d128":
+            cb = rs.commutant_basis(dihedral_permutation_rep(128))
+            rows = mixed_rows(cb.basis.reshape(cb.dim, -1), 60)
+            counts = (65, 0)
+        else:
+            n = int(case.removeprefix("trivial"))
+            rows = mixed_rows(np.eye(n * n), 61 + n)
+            counts = (n * (n + 1) // 2, n * (n - 1) // 2)
+        sym, skew = rs.split_symmetric_skew(rows)
+        assert (len(sym), len(skew)) == counts
+        n = math.isqrt(rows.shape[1])
+        split = np.concatenate([sym, skew])
+        np.testing.assert_allclose(split @ split.T, np.eye(len(rows)), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(split @ rows.T @ rows, split, rtol=0, atol=1e-12)
+        for part, sign in ((sym, 1.0), (skew, -1.0)):
+            mats = part.reshape(-1, n, n)
+            np.testing.assert_allclose(mats, sign * mats.transpose(0, 2, 1), rtol=0, atol=1e-12)
+        # Same subspaces as the oracle's: the cosines of their principal
+        # angles are all 1.
+        for part, oracle in zip((sym, skew), svd_split(rows)):
+            assert part.shape == oracle.shape
+            cosines = np.linalg.svd(part @ oracle.T, compute_uv=False)
+            np.testing.assert_allclose(cosines, 1.0, rtol=0, atol=1e-12)
+
+    def test_split_of_a_span_not_closed_under_transposition_is_rejected(self):
+        # E_01 alone: transposition maps it to E_10, outside its span.
+        with pytest.raises(InconsistentDimensions, match="not \\+-1 within 0.5"):
+            rs.split_symmetric_skew(np.array([[0.0, 1.0, 0.0, 0.0]]))
 
     def test_type_real(self):
         table = rs.enumerate_closure(rs.GroupSpec(kind="symmetric", n=5))

@@ -21,6 +21,8 @@ from repspect.errors import (
 from repspect.moments import VectorSampler, _sample_blocks, squared_overlap_values
 
 from conftest import (
+    brute_chain_overlap_values,
+    brute_chain_record,
     brute_discrete_invariance,
     brute_haar_matrices,
     brute_orbit_overlap_values,
@@ -211,7 +213,7 @@ class TestEstimateSquaredOverlap:
         sampler = rs.make_sampler(rs.orbit_measure(np.append(u, d)), o3_plus_trivial())
         exact = (1.0 - d * d) ** 2 / 3.0 + d**4
         est, record = rs.estimate_squared_overlap(sampler, n_pairs, seed=seed)
-        assert record.n_samples == n_pairs
+        assert record.n_samples == n_pairs + 1
         assert abs(est.value - exact) <= 4.0 * est.stderr
         assert abs(exact - 0.25) > 50.0 * est.stderr
         two_draw = brute_squared_overlap_values(sampler, n_pairs, seed=seed)
@@ -229,8 +231,9 @@ class TestEstimateSquaredOverlap:
         monkeypatch.setattr("repspect.moments.haar_matrices", counting_haar_matrices)
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=8))
         sampler = rs.make_sampler(rs.orbit_measure(random_unit(rs.stream(44), 8)), rep)
+        # Each of the 2 worker chunks draws one point more than its pairs.
         est, record = rs.estimate_squared_overlap(sampler, 5_001, seed=45, workers=2)
-        assert sum(draws) == record.n_samples == 5_001
+        assert sum(draws) == record.n_samples == 5_001 + 2
         assert abs(est.value - 1.0 / 8.0) <= 4.0 * est.stderr
 
     def test_antipodal_two_point_measure(self):
@@ -241,9 +244,9 @@ class TestEstimateSquaredOverlap:
 
     @pytest.mark.parametrize("case", ["sphere_dim40", "subsphere", "so3_orbit"])
     def test_block_draws_match_whole_chunk_draws(self, so3_tss, case):
-        # Each case spans several blocks of the sampler's rows; the record
-        # of the overlap's own draws (x and y, or the orbit's x alone)
-        # matches one of whole draws.
+        # Each case spans several blocks of the sampler's rows; the chained
+        # values, carried across block boundaries, and the record of all
+        # n_pairs + workers draws match those of whole chunk draws.
         if case == "sphere_dim40":
             fam = rs.ContinuousFamily(kind="orthogonal", n=40)
             sampler = rs.make_sampler(rs.uniform_sphere(), rs.build_named_rep("defining_orthogonal", fam))
@@ -258,21 +261,22 @@ class TestEstimateSquaredOverlap:
             n_pairs, workers = 90_001, 2
         assert n_pairs > 2 * sampler.block
         vals, record = squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
+        assert np.array_equal(
+            vals, brute_chain_overlap_values(sampler, n_pairs, seed=23, workers=workers)
+        )
+        assert record.n_samples == n_pairs + workers and not record.exact
         if case == "so3_orbit":
             # scipy's quaternion rotations and explicit conjugation images,
             # against the library's rotations and orbit map: equal to rounding.
-            brute, x = brute_orbit_overlap_values(
-                sampler, brute_ts_conjugation, n_pairs, seed=23, workers=workers,
+            # A chunk of size pairs draws size + 1 points, so the chunks of
+            # n_pairs + workers one-draw points are the chained draws.
+            _, x = brute_orbit_overlap_values(
+                sampler, brute_ts_conjugation, n_pairs + workers, seed=23, workers=workers,
                 haar=brute_quaternion_rotations,
             )
-            np.testing.assert_allclose(vals, brute, rtol=0, atol=1e-12)
             entries, stderr, mean = brute_points_record(x)
-            assert record.n_samples == n_pairs and not record.exact
         else:
-            brute = brute_squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
-            assert np.array_equal(vals, brute)
-            entries, stderr, mean = brute_sampled_record(sampler, n_pairs, seed=23, workers=workers)
-            assert record.n_samples == 2 * n_pairs and not record.exact
+            entries, stderr, mean = brute_chain_record(sampler, n_pairs, seed=23, workers=workers)
         np.testing.assert_allclose(record.entries, entries, rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.stderr, stderr, rtol=0, atol=1e-12)
         np.testing.assert_allclose(record.mean, mean, rtol=0, atol=1e-12)
@@ -321,6 +325,48 @@ class TestEstimateSquaredOverlap:
         exact, _ = rs.exact_discrete_overlap(rs.discrete_measure(pts, pr))
         est, _ = rs.estimate_squared_overlap(FiniteLawSampler(pts, pr), 100_000, seed=11)
         assert abs(est.value - exact.value) <= 4.0 * est.stderr
+
+
+def chain_case(case, so3_tss):
+    """A sampled measure with its exact E<x,y>^2."""
+    if case in ("sphere_dim2", "sphere_dim40"):
+        n = int(case.removeprefix("sphere_dim"))
+        rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=n))
+        return rs.make_sampler(rs.uniform_sphere(), rep), 1.0 / n
+    if case == "so3_orbit":
+        return rs.make_sampler(rs.orbit_measure(random_unit(rs.stream(50), 5)), so3_tss), 0.2
+    # o3_plus_trivial, base (u, d) with d = 0.8: see
+    # test_one_draw_orbit_value_where_it_is_not_one_over_n.
+    u = random_unit(rs.stream(51), 3) * 0.6
+    return rs.make_sampler(rs.orbit_measure(np.append(u, 0.8)), o3_plus_trivial()), 0.4528
+
+
+class TestChainedPairs:
+    # Successive chained values <x_i, x_{i+1}>^2 and <x_{i+1}, x_{i+2}>^2
+    # share a draw but are independent on an invariant measure.
+
+    @pytest.mark.parametrize("case", ["sphere_dim2", "sphere_dim40", "so3_orbit"])
+    def test_successive_values_are_uncorrelated(self, so3_tss, case):
+        sampler, _ = chain_case(case, so3_tss)
+        n_pairs = 200_000
+        vals, _ = squared_overlap_values(sampler, n_pairs, seed=52)
+        lag1 = np.corrcoef(vals[:-1], vals[1:])[0, 1]
+        assert abs(lag1) <= 4.0 / math.sqrt(n_pairs)
+
+    @pytest.mark.parametrize("case", ["sphere_dim2", "o3_plus_trivial"])
+    def test_mean_agrees_with_two_draw_oracle(self, so3_tss, case):
+        sampler, exact = chain_case(case, so3_tss)
+        n_pairs, workers = 200_000, 3
+        est, record = rs.estimate_squared_overlap(sampler, n_pairs, seed=53, workers=workers)
+        two_draw = brute_squared_overlap_values(sampler, n_pairs, seed=53, workers=workers)
+        two_draw_stderr = two_draw.std(ddof=1) / math.sqrt(n_pairs)
+        assert abs(est.value - two_draw.mean()) <= 4.0 * math.hypot(est.stderr, two_draw_stderr)
+        assert abs(est.value - exact) <= 4.0 * est.stderr
+        if case == "sphere_dim2":
+            # The record of n_pairs + workers chained draws against that of
+            # the oracle's 2 n_pairs draws.
+            entries, stderr, _ = brute_sampled_record(sampler, n_pairs, seed=53, workers=workers)
+            assert np.all(np.abs(record.entries - entries) <= 4.0 * np.hypot(record.stderr, stderr))
 
 
 class TestExactDiscreteOverlap:

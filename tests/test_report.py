@@ -651,10 +651,11 @@ class TestRunAnalysis:
 
 
     def test_sampled_measure_draws_overlap_and_moment_streams_only(self, monkeypatch):
-        # Per sampled orbit: one Haar draw per pair for the overlap, whose
-        # draws are also its moment record (coordinate moments and
-        # expectation check), and no more.  The commutant's constraints are
-        # fixed topological generators, and P reads them: neither draws.
+        # Per sampled orbit: one Haar draw per chained pair for the overlap,
+        # plus one per worker chunk, whose draws are also its moment record
+        # (coordinate moments and expectation check), and no more.  The
+        # commutant's constraints are fixed topological generators, and P
+        # reads them: neither draws.
         draws = {"moments": 0, "commutant": 0}
 
         def counting(module):
@@ -674,7 +675,7 @@ class TestRunAnalysis:
         }))
         report = rs.run_analysis(cfg)
         assert report.identities["expectation"][0]["exact"] is False
-        assert draws["moments"] == 3000
+        assert draws["moments"] == 3000 + 1
         assert draws["commutant"] == 0
 
 
