@@ -23,20 +23,23 @@ check E(x) = E(P x) reads that one moment record and draws nothing.
 Monte Carlo estimates are a deterministic function of (seed, worker
 count, sample count): sampling is partitioned into per-worker substreams
 and reduced in a fixed order.  Every estimator draws ``_sample_blocks``
-of about 1.6 MB, successive blocks continuing each substream, so memory
-stays bounded whatever the sample count.  Every sampled measure draws
-one point per pair: a worker chunk of N pairs draws N + 1 points and
-chains them, <x_i, x_{i+1}>^2.  The chained values are iid on an
-invariant measure: on a sphere or subsphere by rotation invariance, and
-on an orbit x_j = rho(k_j) v because k_i^-1 k_{i+1} is again Haar
-distributed and independent of k_0 ... k_i.  The same draws give the
-measure's moment record.
+of 512 KB, successive blocks continuing each substream, and holds one
+block at a time: a block's draws are summed into the moment record and
+its overlap values merged into a running count, mean and M2 before the
+next block is drawn, so memory does not depend on the sample count.
+Every sampled measure draws one point per pair: a worker chunk of N pairs
+draws N + 1 points and chains them, <x_i, x_{i+1}>^2.  The chained values
+are iid on an invariant measure: on a sphere or subsphere by rotation
+invariance, and on an orbit x_j = rho(k_j) v because k_i^-1 k_{i+1} is
+again Haar distributed and independent of k_0 ... k_i.  The same draws
+give the measure's moment record.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,11 +58,12 @@ from .representations import Representation, _check_unit
 PROB_SUM_TOL = 1e-12
 DISCRETE_POINT_TOL = 1e-8  # see check_discrete_invariance
 DISCRETE_PROB_TOL = 1e-10
-# Floats per block of draws (~1.6 MB): a sampler's ``block`` is
+# Floats per block of draws (512 KB): a sampler's ``block`` is
 # ORBIT_BLOCK_FLOATS // dim vectors, or for a continuous orbit
-# ORBIT_BLOCK_FLOATS // max(n, dim)^2 payloads (8192 for SO(3) on dim 5),
+# ORBIT_BLOCK_FLOATS // max(n, dim)^2 payloads (2621 for SO(3) on dim 5),
 # so its payloads and the images the default ``orbit`` builds stay that size.
-ORBIT_BLOCK_FLOATS = 8192 * 25
+# The Monte Carlo estimators hold one block of draws at a time.
+ORBIT_BLOCK_FLOATS = 65_536
 FACTORIAL_GUARD = 8
 
 
@@ -248,7 +252,9 @@ def _sample_blocks(sampler: VectorSampler, rng: np.random.Generator, size: int):
     Every sampler draws row by row and successive draws continue the
     stream, so the blocks stack to the draws of one
     ``sampler.sample(rng, size)`` call (barring a re-drawn singular Haar
-    draw, which has probability zero).
+    draw, which has probability zero).  A caller that ends its loop body
+    with ``del`` on the block holds one block at a time; a loop variable
+    would keep it alive while the next one is drawn.
     """
     for start in range(0, size, sampler.block):
         yield sampler.sample(rng, min(sampler.block, size - start))
@@ -284,40 +290,95 @@ class _MomentSums:
 def squared_overlap_values(
     sampler: VectorSampler,
     n_pairs: int,
-    seed=0,
-    workers: int = 1,
-) -> tuple[np.ndarray, SecondMomentMatrix]:
-    """n_pairs iid values with the law of <x, y>^2 for independent draws
-    x, y, in deterministic stream order, and the moment record of their
-    draws.
+    seed,
+    workers: int,
+    sums: _MomentSums,
+) -> Iterator[np.ndarray]:
+    """Yield, block by block, n_pairs iid values with the law of
+    <x, y>^2 for independent draws x, y, in deterministic stream order,
+    and add their draws to ``sums``.
 
     A worker chunk of ``size`` pairs draws ``size + 1`` points x_0 ...
     x_size from substream ``(w, 0)``, block by block, and gives the chained
-    values <x_i, x_{i+1}>^2; the concatenation order is fixed by the
-    worker index.  Given x_0 ... x_i, the value <x_i, x_{i+1}> has a fixed
-    law, on a sphere or subsphere by rotation invariance, and on an orbit
+    values <x_i, x_{i+1}>^2; the order is fixed by the worker index.
+    Given x_0 ... x_i, the value <x_i, x_{i+1}> has a fixed law, on a
+    sphere or subsphere by rotation invariance, and on an orbit
     x_j = rho(k_j) v because k_i^-1 k_{i+1} is Haar distributed and
     independent of k_0 ... k_i; so the values are independent, not only
-    identically distributed, and their sample stderr holds.  The record
-    holds all n_pairs + workers draws.  Each block gives its overlaps, and
-    a copy of its last row for the next block's first overlap, before it
-    is added to the record.
+    identically distributed, and their sample stderr holds.  ``sums``
+    receives all n_pairs + workers draws.
+
+    Each block of draws gives its overlaps and a copy of its last row, for
+    the next block's first overlap; it is then added to ``sums`` and
+    released before its values are yielded, so one block of draws is alive
+    at a time whatever n_pairs is.
     """
-    sums = _MomentSums(sampler.dim)
-    vals = np.empty(n_pairs)
-    end = 0
     for w, size in enumerate(_chunk_sizes(n_pairs, workers)):
         last = None
         for x in _sample_blocks(sampler, stream(seed, w, 0), size + 1):
-            if last is not None:
-                np.einsum("ki,ki->k", last, x[:1], out=vals[end : end + 1])
-                end += 1
-            start, end = end, end + len(x) - 1
-            np.einsum("ki,ki->k", x[:-1], x[1:], out=vals[start:end])
+            carried = 0 if last is None else 1
+            vals = np.empty(len(x) - 1 + carried)
+            if carried:
+                np.einsum("ki,ki->k", last, x[:1], out=vals[:1])
+            np.einsum("ki,ki->k", x[:-1], x[1:], out=vals[carried:])
             last = x[-1:].copy()
             sums.add(x)
-    vals *= vals
-    return vals, sums.record()
+            del x
+            vals *= vals
+            if len(vals):  # empty only when a chunk's first block is one row
+                yield vals
+
+
+def _merge_moments(moments: tuple[int, float, float], vals: np.ndarray) -> tuple[int, float, float]:
+    """(count, mean, M2) of the values summarized by ``moments`` followed by
+    ``vals``, M2 being the sum of squared deviations from the mean.
+
+    This is the pairwise update of Chan, Golub & LeVeque (1983), written
+    with vals centred at the running mean (at their first value when there
+    is none yet): with s and q the sums of the centred values and of their
+    squares, the merged mean is centre + s / n and M2 grows by q - s^2 / n.
+    Both sums are ufunc and einsum reductions; BLAS ``np.dot`` on a block
+    costs more in thread wake-up than it saves.
+    """
+    count, mean, m2 = moments
+    centre = mean if count else float(vals[0])
+    c = vals - centre
+    s = float(np.add.reduce(c))
+    q = float(np.einsum("k,k->", c, c))
+    n = count + len(vals)
+    return n, centre + s / n, m2 + q - s * s / n
+
+
+def _overlap_estimate(moments: tuple[int, float, float]) -> MomentEstimate:
+    n, mean, m2 = moments
+    return MomentEstimate(
+        value=mean, stderr=math.sqrt(max(m2, 0.0) / (n - 1) / n), n_samples=n, exact=False
+    )
+
+
+def _reduce_overlaps(
+    sampler: VectorSampler, n_pairs: int, seed, workers: int, checkpoints: list[int]
+) -> tuple[MomentEstimate, SecondMomentMatrix, list[tuple[int, float, float]]]:
+    """The overlap estimate, the moment record and the (n, estimate,
+    stderr) rows at the increasing ``checkpoints`` of one pass of
+    ``squared_overlap_values``.
+
+    The running count, mean and M2 are merged block by block; a checkpoint
+    inside a block merges the block's prefix into the running moments
+    without keeping it, so checkpoints leave the estimate unchanged.
+    """
+    sums = _MomentSums(sampler.dim)
+    moments = (0, 0.0, 0.0)
+    rows = []
+    pending = iter(checkpoints)
+    k = next(pending, None)
+    for vals in squared_overlap_values(sampler, n_pairs, seed, workers, sums):
+        while k is not None and k <= moments[0] + len(vals):
+            est = _overlap_estimate(_merge_moments(moments, vals[: k - moments[0]]))
+            rows.append((k, est.value, est.stderr))
+            k = next(pending, None)
+        moments = _merge_moments(moments, vals)
+    return _overlap_estimate(moments), sums.record(), rows
 
 
 def estimate_squared_overlap(
@@ -328,19 +389,9 @@ def estimate_squared_overlap(
 ) -> tuple[MomentEstimate, SecondMomentMatrix]:
     """Mean of <x,y>^2 over independent chained pairs, with its standard
     error, and the moment record of the same draws
-    (``squared_overlap_values``)."""
-    vals, record = squared_overlap_values(sampler, n_pairs, seed, workers)
-    return _overlap_estimate(vals), record
-
-
-def _overlap_estimate(vals: np.ndarray) -> MomentEstimate:
-    n_pairs = vals.shape[0]
-    return MomentEstimate(
-        value=float(vals.mean()),
-        stderr=float(vals.std(ddof=1) / math.sqrt(n_pairs)),
-        n_samples=n_pairs,
-        exact=False,
-    )
+    (``squared_overlap_values``), in memory independent of n_pairs."""
+    est, record, _ = _reduce_overlaps(sampler, n_pairs, seed, workers, [])
+    return est, record
 
 
 def overlap_convergence_trace(
@@ -352,24 +403,18 @@ def overlap_convergence_trace(
     """The estimate and record of ``estimate_squared_overlap`` and its
     running (n, estimate, stderr) at powers of two, ending at n_pairs.
 
-    All three come from one draw, so the estimate and record are
-    bit-identical to ``estimate_squared_overlap`` with the same arguments.
+    All three come from one streamed pass through the same reduction, so
+    the estimate and record are bit-identical to
+    ``estimate_squared_overlap`` with the same arguments, and the last row
+    is the estimate.
     """
-    vals, record = squared_overlap_values(sampler, n_pairs, seed, workers)
     checkpoints = []
     k = 2
     while k < n_pairs:
         checkpoints.append(k)
         k *= 2
     checkpoints.append(n_pairs)
-    cum = np.cumsum(vals)
-    cum2 = np.cumsum(vals**2)
-    rows = []
-    for k in checkpoints:
-        mean = cum[k - 1] / k
-        var = max(cum2[k - 1] - k * mean**2, 0.0) / (k - 1)
-        rows.append((k, float(mean), float(math.sqrt(var / k))))
-    return _overlap_estimate(vals), record, rows
+    return _reduce_overlaps(sampler, n_pairs, seed, workers, checkpoints)
 
 
 def coordinate_second_moments(
@@ -380,11 +425,12 @@ def coordinate_second_moments(
 ) -> SecondMomentMatrix:
     """Monte Carlo mean of x x^T with per-entry standard errors, and of x,
     over one stream of n_samples draws per worker chunk, drawn and summed
-    block by block as in ``squared_overlap_values``."""
+    one block at a time as in ``squared_overlap_values``."""
     sums = _MomentSums(sampler.dim)
     for w, size in enumerate(_chunk_sizes(n_samples, workers)):
         for x in _sample_blocks(sampler, stream(seed, w), size):
             sums.add(x)
+            del x
     return sums.record()
 
 

@@ -18,7 +18,7 @@ from repspect.errors import (
     TraceNotOne,
 )
 
-from repspect.moments import VectorSampler, _sample_blocks, squared_overlap_values
+from repspect.moments import VectorSampler, _MomentSums, _sample_blocks, squared_overlap_values
 
 from conftest import (
     brute_chain_overlap_values,
@@ -37,6 +37,13 @@ from conftest import (
     random_unit,
     symmetric_table,
 )
+
+
+def chained_values(sampler, n_pairs, seed, workers=1):
+    """The producer's value blocks concatenated, and the record of their draws."""
+    sums = _MomentSums(sampler.dim)
+    blocks = list(squared_overlap_values(sampler, n_pairs, seed, workers, sums))
+    return np.concatenate(blocks), sums.record()
 
 
 def traced_peak(fn):
@@ -242,7 +249,7 @@ class TestEstimateSquaredOverlap:
         exact, _ = rs.exact_discrete_overlap(rs.discrete_measure([w, -w], [0.5, 0.5]))
         assert abs(est.value - 1.0) <= 1e-12 and abs(exact.value - 1.0) <= 1e-12
 
-    @pytest.mark.parametrize("case", ["sphere_dim40", "subsphere", "so3_orbit"])
+    @pytest.mark.parametrize("case", ["sphere_dim40", "subsphere", "so3_orbit", "one_row_blocks"])
     def test_block_draws_match_whole_chunk_draws(self, so3_tss, case):
         # Each case spans several blocks of the sampler's rows; the chained
         # values, carried across block boundaries, and the record of all
@@ -255,12 +262,17 @@ class TestEstimateSquaredOverlap:
             basis = np.linalg.qr(rs.stream(21).standard_normal((5, 2)))[0]
             sampler = rs.make_sampler(rs.uniform_subsphere(basis), so3_tss)
             n_pairs, workers = 90_001, 1
+        elif case == "one_row_blocks":
+            # A chunk's first block then gives no value yet.
+            sampler = rs.make_sampler(rs.uniform_sphere(), so3_tss)
+            sampler.block = 1
+            n_pairs, workers = 301, 2
         else:
             spec = rs.orbit_measure(random_unit(rs.stream(22), 5))
             sampler = rs.make_sampler(spec, so3_tss)
             n_pairs, workers = 90_001, 2
         assert n_pairs > 2 * sampler.block
-        vals, record = squared_overlap_values(sampler, n_pairs, seed=23, workers=workers)
+        vals, record = chained_values(sampler, n_pairs, seed=23, workers=workers)
         assert np.array_equal(
             vals, brute_chain_overlap_values(sampler, n_pairs, seed=23, workers=workers)
         )
@@ -282,7 +294,7 @@ class TestEstimateSquaredOverlap:
         np.testing.assert_allclose(record.mean, mean, rtol=0, atol=1e-12)
 
     def test_dim_40_sampled_memory_is_one_block(self):
-        # A whole (200_000, 40) chunk is 64 MB per side; blocks are ~1.6 MB.
+        # A whole (200_000, 40) chunk is 64 MB; blocks are 512 KB.
         fam = rs.ContinuousFamily(kind="orthogonal", n=40)
         sphere_rep = rs.build_named_rep("defining_orthogonal", fam)
         _, peak = traced_peak(lambda: rs.estimate_squared_overlap(
@@ -323,8 +335,11 @@ class TestEstimateSquaredOverlap:
         pr = rng.dirichlet(np.ones(5))
         pr = pr / pr.sum()
         exact, _ = rs.exact_discrete_overlap(rs.discrete_measure(pts, pr))
-        est, _ = rs.estimate_squared_overlap(FiniteLawSampler(pts, pr), 100_000, seed=11)
-        assert abs(est.value - exact.value) <= 4.0 * est.stderr
+        # This law is not invariant, so chained values would be correlated
+        # and their stderr too small; independent pairs have an honest one.
+        vals = brute_squared_overlap_values(FiniteLawSampler(pts, pr), 100_000, seed=11)
+        stderr = vals.std(ddof=1) / math.sqrt(len(vals))
+        assert abs(vals.mean() - exact.value) <= 4.0 * stderr
 
 
 def chain_case(case, so3_tss):
@@ -349,7 +364,7 @@ class TestChainedPairs:
     def test_successive_values_are_uncorrelated(self, so3_tss, case):
         sampler, _ = chain_case(case, so3_tss)
         n_pairs = 200_000
-        vals, _ = squared_overlap_values(sampler, n_pairs, seed=52)
+        vals, _ = chained_values(sampler, n_pairs, seed=52)
         lag1 = np.corrcoef(vals[:-1], vals[1:])[0, 1]
         assert abs(lag1) <= 4.0 / math.sqrt(n_pairs)
 
@@ -804,3 +819,25 @@ class TestConvergenceTrace:
         assert final_err == pytest.approx(est.stderr, rel=1e-10)
         assert traced == est
         assert np.array_equal(traced_record.entries, record.entries)
+
+    def test_rows_match_prefix_statistics(self, so3_tss):
+        # Checkpoints inside and across blocks and worker chunks, against the
+        # mean and two-pass stderr of each prefix of the producer's values.
+        sampler = rs.make_sampler(rs.uniform_sphere(), so3_tss)
+        n_pairs, workers = 100_001, 2
+        est, _, rows = rs.moments.overlap_convergence_trace(sampler, n_pairs, seed=26, workers=workers)
+        vals, _ = chained_values(sampler, n_pairs, seed=26, workers=workers)
+        assert rows[-1] == (n_pairs, est.value, est.stderr)
+        for k, mean, stderr in rows:
+            assert mean == pytest.approx(vals[:k].mean(), rel=1e-12)
+            assert stderr == pytest.approx(vals[:k].std(ddof=1) / math.sqrt(k), rel=1e-10)
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        # Values are reduced block by block: nothing of length n_pairs is kept.
+        rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=5))
+        sampler = rs.make_sampler(rs.uniform_sphere(), rep)
+        small, large = (
+            traced_peak(lambda: rs.moments.overlap_convergence_trace(sampler, n_pairs, seed=25))[1]
+            for n_pairs in (20_000, 400_000)
+        )
+        assert abs(large - small) <= 2**20
