@@ -37,30 +37,31 @@ value is cut, so ``threshold`` reports the relative cutoff itself (the
 commuting projector's singular values are exactly 0 and 1) and
 ``ambiguous_sigma`` is None.
 
-Any other finite group table takes the range of the Reynolds operator
-A -> (1/|G|) sum_g rho(g) A rho(g)^T, an orthogonal projector on matrix
-space.  Its dimension, and that of its symmetric part, are first counted
-from the characters (Frobenius-Schur: (1/|G|) sum chi(g)^2 and
-(1/|G|) sum (chi(g)^2 + chi(g^2))/2), then a basis is read off from the
-Reynolds images of a few rank-one probes u w^T with fixed Gaussian u and
-w, each the cross second moment of two orbits; the numerical rank and
-the symmetric split must both agree with the counts.  A continuous group
-has no table: its span is the fixed space of rho(g) (x) rho(g), the SVD
-nullspace of the stacked kron(rho(g), rho(g)) - I, with g running over
-the family's fixed topological generators (two rotations by generic
-angles, and a reflection on O(n)).  A matrix commuting with a set
-commutes with the closed group it generates, here the whole family, so
-this span is exact, seed-free and one SVD.  No path reads a seed: every
-commutant is a function of the representation.
+Every other group takes one nullspace over its constraint images: the
+generator images of a finite table, or the images of a continuous
+family's fixed topological generators (two rotations by generic angles,
+and a reflection on O(n)), which generate a dense subgroup.  A matrix
+commuting with a set commutes with the closed group it generates, so the
+span is exact and seed-free.  It also commutes with the symmetric
+K = sum_i w_i (rho(g_i) + rho(g_i)^T), w fixed golden-ratio weights, so
+it is block-diagonal over K's eigenspaces (Maehara & Murota, 2010): one
+SVD of the commutation constraints on the entries inside those blocks
+gives it, a stack of k n^2 rows and sum m^2 columns for eigenvalue
+multiplicities m.  A finite table's images, accepted within
+``ORTHOGONALITY_TOL`` of orthogonal, enter K and the constraints through
+their Gram conjugates, orthogonal up to rounding.  It also counts the
+dimension and that of its symmetric part from the characters
+(Frobenius-Schur: (1/|G|) sum chi(g)^2 and
+(1/|G|) sum (chi(g)^2 + chi(g^2))/2), and the rank and the split must
+both agree with the counts.
 
 Every basis comes out split, as one array with the symmetric elements
-first: transposition maps the span to itself, so the Reynolds and SVD
-bases split exactly into the ranges of (B + B^T)/2 and (B - B^T)/2, and
-the finite tables check the symmetric part against its character count.
-Outside the permutation entries, the vectors rho itself fixes, whose
-projector is the P of the expectation check E(x) = E(P x), are the
-nullspace of the stacked rho(g) - I over the same constraint images,
-under the same cutoff rule; every basis carries its P.
+first: transposition maps the span to itself, so the nullspace splits
+exactly into the ranges of (B + B^T)/2 and (B - B^T)/2.  Outside the
+permutation entries, the vectors rho itself fixes, whose projector is
+the P of the expectation check E(x) = E(P x), are the nullspace of the
+stacked rho(g) - I over the same constraint images, under the same
+cutoff rule; every basis carries its P.
 """
 
 from __future__ import annotations
@@ -79,25 +80,16 @@ from .errors import (
     ThresholdAmbiguity,
     TooLarge,
 )
-from .groups import FiniteGroupTable, golden_weights, orbit_labels, topological_generators
+from .groups import golden_weights, orbit_labels, topological_generators
 from .groups import haar_matrices  # not called here: perfbench's Tracer.install wraps it by this name
-from .representations import Representation, sum_zero_basis
+from .representations import Representation, gram_roots, sum_zero_basis
 
 NULLSPACE_REL_THRESHOLD = 1e-8
 CHARACTER_COUNT_TOL = 1e-6   # distance from an integer a character count may have
-RANGE_OVERSAMPLE = 4         # probes pushed beyond the counted dimension
-# Each (d + RANGE_OVERSAMPLE, n, n) buffer of the Reynolds range (the probe
-# images being averaged, the SVD input) may take at most this much: a
-# few of them plus the SVD workspace must fit a 2-core, 7 GB machine next
-# to the rest of the pipeline.
-RANGE_BUFFER_BYTES = 256 * 2**20
-# Table images are averaged in blocks whose (b, n, d + RANGE_OVERSAMPLE)
-# orbit stacks of the probes stay below this size, so the average adds
-# little to the pipeline's peak memory.
-REYNOLDS_BLOCK_BYTES = 2**20
-# A continuous family's (k n^2, n^2) constraint stack, k <= 3 topological
-# generators, may take at most this much: O(68) fits, O(69) does not.
-SAMPLED_STACK_BYTES = 512 * 2**20
+# The (k n^2, c) column stack of a commutant outside the orbitals, and the
+# copy its SVD takes, may take at most this much together: the trivial
+# group on 128 points (c = n^2, a 2 GiB stack) is refused.
+COLUMN_STACK_BYTES = 512 * 2**20
 # The dense orbital basis of a permutation entry, (d, n^2) floats, may take
 # at most this much, as may the pair labels that find it.
 ORBITAL_BASIS_BYTES = 256 * 2**20
@@ -162,11 +154,11 @@ def trace_orthonormal_nullspace(
     """Nullspace rows of a stacked constraint matrix.
 
     Returns (rows, threshold, ambiguous_sigma) where rows are orthonormal
-    right singular vectors whose singular values fall below
-    ``rel_threshold * sigma_max``, and ambiguous_sigma is the singular
-    value closest to the cutoff if any lies within a factor of ten of it.
+    right singular vectors whose singular values fall below the cutoff of
+    :func:`_singular_cutoff`, and ambiguous_sigma is the singular value
+    closest to the cutoff if any lies within a factor of ten of it.
     """
-    # A tall stack (continuous constraints of k >= 2 images are) needs no full U:
+    # A tall stack (the commutant's column stacks are) needs no full U:
     # its vh is square either way, and only a wide stack has rows of vh
     # beyond the singular values.
     _, sigma, vh = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
@@ -176,12 +168,16 @@ def trace_orthonormal_nullspace(
 
 
 def _singular_cutoff(sigma: np.ndarray, rel_threshold: float) -> tuple[float, float | None]:
-    """Cutoff ``rel_threshold * sigma_max`` for descending singular values.
+    """Cutoff ``rel_threshold * max(sigma_max, 1)`` for descending singular
+    values.  The floor 1 is the spectral norm of an orthogonal image: a
+    stack of rounding noise alone (the columns of rotation(pi), -I up to
+    1e-16) is cut as null, not kept as constraints relative to its own
+    largest value.
 
     Also returns the singular value closest to the cutoff (in log ratio)
     when one lies within a decade of it, else None.
     """
-    threshold = rel_threshold * sigma[0] if len(sigma) else 0.0
+    threshold = rel_threshold * max(sigma[0] if len(sigma) else 0.0, 1.0)
     band = sigma[(sigma > threshold / 10.0) & (sigma < threshold * 10.0)]
     if not len(band):
         return threshold, None
@@ -217,42 +213,49 @@ def _dimension_counts(chi: np.ndarray, chi_of_square: np.ndarray) -> tuple[int, 
     return round(d), round(s)
 
 
-def _reynolds_range(
-    images: np.ndarray, dim: int, rel_threshold: float
+def _eigenspace_nullspace(
+    constraints: np.ndarray, rel_threshold: float
 ) -> tuple[np.ndarray, float, float | None]:
-    """Orthonormal rows spanning the Reynolds range, whose rank must be ``dim``.
+    """Orthonormal rows (vectorized n x n matrices) spanning the matrices
+    that commute with every constraint image, with the cutoff of their SVD.
 
-    The group average R of rho(g) A rho(g)^T projects orthogonally onto the
-    commuting span C, so <R(u w^T), X> = u^T X w for every X in C: the
-    images of ``dim + RANGE_OVERSAMPLE`` rank-one probes u w^T, with u and
-    w Gaussian columns of one fixed stream, miss part of C only on a null
-    set, and the spread of their singular values keeps clear of the
-    cutoff.  R(u w^T) = (1/|G|) sum_g (rho(g) u)(rho(g) w)^T, the cross
-    second moment of two orbits.
+    A matrix commuting with orthogonal images commutes with their
+    transposes, so with K = sum_i w_i (G_i + G_i^T), w the
+    ``golden_weights``: it maps each eigenspace of K to itself, and in K's
+    eigenbasis Q it is block-diagonal over the clusters of K's eigenvalues
+    (Maehara & Murota, 2010), clustered on the scale 2 sum w_i that bounds
+    them.  Its entries (i, j) inside one block are the unknowns: the
+    columns G' E_ij - E_ij G', G' = Q^T G Q, stacked over the constraints
+    form a (k n^2, c) matrix, c the sum of the squared block sizes, whose
+    nullspace Y maps back as A = Q Y Q^T, an isometry.  The stack and its
+    SVD copy are checked against ``COLUMN_STACK_BYTES`` once c is known,
+    before they are allocated.
     """
-    k, n, _ = images.shape
-    m = min(dim + RANGE_OVERSAMPLE, n * n)
-    if m * n * n * 8 > RANGE_BUFFER_BYTES:
+    k, n, _ = constraints.shape
+    weights = golden_weights(k)
+    combined = np.einsum("g,gij->ij", weights, constraints)
+    eigvals, q = np.linalg.eigh(combined + combined.T)
+    blocks = [idx for _, idx in _eigenvalue_clusters(eigvals / (2.0 * weights.sum()))]
+    # Unknown p is the entry (ii[p], jj[p]) of Q^T A Q.
+    ii = np.concatenate([np.repeat(idx, len(idx)) for idx in blocks])
+    jj = np.concatenate([np.tile(idx, len(idx)) for idx in blocks])
+    c = len(ii)
+    needed = 2 * k * n * n * c * 8
+    if needed > COLUMN_STACK_BYTES:
         raise TooLarge(
-            f"commutant of dimension {dim} in degree {n} needs {m} x {n * n} buffers "
-            f"above the {RANGE_BUFFER_BYTES} byte budget"
+            f"commutant column stack: {k} constraint images in degree {n} with {c} "
+            f"unknowns need {needed} bytes (stack and SVD copy), above the "
+            f"{COLUMN_STACK_BYTES} byte budget"
         )
-    probes = np.hstack(np.random.default_rng(0).standard_normal((2, n, m)))  # [u_j | w_j]
-    acc = np.zeros((m, n, n))
-    block = max(1, REYNOLDS_BLOCK_BYTES // (2 * n * m * 8))
-    for start in range(0, k, block):
-        rho = images[start : start + block]
-        orbits = (rho.reshape(-1, n) @ probes).reshape(len(rho), n, 2 * m)
-        # acc[j] += sum over the block of (rho(g) u_j)(rho(g) w_j)^T.
-        acc += orbits[:, :, :m].transpose(2, 1, 0) @ orbits[:, :, m:].transpose(2, 0, 1)
-    _, sigma, vh = np.linalg.svd(acc.reshape(m, n * n) / k, full_matrices=False)
-    threshold, ambiguous = _singular_cutoff(sigma, rel_threshold)
-    rank = int(np.count_nonzero(sigma > threshold))
-    if rank != dim:
-        raise InconsistentDimensions(
-            f"Reynolds range has numerical rank {rank}; the character count is {dim}"
-        )
-    return vh[:rank], threshold, ambiguous
+    rotated = q.T @ constraints @ q
+    stack = np.zeros((k, n, n, c))
+    unknowns = np.arange(c)
+    stack[:, :, jj, unknowns] = rotated[:, :, ii]  # G' E_ij: column j is G'[:, i]
+    stack[:, ii, :, unknowns] -= rotated[:, jj, :].transpose(1, 0, 2)  # E_ij G': row i is G'[j, :]
+    y, threshold, ambiguous = trace_orthonormal_nullspace(stack.reshape(k * n * n, c), rel_threshold)
+    blockwise = np.zeros((len(y), n, n))
+    blockwise[:, ii, jj] = y
+    return (q @ blockwise @ q.T).reshape(len(y), n * n), threshold, ambiguous
 
 
 # ---------------------------------------------------------------------------
@@ -416,75 +419,58 @@ def commutant_basis(
     the orbitals of their generators; counts other than the payload's
     character counts raise InconsistentDimensions, and a basis or pair
     labelling above ``ORBITAL_BASIS_BYTES`` raises TooLarge before it is
-    allocated.  Every other group takes P from :func:`fixed_projector`.
+    allocated.
 
-    Any other finite table counts the dimension d and the symmetric
-    dimension from the characters of the table images, then takes the
-    basis from the Reynolds images of d + 4 fixed rank-one probes
-    (:func:`_reynolds_range`); a count off an integer, a numerical rank
-    other than d or a symmetric part of another dimension raises
-    InconsistentDimensions, and a range too large for the buffer budget
-    raises TooLarge before anything is averaged.  The generator images
-    are kept as the constraints that later stages re-verify against: a
-    matrix commuting with the generators commutes with all of their
-    products.
+    Every other group takes the nullspace of :func:`_eigenspace_nullspace`
+    and P from :func:`fixed_projector` over its constraint images, which
+    are kept for later stages to re-verify against: a finite table's
+    generator images (a matrix commuting with the generators commutes with
+    all of their products; the nullspace reads their Gram conjugates), or
+    the images of a continuous family's topological generators, on O(n)
+    the reflection diag(-1, 1, ..., 1) first.  A finite table also counts
+    the dimension d and the symmetric dimension from the characters of
+    the table images; a count off an integer, a numerical rank other than
+    d or a symmetric part of another dimension raises
+    InconsistentDimensions.  A column stack above ``COLUMN_STACK_BYTES``
+    raises TooLarge before it is allocated.
 
-    A continuous family takes the vectorized A fixed by every
-    rho(g) A rho(g)^T, which for orthogonal images is the same as
-    commuting with them, over the images of its topological generators,
-    which are kept as the constraints; on O(n) the first is the
-    reflection diag(-1, 1, ..., 1).  A constraint stack above
-    ``SAMPLED_STACK_BYTES`` raises TooLarge before any image is built.
-
-    Both split their rows with :func:`split_symmetric_skew`, after warning
+    The nullspace is split with :func:`split_symmetric_skew`, after warning
     with ThresholdAmbiguity when a singular value sits within a decade of
     the cutoff; an empty span raises RepspectError.
     """
     if rep.catalog_id in PERMUTATION_ENTRIES:
         return _orbital_commutant(rep, rel_threshold)
-    sym_count = None
-    if isinstance(rep.group, FiniteGroupTable):
-        images = rep.generator_images()
-        table_images = rep.table_images()
-        dim, sym_count = character_counts(table_images)
-        rows, threshold, ambiguous = _reynolds_range(table_images, dim, rel_threshold)
+    if rep.finite:
+        images, table_images = rep.generator_images(), rep.table_images()
+        counts = character_counts(table_images)
+        # Images up to ORTHOGONALITY_TOL off orthogonal keep their commutant
+        # that far off K's eigenspaces, within reach of the cutoff; their
+        # conjugates B^(1/2) rho B^(-1/2), B the table average of rho^T rho,
+        # are orthogonal up to rounding.
+        flat = table_images.reshape(-1, rep.dim)
+        b_sqrt, b_isqrt = gram_roots(flat.T @ flat / len(table_images))
+        orthogonal = b_sqrt @ images @ b_isqrt
     else:
-        images, rows, threshold, ambiguous = _continuous_nullspace(rep, rel_threshold)
+        images, counts = rep.stack_map(topological_generators(rep.group)), None
+        orthogonal = images
+    rows, threshold, ambiguous = _eigenspace_nullspace(orthogonal, rel_threshold)
     if ambiguous is not None:
         warnings.warn(
             ThresholdAmbiguity(
                 f"singular value {ambiguous:.3e} within a decade of cutoff {threshold:.3e}"
             )
         )
-    sym, skew = split_symmetric_skew(rows)
-    if sym_count is not None and len(sym) != sym_count:
+    if counts is not None and len(rows) != counts[0]:
         raise InconsistentDimensions(
-            f"symmetric part has dimension {len(sym)}; the character count is {sym_count}"
+            f"the commuting span has numerical rank {len(rows)}; the character count is {counts[0]}"
+        )
+    sym, skew = split_symmetric_skew(rows)
+    if counts is not None and len(sym) != counts[1]:
+        raise InconsistentDimensions(
+            f"symmetric part has dimension {len(sym)}; the character count is {counts[1]}"
         )
     projector = fixed_projector(images, rel_threshold)
     return _split_basis(sym, skew, images, threshold, projector, ambiguous)
-
-
-def _fixed_rows(stack: np.ndarray, rel_threshold: float):
-    """Nullspace rows of the stacked ``stack[i] - I``, which overwrites ``stack``."""
-    k, m, _ = stack.shape
-    stack[:, range(m), range(m)] -= 1.0
-    return trace_orthonormal_nullspace(stack.reshape(k * m, m), rel_threshold)
-
-
-def _continuous_nullspace(rep: Representation, rel_threshold: float):
-    """The images of the family's topological generators, and the nullspace
-    rows of their stacked kron(rho(g), rho(g)) - I."""
-    elements = topological_generators(rep.group)
-    k, n = len(elements), rep.dim
-    if k * n**4 * 8 > SAMPLED_STACK_BYTES:
-        raise TooLarge(f"{k} constraint images in degree {n} need a {k * n**4 * 8} byte "
-                       f"stack, above the {SAMPLED_STACK_BYTES} byte budget")
-    images = rep.stack_map(elements)
-    # Row (i, j), column (a, b) of rho (x) rho is rho[i, a] rho[j, b]: it
-    # maps row-major A to rho A rho^T.
-    kron = np.einsum("gia,gjb->gijab", images, images).reshape(len(images), n * n, n * n)
-    return images, *_fixed_rows(kron, rel_threshold)
 
 
 def _commutation_residual(basis: np.ndarray, images: np.ndarray) -> float:
@@ -507,7 +493,10 @@ def fixed_projector(
     family's topological generators; either way their fixed vectors are
     the group's.
     """
-    rows, _, _ = _fixed_rows(np.array(constraints, dtype=float), rel_threshold)
+    stack = np.array(constraints, dtype=float)
+    k, n, _ = stack.shape
+    stack[:, range(n), range(n)] -= 1.0
+    rows, _, _ = trace_orthonormal_nullspace(stack.reshape(k * n, n), rel_threshold)
     return rows.T @ rows
 
 

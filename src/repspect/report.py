@@ -55,6 +55,7 @@ from .groups import (
     FiniteGroupTable,
     GroupSpec,
     enumerate_closure,
+    golden_weights,
     substream,
 )
 from .moments import (
@@ -96,7 +97,7 @@ GROUP_KINDS = FINITE_FAMILIES + CONTINUOUS_FAMILIES + (
 class Tolerances:
     band_sigma: float = 4.0        # consistency band in sampling stderrs
     conflict_sigma: float = 6.0    # escalation band for the verdict cross-check
-    nullspace_rel: float = NULLSPACE_REL_THRESHOLD  # singular-value cutoff, relative to largest
+    nullspace_rel: float = NULLSPACE_REL_THRESHOLD  # singular-value cutoff, relative to max(largest, 1)
     closure_cap: int = DEFAULT_CLOSURE_CAP          # finite enumeration guard
 
     def as_dict(self) -> dict:
@@ -538,7 +539,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
             )
 
     identities["sum_zero_cosine"] = _sum_zero_cosine_summary(rep)
-    identities["skew_projection_max"] = _skew_projection_summary(rep, cb)
+    identities["skew_projection_max"] = _skew_projection_summary(cb)
 
     _cross_check(verdict, measures, tol, rep.dim)
 
@@ -599,21 +600,21 @@ def _sum_zero_cosine_summary(rep) -> dict | None:
     degree = rep.dim + 1
     if degree > 8:
         return None
-    x = np.random.default_rng(3).standard_normal(degree)
+    x = golden_weights(degree)
     x -= x.mean()
     value = sn_cosine_identity(x)
     ref = math.factorial(degree) / (degree - 1)
     return {"degree": degree, "value": value, "reference": ref, "residual": abs(value - ref)}
 
 
-def _skew_projection_summary(rep, cb: CommutantBasis) -> float | None:
+def _skew_projection_summary(cb: CommutantBasis) -> float | None:
+    """sup over unit x of |x^T S x| over the skew elements S, exactly: x^T S x
+    = x^T ((S + S^T)/2) x, so each supremum is the largest |eigenvalue| of
+    (S + S^T)/2, which is zero but for the rounding of S."""
     if not cb.skew_dim:
         return None
-    xs = np.random.default_rng(4).standard_normal((50, rep.dim))
-    xs /= np.linalg.norm(xs, axis=1, keepdims=True)
-    squares = (xs[:, :, None] * xs[:, None, :]).reshape(len(xs), -1)  # rows x x^T
-    skew = cb.basis[cb.sym_dim:].reshape(cb.skew_dim, -1)
-    return float(np.max(np.abs(skew @ squares.T)))
+    skew = cb.basis[cb.sym_dim:]
+    return float(np.max(np.abs(np.linalg.eigvalsh((skew + skew.transpose(0, 2, 1)) / 2.0))))
 
 
 def _slack(exact: bool, dim: int) -> float:

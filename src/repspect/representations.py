@@ -179,6 +179,14 @@ def conjugation_orbit_on_traceless_symmetric(rots: np.ndarray, v: np.ndarray) ->
 # explicit images and Gram symmetrization
 # ---------------------------------------------------------------------------
 
+def gram_roots(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B^(1/2) and B^(-1/2) of a Gram average B; SingularGram if B is nearly singular."""
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    if eigvals.min() < GRAM_EIG_FLOOR:
+        raise SingularGram(f"Gram average nearly singular (min eigenvalue {eigvals.min():.2e})")
+    return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T, (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+
+
 def gram_symmetrize(raw_images: np.ndarray, table: FiniteGroupTable) -> Representation:
     """Conjugate the images of every table element into orthogonal form.
 
@@ -194,12 +202,7 @@ def gram_symmetrize(raw_images: np.ndarray, table: FiniteGroupTable) -> Represen
     dim = raw.shape[1]
     # Summed one element at a time in table order: a fixed summation order
     # keeps the average, and so every explicit image, the same to the bit.
-    gram = sum(m.T @ m for m in raw) / table.order
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    if eigvals.min() < GRAM_EIG_FLOOR:
-        raise SingularGram(f"Gram average nearly singular (min eigenvalue {eigvals.min():.2e})")
-    b_sqrt = (eigvecs * np.sqrt(eigvals)) @ eigvecs.T
-    b_isqrt = (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
+    b_sqrt, b_isqrt = gram_roots(sum(m.T @ m for m in raw) / table.order)
     images = b_sqrt @ raw @ b_isqrt
 
     rep = Representation(
@@ -218,22 +221,25 @@ def gram_symmetrize(raw_images: np.ndarray, table: FiniteGroupTable) -> Represen
     return rep
 
 
-def homomorphism_defect(rep: Representation, n_pairs: int = 100) -> float:
-    """Largest |rho(gh) - rho(g)rho(h)| over element pairs drawn from a
-    fixed seed, so a table's check is the same on every run.
+def homomorphism_defect(rep: Representation) -> float:
+    """Largest |rho(g s) - rho(g) rho(s)| over every element g and generator
+    s, the Cayley graph's edges: complete, as generators give every element.
 
-    The product gh is canonicalized through the table, so images built
+    The product g s is canonicalized through the table, so images built
     along the table's tree are checked for well-definedness, not just for
-    formal multiplicativity.
+    formal multiplicativity.  One generator's products are alive at a time.
     """
     if not rep.finite:
         raise BadParams("homomorphism check over a table needs a finite group")
     table = rep.group
-    i, j = np.random.default_rng(0).integers(table.order, size=(2, n_pairs))
-    a, b = table.payload[i], table.payload[j]
-    products = np.take_along_axis(a, b, axis=1) if a.ndim == 2 else a @ b
     images = rep.table_images()
-    return float(np.max(np.abs(images[table.indices_of(products)] - images[i] @ images[j])))
+    worst = 0.0
+    for s in table.generators:
+        step = table.payload[s]
+        products = table.payload[:, step] if step.ndim == 1 else table.payload @ step
+        defects = images[table.indices_of(products)] - images @ images[s]
+        worst = max(worst, float(np.max(np.abs(defects))))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +308,7 @@ def _explicit_rep(group, _dim, generator_images) -> Representation:
     table's tree, symmetrized and checked."""
     images = np.stack([np.asarray(m, dtype=float) for m in generator_images])
     rep = gram_symmetrize(group.tree_product(images), group)
-    defect = homomorphism_defect(rep, n_pairs=min(100, group.order**2))
+    defect = homomorphism_defect(rep)
     if defect > ORTHOGONALITY_TOL:
         raise BadParams(
             f"generator images are not a homomorphism (defect {defect:.2e})"

@@ -1,19 +1,21 @@
 import dataclasses
 import inspect
 import math
+import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import repspect as rs
 from repspect.commutant import trace_orthonormal_nullspace
-from repspect.representations import permutation_images
+from repspect.representations import permutation_images, sum_zero_basis
 from repspect.errors import (
     DegenerateSpectrum,
     InconsistentDimensions,
     NotReducible,
-    RepspectError,
     ThresholdAmbiguity,
     TooLarge,
 )
@@ -59,7 +61,7 @@ def dihedral_permutation_rep(n):
 def matrix_permutation_rep(generators):
     """The permutation matrices of the generators as a matrix group acting
     on column vectors: the permutation action, reached through a matrix
-    payload and so through the Reynolds range."""
+    payload and so through the eigenspace nullspace, not the orbitals."""
     matrices = tuple(permutation_images(np.array(generators)))
     spec = rs.GroupSpec(kind="matrix_generators", generators=matrices)
     return rs.build_named_rep("defining_orthogonal", rs.enumerate_closure(spec))
@@ -307,19 +309,21 @@ class TestCommutantBasis:
         assert len(rows) == 1
 
     def test_threshold_ambiguity_warning_on_near_degenerate_constraints(self):
-        # The perturbation's singular values land within a decade of the cutoff.
-        # A continuous family whose images of its topological generators are
-        # the fake table's three images drives the continuous nullspace.  The
-        # warning comes before the refusal of the span it leaves empty.
-        images = near_degenerate_fake_table().payload
+        # A continuous family whose one constraint image is a rotation by
+        # 2.5e-8, nearly the identity: the symmetric traceless matrices miss
+        # commuting with it by singular values 2 sin(2.5e-8), within a decade
+        # of the cutoff 1e-8.  They are cut, with a warning, and the span
+        # left is the plane of the rotations.
+        images = rs.groups.rotation_matrix(2.5e-8)[None]
         rep = rs.Representation(
             dim=2,
             stack_map=lambda payload: images,
-            group=rs.ContinuousFamily(kind="orthogonal", n=2),
+            group=rs.ContinuousFamily(kind="special_orthogonal", n=2),
         )
         with pytest.warns(ThresholdAmbiguity, match="within a decade of cutoff"):
-            with pytest.raises(RepspectError, match="empty commutant basis"):
-                rs.commutant_basis(rep)
+            cb = rs.commutant_basis(rep)
+        assert (cb.dim, cb.sym_dim) == (2, 1)
+        assert cb.ambiguous_sigma == pytest.approx(5e-8)
 
     def test_non_group_table_fails_the_character_count(self):
         table = near_degenerate_fake_table()
@@ -351,7 +355,7 @@ class TestCommutantBasis:
         assert peak < 4 * 2**20
 
     def test_o12_commutant_stays_small(self):
-        # The constraint stack is tall, (3 * 144, 144); a full U would take
+        # The column stack is tall, (3 * 144, 12); a full U would take
         # (3 * 144)^2 floats.
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=12))
         tracemalloc.start()
@@ -363,10 +367,18 @@ class TestCommutantBasis:
         assert cb.dim == 1
         assert peak < 16 * 2**20
 
-    def test_oversized_range_rejected_before_allocation(self):
+    def test_oversized_column_stack_rejected_before_allocation(self):
+        # The trivial group on 128 points as permutation matrices: K = 2I is
+        # one eigenspace, so all c = n^2 entries are unknowns, a 2 GiB stack.
         rep = matrix_permutation_rep([tuple(range(128))])
-        with pytest.raises(TooLarge):
-            rs.commutant_basis(rep)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="column stack.*byte budget"):
+                rs.commutant_basis(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("name", ["sn_permutation", "sn_sum_zero"])
     def test_oversized_orbital_basis_rejected_before_allocation(self, name):
@@ -381,32 +393,26 @@ class TestCommutantBasis:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
-    def test_oversized_sampled_stack_rejected_before_drawing(self, monkeypatch):
-        # O(128)'s three constraint images would stack 3 * 128^4 floats
-        # (6.4 GB).  The guard refuses them before any image is built, and
-        # a continuous commutant draws nothing at all.
+    def test_o128_commutant_is_fast_and_small_and_draws_nothing(self, monkeypatch):
+        # K over O(128)'s three constraint images has n distinct
+        # eigenvalues, so only the c = n diagonal entries in its eigenbasis
+        # are unknowns: a (3 n^2, n) stack of 48 MiB.
         def no_draws(*args):
             raise AssertionError("drew Haar images for a continuous commutant")
 
         monkeypatch.setattr("repspect.commutant.haar_matrices", no_draws)
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=128))
-        with pytest.raises(TooLarge, match="byte budget"):
-            rs.commutant_basis(rep)
-
-    def test_o68_fits_the_constraint_stack_budget_and_o69_does_not(self):
-        # 3 * 68^4 floats are 513 MB, within the 512 MiB budget; 3 * 69^4
-        # floats are 544 MB.  The guard decides before stack_map runs.
-        class Mapped(Exception):
-            pass
-
-        def sentinel(payload):
-            raise Mapped
-
-        for n, outcome in ((68, Mapped), (69, TooLarge)):
-            rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=n))
-            rep.stack_map = sentinel
-            with pytest.raises(outcome):
-                rs.commutant_basis(rep)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            cb = rs.commutant_basis(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        assert (cb.dim, cb.sym_dim) == (1, 1)
+        assert elapsed < 3.0
+        assert peak < 600 * 2**20
 
     def test_split_disagreeing_with_character_count_rejected(self, monkeypatch):
         rep = matrix_permutation_rep([(1, 0, 2, 3), (1, 2, 3, 0)])
@@ -503,8 +509,8 @@ class TestReynoldsKnownAnswers:
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_trivial_group_commutes_with_everything(self, n):
-        # d = n^2 leaves no room to oversample; the probes must still span,
-        # clear of the cutoff (a ThresholdAmbiguity warning fails the test).
+        # d = n^2: every entry is an unknown and every column is zero, clear
+        # of the cutoff (a ThresholdAmbiguity warning fails the test).
         table = rs.enumerate_closure(rs.GroupSpec(kind="matrix_generators", generators=(np.eye(n),)))
         rep = rs.build_named_rep("explicit", table, generator_images=[np.eye(n)])
         cb = rs.commutant_basis(rep)
@@ -548,8 +554,8 @@ class TestContinuousCommutant:
         assert (cb.dim, cb.sym_dim) == oracle_counts == expected
 
     def test_o24_commutant_stays_small(self):
-        # Three constraint images of 24^4 floats are an 8 MB stack; the bound
-        # leaves room for its SVD, not for a stack of 16 images (42 MB).
+        # Three constraint images give a (3 * 576, 24) column stack of 0.3 MB;
+        # the bound leaves room for its SVD many times over.
         rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=24))
         tracemalloc.start()
         try:
@@ -893,3 +899,57 @@ class TestOrbitalCommutant:
         again = rs.exact_finite_orbit_moments(rep, v)
         np.testing.assert_allclose(again.second_moment.entries, moments.second_moment.entries,
                                    rtol=0, atol=1e-15)
+
+
+@st.composite
+def permutation_generators(draw):
+    """1-3 permutations of 3-8 points."""
+    n = draw(st.integers(3, 8))
+    return tuple(tuple(draw(st.permutations(range(n)))) for _ in range(draw(st.integers(1, 3))))
+
+
+def assert_same_answer(rep_a, rep_b):
+    """Two paths to one representation give the same d, s, verdict and P,
+    and on a reducible one the same witness subspace."""
+    cb_a, cb_b = rs.commutant_basis(rep_a), rs.commutant_basis(rep_b)
+    assert (cb_a.dim, cb_a.sym_dim) == (cb_b.dim, cb_b.sym_dim)
+    assert rs.classify_and_decide(cb_a) == rs.classify_and_decide(cb_b)
+    np.testing.assert_allclose(cb_a.projector, cb_b.projector, rtol=0, atol=1e-12)
+    if cb_a.sym_dim > 1:
+        w_a = rs.witness_invariant_subspace(cb_a, rep_a)
+        w_b = rs.witness_invariant_subspace(cb_b, rep_b)
+        assert w_a.m == w_b.m
+        assert max_principal_angle(w_a.basis, w_b.basis) <= 1e-10
+
+
+class TestCrossPathSweep:
+    """The orbitals against the eigenspace nullspace on random permutation groups."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(permutation_generators())
+    def test_orbitals_match_the_matrix_paths(self, generators):
+        # sn_permutation against the same group as permutation matrices, and
+        # sn_sum_zero against explicit images H P(g) H^T, H the Helmert rows.
+        table = rs.enumerate_closure(
+            rs.GroupSpec(kind="permutation_generators", generators=generators)
+        )
+        # A8 and S8 take about 0.6 s each to close as matrices, most of the
+        # sweep's time; every other group on at most 8 points has order <= 5040.
+        assume(table.order <= 5040)
+        assert_same_answer(rs.build_named_rep("sn_permutation", table),
+                           matrix_permutation_rep(generators))
+        h = sum_zero_basis(len(generators[0]))
+        images = h @ permutation_images(table.payload[table.generators]) @ h.T
+        assert_same_answer(rs.build_named_rep("sn_sum_zero", table),
+                           rs.build_named_rep("explicit", table, generator_images=list(images)))
+
+    @pytest.mark.parametrize("build,counts", [
+        (lambda: rs.build_named_rep("cyclic_rotation", cyclic_table(2)), (4, 3)),
+        (lambda: rs.build_named_rep("explicit", cyclic_table(2), generator_images=[-np.eye(3)]),
+         (9, 6)),
+    ], ids=["rotation-pi", "minus-identity"])
+    def test_images_of_minus_identity_commute_with_everything(self, build, counts):
+        # rotation(pi) is -I up to 1.2e-16: every column of the stack is
+        # rounding noise, cut as null under the cutoff's floor.
+        cb = rs.commutant_basis(build())
+        assert (cb.dim, cb.sym_dim) == counts

@@ -4,6 +4,8 @@ import os
 import re
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -292,6 +294,29 @@ class TestRunAnalysis:
         verdict = report.verdict
         assert (verdict.irreducible, verdict.type, verdict.commutant_dim) == (True, "R", 1)
         assert np.linalg.det(report.commutant.constraints[0]) == pytest.approx(-1.0)
+
+    def test_o64_end_to_end_is_fast_and_small(self):
+        # The commutant is one (3 n^2, n) column stack, 24 MiB at n = 64.
+        cfg = rs.parse_config(json.dumps({
+            "group": {"kind": "orthogonal", "n": 64},
+            "representation": {"name": "defining_orthogonal"},
+            "measures": [{"kind": "orbit", "base": np.cos(np.arange(64.0)).tolist()},
+                         {"kind": "uniform_sphere"}],
+            "samples": 1000,
+            "seed": 1,
+        }))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            report = rs.run_analysis(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        elapsed = time.perf_counter() - start
+        assert (report.verdict.irreducible, report.verdict.type) == (True, "R")
+        assert all(m.matches_reference for m in report.measures)
+        assert elapsed < 5.0
+        assert peak < 600 * 2**20
 
     @pytest.mark.parametrize("group,rep,measures", [
         ({"kind": "permutation_generators", "generators": [[1, 2, 3, 4, 0]]}, "sn_sum_zero",
@@ -913,15 +938,11 @@ class TestCli:
         assert cli_main(["analyze", "--config", path]) == 2
         assert "numerical failure" in capsys.readouterr().err
 
-    def test_size_refusal_exit_one(self, tmp_path, capsys, monkeypatch):
-        # O(128)'s three constraint images would stack 3 * 128^4 floats; the
-        # guard refuses them before any is built, and nothing is drawn.
-        def no_draws(*args):
-            raise AssertionError("drew Haar images for a continuous commutant")
-
-        monkeypatch.setattr("repspect.commutant.haar_matrices", no_draws)
+    def test_size_refusal_exit_one(self, tmp_path, capsys):
+        # The trivial group on 128 points as a matrix group: every one of the
+        # n^2 entries is an unknown, and the 2 GiB column stack is refused.
         path = self.write_config(tmp_path, {
-            "group": {"kind": "orthogonal", "n": 128},
+            "group": {"kind": "matrix_generators", "matrices": [np.eye(128).tolist()]},
             "representation": {"name": "defining_orthogonal"},
             "samples": 2000,
         })

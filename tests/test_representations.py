@@ -90,17 +90,25 @@ class TestCatalog:
         ("sn_permutation", 4),
         ("sn_sum_zero", 4),
     ])
-    def test_homomorphism_on_sampled_pairs(self, name, fixture_n):
+    def test_homomorphism_on_every_cayley_edge(self, name, fixture_n):
         table = rs.enumerate_closure(rs.GroupSpec(kind="symmetric", n=fixture_n))
         rep = rs.build_named_rep(name, table)
-        assert homomorphism_defect(rep, n_pairs=100) <= 1e-8
+        assert homomorphism_defect(rep) <= 1e-8
+
+    def test_a_wrong_image_of_any_element_is_caught(self, s4_table):
+        # Every element of S4 is on a Cayley edge, so negating any one
+        # image shows; 100 sampled pairs of the 576 could miss it.
+        for element in range(s4_table.order):
+            rep = rs.build_named_rep("sn_permutation", s4_table)
+            rep.table_images()[element] *= -1.0
+            assert homomorphism_defect(rep) >= 1.0
 
     def test_homomorphism_matrix_groups(self, q8_table):
         for rep in (
             rs.build_named_rep("q8_left", q8_table),
             rs.build_named_rep("cyclic_rotation", cyclic_table(5)),
         ):
-            assert homomorphism_defect(rep, n_pairs=100) <= 1e-8
+            assert homomorphism_defect(rep) <= 1e-8
 
     def test_all_images_orthogonal(self, s4_table):
         rep = rs.build_named_rep("sn_sum_zero", s4_table)
@@ -258,7 +266,7 @@ class TestGramSymmetrize:
         d = np.diag([1.0, 2.0, 3.0])
         images = raw_permutation_images(s3_table, d)[s3_table.generators]
         rep = rs.build_named_rep("explicit", s3_table, generator_images=list(images))
-        assert homomorphism_defect(rep, n_pairs=36) <= 1e-8
+        assert homomorphism_defect(rep) <= 1e-8
 
     def test_explicit_table_images_need_no_lookup(self, monkeypatch):
         table = rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=12))
