@@ -19,8 +19,10 @@ from .groups import (
     ContinuousFamily,
     FiniteGroupTable,
     GroupSpec,
+    PermutationGroup,
     enumerate_closure,
     haar_matrices,
+    permutation_group,
     stream,
     substream,
 )

@@ -28,14 +28,19 @@ orbitals are the point orbits, so P = sum over point orbits O of
 maps the commuting A with zero row sums, and so zero column sums,
 isometrically onto its commutant; keeping the combinations of each part
 with zero row sums (t and t - 1 constraints for t point orbits) gives
-counts d - 2t + 1 and s - t, and P is H P H^T.  Both counts must equal
-those of the integer characters read off the payload (chi(g) the fixed
-points of ``payload[g]``, less 1 on the sum-zero space, chi(g^2) those of
-``payload[g][payload[g]]``), and the basis is checked against the
-generator images.  No SVD runs and no table image is built; no singular
-value is cut, so ``threshold`` reports the relative cutoff itself (the
-commuting projector's singular values are exactly 0 and 1) and
-``ambiguous_sigma`` is None.
+counts d - 2t + 1 and s - t, and P is H P H^T.  The orbitals are counted
+a second way, from point stabilizers, with no element of the group listed:
+the orbits of the stabilizer G_x of a point-orbit representative x,
+generated by Schreier generators, are the orbitals starting in x's orbit,
+and a membership test in one of them tells whether an orbital is
+self-paired (``_stabilizer_counts``).  Both counts must agree, a group
+table must have the order of its generators' stabilizer chain, and the
+basis is checked against the generator images.  The group may be a table
+or a table-free ``PermutationGroup``: only its generators are read.  No
+SVD runs and no table image is built; no singular value is cut, so
+``threshold`` reports the relative cutoff itself (the commuting
+projector's singular values are exactly 0 and 1) and ``ambiguous_sigma``
+is None.
 
 Every other group takes one nullspace over its constraint images: the
 generator images of a finite table, or the images of a continuous
@@ -80,9 +85,16 @@ from .errors import (
     ThresholdAmbiguity,
     TooLarge,
 )
-from .groups import golden_weights, orbit_labels, topological_generators
+from .groups import (
+    FiniteGroupTable,
+    golden_weights,
+    group_orbitals,
+    orbit_labels,
+    stabilizer_chain_order,
+    topological_generators,
+)
 from .groups import haar_matrices  # not called here: perfbench's Tracer.install wraps it by this name
-from .representations import Representation, gram_roots, sum_zero_basis
+from .representations import PERMUTATION_ENTRIES, Representation, gram_roots, sum_zero_basis
 
 NULLSPACE_REL_THRESHOLD = 1e-8
 CHARACTER_COUNT_TOL = 1e-6   # distance from an integer a character count may have
@@ -93,7 +105,6 @@ COLUMN_STACK_BYTES = 512 * 2**20
 # The dense orbital basis of a permutation entry, (d, n^2) floats, may take
 # at most this much, as may the pair labels that find it.
 ORBITAL_BASIS_BYTES = 256 * 2**20
-PERMUTATION_ENTRIES = ("sn_permutation", "sn_sum_zero")  # commutants read off orbitals
 WITNESS_GAP_TOL = 1e-8
 WITNESS_RESIDUAL_TOL = 1e-6
 
@@ -196,14 +207,8 @@ def character_counts(images: np.ndarray) -> tuple[int, int]:
     InconsistentDimensions.
     """
     chi = np.trace(images, axis1=1, axis2=2)
-    return _dimension_counts(chi, np.einsum("kij,kji->k", images, images))
-
-
-def _dimension_counts(chi: np.ndarray, chi_of_square: np.ndarray) -> tuple[int, int]:
-    """The counts of :func:`character_counts` from chi(g) and chi(g^2) over
-    the table."""
     d = float(np.mean(chi * chi))
-    s = float(np.mean(chi * chi + chi_of_square)) / 2.0
+    s = float(np.mean(chi * chi + np.einsum("kij,kji->k", images, images))) / 2.0
     for label, count in (("commutant", d), ("symmetric commutant", s)):
         if abs(count - round(count)) > CHARACTER_COUNT_TOL:
             raise InconsistentDimensions(
@@ -262,24 +267,6 @@ def _eigenspace_nullspace(
 # permutation entries: orbitals
 # ---------------------------------------------------------------------------
 
-def _orbitals(generators: np.ndarray):
-    """The orbitals of the group generated by ``(k, n)`` permutation images.
-
-    Returns ``(orbital, roots, transpose, point_orbit)``:
-    ``orbital[i * n + j]`` numbers the orbit of the pair (i, j), orbitals
-    ordered by their first pair ``roots[o]`` in row-major order;
-    ``transpose[o]`` is the orbital of the pairs of o reversed; and
-    ``point_orbit[i]`` numbers the orbit of point i the same way, read off
-    the diagonal orbitals.
-    """
-    k, n = generators.shape
-    pair_maps = (generators[:, :, None] * n + generators[:, None, :]).reshape(k, n * n)
-    roots, orbital = np.unique(orbit_labels(pair_maps), return_inverse=True)
-    transpose = orbital[(roots % n) * n + roots // n]
-    point_orbit = np.unique(orbital[np.arange(n) * (n + 1)], return_inverse=True)[1]
-    return orbital, roots, transpose, point_orbit
-
-
 def _orbital_split(orbital: np.ndarray, transpose: np.ndarray):
     """Orthonormal symmetric and skew rows (vectorized n x n matrices)
     spanning the span of the orbital indicators.
@@ -335,13 +322,49 @@ def _helmert_conjugates(rows: np.ndarray, h: np.ndarray) -> np.ndarray:
     return both.reshape(n - 1, m, n - 1).transpose(1, 0, 2).reshape(m, (n - 1) ** 2)
 
 
-def _payload_characters(payload: np.ndarray, shift: int):
-    """chi(g) and chi(g^2) of every table element, less ``shift``: the fixed
-    points of ``payload[g]`` and of ``payload[g][payload[g]]``."""
-    points = np.arange(payload.shape[1])
-    chi = np.count_nonzero(payload == points, axis=1) - shift
-    squares = np.take_along_axis(payload, payload, axis=1)
-    return chi, np.count_nonzero(squares == points, axis=1) - shift
+def _stabilizer_counts(generators: np.ndarray) -> tuple[int, int]:
+    """The number of orbitals d, and s = (d + #self-paired) / 2, of the group
+    G generated by ``(k, n)`` permutation images, from point stabilizers
+    rather than pair labels.
+
+    The orbitals whose pairs start in the orbit of x are the orbitals of
+    (x, y), one for each orbit of the stabilizer G_x on the points; G_x is
+    generated by the Schreier generators t_{g(y)}^-1 g t_y over the points y
+    of x's orbit and the generators g, where t_y maps x to y (Schreier's
+    lemma).  The orbital of (x, y) holds (y, x) exactly when y is in x's
+    orbit and t_y^-1(x) is in y's G_x-orbit.  The other orbitals come in
+    pairs {O, O^T}, each giving one symmetric commuting matrix, so
+    s = (d + #self-paired) / 2.
+    """
+    n = generators.shape[1]
+    points = np.arange(n)
+    leads = orbit_labels(generators)
+    # Row y of the transversal maps leads[y] to y; a breadth-first search
+    # from each lead sets t_{g(y)} = g t_y.
+    transversal = np.empty((n, n), dtype=generators.dtype)
+    found = leads == points
+    transversal[found] = points
+    images = generators.tolist()
+    for x in np.flatnonzero(found).tolist():
+        queue = [x]
+        for y in queue:
+            for g, image in zip(generators, images):
+                if not found[image[y]]:
+                    found[image[y]] = True
+                    transversal[image[y]] = g[transversal[y]]
+                    queue.append(image[y])
+    inverse = np.empty_like(transversal)
+    inverse[points[:, None], transversal] = points
+    d = self_paired = 0
+    for x in np.flatnonzero(leads == points):
+        orbit = np.flatnonzero(leads == x)
+        schreier = np.concatenate([inverse[g[orbit, None], g[transversal[orbit]]] for g in generators])
+        labels = orbit_labels(schreier)
+        least = np.flatnonzero(labels == points)  # one point of each G_x-orbit
+        d += len(least)
+        least = least[leads[least] == x]
+        self_paired += int(np.count_nonzero(labels[inverse[least, x]] == least))
+    return d, (d + self_paired) // 2
 
 
 def _check_orbital_budget(rows: int, n: int, what: str) -> None:
@@ -357,26 +380,39 @@ def _orbital_commutant(rep: Representation, rel_threshold: float) -> CommutantBa
     through its rows with zero row sums, read off the orbitals of the
     generators (see the module docstring).
 
-    The counts d and s of the orbitals must equal those of the characters
-    of the payload, or InconsistentDimensions is raised; the pair labels
-    and the dense basis are checked against ``ORBITAL_BASIS_BYTES``
-    before they are allocated.
+    The counts d and s of the orbitals must equal those of the point
+    stabilizers (``_stabilizer_counts``), and a group table must have the
+    order of its generators' stabilizer chain, or InconsistentDimensions is
+    raised; the pair labels and the dense basis are checked against
+    ``ORBITAL_BASIS_BYTES`` before they are allocated, the basis first at
+    its least dimension n^2 / |G|.
     """
-    table = rep.group
-    n = table.payload.shape[1]
-    generators = table.payload[table.generators]
-    _check_orbital_budget(len(generators) + 2, n, "orbital labels")
-    orbital, roots, transpose, point_orbit = _orbitals(generators)
+    group = rep.group
+    generators = group.generator_payloads
+    n = generators.shape[1]
+    if isinstance(group, FiniteGroupTable):
+        order = stabilizer_chain_order(generators)
+        if order != group.order:
+            raise InconsistentDimensions(
+                f"the table has {group.order} elements; its generators generate {order}"
+            )
+    # An orbital holds at most |G| pairs, so d >= n^2 / |G| before any label.
+    least = -(-n * n // group.order)
+    _check_orbital_budget(least, n, f"orbital basis of dimension at least {least}")
+    # The k pair maps, their inverses, one gather over both and three label
+    # arrays: (5k + 3) n^2 integers.
+    _check_orbital_budget(5 * len(generators) + 3, n, "orbital labels")
+    orbital, roots, transpose, point_orbit = group_orbitals(group)
     sum_zero = rep.catalog_id == "sn_sum_zero"
     t = int(point_orbit.max()) + 1
     d, s = len(roots), int(np.count_nonzero(transpose >= np.arange(len(roots))))
+    dim, sym_count = _stabilizer_counts(generators)
     if sum_zero:
-        d, s = d - 2 * t + 1, s - t
-    dim, sym_count = _dimension_counts(*_payload_characters(table.payload, int(sum_zero)))
+        d, s, dim, sym_count = d - 2 * t + 1, s - t, dim - 2 * t + 1, sym_count - t
     if (d, s) != (dim, sym_count):
         raise InconsistentDimensions(
             f"the orbitals give commutant dimension {d} ({s} symmetric); "
-            f"the characters of the payload give {dim} ({sym_count})"
+            f"the point stabilizers give {dim} ({sym_count})"
         )
     _check_orbital_budget(len(roots), n, f"orbital basis of dimension {len(roots)}")
     sym, skew = _orbital_split(orbital, transpose)
@@ -416,8 +452,8 @@ def commutant_basis(
     decides how.  Every path is a function of the representation alone.
 
     ``sn_permutation`` and ``sn_sum_zero`` read a split basis and P off
-    the orbitals of their generators; counts other than the payload's
-    character counts raise InconsistentDimensions, and a basis or pair
+    the orbitals of their generators; counts other than the point
+    stabilizers' raise InconsistentDimensions, and a basis or pair
     labelling above ``ORBITAL_BASIS_BYTES`` raises TooLarge before it is
     allocated.
 

@@ -1,10 +1,13 @@
-"""Concrete compact groups: finite enumeration and Haar sampling.
+"""Concrete compact groups: finite enumeration, stabilizer chains and Haar
+sampling.
 
 Finite groups are given by generators (permutations or invertible real
 matrices) or by a named family, and are expanded to a full element table
 by breadth-first closure; the plane groups ``cyclic`` and ``dihedral``
-get the same breadth-first tree from integer labels and their matrices in
-closed form.  A table is one payload array (permutation
+get the same breadth-first tree and their matrices in closed form.  A
+permutation group can also stay unlisted, as a ``PermutationGroup``: its
+generators and the exact order of a Schreier-Sims stabilizer chain, which
+is all the permutation entries need.  A table is one payload array (permutation
 images or matrices) plus a Schreier tree of parent pointers: each element
 is its parent times one generator, so images of every element follow
 from the generator images by one batched product per level.  An element
@@ -24,14 +27,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import itemgetter
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
 
-from .errors import BadParams, ClosureOverflow, NonInvertibleGenerator
+from .errors import BadParams, ClosureOverflow, NonInvertibleGenerator, TooLarge
 
 MATRIX_DEDUP_TOL = 1e-8      # entrywise distance below which two elements coincide
 DEFAULT_CLOSURE_CAP = 1_000_000
+# Permutation entries a stabilizer chain may form: each Schreier generator
+# it tests and each transversal element it stores counts its degree.  S_58
+# fits; S_128 is refused after about 0.5 s.
+CHAIN_ENTRY_BUDGET = 2**22
 SINGULAR_DRAW = 1e-250       # |det| of a Gaussian matrix, or |q|^2 of a Gaussian quaternion,
                              # below which the draw is re-drawn
 
@@ -111,10 +119,15 @@ class FiniteGroupTable:
     generator: np.ndarray
     generators: np.ndarray
     _index: PermutationIndex | MatrixIndex | None = field(default=None, repr=False)
+    _orbitals: tuple | None = field(default=None, repr=False)  # see group_orbitals
 
     @property
     def order(self) -> int:
         return len(self.payload)
+
+    @property
+    def generator_payloads(self) -> np.ndarray:
+        return self.payload[self.generators]
 
     def indices_of(self, stack) -> np.ndarray:
         """Table indices of a stack of payloads (exact for permutations,
@@ -152,27 +165,74 @@ class FiniteGroupTable:
         return images
 
 
+@dataclass(eq=False)
+class PermutationGroup:
+    """A finite permutation group held by its generators, with no table.
+
+    ``generator_payloads`` is the int ``(k, degree)`` array of 0-based
+    images, and ``order`` the exact order from ``stabilizer_chain_order``,
+    a Python int, so orders past 2^63 stay exact.  Its elements are never
+    listed: what the permutation entries need of the group (orbitals, point
+    stabilizers, orbit moments) is read off the generators.
+    """
+
+    generator_payloads: np.ndarray
+    order: int
+    _orbitals: tuple | None = field(default=None, repr=False)  # see group_orbitals
+
+
 def orbit_labels(maps: np.ndarray) -> np.ndarray:
     """The least element of the orbit of each i in range(m) under the group
     generated by the ``(k, m)`` index permutations ``maps``.
 
-    Each round gives every element and its image under each map the lesser
-    of their two labels, then replaces each label by its own label.  A label
-    is always an element of the same orbit and never rises, so the rounds
-    stop, and they stop only when each map keeps every label: the labels
-    are then constant on orbits, and the least element of an orbit keeps
-    its own.
+    Each round gives every element the least of its own label and the
+    labels of its images and preimages under every map, in one gather over
+    the maps and their inverses, then replaces each label by its own label.
+    A label is always an element of the same orbit and never rises, so the
+    rounds stop, and they stop only when each map keeps every label: the
+    labels are then constant on orbits, and the least element of an orbit
+    keeps its own.
     """
-    labels = np.arange(maps.shape[1])
+    k, m = maps.shape
+    labels = np.arange(m)
+    both = np.concatenate([maps, maps])
+    both[np.arange(k, 2 * k)[:, None], maps] = labels  # the inverses
     while True:
-        new = labels.copy()
-        for image in maps:
-            np.minimum(new, labels[image], out=new)
-            new[image] = np.minimum(new[image], labels)
+        new = labels[both].min(axis=0)
+        np.minimum(new, labels, out=new)
         new = new[new]
         if np.array_equal(new, labels):
             return labels
         labels = new
+
+
+def orbitals(generators: np.ndarray):
+    """The orbitals of the group generated by ``(k, n)`` permutation images:
+    its orbits on ordered pairs of points (Higman, Coherent configurations
+    I, 1970).
+
+    Returns ``(orbital, roots, transpose, point_orbit)``:
+    ``orbital[i * n + j]`` numbers the orbit of the pair (i, j), orbitals
+    ordered by their first pair ``roots[o]`` in row-major order;
+    ``transpose[o]`` is the orbital of the pairs of o reversed; and
+    ``point_orbit[i]`` numbers the orbit of point i the same way, read off
+    the diagonal orbitals.
+    """
+    k, n = generators.shape
+    pair_maps = (generators[:, :, None] * n + generators[:, None, :]).reshape(k, n * n)
+    roots, orbital = np.unique(orbit_labels(pair_maps), return_inverse=True)
+    transpose = orbital[(roots % n) * n + roots // n]
+    point_orbit = np.unique(orbital[np.arange(n) * (n + 1)], return_inverse=True)[1]
+    return orbital, roots, transpose, point_orbit
+
+
+def group_orbitals(group: FiniteGroupTable | PermutationGroup):
+    """``orbitals`` of a permutation group's generators, kept on the group:
+    the commutant and the exact orbit moments of one group read the same
+    labels."""
+    if group._orbitals is None:
+        group._orbitals = orbitals(group.generator_payloads)
+    return group._orbitals
 
 
 def _row_keys(rows: np.ndarray) -> list[bytes]:
@@ -309,7 +369,7 @@ class MatrixIndex:
         return found
 
 
-GroupSource = FiniteGroupTable | ContinuousFamily
+GroupSource = FiniteGroupTable | PermutationGroup | ContinuousFamily
 
 
 def orthogonality_defect(m: np.ndarray) -> float:
@@ -446,39 +506,43 @@ def _plane_group_table(spec: GroupSpec, cap: int) -> FiniteGroupTable:
     With r the rotation by 2*pi/n and s = diag(1, -1), element r^k s^e has
     the integer label k + n*e, and right multiplication by the generators is
     (k, e) r = (k + (-1)^e mod n, e) and (k, e) s = (k, 1 - e).  A
-    breadth-first pass over labels in (element, generator) order therefore
-    finds the elements in the order, and with the parents, that the matrix
-    closure of the generators finds, as long as that closure tells
-    neighbouring rotations apart (their entries differ by about 2*pi/n,
-    above ``MATRIX_DEDUP_TOL`` for n below about 6e8).  Each payload is then
-    R(2*pi*k/n) diag(1, (-1)^e) from one cos/sin, exact to rounding, rather
-    than a product along its path in the tree.  The order (n or 2n) is
-    checked against ``cap`` before anything is allocated.
+    breadth-first pass in (element, generator) order, the matrix closure's,
+    reaches each element first through its least word over (r, s) in
+    shortlex order (length, then r < s), and reaches the elements in that
+    order, as long as the closure tells neighbouring rotations apart (their
+    entries differ by about 2*pi/n, above ``MATRIX_DEDUP_TOL`` for n below
+    about 6e8).  Since s^2 = 1 and s r = r^-1 s, a least word of length L is
+    one of r^L, r^(L-1) s, s r^(L-1) and s r^(L-2) s, ranked 0 to 3 in that
+    order.  So (k, 0) is r^k or s r^j s and (k, 1) is r^k s or s r^j, with
+    j = -k mod n; the least key 4 L + rank of its two words files each
+    element in one slot array, whose filled slots give the order.  Dropping
+    the last letter gives the parent: (k - 1, 0), (k, 0), (k + 1, 1) or
+    (k, 1) by rank, through r for even ranks and s for odd ones.  Each
+    payload is then R(2*pi*k/n) diag(1, (-1)^e) from one cos/sin, exact to
+    rounding, rather than a product along its path in the tree.  The order
+    (n or 2n) is checked against ``cap`` before anything is allocated.
     """
     n = _require_n(spec, minimum=1)
     reflections = spec.kind == "dihedral"
     order = 2 * n if reflections else n
     if order > cap:
         raise ClosureOverflow(f"closure exceeds cap={cap}: {spec.kind}({n}) has {order} elements")
-    # steps[g][label] is the label of (label) * generator g.
     k = np.arange(n)
+    keys = 4 * k  # r^k
     if reflections:
-        steps = [np.concatenate([(k + 1) % n, n + (k - 1) % n]), np.concatenate([k + n, k])]
-    else:
-        steps = [(k + 1) % n]
-    steps = [step.tolist() for step in steps]
-    position = [-1] * order  # table index of each label, -1 until it is found
-    position[0] = 0
-    labels, parent, generator = [0], [-1], [-1]
-    for i, label in enumerate(labels):  # a FIFO queue: found labels are appended
-        for g, step in enumerate(steps):
-            found = step[label]
-            if position[found] < 0:
-                position[found] = len(labels)
-                labels.append(found)
-                parent.append(i)
-                generator.append(g)
-    reflected, rotation = np.divmod(np.array(labels), n)
+        j = -k % n
+        keys = np.concatenate([np.minimum(keys, 4 * j + 11), np.minimum(4 * k + 5, 4 * j + 6)])
+    slots = np.full(4 * n + 2, -1)
+    slots[keys] = np.arange(order)
+    labels = slots[slots >= 0]
+    position = np.empty(order, dtype=np.intp)
+    position[labels] = np.arange(order)
+    reflected, rotation = np.divmod(labels, n)
+    rank = keys[labels] % 4
+    parent_labels = np.stack([rotation - 1, rotation, n + (rotation + 1) % n, n + rotation])
+    parent = position[parent_labels[rank, np.arange(order)]]
+    generator = rank % 2
+    parent[0] = generator[0] = -1  # the identity, r^0
     angle = 2.0 * np.pi * rotation / n
     cos, sin = np.cos(angle), np.sin(angle)
     sign = 1.0 - 2.0 * reflected
@@ -490,9 +554,9 @@ def _plane_group_table(spec: GroupSpec, cap: int) -> FiniteGroupTable:
     generator_labels = [1 % n, n] if reflections else [1 % n]
     return FiniteGroupTable(
         payload=payload,
-        parent=np.array(parent, dtype=np.intp),
-        generator=np.array(generator, dtype=np.intp),
-        generators=np.array([position[label] for label in generator_labels], dtype=np.intp),
+        parent=parent,
+        generator=generator,
+        generators=position[generator_labels],
     )
 
 
@@ -519,6 +583,96 @@ def _close(generators: np.ndarray, cap: int):
     # per-element copies are freed.
     index.rows = payload = np.concatenate(levels)
     return payload, np.concatenate(parents), np.concatenate(generator_ids), index
+
+
+# ---------------------------------------------------------------------------
+# stabilizer chains
+# ---------------------------------------------------------------------------
+
+def permutation_group(spec: GroupSpec) -> PermutationGroup:
+    """The table-free group of a ``symmetric`` or ``permutation_generators``
+    spec: its generators and the order of their stabilizer chain."""
+    generators = canonical_generators(spec)
+    if generators.ndim != 2:
+        raise BadParams(f"{spec.kind!r} is not given by permutations")
+    return PermutationGroup(generators, stabilizer_chain_order(generators))
+
+
+def stabilizer_chain_order(generators: np.ndarray) -> int:
+    """The exact order of the group G generated by ``(k, n)`` permutation
+    images, from a deterministic Schreier-Sims stabilizer chain (Sims 1970;
+    Seress, Permutation Group Algorithms, 2003, ch. 4), in pure Python on
+    tuples.
+
+    Level i of the chain is G^(i), the elements fixing the points 0..i-1.
+    Its strong generators are those whose first moved point is i or later,
+    and its transversal maps i to each point of its orbit under them.  A
+    permutation is sifted by dividing it, level by level, by the transversal
+    element that matches it; one that stops at level i, on a point the
+    transversal lacks, is a new strong generator at i.  Every product s u of
+    a strong generator s of a level and an element u of its transversal is
+    formed once, whichever of the two came later: a new point joins the
+    transversal, a known one gives the Schreier generator u_p^-1 s u, which
+    is sifted.  When no product is left, every Schreier generator of every
+    level sifts to the identity, so by Schreier's lemma each G^(i) is its
+    transversal times G^(i+1), and |G| is the product of the transversal
+    sizes.  A product that is filed costs the degree n against
+    ``CHAIN_ENTRY_BUDGET``; past it, TooLarge is raised, which bounds both
+    the time and the memory of the transversals.
+    """
+    n = generators.shape[1]
+    if n < 2:
+        return 1
+    identity = tuple(range(n))
+    # transversal[i][p] is (u, u^-1) for the element u of G^(i) with u(i) = p.
+    transversal = [{i: (identity, identity)} for i in range(n)]
+    strong = []  # (first moved point, strong generator)
+    formed = 0
+    # A task (level, w) files w, an element of G^(level), at that level; a
+    # task (None, w) sifts w.
+    tasks = [(None, _compose(identity, g)) for g in generators.tolist()[::-1]]
+    while tasks:
+        level, w = tasks.pop()
+        if level is not None:
+            formed += n
+            if formed > CHAIN_ENTRY_BUDGET:
+                raise TooLarge(
+                    f"stabilizer chain on {n} points: more than {CHAIN_ENTRY_BUDGET} "
+                    "permutation entries in Schreier generators and transversal elements"
+                )
+            known = transversal[level].get(w[level])
+            if known is None:
+                transversal[level][w[level]] = (w, _inverse(w, identity))
+                tasks.extend((level, _compose(s, w)) for first, s in strong if first >= level)
+                continue
+            w = _compose(known[1], w)  # a Schreier generator: it fixes 0..level
+        i = 0
+        while w != identity:  # sift: w fixes 0..i-1
+            while w[i] == i:
+                i += 1
+            known = transversal[i].get(w[i])
+            if known is None:
+                strong.append((i, w))
+                tasks.extend(
+                    (j, _compose(w, u)) for j in range(i + 1) for u, _ in transversal[j].values()
+                )
+                break
+            w = _compose(known[1], w)
+    return math.prod(len(t) for t in transversal)
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """a after b: the tuple of a[b[i]] (two or more points)."""
+    return itemgetter(*b)(a)
+
+
+def _inverse(a: tuple, points: tuple) -> tuple:
+    """The inverse of a, built from the int objects of ``points``, the
+    identity, so that no tuple of the chain holds ints of its own."""
+    inverse = list(points)
+    for i, j in zip(points, a):
+        inverse[j] = i
+    return tuple(inverse)
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,8 @@ from .errors import (
     TooLarge,
     TraceNotOne,
 )
-from .groups import ContinuousFamily, FiniteGroupTable, MatrixIndex, haar_matrices, stream
-from .representations import Representation, _check_unit
+from .groups import ContinuousFamily, MatrixIndex, group_orbitals, haar_matrices, stream
+from .representations import PERMUTATION_ENTRIES, Representation, _check_unit, sum_zero_basis
 
 PROB_SUM_TOL = 1e-12
 DISCRETE_POINT_TOL = 1e-8  # see check_discrete_invariance
@@ -223,7 +223,7 @@ def make_sampler(spec: MeasureSpec, rep: Representation) -> VectorSampler:
             raise BadMeasureSpec(
                 f"orbit base has shape {spec.base.shape}, representation dim {rep.dim}"
             )
-        if isinstance(rep.group, FiniteGroupTable):
+        if rep.finite:
             raise BadMeasureSpec("an orbit of a finite group has exact moments; it is not sampled")
         if isinstance(rep.group, ContinuousFamily):
             return _ContinuousOrbitSampler(rep, spec.base)
@@ -501,32 +501,58 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
     For an irreducible representation both averages equal 1/dim and the
     unnormalized group sum equals |G|/dim, for a base point with any
     stabilizer.  The pair average factors through the orbit's second
-    moment: with O the (|G|, n) orbit matrix and M = O^T O / |G|,
-    (1/|G|^2) sum_{g,h} <gv, hv>^2 = |M|_F^2, which costs O(|G| n^2) and
-    enumerates no pairs.  The single sum uses <gv, v> and not M, so the
-    two remain independent certificates of each other.  M is returned
-    too, with the orbit mean: it is the measure's exact moment record.
-    The orbit comes from the representation's ``orbit_map`` over the
-    payload when it has one, with no table image built, else from the
-    table images.
+    moment M = E_g[(rho(g) v)(rho(g) v)^T]:
+    (1/|G|^2) sum_{g,h} <gv, hv>^2 = |M|_F^2, so no pair is enumerated.  M
+    is returned too, with the orbit mean: it is the measure's exact moment
+    record.
+
+    On the permutation entries (``PERMUTATION_ENTRIES``), on a table or a
+    table-free ``PermutationGroup`` alike, no element is listed: as g runs
+    over G, (g^-1 i, g^-1 j) runs evenly over the orbital of (i, j), so
+    M_ij is the orbital average of v v^T, the mean is v averaged over each
+    point orbit, and the single sum is v^T M v; ``sn_sum_zero`` takes M
+    and the mean for w = H^T v and maps them back through the Helmert rows
+    H.  Every other representation takes the orbit O, the (|G|, n) rows
+    rho(g) v, from its ``orbit_map`` over the payload when it has one, with
+    no table image built, else from the table images: M = O^T O / |G|, and
+    the single sum is the mean of <gv, v>^2, independent of M.
     """
     v = _check_unit(v, "orbit base")
     if v.shape != (rep.dim,):
         raise BadParams(f"base has shape {v.shape}, representation dim {rep.dim}")
-    if rep.orbit_map is None:
-        orbit = rep.table_images() @ v
-    else:
-        orbit = rep.orbit_map(rep.group.payload, v)
-    single = float(np.mean((orbit @ v) ** 2))
     order = rep.group.order
-    m = _exact_second_moment((orbit.T @ orbit) / order, orbit.mean(axis=0), order)
+    if rep.catalog_id in PERMUTATION_ENTRIES:
+        h = sum_zero_basis(rep.dim + 1) if rep.catalog_id == "sn_sum_zero" else None
+        entries, mean = _orbital_moments(group_orbitals(rep.group), v if h is None else h.T @ v)
+        if h is not None:
+            entries, mean = h @ entries @ h.T, h @ mean
+        single = float(v @ entries @ v)
+    else:
+        if rep.orbit_map is None:
+            orbit = rep.table_images() @ v
+        else:
+            orbit = rep.orbit_map(rep.group.payload, v)
+        entries, mean = (orbit.T @ orbit) / order, orbit.mean(axis=0)
+        single = float(np.mean((orbit @ v) ** 2))
+    m = _exact_second_moment(entries, mean, order)
     return OrbitMoments(
         single_sum=single,
-        double_sum=float(np.sum(m.entries * m.entries)),
+        double_sum=float(np.sum(entries * entries)),
         group_sum=order * single,
         order=order,
         second_moment=m,
     )
+
+
+def _orbital_moments(orbitals: tuple, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """E[x x^T] and E[x] over the orbit of w under a permutation group, from
+    its ``orbitals``: the orbital averages of w w^T and the point-orbit
+    averages of w."""
+    n = len(w)
+    orbital, _, _, point_orbit = orbitals
+    entries = np.bincount(orbital, weights=np.outer(w, w).ravel()) / np.bincount(orbital)
+    mean = np.bincount(point_orbit, weights=w) / np.bincount(point_orbit)
+    return entries[orbital].reshape(n, n), mean[point_orbit]
 
 
 def sn_cosine_identity(x) -> float:
@@ -608,7 +634,7 @@ def expectation_identity_check(
 @dataclass(frozen=True)
 class InvarianceCheck:
     invariant: bool
-    violating_generator: int | None  # table index of the first failing generator
+    violating_generator: int | None  # position of the first failing generator in the generator list
 
 
 def check_discrete_invariance(spec: MeasureSpec, rep: Representation) -> InvarianceCheck:
@@ -622,18 +648,18 @@ def check_discrete_invariance(spec: MeasureSpec, rep: Representation) -> Invaria
     every moved point lies within tol of a merged point and the moved mass
     on each merged point equals its mass within ``DISCRETE_PROB_TOL``
     (as a one-to-one matching would decide while merged points are more
-    than 2 tol apart); the table index of the first failing generator is
-    reported.
+    than 2 tol apart); the position of the first failing generator in the
+    generator list is reported.
     """
     if spec.kind != "discrete":
         raise NotDiscrete(f"measure kind is {spec.kind!r}")
     index = MatrixIndex(spec.points.shape[1:], DISCRETE_POINT_TOL)
     index.add_absent(spec.points)
     mass = np.bincount(index.lookup(spec.points), weights=spec.probs, minlength=len(index))
-    for generator, image in zip(rep.group.generators, rep.generator_images()):
+    for position, image in enumerate(rep.generator_images()):
         slots = index.lookup(spec.points @ image.T)
         if None in slots or np.abs(
             np.bincount(slots, weights=spec.probs, minlength=len(index)) - mass
         ).max() > DISCRETE_PROB_TOL:
-            return InvarianceCheck(invariant=False, violating_generator=int(generator))
+            return InvarianceCheck(invariant=False, violating_generator=position)
     return InvarianceCheck(invariant=True, violating_generator=None)

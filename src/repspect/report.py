@@ -52,10 +52,10 @@ from .groups import (
     DEFAULT_CLOSURE_CAP,
     FINITE_FAMILIES,
     ContinuousFamily,
-    FiniteGroupTable,
     GroupSpec,
     enumerate_closure,
     golden_weights,
+    permutation_group,
     substream,
 )
 from .moments import (
@@ -78,6 +78,7 @@ from .moments import (
 )
 from .representations import (
     ORTHOGONALITY_TOL,
+    PERMUTATION_ENTRIES,
     build_named_rep,
     catalog_dim,
     sum_zero_basis,
@@ -98,7 +99,7 @@ class Tolerances:
     band_sigma: float = 4.0        # consistency band in sampling stderrs
     conflict_sigma: float = 6.0    # escalation band for the verdict cross-check
     nullspace_rel: float = NULLSPACE_REL_THRESHOLD  # singular-value cutoff, relative to max(largest, 1)
-    closure_cap: int = DEFAULT_CLOSURE_CAP          # finite enumeration guard
+    closure_cap: int = DEFAULT_CLOSURE_CAP          # element guard of a group table
 
     def as_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -434,8 +435,13 @@ def _validate_outputs(node):
 # ---------------------------------------------------------------------------
 
 def build_group(cfg: AnalysisConfig):
+    """The group source of a config: a continuous family; for the
+    permutation entries a table-free ``PermutationGroup``, whose order comes
+    from a stabilizer chain; else a closed table, under ``closure_cap``."""
     if cfg.group.kind in CONTINUOUS_FAMILIES:
         return ContinuousFamily(kind=cfg.group.kind, n=cfg.group.n)
+    if cfg.rep_name in PERMUTATION_ENTRIES:
+        return permutation_group(cfg.group)
     return enumerate_closure(cfg.group, cap=cfg.tolerances.closure_cap)
 
 
@@ -455,7 +461,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     verdict = classify_and_decide(cb)
     witness = None if verdict.irreducible else witness_invariant_subspace(cb, rep)
 
-    finite = isinstance(group, FiniteGroupTable)
+    finite = rep.finite
     measures: list[MeasureResult] = []
     identities: dict = {
         "orbit_exact": [],

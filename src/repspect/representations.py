@@ -40,6 +40,7 @@ from .groups import (
     FiniteGroupTable,
     GroupSource,
     GroupSpec,
+    PermutationGroup,
     canonical_generators,
     orthogonality_defect,
 )
@@ -47,6 +48,9 @@ from .groups import (
 ORTHOGONALITY_TOL = 1e-8
 UNIT_TOL = 1e-10
 GRAM_EIG_FLOOR = 1e-12
+# Entries whose commutant, P and orbit moments are read off the orbitals of
+# the generators, on a table or on a table-free PermutationGroup alike.
+PERMUTATION_ENTRIES = ("sn_permutation", "sn_sum_zero")
 
 
 @dataclass(eq=False)
@@ -71,7 +75,7 @@ class Representation:
 
     @property
     def finite(self) -> bool:
-        return isinstance(self.group, FiniteGroupTable)
+        return isinstance(self.group, (FiniteGroupTable, PermutationGroup))
 
     def orbit(self, payloads: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The ``(k, dim)`` rows rho(g_k) v of a stack of k payloads."""
@@ -81,7 +85,7 @@ class Representation:
 
     def table_images(self) -> np.ndarray:
         """All element images of a finite group, stacked in table order."""
-        if not self.finite:
+        if not isinstance(self.group, FiniteGroupTable):
             raise BadParams("table_images needs a finite group table")
         if self._images is None:
             self._images = self.stack_map(self.group.payload)
@@ -89,8 +93,8 @@ class Representation:
 
     def generator_images(self) -> np.ndarray:
         if not self.finite:
-            raise BadParams("generator_images needs a finite group table")
-        return self.stack_map(self.group.payload[self.group.generators])
+            raise BadParams("generator_images needs a finite group")
+        return self.stack_map(self.group.generator_payloads)
 
 
 # ---------------------------------------------------------------------------
@@ -229,8 +233,8 @@ def homomorphism_defect(rep: Representation) -> float:
     along the table's tree are checked for well-definedness, not just for
     formal multiplicativity.  One generator's products are alive at a time.
     """
-    if not rep.finite:
-        raise BadParams("homomorphism check over a table needs a finite group")
+    if not isinstance(rep.group, FiniteGroupTable):
+        raise BadParams("homomorphism check over a table needs a finite group table")
     table = rep.group
     images = rep.table_images()
     worst = 0.0
@@ -306,6 +310,8 @@ def _images_dim(_degree, images) -> int:
 def _explicit_rep(group, _dim, generator_images) -> Representation:
     """Representation from explicit generator images, multiplied along the
     table's tree, symmetrized and checked."""
+    if not isinstance(group, FiniteGroupTable):
+        raise BadParams("'explicit' needs a finite group table")
     images = np.stack([np.asarray(m, dtype=float) for m in generator_images])
     rep = gram_symmetrize(group.tree_product(images), group)
     defect = homomorphism_defect(rep)
@@ -344,12 +350,11 @@ def _payload(group: GroupSpec | GroupSource) -> tuple[bool, int, int | None]:
     The generator count is None for a continuous family."""
     if isinstance(group, GroupSpec) and group.is_finite:
         payload = canonical_generators(group)
-        n_generators = len(payload)
-    elif isinstance(group, FiniteGroupTable):
-        payload, n_generators = group.payload, len(group.generators)
+    elif isinstance(group, (FiniteGroupTable, PermutationGroup)):
+        payload = group.generator_payloads
     else:  # a continuous family or its spec
         return False, group.n, None
-    return payload.ndim == 2, payload.shape[1], n_generators
+    return payload.ndim == 2, payload.shape[1], len(payload)
 
 
 def catalog_dim(

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
 import repspect as rs
@@ -106,6 +107,53 @@ def brute_permutation_closure(generators):
     return perms, words
 
 
+def brute_plane_group_table(kind, n):
+    """Independent oracle: the ``cyclic``/``dihedral`` table by a
+    breadth-first pass over integer labels.
+
+    Element r^k s^e has label k + n*e; right multiplication by the
+    generators is (k, e) r = (k + (-1)^e mod n, e) and (k, e) s = (k, 1 - e).
+    The labels are visited as a FIFO queue in (element, generator) order,
+    as the matrix closure visits elements, and each payload is
+    R(2*pi*k/n) diag(1, (-1)^e) from one cos/sin.
+    """
+    reflections = kind == "dihedral"
+    order = 2 * n if reflections else n
+    k = np.arange(n)
+    if reflections:
+        steps = [np.concatenate([(k + 1) % n, n + (k - 1) % n]), np.concatenate([k + n, k])]
+    else:
+        steps = [(k + 1) % n]
+    steps = [step.tolist() for step in steps]
+    position = [-1] * order
+    position[0] = 0
+    labels, parent, generator = [0], [-1], [-1]
+    for i, label in enumerate(labels):
+        for g, step in enumerate(steps):
+            found = step[label]
+            if position[found] < 0:
+                position[found] = len(labels)
+                labels.append(found)
+                parent.append(i)
+                generator.append(g)
+    reflected, rotation = np.divmod(np.array(labels), n)
+    angle = 2.0 * np.pi * rotation / n
+    cos, sin = np.cos(angle), np.sin(angle)
+    sign = 1.0 - 2.0 * reflected
+    payload = np.empty((order, 2, 2))
+    payload[:, 0, 0] = cos
+    payload[:, 1, 0] = sin
+    payload[:, 0, 1] = 0.0 - sign * sin
+    payload[:, 1, 1] = sign * cos
+    generator_labels = [1 % n, n] if reflections else [1 % n]
+    return rs.FiniteGroupTable(
+        payload=payload,
+        parent=np.array(parent, dtype=np.intp),
+        generator=np.array(generator, dtype=np.intp),
+        generators=np.array([position[label] for label in generator_labels], dtype=np.intp),
+    )
+
+
 def tree_words(table):
     """Generator words of a table's elements, rebuilt from its Schreier tree."""
     words = [()]
@@ -164,6 +212,28 @@ def brute_discrete_invariance(spec, rep, point_tol=1e-8, prob_tol=1e-10):
         if not matches(ref, merged(spec.points @ image.T)):
             return InvarianceCheck(invariant=False, violating_generator=index)
     return InvarianceCheck(invariant=True, violating_generator=None)
+
+
+@st.composite
+def structured_permutation_generators(draw):
+    """1-3 generators on 1-8 points: random permutations, cycles on a random
+    subset, or permutations of the first m points only (intransitive)."""
+    n = draw(st.integers(1, 8))
+    generators = []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(["random", "cycle", "prefix"]))
+        image = list(range(n))
+        if shape == "random":
+            image = list(draw(st.permutations(range(n))))
+        elif shape == "cycle":
+            support = draw(st.lists(st.integers(0, n - 1), unique=True))
+            for a, b in zip(support, support[1:] + support[:1]):
+                image[a] = b
+        else:
+            m = draw(st.integers(1, n))
+            image[:m] = draw(st.permutations(range(m)))
+        generators.append(tuple(image))
+    return tuple(generators)
 
 
 def payload_table(payload, generators=()):

@@ -6,7 +6,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import repspect as rs
@@ -27,6 +27,7 @@ from conftest import (
     payload_table,
     random_unit,
     span_columns,
+    structured_permutation_generators,
     symmetric_table,
 )
 
@@ -393,6 +394,21 @@ class TestCommutantBasis:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_orbital_basis_refused_by_the_group_order_before_labels(self):
+        # C_1000 on 1000 points: 1000 orbitals of 1000 pairs each, an 8 GB
+        # basis; n^2 / |G| = 1000 tells before the 64 MB of pair labels.
+        group = rs.permutation_group(rs.GroupSpec(
+            kind="permutation_generators", generators=(tuple((i + 1) % 1000 for i in range(1000)),)))
+        rep = rs.build_named_rep("sn_permutation", group)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="dimension at least 1000.*byte budget"):
+                rs.commutant_basis(rep)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
     def test_o128_commutant_is_fast_and_small_and_draws_nothing(self, monkeypatch):
         # K over O(128)'s three constraint images has n distinct
         # eigenvalues, so only the c = n diagonal entries in its eigenbasis
@@ -424,12 +440,12 @@ class TestCommutantBasis:
         with pytest.raises(InconsistentDimensions, match="symmetric part has dimension 2"):
             rs.commutant_basis(rep)
 
-    def test_orbital_split_disagreeing_with_character_count_rejected(self, s4_table, monkeypatch):
+    def test_orbital_split_disagreeing_with_stabilizer_count_rejected(self, s4_table, monkeypatch):
         rep = rs.build_named_rep("sn_permutation", s4_table)
         assert rs.commutant_basis(rep).sym_dim == 2
-        counts = rs.commutant._dimension_counts
+        counts = rs.commutant._stabilizer_counts
         monkeypatch.setattr(
-            "repspect.commutant._dimension_counts", lambda *chis: (counts(*chis)[0], 1)
+            "repspect.commutant._stabilizer_counts", lambda generators: (counts(generators)[0], 1)
         )
         with pytest.raises(InconsistentDimensions, match=r"\(2 symmetric\)"):
             rs.commutant_basis(rep)
@@ -850,6 +866,19 @@ class TestOrbitalCommutant:
         np.testing.assert_allclose(cb.projector, np.eye(n), rtol=0, atol=1e-12)
         assert cb.residual <= 1e-12
 
+    @settings(max_examples=200, deadline=None)
+    @given(structured_permutation_generators())
+    # s is (d + #self-paired) / 2, not #self-paired; the two differ on C5
+    # (d = 5, only the diagonal self-paired) and on <(0 1 2), (3 4), (5 6)>.
+    @example(((1, 2, 3, 4, 0),))
+    @example(((1, 2, 0, 3, 4, 5, 6), (0, 1, 2, 4, 3, 5, 6), (0, 1, 2, 3, 4, 6, 5)))
+    def test_stabilizer_counts_equal_the_pair_label_counts(self, generators):
+        generators = np.array(generators)
+        _, roots, transpose, _ = rs.groups.orbitals(generators)
+        self_paired = int(np.count_nonzero(transpose == np.arange(len(roots))))
+        assert rs.commutant._stabilizer_counts(generators) == (
+            len(roots), (len(roots) + self_paired) // 2)
+
     @pytest.mark.parametrize("group", sorted(ORBITAL_GROUPS))
     def test_sum_zero_counts_follow_the_point_orbits(self, group):
         table = ORBITAL_GROUPS[group]()
@@ -942,6 +971,40 @@ class TestCrossPathSweep:
         images = h @ permutation_images(table.payload[table.generators]) @ h.T
         assert_same_answer(rs.build_named_rep("sn_sum_zero", table),
                            rs.build_named_rep("explicit", table, generator_images=list(images)))
+
+    @settings(max_examples=100, deadline=None)
+    @given(structured_permutation_generators(), st.integers(0, 2**32 - 1))
+    @example(((1, 2, 3, 4, 0),), 0)
+    @example(((1, 2, 0, 3, 4, 5, 6), (0, 1, 2, 4, 3, 5, 6), (0, 1, 2, 3, 4, 6, 5)), 1)
+    def test_table_free_group_matches_the_closed_table(self, generators, seed):
+        # Both entries on a PermutationGroup, which lists no element, against
+        # the closed table's images: permutation matrices for sn_permutation,
+        # explicit H P(g) H^T for sn_sum_zero; their orbit moments come from
+        # the table's orbit rows, M = O^T O / |G|.
+        spec = rs.GroupSpec(kind="permutation_generators", generators=generators)
+        table = rs.enumerate_closure(spec)
+        assume(table.order <= 5040)  # as above
+        group = rs.groups.permutation_group(spec)
+        assert group.order == table.order
+        n = len(generators[0])
+        pairs = [(rs.build_named_rep("sn_permutation", group), matrix_permutation_rep(generators))]
+        if n > 1:
+            h = sum_zero_basis(n)
+            images = h @ permutation_images(np.array(generators)) @ h.T
+            pairs.append((rs.build_named_rep("sn_sum_zero", group),
+                          rs.build_named_rep("explicit", table, generator_images=list(images))))
+        rng = rs.stream(seed)
+        for free, closed in pairs:
+            assert_same_answer(free, closed)
+            v = random_unit(rng, free.dim)
+            got, want = rs.exact_finite_orbit_moments(free, v), rs.exact_finite_orbit_moments(closed, v)
+            assert got.order == want.order == table.order
+            for name in ("entries", "mean"):
+                np.testing.assert_allclose(getattr(got.second_moment, name),
+                                           getattr(want.second_moment, name), rtol=0, atol=1e-12)
+            assert got.single_sum == pytest.approx(want.single_sum, rel=0, abs=1e-12)
+            assert got.double_sum == pytest.approx(want.double_sum, rel=0, abs=1e-12)
+            assert got.group_sum == pytest.approx(want.group_sum, rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("build,counts", [
         (lambda: rs.build_named_rep("cyclic_rotation", cyclic_table(2)), (4, 3)),

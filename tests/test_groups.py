@@ -1,13 +1,15 @@
 import collections
+import math
 import re
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 import repspect as rs
-from repspect.errors import BadParams, ClosureOverflow, NonInvertibleGenerator
+from repspect.errors import BadParams, ClosureOverflow, NonInvertibleGenerator, TooLarge
 from repspect.groups import (
     MATRIX_DEDUP_TOL,
     QUAT_LEFT_I,
@@ -20,10 +22,12 @@ from conftest import (
     brute_haar_matrices,
     brute_matrix_closure,
     brute_permutation_closure,
+    brute_plane_group_table,
     brute_quaternion_rotations,
     brute_word_images,
     cyclic_table,
     payload_table,
+    structured_permutation_generators,
     symmetric_table,
     tree_words,
 )
@@ -199,6 +203,17 @@ class TestMatrixClosure:
         assert np.array_equal(table.generators, closed.generators)
         assert float(np.abs(table.payload - closed.payload).max()) <= 1e-12
 
+    @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+    def test_closed_form_tree_equals_label_bfs(self, kind):
+        # The slot array of least-word keys against the breadth-first pass
+        # over labels, to the byte, n = 1..300 and 3000.
+        for n in [*range(1, 301), 3000]:
+            table = rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n))
+            oracle = brute_plane_group_table(kind, n)
+            for name in ("payload", "parent", "generator", "generators"):
+                got, want = getattr(table, name), getattr(oracle, name)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, name)
+
     @pytest.mark.parametrize("kind,n", [("dihedral", 10**12), ("cyclic", 10**12)])
     def test_plane_group_order_checked_against_cap_first(self, kind, n):
         start = time.perf_counter()
@@ -367,6 +382,43 @@ class TestPermutationClosure:
         assert rs.enumerate_closure(spec, cap=24).order == 24
         with pytest.raises(ClosureOverflow):
             rs.enumerate_closure(spec, cap=23)
+
+
+class TestStabilizerChain:
+    @settings(max_examples=300, deadline=None)
+    @given(structured_permutation_generators())
+    def test_order_equals_the_closure_order(self, generators):
+        spec = rs.GroupSpec(kind="permutation_generators", generators=generators)
+        group = rs.groups.permutation_group(spec)
+        assert group.order == rs.enumerate_closure(spec).order
+        assert np.array_equal(group.generator_payloads, np.array(generators))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 12, 20, 21, 30])
+    def test_symmetric_orders_are_exact(self, n):
+        order = rs.groups.permutation_group(rs.GroupSpec(kind="symmetric", n=n)).order
+        assert type(order) is int and order == math.factorial(n)  # 21! > 2^63
+
+    def test_dihedral_on_128_points(self):
+        spec = rs.GroupSpec(kind="permutation_generators", generators=(
+            tuple((i + 1) % 128 for i in range(128)), tuple((-i) % 128 for i in range(128))))
+        assert rs.groups.permutation_group(spec).order == 256
+
+    def test_s128_refused_fast_and_small(self):
+        spec = rs.GroupSpec(kind="symmetric", n=128)
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="stabilizer chain on 128 points"):
+                rs.groups.permutation_group(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 5.0
+        assert peak < 100 * 2**20
+
+    def test_matrix_groups_have_no_permutation_group(self):
+        with pytest.raises(BadParams):
+            rs.groups.permutation_group(rs.GroupSpec(kind="quaternion8"))
 
 
 class TestOrbitLabels:

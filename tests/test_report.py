@@ -318,6 +318,48 @@ class TestRunAnalysis:
         assert elapsed < 5.0
         assert peak < 600 * 2**20
 
+    def test_symmetric_sum_zero_closes_no_table(self, monkeypatch):
+        # S12 on its sum-zero space: 479,001,600 elements, none listed.
+        def refuse(*args, **kwargs):
+            raise AssertionError("closed a table for a permutation entry")
+
+        monkeypatch.setattr("repspect.report.enumerate_closure", refuse)
+        base = np.cos(1.3 * np.arange(12.0))
+        cfg = rs.parse_config(json.dumps({
+            "group": {"kind": "symmetric", "n": 12},
+            "representation": {"name": "sn_sum_zero"},
+            "measures": [{"kind": "orbit", "base": (base - base.mean()).tolist()}],
+            "samples": 1000,
+        }))
+        start = time.perf_counter()
+        tracemalloc.start()
+        try:
+            report = rs.run_analysis(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert time.perf_counter() - start < 1.0
+        assert peak < 16 * 2**20
+        assert (report.verdict.irreducible, report.verdict.type) == (True, "R")
+        assert report.provenance["group"]["order"] == math.factorial(12)
+        orbit = report.identities["orbit_exact"][0]
+        assert orbit["order"] == math.factorial(12)
+        assert orbit["single_residual"] <= 1e-12 and orbit["double_vs_single"] <= 1e-12
+        assert report.measures[0].matches_reference
+
+    @pytest.mark.parametrize("n", [20, 21])
+    def test_symmetric_orders_past_int64_stay_exact(self, n):
+        cfg = rs.parse_config(json.dumps({
+            "group": {"kind": "symmetric", "n": n},
+            "representation": {"name": "sn_permutation"},
+            "measures": [{"kind": "orbit", "base": np.cos(np.arange(float(n))).tolist()}],
+            "samples": 1000,
+        }))
+        doc = json.loads(json.dumps(report_document(rs.run_analysis(cfg))))
+        assert doc["provenance"]["group"]["order"] == math.factorial(n)
+        assert doc["identities"]["orbit_exact"][0]["order"] == math.factorial(n)
+        assert doc["verdict"]["sym_dim"] == 2
+
     @pytest.mark.parametrize("group,rep,measures", [
         ({"kind": "permutation_generators", "generators": [[1, 2, 3, 4, 0]]}, "sn_sum_zero",
          [{"kind": "orbit", "base": [1.0, -0.5, 0.25, 0.0]}, {"kind": "uniform_sphere"}]),
@@ -949,6 +991,54 @@ class TestCli:
         assert cli_main(["analyze", "--config", path]) == 1
         err = capsys.readouterr().err
         assert err.startswith("too large: ") and "byte budget" in err
+
+    def test_s128_permutation_refused_by_the_stabilizer_chain(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "symmetric", "n": 128},
+            "representation": {"name": "sn_permutation"},
+            "samples": 2000,
+        })
+        start = time.perf_counter()
+        assert cli_main(["analyze", "--config", path]) == 1
+        assert time.perf_counter() - start < 5.0
+        err = capsys.readouterr().err
+        assert err.startswith("too large: stabilizer chain on 128 points")
+
+    def test_permutation_analyses_leave_numpy_ma_unimported(self, tmp_path):
+        # A plain np.unique imports numpy.ma (13 ms on first use); the
+        # permutation paths call only its return_index/return_inverse forms.
+        d40 = [[(i + 1) % 40 for i in range(40)], [(-i) % 40 for i in range(40)]]
+        docs = {
+            "s7.json": {
+                "group": {"kind": "symmetric", "n": 7},
+                "representation": {"name": "sn_permutation"},
+                "measures": [
+                    {"kind": "discrete", "points": np.eye(7).tolist(), "probs": [1.0 / 7] * 7},
+                    {"kind": "orbit", "base": np.cos(np.arange(7.0)).tolist()},
+                ],
+            },
+            "d40.json": {
+                "group": {"kind": "permutation_generators", "generators": d40},
+                "representation": {"name": "sn_permutation"},
+                "measures": [{"kind": "orbit", "base": np.cos(np.arange(40.0)).tolist()},
+                             {"kind": "uniform_sphere"}],
+            },
+        }
+        paths = []
+        for name, doc in docs.items():
+            doc.update(samples=2000, outputs={"report": str(tmp_path / f"report-{name}")})
+            (tmp_path / name).write_text(json.dumps(doc))
+            paths.append(str(tmp_path / name))
+        code = (
+            "import sys\n"
+            "from repspect.cli import main\n"
+            "codes = [main(['analyze', '--config', path]) for path in sys.argv[1:]]\n"
+            "sys.exit(0 if codes == [0, 0] and 'numpy.ma' not in sys.modules else 1)\n"
+        )
+        src = str(Path(rs.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", code, *paths], env=env, capture_output=True)
+        assert done.returncode == 0, done.stderr
 
     def test_readme_example_config_runs(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -85,6 +85,12 @@ class TestCatalog:
             rs.build_named_rep("q8_left", s3_table)
         with pytest.raises(BadParams):
             rs.build_named_rep("sn_permutation", q8_table)
+        # A table-free permutation group has no table to multiply images along.
+        s3 = rs.permutation_group(rs.GroupSpec(kind="symmetric", n=3))
+        with pytest.raises(BadParams):
+            rs.build_named_rep("explicit", s3, generator_images=[np.eye(2)] * 2)
+        with pytest.raises(BadParams):
+            rs.build_named_rep("sn_permutation", s3).table_images()
 
     @pytest.mark.parametrize("name,fixture_n", [
         ("sn_permutation", 4),
