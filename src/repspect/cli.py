@@ -1,15 +1,20 @@
 """Command-line interface: ``repspect analyze`` and ``repspect catalog``.
 
-Exit codes: 0 when the analysis ran to completion (whatever the verdict),
-1 for config errors and for problems refused by size before they are
-allocated (``TooLarge``, printed as "too large: ..."), 2 for numerical
-failures (verdict conflict, disagreeing dimension counts, or a singular
-value too close to the nullspace cutoff).
+The command line is read with ``getopt`` (see ``parse_command_line``).
+Flag values go to ``parse_config`` as config overrides, so the config's
+validation is also theirs.
+
+Exit codes: 0 when the analysis ran to completion (whatever the verdict)
+or the usage was asked for; 1 for a malformed command line (the usage and
+the reason go to stderr), for config errors and for problems refused by
+size before they are allocated (``TooLarge``, printed as "too large:
+..."); 2 for numerical failures (verdict conflict, disagreeing dimension
+counts, or a singular value too close to the nullspace cutoff).
 """
 
 from __future__ import annotations
 
-import argparse
+import getopt
 import sys
 from pathlib import Path
 
@@ -36,6 +41,38 @@ CONFIG_ERRORS = (
     NonInvertibleGenerator,
     ClosureOverflow,
 )
+
+COMMAND_FLAGS = {
+    "analyze": ("config=", "samples=", "seed=", "workers=", "format=", "trace="),
+    "catalog": (),
+}
+
+USAGE = """\
+usage: repspect analyze --config PATH [--samples N] [--seed N] [--workers N]
+                        [--format json|text] [--trace PATH]
+       repspect catalog
+       repspect -h | --help
+
+Certify irreducibility of real compact-group representations and verify
+the invariant-measure moment identities.
+
+commands:
+  analyze               run a full analysis from a JSON config
+  catalog               list built-in groups, representations and measures
+
+analyze flags:
+  --config PATH         path to the JSON config (required)
+  --samples N           override: Monte Carlo pair count
+  --seed N              override: master seed
+  --workers N           override: worker stream count
+  --format json|text    override: report format
+  --trace PATH          override: convergence CSV path
+
+Flags take "--name VALUE" or "--name=VALUE" and may be shortened to a
+unique prefix.  Exit codes: 0 analysis completed (whatever the verdict);
+1 malformed command line, config error, or problem too large; 2 numerical
+failure.
+"""
 
 CATALOG_TEMPLATE = """\
 groups:
@@ -71,44 +108,64 @@ def catalog_text() -> str:
     return CATALOG_TEMPLATE.format(representations="\n".join(lines))
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repspect",
-        description="Certify irreducibility of real compact-group representations "
-        "and verify the invariant-measure moment identities.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def parse_command_line(argv: list[str]) -> tuple[str, dict]:
+    """The command of a ``repspect`` command line with its flags, by full
+    name: ``("help", {})``, ``("catalog", {})`` or ``("analyze", flags)``.
 
-    analyze = sub.add_parser("analyze", help="run a full analysis from a JSON config")
-    analyze.add_argument("--config", required=True, help="path to the JSON config")
-    analyze.add_argument("--samples", type=int, help="override: Monte Carlo pair count")
-    analyze.add_argument("--seed", type=int, help="override: master seed")
-    analyze.add_argument("--workers", type=int, help="override: worker stream count")
-    analyze.add_argument("--format", choices=("json", "text"), help="override: report format")
-    analyze.add_argument("--trace", help="override: convergence CSV path")
+    Long flags take ``--name VALUE`` or ``--name=VALUE`` and may be
+    shortened to a unique prefix; the last of a repeated flag wins.
+    Raises getopt.GetoptError on a malformed command line.
+    """
+    opts, args = getopt.getopt(argv, "h", ["help"])
+    if opts:
+        return "help", {}
+    if not args:
+        raise getopt.GetoptError("a command is required: analyze or catalog")
+    command = args[0]
+    if command not in COMMAND_FLAGS:
+        raise getopt.GetoptError(f"unknown command {command!r}: use analyze or catalog")
+    opts, args = getopt.getopt(args[1:], "h", ["help", *COMMAND_FLAGS[command]])
+    flags = {name.lstrip("-"): value for name, value in opts}
+    if "h" in flags or "help" in flags:
+        return "help", {}
+    if args:
+        raise getopt.GetoptError(f"unexpected argument {args[0]!r}")
+    if command == "analyze" and "config" not in flags:
+        raise getopt.GetoptError("analyze needs --config PATH")
+    return command, flags
 
-    sub.add_parser("catalog", help="list built-in groups, representations and measures")
-    return parser
 
-
-def flag_overrides(args) -> dict:
-    """The config fields that the ``analyze`` flags given replace."""
-
-    def given(*keys):
-        return {key: getattr(args, key) for key in keys if getattr(args, key) is not None}
-
-    overrides, outputs = given("samples", "seed", "workers"), given("format", "trace")
+def flag_overrides(flags: dict) -> dict:
+    """The config fields that the ``analyze`` flags given replace.  A number
+    flag that does not read as an integer stays text, for validation to
+    refuse like a config value."""
+    overrides = {key: _integer(flags[key]) for key in ("samples", "seed", "workers") if key in flags}
+    outputs = {key: flags[key] for key in ("format", "trace") if key in flags}
     return dict(overrides, outputs=outputs) if outputs else overrides
 
 
+def _integer(text: str):
+    try:
+        return int(text)
+    except ValueError:
+        return text
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "catalog":
+    try:
+        command, flags = parse_command_line(sys.argv[1:] if argv is None else list(argv))
+    except getopt.GetoptError as e:
+        print(f"{USAGE}\nrepspect: error: {e.msg}", file=sys.stderr)
+        return 1
+    if command == "help":
+        print(USAGE, end="")
+        return 0
+    if command == "catalog":
         print(catalog_text(), end="")
         return 0
 
     try:
-        cfg = parse_config(Path(args.config), flag_overrides(args))
+        cfg = parse_config(Path(flags["config"]), flag_overrides(flags))
     except CONFIG_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
         return 1

@@ -73,7 +73,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -109,8 +109,7 @@ WITNESS_GAP_TOL = 1e-8
 WITNESS_RESIDUAL_TOL = 1e-6
 
 
-@dataclass
-class CommutantBasis:
+class CommutantBasis(NamedTuple):
     """Orthonormal basis (trace inner product) of the commuting span, split.
 
     ``basis`` is a ``(dim, n, n)`` array: ``sym_dim`` symmetric elements
@@ -135,8 +134,7 @@ class CommutantBasis:
     ambiguous_sigma: float | None = None
 
 
-@dataclass(frozen=True)
-class TypeVerdict:
+class TypeVerdict(NamedTuple):
     """Irreducibility decision plus division-algebra type when it applies."""
 
     irreducible: bool
@@ -145,8 +143,7 @@ class TypeVerdict:
     sym_dim: int
 
 
-@dataclass
-class WitnessSubspace:
+class WitnessSubspace(NamedTuple):
     """Orthonormal basis of a proper invariant subspace, with its residual."""
 
     basis: np.ndarray  # (n, m), orthonormal columns

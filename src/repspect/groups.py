@@ -26,8 +26,8 @@ invariant distribution, and have a fixed stack of topological generators.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 from numpy.random import SeedSequence, default_rng
@@ -66,8 +66,7 @@ def stream(seed, *path: int) -> np.random.Generator:
     return default_rng(substream(seed, *path))
 
 
-@dataclass(frozen=True)
-class GroupSpec:
+class GroupSpec(NamedTuple):
     """Description of a compact group.
 
     ``kind`` is one of the named families (``symmetric``, ``cyclic``,
@@ -85,21 +84,18 @@ class GroupSpec:
         return self.kind not in CONTINUOUS_FAMILIES
 
 
-@dataclass(frozen=True)
 class ContinuousFamily:
     """A continuous orthogonal matrix family, identified by kind and size."""
 
-    kind: str  # "orthogonal" | "special_orthogonal"
-    n: int
-
-    def __post_init__(self):
-        if self.kind not in CONTINUOUS_FAMILIES:
-            raise BadParams(f"unknown continuous family {self.kind!r}")
-        if self.n < 1:
+    def __init__(self, kind: str, n: int):
+        if kind not in CONTINUOUS_FAMILIES:
+            raise BadParams(f"unknown continuous family {kind!r}")
+        if n < 1:
             raise BadParams("family dimension must be >= 1")
+        self.kind = kind  # "orthogonal" | "special_orthogonal"
+        self.n = n
 
 
-@dataclass(eq=False)
 class FiniteGroupTable:
     """A finite group as one payload array and a Schreier tree.
 
@@ -111,15 +107,18 @@ class FiniteGroupTable:
     so each breadth-first level is a contiguous run.  ``generators`` holds
     the table indices of the generators.  ``cyclic``/``dihedral`` payloads
     are closed-form rotations and reflections by multiples of 2*pi/n on
-    that tree; other matrix payloads are the products along it.
+    that tree; other matrix payloads are the products along it.  ``index``,
+    when given, is the payload index ``indices_of`` would otherwise build.
     """
 
-    payload: np.ndarray
-    parent: np.ndarray
-    generator: np.ndarray
-    generators: np.ndarray
-    _index: PermutationIndex | MatrixIndex | None = field(default=None, repr=False)
-    _orbitals: tuple | None = field(default=None, repr=False)  # see group_orbitals
+    def __init__(self, payload: np.ndarray, parent: np.ndarray, generator: np.ndarray,
+                 generators: np.ndarray, index: PermutationIndex | MatrixIndex | None = None):
+        self.payload = payload
+        self.parent = parent
+        self.generator = generator
+        self.generators = generators
+        self._index = index
+        self._orbitals: tuple | None = None  # see group_orbitals
 
     @property
     def order(self) -> int:
@@ -165,7 +164,6 @@ class FiniteGroupTable:
         return images
 
 
-@dataclass(eq=False)
 class PermutationGroup:
     """A finite permutation group held by its generators, with no table.
 
@@ -176,9 +174,10 @@ class PermutationGroup:
     stabilizers, orbit moments) is read off the generators.
     """
 
-    generator_payloads: np.ndarray
-    order: int
-    _orbitals: tuple | None = field(default=None, repr=False)  # see group_orbitals
+    def __init__(self, generator_payloads: np.ndarray, order: int):
+        self.generator_payloads = generator_payloads
+        self.order = order
+        self._orbitals: tuple | None = None  # see group_orbitals
 
 
 def orbit_labels(maps: np.ndarray) -> np.ndarray:
@@ -496,7 +495,7 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
         parent=parent,
         generator=generator,
         generators=np.array(index.lookup(generators), dtype=np.intp),
-        _index=index if isinstance(index, MatrixIndex) else None,
+        index=index if isinstance(index, MatrixIndex) else None,
     )
 
 

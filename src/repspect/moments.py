@@ -40,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -67,8 +67,7 @@ ORBIT_BLOCK_FLOATS = 65_536
 FACTORIAL_GUARD = 8
 
 
-@dataclass(frozen=True)
-class MeasureSpec:
+class MeasureSpec(NamedTuple):
     """Description of an invariant probability measure on the unit sphere.
 
     kinds: ``orbit`` (push-forward of the group's invariant distribution
@@ -84,8 +83,7 @@ class MeasureSpec:
     probs: np.ndarray | None = None
 
 
-@dataclass(frozen=True)
-class MomentEstimate:
+class MomentEstimate(NamedTuple):
     """A scalar moment with its sampling error; stderr is 0 when exact."""
 
     value: float
@@ -94,8 +92,7 @@ class MomentEstimate:
     exact: bool
 
 
-@dataclass
-class SecondMomentMatrix:
+class SecondMomentMatrix(NamedTuple):
     """Mean of x x^T with per-entry standard errors (zeros when exact),
     and the mean of x over the same draws or points."""
 
@@ -462,8 +459,7 @@ def _exact_second_moment(entries: np.ndarray, mean: np.ndarray, n_points: int):
     )
 
 
-@dataclass(frozen=True)
-class LowerBoundCheck:
+class LowerBoundCheck(NamedTuple):
     value: float   # |M|_F^2
     bound: float   # 1/n
     gap: float     # |M - I/n|_F^2 >= 0
@@ -486,8 +482,7 @@ def lower_bound_check(m, trace_tol: float = 1e-8) -> LowerBoundCheck:
     return LowerBoundCheck(value=1.0 / n + gap, bound=1.0 / n, gap=gap)
 
 
-@dataclass(frozen=True)
-class OrbitMoments:
+class OrbitMoments(NamedTuple):
     single_sum: float   # mean over g of <rho(g) v, v>^2
     double_sum: float   # mean over (g, h) pairs of <rho(g) v, rho(h) v>^2
     group_sum: float    # |G| * single_sum
@@ -581,8 +576,7 @@ def sn_cosine_identity(x) -> float:
 # expectation identity and invariance checks
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ExpectationCheck:
+class ExpectationCheck(NamedTuple):
     """Comparison of E(x) with E(P x) for the invariant projector P."""
 
     mean_x: np.ndarray
@@ -631,8 +625,7 @@ def expectation_identity_check(
     )
 
 
-@dataclass(frozen=True)
-class InvarianceCheck:
+class InvarianceCheck(NamedTuple):
     invariant: bool
     violating_generator: int | None  # position of the first failing generator in the generator list
 

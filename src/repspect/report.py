@@ -18,13 +18,11 @@ identity checks that hold for every vector take theirs from fixed streams.
 
 from __future__ import annotations
 
-import csv
-import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -94,35 +92,29 @@ GROUP_KINDS = FINITE_FAMILIES + CONTINUOUS_FAMILIES + (
 )
 
 
-@dataclass
-class Tolerances:
+class Tolerances(NamedTuple):
     band_sigma: float = 4.0        # consistency band in sampling stderrs
     conflict_sigma: float = 6.0    # escalation band for the verdict cross-check
     nullspace_rel: float = NULLSPACE_REL_THRESHOLD  # singular-value cutoff, relative to max(largest, 1)
     closure_cap: int = DEFAULT_CLOSURE_CAP          # element guard of a group table
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
 
-
-@dataclass
-class AnalysisConfig:
+class AnalysisConfig(NamedTuple):
     group: GroupSpec
     rep_name: str
     rep_n: int | None = None
     generator_images: list | None = None
-    measures: list[MeasureSpec] = field(default_factory=list)
+    measures: list[MeasureSpec] = ()
     samples: int = DEFAULT_SAMPLES
     seed: int = 0
     workers: int = 1
-    tolerances: Tolerances = field(default_factory=Tolerances)
+    tolerances: Tolerances = Tolerances()
     report_path: str | None = None
     format: str = "json"
     trace_path: str | None = None
 
 
-@dataclass
-class MeasureResult:
+class MeasureResult(NamedTuple):
     kind: str
     estimate: MomentEstimate
     reference: float
@@ -135,8 +127,7 @@ class MeasureResult:
     lower_bound_gap: float | None = None    # measures with an exact second moment only
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     verdict: TypeVerdict
     commutant: CommutantBasis
     witness: WitnessSubspace | None
@@ -409,7 +400,7 @@ def _validate_tolerances(node) -> Tolerances:
             raise ValidationError(f"tolerance {key!r} must be positive and finite")
         elif key == "nullspace_rel" and val >= 1:  # a cutoff of sigma_max calls all null
             raise ValidationError("tolerance 'nullspace_rel' must be below 1")
-        setattr(tol, key, val if key == "closure_cap" else float(val))
+        tol = tol._replace(**{key: val if key == "closure_cap" else float(val)})
     return tol
 
 
@@ -553,7 +544,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         "seed": cfg.seed,
         "samples": cfg.samples,
         "workers": cfg.workers,
-        "tolerances": tol.as_dict(),
+        "tolerances": tol._asdict(),
         "group": {"kind": cfg.group.kind, "n": cfg.group.n,
                   "order": group.order if finite else None},
         "representation": {"name": cfg.rep_name, "dim": rep.dim},
@@ -798,10 +789,10 @@ def emit_outputs(report: Report, cfg: AnalysisConfig) -> dict:
     if cfg.trace_path and report.trace_rows:
         path = Path(cfg.trace_path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["n_samples", "estimate", "stderr", "reference"])
+        reference = f"{report.reference:.12g}"
+        with open(path, "w", newline="\n") as fh:
+            fh.write("n_samples,estimate,stderr,reference\n")
             for n, est, err in report.trace_rows:
-                writer.writerow([n, f"{est:.12g}", f"{err:.12g}", f"{report.reference:.12g}"])
+                fh.write(",".join([str(n), f"{est:.12g}", f"{err:.12g}", reference]) + "\n")
         written["trace_path"] = str(path)
     return written

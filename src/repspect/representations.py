@@ -29,9 +29,8 @@ to unit-trace rank-one matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -53,7 +52,6 @@ GRAM_EIG_FLOOR = 1e-12
 PERMUTATION_ENTRIES = ("sn_permutation", "sn_sum_zero")
 
 
-@dataclass(eq=False)
 class Representation:
     """Concrete orthogonal representation of a group source.
 
@@ -65,13 +63,22 @@ class Representation:
     explicit generator images, if any.
     """
 
-    dim: int
-    stack_map: Callable[[np.ndarray], np.ndarray]
-    group: GroupSource | None = None
-    catalog_id: str | None = None
-    basis_change: np.ndarray | None = None
-    orbit_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-    _images: np.ndarray | None = field(default=None, repr=False)
+    def __init__(
+        self,
+        dim: int,
+        stack_map: Callable[[np.ndarray], np.ndarray],
+        group: GroupSource | None = None,
+        catalog_id: str | None = None,
+        basis_change: np.ndarray | None = None,
+        orbit_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+    ):
+        self.dim = dim
+        self.stack_map = stack_map
+        self.group = group
+        self.catalog_id = catalog_id
+        self.basis_change = basis_change
+        self.orbit_map = orbit_map
+        self._images: np.ndarray | None = None
 
     @property
     def finite(self) -> bool:
@@ -214,8 +221,8 @@ def gram_symmetrize(raw_images: np.ndarray, table: FiniteGroupTable) -> Represen
         lambda payload: images[table.indices_of(payload)],
         table,
         basis_change=b_sqrt,
-        _images=images,
     )
+    rep._images = images
     worst = orthogonality_defect(images)
     if worst > ORTHOGONALITY_TOL:
         raise BadParams(
@@ -250,8 +257,7 @@ def homomorphism_defect(rep: Representation) -> float:
 # the catalog
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One named representation, as validation, construction and
     ``repspect catalog`` read it.
 

@@ -1,4 +1,3 @@
-import dataclasses
 import inspect
 import math
 import time
@@ -676,7 +675,7 @@ class TestSplitAndClassify:
     def test_inconsistent_dimension_rejected(self, q8_table):
         rep = rs.build_named_rep("q8_left", q8_table)
         cb = rs.commutant_basis(rep)
-        cb.dim = 3  # corrupt: scalar symmetric part with a 3-dim algebra
+        cb = cb._replace(dim=3)  # corrupt: scalar symmetric part with a 3-dim algebra
         with pytest.raises(InconsistentDimensions):
             rs.classify_and_decide(cb)
 
@@ -757,7 +756,7 @@ class TestWitness:
             for part in (cb.basis[: cb.sym_dim], cb.basis[cb.sym_dim :]):
                 mixing, _ = np.linalg.qr(rng.standard_normal((len(part), len(part))))
                 parts.append(np.einsum("ij,jkl->ikl", mixing, part))
-            bases.append(dataclasses.replace(cb, basis=np.concatenate(parts)))
+            bases.append(cb._replace(basis=np.concatenate(parts)))
         witnesses = [rs.witness_invariant_subspace(b, rep) for b in bases]
         reference = witnesses[0].basis @ witnesses[0].basis.T
         for w in witnesses:
@@ -796,10 +795,9 @@ class TestWitness:
         rep = rs.build_named_rep("sn_permutation", s3_table)
         cb = rs.commutant_basis(rep)
         scalar = np.eye(3) / np.sqrt(3.0)
-        cb.basis = np.stack([scalar, scalar + 1e-9 * np.eye(3)])
-        cb.dim = 2
-        cb.sym_dim = 2
-        cb.skew_dim = 0
+        cb = cb._replace(
+            basis=np.stack([scalar, scalar + 1e-9 * np.eye(3)]), dim=2, sym_dim=2, skew_dim=0
+        )
         with pytest.raises(DegenerateSpectrum):
             rs.witness_invariant_subspace(cb, rep)
 

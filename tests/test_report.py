@@ -705,8 +705,7 @@ class TestRunAnalysis:
         })
         counts, documents = [], []
         for trace_path in (None, str(tmp_path / "trace.csv")):
-            cfg = rs.parse_config(text)
-            cfg.trace_path = trace_path
+            cfg = rs.parse_config(text)._replace(trace_path=trace_path)
             draws.clear()
             report = rs.run_analysis(cfg)
             counts.append(sum(draws))
@@ -760,8 +759,7 @@ class TestEmission:
         assert out["report_text"] == out2["report_text"]
 
     def test_text_format(self):
-        cfg = rs.parse_config(minimal_config(samples=2000))
-        cfg.format = "text"
+        cfg = rs.parse_config(minimal_config(samples=2000))._replace(format="text")
         report = rs.run_analysis(cfg)
         text = rs.emit_outputs(report, cfg)["report_text"]
         assert "verdict: irreducible, type R" in text
@@ -868,6 +866,69 @@ class TestCli:
         assert code == 0
         assert report_path.read_text().startswith("verdict: irreducible")
         assert trace_path.read_text().startswith("n_samples,estimate,stderr,reference")
+
+    def test_flag_value_after_equals_sign(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "sn_sum_zero"},
+            "samples": 2000,
+        })
+        assert cli_main(["analyze", f"--config={path}", "--format=text"]) == 0
+        assert capsys.readouterr().out.startswith("verdict: irreducible")
+
+    def test_unique_prefix_names_its_flag(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "sn_sum_zero"},
+            "samples": 2000,
+        })
+        assert cli_main(["analyze", "--conf", path, "--sam", "5", "--fo", "text"]) == 0
+        assert "samples=5 " in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv,reason", [
+        (["analyze", "--config", "{path}", "--s", "5"], "option --s not a unique prefix"),
+        (["analyze", "--config", "{path}", "--bogus", "1"], "option --bogus not recognized"),
+        (["analyze", "--config", "{path}", "extra"], "unexpected argument 'extra'"),
+        (["analyze", "--samples", "5"], "analyze needs --config PATH"),
+        (["analyse", "--config", "{path}"], "unknown command 'analyse': use analyze or catalog"),
+        (["analyze", "--config"], "option --config requires argument"),
+        ([], "a command is required: analyze or catalog"),
+    ], ids=["ambiguous_prefix", "unknown_flag", "stray_argument", "missing_config",
+            "unknown_command", "missing_value", "no_command"])
+    def test_malformed_command_line_exit_one(self, argv, reason, tmp_path, capsys):
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "sn_sum_zero"},
+        })
+        assert cli_main([arg.format(path=path) for arg in argv]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: repspect analyze --config PATH")
+        assert err.endswith(f"\nrepspect: error: {reason}\n")
+
+    def test_non_integer_samples_refused_by_validation(self, tmp_path, capsys):
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "sn_sum_zero"},
+        })
+        assert cli_main(["analyze", "--config", path, "--samples", "abc"]) == 1
+        assert capsys.readouterr().err == "config error: 'samples' must be an integer >= 2\n"
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], ["analyze", "--help"], ["analyze", "--config", "c.json", "-h"],
+        ["catalog", "--he"],
+    ])
+    def test_help_prints_the_usage_and_exits_zero(self, argv, capsys):
+        assert cli_main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out.startswith("usage: repspect analyze --config PATH") and err == ""
+        assert "--format json|text" in out and "repspect catalog" in out
+
+    def test_readme_shows_the_usage(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        match = re.search(r"```text\n\$ repspect --help\n(.*?)```", readme, re.S)
+        assert cli_main(["--help"]) == 0
+        assert match.group(1) == capsys.readouterr().out
 
     @pytest.mark.parametrize("fields", [
         # Each of these ran at one time: the NaN base to a report with bare
@@ -1062,7 +1123,9 @@ class TestCli:
         value, stderr = map(float, overlap.split())
         assert abs(value - 0.25) <= 4.0 * stderr
 
-    @pytest.mark.parametrize("module", ["scipy", "importlib.metadata"])
+    @pytest.mark.parametrize(
+        "module", ["scipy", "importlib.metadata", "dataclasses", "argparse", "csv"]
+    )
     def test_import_leaves_scipy_out(self, module):
         src = str(Path(rs.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=src)
