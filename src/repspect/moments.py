@@ -23,10 +23,12 @@ check E(x) = E(P x) reads that one moment record and draws nothing.
 Monte Carlo estimates are a deterministic function of (seed, worker
 count, sample count): sampling is partitioned into per-worker substreams
 and reduced in a fixed order.  Every estimator draws ``_sample_blocks``
-of 512 KB, successive blocks continuing each substream, and holds one
-block at a time: a block's draws are summed into the moment record and
-its overlap values merged into a running count, mean and M2 before the
-next block is drawn, so memory does not depend on the sample count.
+of at most 8,192 draws and 512 KB, successive blocks continuing each
+substream, and holds one block at a time: a block's draws are summed
+into the moment record and its overlap values merged into a running
+count, mean and M2 before the next block is drawn, so memory does not
+depend on the sample count.  A sphere or subsphere draws the blocks of
+a worker chunk into one buffer, each block overwriting the last.
 Every sampled measure draws one point per pair: a worker chunk of N pairs
 draws N + 1 points and chains them, <x_i, x_{i+1}>^2.  The chained values
 are iid on an invariant measure: on a sphere or subsphere by rotation
@@ -58,12 +60,15 @@ from .representations import PERMUTATION_ENTRIES, Representation, _check_unit, s
 PROB_SUM_TOL = 1e-12
 DISCRETE_POINT_TOL = 1e-8  # see check_discrete_invariance
 DISCRETE_PROB_TOL = 1e-10
-# Floats per block of draws (512 KB): a sampler's ``block`` is
-# ORBIT_BLOCK_FLOATS // dim vectors, or for a continuous orbit
+# Floats per block of draws (512 KB) and draws per block: a sampler's
+# ``block`` is ORBIT_BLOCK_FLOATS // dim vectors, or for a continuous orbit
 # ORBIT_BLOCK_FLOATS // max(n, dim)^2 payloads (2621 for SO(3) on dim 5),
-# so its payloads and the images the default ``orbit`` builds stay that size.
+# so its payloads and the images the default ``orbit`` builds stay that size,
+# and at most BLOCK_DRAWS, so each per-draw vector of a block (norms,
+# chained values) stays within 64 KB.
 # The Monte Carlo estimators hold one block of draws at a time.
 ORBIT_BLOCK_FLOATS = 65_536
+BLOCK_DRAWS = 8_192
 FACTORIAL_GUARD = 8
 
 
@@ -145,23 +150,45 @@ def discrete_measure(points, probs) -> MeasureSpec:
 # samplers
 # ---------------------------------------------------------------------------
 
+def _block_rows(floats_per_draw: int) -> int:
+    return max(1, min(BLOCK_DRAWS, ORBIT_BLOCK_FLOATS // floats_per_draw))
+
+
 class VectorSampler:
-    """Stateless batch sampler of unit vectors for one measure; the
-    estimators draw ``block`` rows at a time and may overwrite them.
+    """Stateless batch sampler of unit vectors for one measure.
+
+    The estimators draw ``block`` rows at a time, at most ``BLOCK_DRAWS``
+    draws and ``ORBIT_BLOCK_FLOATS`` floats, and may overwrite them.
     Draws are iid and row by row, so successive blocks continue one
-    stream, and ``squared_overlap_values`` pairs each draw with the next."""
+    stream, and ``squared_overlap_values`` pairs each draw with the next.
+    ``sample(rng, count, buf)`` may draw into ``buf``, the scratch that
+    ``buffer()`` makes for a worker chunk, and return a view of it that
+    the next call overwrites; called without a buffer, it returns a fresh
+    array.
+    """
 
     def __init__(self, dim: int):
         self.dim = dim
-        self.block = max(1, ORBIT_BLOCK_FLOATS // dim)
+        self.block = _block_rows(dim)
 
-    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+    def buffer(self) -> np.ndarray | None:
+        """Scratch for one block of draws, or None when each block is
+        drawn into fresh memory."""
+        return None
+
+    def sample(
+        self, rng: np.random.Generator, count: int, buf: np.ndarray | None = None
+    ) -> np.ndarray:
         raise NotImplementedError
 
 
 class _SphereSampler(VectorSampler):
-    def sample(self, rng, count):
-        z = rng.standard_normal((count, self.dim))
+    def buffer(self):
+        return np.empty((self.block, self.dim))
+
+    def sample(self, rng, count, buf=None):
+        z = np.empty((count, self.dim)) if buf is None else buf[:count]
+        rng.standard_normal(out=z)
         norms = np.sqrt(np.einsum("ki,ki->k", z, z))
         while (norms < 1e-12).any():  # probability-zero guard
             bad = norms < 1e-12
@@ -177,8 +204,11 @@ class _SubsphereSampler(VectorSampler):
         self.subspace = subspace
         self._inner = _SphereSampler(subspace.shape[1])
 
-    def sample(self, rng, count):
-        return self._inner.sample(rng, count) @ self.subspace.T
+    def buffer(self):
+        return np.empty((self.block, self._inner.dim))
+
+    def sample(self, rng, count, buf=None):
+        return self._inner.sample(rng, count, buf) @ self.subspace.T
 
 
 class _ContinuousOrbitSampler(VectorSampler):
@@ -186,9 +216,9 @@ class _ContinuousOrbitSampler(VectorSampler):
         super().__init__(rep.dim)
         self.rep = rep
         self.base = base
-        self.block = max(1, ORBIT_BLOCK_FLOATS // max(rep.group.n, rep.dim) ** 2)
+        self.block = _block_rows(max(rep.group.n, rep.dim) ** 2)
 
-    def sample(self, rng, count):
+    def sample(self, rng, count, buf=None):
         return self.rep.orbit(haar_matrices(self.rep.group, rng, count), self.base)
 
 
@@ -249,12 +279,17 @@ def _sample_blocks(sampler: VectorSampler, rng: np.random.Generator, size: int):
     Every sampler draws row by row and successive draws continue the
     stream, so the blocks stack to the draws of one
     ``sampler.sample(rng, size)`` call (barring a re-drawn singular Haar
-    draw, which has probability zero).  A caller that ends its loop body
-    with ``del`` on the block holds one block at a time; a loop variable
-    would keep it alive while the next one is drawn.
+    draw, which has probability zero).  The blocks are drawn into one
+    ``sampler.buffer()`` per call, a worker chunk, when the sampler has
+    one: a block holds at most 8,192 draws and 512 KB of draws and is
+    overwritten by the next, so a caller copies what it keeps.  Without a
+    buffer each block is fresh, and a caller that ends its loop body with
+    ``del`` on the block holds one block at a time; a loop variable would
+    keep it alive while the next one is drawn.
     """
+    buf = sampler.buffer()
     for start in range(0, size, sampler.block):
-        yield sampler.sample(rng, min(sampler.block, size - start))
+        yield sampler.sample(rng, min(sampler.block, size - start), buf)
 
 
 class _MomentSums:
@@ -307,8 +342,9 @@ def squared_overlap_values(
 
     Each block of draws gives its overlaps and a copy of its last row, for
     the next block's first overlap; it is then added to ``sums`` and
-    released before its values are yielded, so one block of draws is alive
-    at a time whatever n_pairs is.
+    released, or left in the chunk's buffer for the next block to
+    overwrite, before its values are yielded, so one block of draws is
+    alive at a time whatever n_pairs is.
     """
     for w, size in enumerate(_chunk_sizes(n_pairs, workers)):
         last = None

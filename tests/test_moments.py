@@ -67,7 +67,7 @@ class FiniteLawSampler(VectorSampler):
         self.points = np.asarray(points, dtype=float)
         self.probs = probs
 
-    def sample(self, rng, count):
+    def sample(self, rng, count, buf=None):
         return self.points[rng.choice(len(self.points), size=count, p=self.probs)]
 
 
@@ -166,6 +166,44 @@ class TestSamplers:
         rows, peak = traced_peak(drawn_rows)
         assert rows == 100_000
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("kind", ["sphere", "subsphere"])
+    def test_blocks_of_a_chunk_share_one_buffer(self, so3_tss, kind):
+        # Each block overwrites the last in the chunk's buffer, and the blocks,
+        # copied as they come, are the draws of one whole sample call.
+        if kind == "sphere":
+            spec = rs.uniform_sphere()
+        else:
+            spec = rs.uniform_subsphere(np.linalg.qr(rs.stream(27).standard_normal((5, 2)))[0])
+        sampler = rs.make_sampler(spec, so3_tss)
+        size = 2 * sampler.block + 5
+        blocks = _sample_blocks(sampler, rs.stream(28), size)
+        first = next(blocks)
+        kept = [first.copy()]
+        for x in blocks:
+            kept.append(x.copy())
+            if kind == "sphere":
+                assert np.shares_memory(x, first)
+        assert len(kept) == 3
+        np.testing.assert_array_equal(np.concatenate(kept), sampler.sample(rs.stream(28), size))
+
+    def test_a_sample_call_without_a_buffer_is_fresh(self, so3_tss):
+        sampler = rs.make_sampler(rs.uniform_sphere(), so3_tss)
+        a = sampler.sample(rs.stream(29), 100)
+        b = sampler.sample(rs.stream(29), 100)
+        assert not np.shares_memory(a, b)
+        np.testing.assert_array_equal(a, b)
+
+    def test_blocks_hold_at_most_8192_draws(self, so3_tss):
+        # The float budget alone gives O(1) orbits 65,536 draws a block,
+        # O(2) orbits 16,384 and the 2-dim sphere 32,768.
+        samplers = [rs.make_sampler(rs.uniform_sphere(), so3_tss)]
+        samplers.append(rs.make_sampler(rs.orbit_measure(np.eye(5)[4]), so3_tss))
+        for n in (1, 2):
+            rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=n))
+            samplers.append(rs.make_sampler(rs.orbit_measure(np.eye(n)[0]), rep))
+            samplers.append(rs.make_sampler(rs.uniform_sphere(), rep))
+        assert all(1 <= s.block <= 8_192 for s in samplers)
 
     def test_dimension_mismatch_rejected(self, c4_rotation, so3_tss):
         with pytest.raises(BadMeasureSpec, match="orbit base has shape"):
@@ -301,6 +339,17 @@ class TestEstimateSquaredOverlap:
             rs.make_sampler(rs.uniform_sphere(), sphere_rep), 200_000, seed=24
         ))
         assert peak < 16 * 2**20
+
+    @pytest.mark.parametrize("n_pairs", [100_000, 400_000])
+    @pytest.mark.parametrize("dim", [2, 5, 40])
+    def test_sphere_pass_holds_about_one_block(self, dim, n_pairs):
+        # A block is at most 8,192 draws and 512 KB of draws, in one buffer
+        # per worker chunk, and each of its per-draw vectors (norms, chained
+        # and centred values) at most 64 KB.
+        fam = rs.ContinuousFamily(kind="orthogonal", n=dim)
+        sampler = rs.make_sampler(rs.uniform_sphere(), rs.build_named_rep("defining_orthogonal", fam))
+        _, peak = traced_peak(lambda: rs.estimate_squared_overlap(sampler, n_pairs, seed=30))
+        assert peak < 0.7 * 2**20
 
     def test_reproducible_given_seed_and_workers(self, so3_tss):
         sampler = rs.make_sampler(rs.uniform_sphere(), so3_tss)
