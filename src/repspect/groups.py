@@ -682,13 +682,14 @@ def haar_matrices(family: ContinuousFamily, rng: np.random.Generator, size: int)
     """Stack of ``size`` matrices drawn from the invariant distribution.
 
     For n = 3 each rotation comes from a standard Gaussian quaternion
-    (``_haar_rotations_3``): four draws per matrix.  Other sizes QR-factorize
-    a standard Gaussian matrix and rescale the Q columns by the signs of R's
-    diagonal; making the factorization unique makes the resulting
-    distribution exactly invariant (Mezzadri, Notices AMS 2007).  For the
-    special orthogonal family the last column sign is flipped whenever the
-    determinant is -1, which maps the invariant distribution of the full
-    group onto the subgroup.
+    (``_haar_rotations_3``): four draws per matrix, and the stack is the
+    view of a ``(3, 3, size)`` array, one row per entry.  Other sizes
+    QR-factorize a standard Gaussian matrix and rescale the Q columns by
+    the signs of R's diagonal; making the factorization unique makes the
+    resulting distribution exactly invariant (Mezzadri, Notices AMS 2007).
+    For the special orthogonal family the last column sign is flipped
+    whenever the determinant is -1, which maps the invariant distribution
+    of the full group onto the subgroup.
     """
     n = family.n
     special = family.kind == "special_orthogonal"
@@ -727,6 +728,11 @@ def _haar_rotations_3(rng: np.random.Generator, size: int, special: bool) -> np.
     sign(w) R(q), Haar on O(3) = SO(3) x {I, -I}, with no further draw.  A
     row with |q|^2 below ``SINGULAR_DRAW`` (probability zero) is re-drawn
     before anything is normalized.
+
+    The quaternions are drawn row by row, as ``(size, 4)``; w, x, y, z are
+    then contiguous rows, and so is each of the nine entries of R, computed
+    into a ``(3, 3, size)`` array.  The stack returned is its
+    ``(size, 3, 3)`` view, with the same values as a row-major stack.
     """
     q = rng.standard_normal((size, 4))
     norm2 = np.einsum("ki,ki->k", q, q)
@@ -735,22 +741,22 @@ def _haar_rotations_3(rng: np.random.Generator, size: int, special: bool) -> np.
         q[bad] = rng.standard_normal((bad.size, 4))
         norm2[bad] = np.einsum("ki,ki->k", q[bad], q[bad])
         bad = bad[norm2[bad] < SINGULAR_DRAW]
-    w, x, y, z = q.T * np.sqrt(2.0 / norm2)
+    w, x, y, z = np.multiply(q.T, np.sqrt(2.0 / norm2), out=np.empty((4, size)))
     xx, yy, zz = x * x, y * y, z * z
     xy, xz, yz, wx, wy, wz = x * y, x * z, y * z, w * x, w * y, w * z
-    r = np.empty((size, 3, 3))
-    r[:, 0, 0] = 1.0 - (yy + zz)
-    r[:, 0, 1] = xy - wz
-    r[:, 0, 2] = xz + wy
-    r[:, 1, 0] = xy + wz
-    r[:, 1, 1] = 1.0 - (xx + zz)
-    r[:, 1, 2] = yz - wx
-    r[:, 2, 0] = xz - wy
-    r[:, 2, 1] = yz + wx
-    r[:, 2, 2] = 1.0 - (xx + yy)
+    r = np.empty((3, 3, size))
+    r[0, 0] = 1.0 - (yy + zz)
+    r[0, 1] = xy - wz
+    r[0, 2] = xz + wy
+    r[1, 0] = xy + wz
+    r[1, 1] = 1.0 - (xx + zz)
+    r[1, 2] = yz - wx
+    r[2, 0] = xz - wy
+    r[2, 1] = yz + wx
+    r[2, 2] = 1.0 - (xx + yy)
     if not special:
-        r *= np.where(w < 0, -1.0, 1.0)[:, None, None]
-    return r
+        r *= np.where(w < 0, -1.0, 1.0)
+    return np.moveaxis(r, 2, 0)
 
 
 def topological_generators(family: ContinuousFamily) -> np.ndarray:

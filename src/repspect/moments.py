@@ -28,7 +28,11 @@ substream, and holds one block at a time: a block's draws are summed
 into the moment record and its overlap values merged into a running
 count, mean and M2 before the next block is drawn, so memory does not
 depend on the sample count.  A sphere or subsphere draws the blocks of
-a worker chunk into one buffer, each block overwriting the last.
+a worker chunk into one buffer, each block overwriting the last.  Blocks
+are coordinate-major: a C-contiguous ``(dim, count)`` array, one row per
+coordinate, of which the sampled rows are the ``(count, dim)`` view; the
+estimators work on the array, so norms, chained values and sums run along
+contiguous rows, and the record of a block is x x^T of that array.
 Every sampled measure draws one point per pair: a worker chunk of N pairs
 draws N + 1 points and chains them, <x_i, x_{i+1}>^2.  The chained values
 are iid on an invariant measure: on a sphere or subsphere by rotation
@@ -65,10 +69,13 @@ DISCRETE_PROB_TOL = 1e-10
 # ORBIT_BLOCK_FLOATS // max(n, dim)^2 payloads (2621 for SO(3) on dim 5),
 # so its payloads and the images the default ``orbit`` builds stay that size,
 # and at most BLOCK_DRAWS, so each per-draw vector of a block (norms,
-# chained values) stays within 64 KB.
+# chained values) stays within 64 KB.  A sphere fills its Gaussians through
+# a scratch of at most GAUSSIAN_FILL_FLOATS (64 KB), taken from the same
+# budget: its block is (ORBIT_BLOCK_FLOATS - scratch) // dim vectors.
 # The Monte Carlo estimators hold one block of draws at a time.
 ORBIT_BLOCK_FLOATS = 65_536
 BLOCK_DRAWS = 8_192
+GAUSSIAN_FILL_FLOATS = 8_192
 FACTORIAL_GUARD = 8
 
 
@@ -150,8 +157,8 @@ def discrete_measure(points, probs) -> MeasureSpec:
 # samplers
 # ---------------------------------------------------------------------------
 
-def _block_rows(floats_per_draw: int) -> int:
-    return max(1, min(BLOCK_DRAWS, ORBIT_BLOCK_FLOATS // floats_per_draw))
+def _block_rows(floats_per_draw: int, floats: int = ORBIT_BLOCK_FLOATS) -> int:
+    return max(1, min(BLOCK_DRAWS, floats // floats_per_draw))
 
 
 class VectorSampler:
@@ -161,41 +168,74 @@ class VectorSampler:
     draws and ``ORBIT_BLOCK_FLOATS`` floats, and may overwrite them.
     Draws are iid and row by row, so successive blocks continue one
     stream, and ``squared_overlap_values`` pairs each draw with the next.
-    ``sample(rng, count, buf)`` may draw into ``buf``, the scratch that
-    ``buffer()`` makes for a worker chunk, and return a view of it that
-    the next call overwrites; called without a buffer, it returns a fresh
-    array.
+    ``sample(rng, count, buf)`` returns ``(count, dim)`` rows; the built-in
+    samplers return the view of a C-contiguous ``(dim, count)`` array, one
+    row per coordinate, which is what the estimators read.  It may draw
+    into ``buf``, the scratch that ``buffer()`` makes for a worker chunk,
+    and return a view of it that the next call overwrites; called without
+    a buffer, it returns a fresh array.
     """
 
     def __init__(self, dim: int):
         self.dim = dim
         self.block = _block_rows(dim)
 
-    def buffer(self) -> np.ndarray | None:
+    def buffer(self):
         """Scratch for one block of draws, or None when each block is
         drawn into fresh memory."""
         return None
 
-    def sample(
-        self, rng: np.random.Generator, count: int, buf: np.ndarray | None = None
-    ) -> np.ndarray:
+    def sample(self, rng: np.random.Generator, count: int, buf=None) -> np.ndarray:
         raise NotImplementedError
 
 
+def _column_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """<a_k, b_k> for the columns k of two ``(dim, count)`` arrays, each
+    summed over the coordinates in order.
+
+    einsum adds the coordinates one contiguous row at a time, but it sums a
+    lone contiguous column as one vector, in another order; a one-column
+    pair is therefore read from a two-column copy, so a draw and its
+    overlap get the same bits whatever block they fall in.
+    """
+    if a.shape[1] == 1:
+        pair = np.concatenate((a, b), axis=1)
+        a, b = pair[:, :1], pair[:, 1:]
+    return np.einsum("ik,ik->k", a, b, out=out)
+
+
 class _SphereSampler(VectorSampler):
-    def buffer(self):
-        return np.empty((self.block, self.dim))
+    """Normalized Gaussians.  They are drawn row by row, ``fill`` draws at a
+    time, into a ``(fill, dim)`` scratch of at most ``GAUSSIAN_FILL_FLOATS``
+    and copied transposed into the block, which with that scratch holds at
+    most ``ORBIT_BLOCK_FLOATS``."""
+
+    def __init__(self, dim: int):
+        super().__init__(dim)
+        self.fill = _block_rows(dim, GAUSSIAN_FILL_FLOATS)
+        self.block = _block_rows(dim, ORBIT_BLOCK_FLOATS - self.fill * dim)
+
+    def buffer(self, rows: int | None = None):
+        """A flat block of ``rows`` draws (``block`` by default) and the
+        Gaussian scratch."""
+        rows = self.block if rows is None else rows
+        return np.empty(self.dim * rows), np.empty((min(self.fill, rows), self.dim))
 
     def sample(self, rng, count, buf=None):
-        z = np.empty((count, self.dim)) if buf is None else buf[:count]
-        rng.standard_normal(out=z)
-        norms = np.sqrt(np.einsum("ki,ki->k", z, z))
+        flat, scratch = self.buffer(count) if buf is None else buf
+        z = flat[: self.dim * count].reshape(self.dim, count)
+        for start in range(0, count, len(scratch)):
+            g = scratch[: count - start]
+            rng.standard_normal(out=g)
+            z[:, start : start + len(g)] = g.T
+        norms = _column_dots(z, z)
+        np.sqrt(norms, out=norms)
         while (norms < 1e-12).any():  # probability-zero guard
             bad = norms < 1e-12
-            z[bad] = rng.standard_normal((int(bad.sum()), self.dim))
-            norms = np.sqrt(np.einsum("ki,ki->k", z, z))
-        z /= norms[:, None]
-        return z
+            z[:, bad] = rng.standard_normal((int(bad.sum()), self.dim)).T
+            norms = np.sqrt(_column_dots(z, z))
+        z /= norms
+        return z.T
 
 
 class _SubsphereSampler(VectorSampler):
@@ -205,10 +245,12 @@ class _SubsphereSampler(VectorSampler):
         self._inner = _SphereSampler(subspace.shape[1])
 
     def buffer(self):
-        return np.empty((self.block, self._inner.dim))
+        return np.empty(self.dim * self.block), self._inner.buffer(self.block)
 
     def sample(self, rng, count, buf=None):
-        return self._inner.sample(rng, count, buf) @ self.subspace.T
+        flat, inner = (np.empty(self.dim * count), None) if buf is None else buf
+        out = flat[: self.dim * count].reshape(self.dim, count)
+        return np.matmul(self.subspace, self._inner.sample(rng, count, inner).T, out=out).T
 
 
 class _ContinuousOrbitSampler(VectorSampler):
@@ -282,10 +324,13 @@ def _sample_blocks(sampler: VectorSampler, rng: np.random.Generator, size: int):
     draw, which has probability zero).  The blocks are drawn into one
     ``sampler.buffer()`` per call, a worker chunk, when the sampler has
     one: a block holds at most 8,192 draws and 512 KB of draws and is
-    overwritten by the next, so a caller copies what it keeps.  Without a
-    buffer each block is fresh, and a caller that ends its loop body with
-    ``del`` on the block holds one block at a time; a loop variable would
-    keep it alive while the next one is drawn.
+    overwritten by the next, so a caller copies what it keeps.  A block of
+    a built-in sampler is the ``(count, dim)`` view of a C-contiguous
+    ``(dim, count)`` array: the sphere and subsphere take the first
+    ``dim * count`` floats of a flat buffer, so a short last block is
+    contiguous too.  Without a buffer each block is fresh, and a caller
+    that ends its loop body with ``del`` on the block holds one block at a
+    time; a loop variable would keep it alive while the next one is drawn.
     """
     buf = sampler.buffer()
     for start in range(0, size, sampler.block):
@@ -303,12 +348,14 @@ class _MomentSums:
         self.total = np.zeros(dim)
 
     def add(self, x: np.ndarray) -> None:
-        """Add a block of draws, squaring it in place."""
-        self.count += len(x)
-        self.outer += x.T @ x
-        self.total += np.einsum("ki->i", x)
-        x *= x
-        self.outer_sq += x.T @ x
+        """Add a block of draws, the rows of ``x``, squaring it in place.
+        Its transpose, one row per coordinate, is what is summed."""
+        z = x.T
+        self.count += z.shape[1]
+        self.outer += z @ z.T
+        self.total += np.einsum("ik->i", z)
+        z *= z
+        self.outer_sq += z @ z.T
 
     def record(self) -> SecondMomentMatrix:
         n = self.count
@@ -340,23 +387,26 @@ def squared_overlap_values(
     identically distributed, and their sample stderr holds.  ``sums``
     receives all n_pairs + workers draws.
 
-    Each block of draws gives its overlaps and a copy of its last row, for
-    the next block's first overlap; it is then added to ``sums`` and
-    released, or left in the chunk's buffer for the next block to
-    overwrite, before its values are yielded, so one block of draws is
-    alive at a time whatever n_pairs is.
+    Each block of draws is read as its transpose, one row per coordinate,
+    and gives its overlaps and a copy of its last draw, for the next
+    block's first overlap, through the same ``_column_dots``, so the values
+    are those of the whole chunk bit for bit.  The block is then added to
+    ``sums`` and released, or left in the chunk's buffer for the next
+    block to overwrite, before its values are yielded, so one block of
+    draws is alive at a time whatever n_pairs is.
     """
     for w, size in enumerate(_chunk_sizes(n_pairs, workers)):
         last = None
         for x in _sample_blocks(sampler, stream(seed, w, 0), size + 1):
+            z = x.T
             carried = 0 if last is None else 1
-            vals = np.empty(len(x) - 1 + carried)
+            vals = np.empty(z.shape[1] - 1 + carried)
             if carried:
-                np.einsum("ki,ki->k", last, x[:1], out=vals[:1])
-            np.einsum("ki,ki->k", x[:-1], x[1:], out=vals[carried:])
-            last = x[-1:].copy()
+                _column_dots(last, z[:, :1], out=vals[:1])
+            _column_dots(z[:, :-1], z[:, 1:], out=vals[carried:])
+            last = z[:, -1:].copy()
             sums.add(x)
-            del x
+            del x, z
             vals *= vals
             if len(vals):  # empty only when a chunk's first block is one row
                 yield vals

@@ -85,10 +85,12 @@ class Representation:
         return isinstance(self.group, (FiniteGroupTable, PermutationGroup))
 
     def orbit(self, payloads: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """The ``(k, dim)`` rows rho(g_k) v of a stack of k payloads."""
+        """The ``(k, dim)`` rows rho(g_k) v of a stack of k payloads; without
+        an ``orbit_map``, the view of a ``(dim, k)`` array, one row per
+        coordinate."""
         if self.orbit_map is not None:
             return self.orbit_map(payloads, v)
-        return np.einsum("kij,j->ki", self.stack_map(payloads), v)
+        return np.einsum("kij,j->ik", self.stack_map(payloads), v, order="C").T
 
     def table_images(self) -> np.ndarray:
         """All element images of a finite group, stacked in table order."""
@@ -164,26 +166,30 @@ def conjugation_orbit_on_traceless_symmetric(rots: np.ndarray, v: np.ndarray) ->
     """The (k, 5) rows rho(R) v of a (k, 3, 3) stack of rotations.
 
     rho(R) v holds the coordinates of S = R V R^T, where V = sum_b v_b B_b
-    is the matrix of v.  R V is one GEMM; S is symmetric, so its six
-    entries S_ij = <(R V)_i, R_j> (rows i of R V and j of R) are three-term
-    products, and the five Frobenius coordinates <B_a, S>, in the order of
-    ``traceless_symmetric_basis``, are read off them, with no image built.
+    is the matrix of v.  The stack is read as ``(3, 3, k)``, one row per
+    entry of R (contiguous for ``haar_matrices`` draws).  V is symmetric, so
+    row i of R V is V applied to row i of R, one batched GEMM.  S is
+    symmetric, so its six entries S_ij = <(R V)_i, R_j> are three-term
+    products of rows, and the five Frobenius coordinates <B_a, S>, in the
+    order of ``traceless_symmetric_basis``, are written as the five rows
+    of a ``(5, k)`` array, with no image built; the result is its
+    ``(k, 5)`` view.
     """
-    k = rots.shape[0]
-    rv = (rots.reshape(3 * k, 3) @ np.einsum("a,aij->ij", v, _TS_BASIS)).reshape(k, 3, 3)
+    r = np.moveaxis(rots, 0, 2)
+    rv = np.matmul(np.einsum("a,aij->ij", v, _TS_BASIS), r)
 
     def entry(i, j):
-        a, r = rv[:, i], rots[:, j]
-        return a[:, 0] * r[:, 0] + a[:, 1] * r[:, 1] + a[:, 2] * r[:, 2]
+        a, b = rv[i], r[j]
+        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
     s00, s11, s22 = entry(0, 0), entry(1, 1), entry(2, 2)
-    out = np.empty((k, 5))
-    out[:, 0] = _SQRT2 * entry(0, 1)
-    out[:, 1] = _SQRT2 * entry(0, 2)
-    out[:, 2] = _SQRT2 * entry(1, 2)
-    out[:, 3] = (s00 - s11) / _SQRT2
-    out[:, 4] = (s00 + s11 - 2.0 * s22) / _SQRT6
-    return out
+    out = np.empty((5, r.shape[2]))
+    out[0] = _SQRT2 * entry(0, 1)
+    out[1] = _SQRT2 * entry(0, 2)
+    out[2] = _SQRT2 * entry(1, 2)
+    out[3] = (s00 - s11) / _SQRT2
+    out[4] = (s00 + s11 - 2.0 * s22) / _SQRT6
+    return out.T
 
 
 # ---------------------------------------------------------------------------

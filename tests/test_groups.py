@@ -573,6 +573,32 @@ class TestContinuousSampling:
         q = rs.haar_matrices(fam, rs.stream(43, n), 2000)
         assert q.tobytes() == brute_haar_matrices(fam, rs.stream(43, n), 2000).tobytes()
 
+    @pytest.mark.parametrize("kind", ["orthogonal", "special_orthogonal"])
+    def test_rotations_3_are_row_major_euler_rodrigues_bit_for_bit(self, kind):
+        # The library computes each entry of R as one contiguous row of a
+        # (3, 3, size) array; the values are those of the row-major formula
+        # applied to the same quaternions, entry by entry.
+        fam = rs.ContinuousFamily(kind=kind, n=3)
+        q = rs.stream(44).standard_normal((5000, 4))
+        norm2 = np.einsum("ki,ki->k", q, q)
+        assert norm2.min() >= 1e-250  # no draw is re-drawn
+        w, x, y, z = q.T * np.sqrt(2.0 / norm2)
+        expected = np.empty((5000, 3, 3))
+        expected[:, 0, 0] = 1.0 - (y * y + z * z)
+        expected[:, 0, 1] = x * y - w * z
+        expected[:, 0, 2] = x * z + w * y
+        expected[:, 1, 0] = x * y + w * z
+        expected[:, 1, 1] = 1.0 - (x * x + z * z)
+        expected[:, 1, 2] = y * z - w * x
+        expected[:, 2, 0] = x * z - w * y
+        expected[:, 2, 1] = y * z + w * x
+        expected[:, 2, 2] = 1.0 - (x * x + y * y)
+        if kind == "orthogonal":
+            expected *= np.where(w < 0, -1.0, 1.0)[:, None, None]
+        r = rs.haar_matrices(fam, rs.stream(44), 5000)
+        assert r.shape == (5000, 3, 3)
+        assert r.tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("n", [2, 3])
     def test_unknown_family_rejected_before_drawing(self, n):
         class NoDraws:

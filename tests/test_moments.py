@@ -182,8 +182,7 @@ class TestSamplers:
         kept = [first.copy()]
         for x in blocks:
             kept.append(x.copy())
-            if kind == "sphere":
-                assert np.shares_memory(x, first)
+            assert np.shares_memory(x, first)
         assert len(kept) == 3
         np.testing.assert_array_equal(np.concatenate(kept), sampler.sample(rs.stream(28), size))
 
@@ -204,6 +203,37 @@ class TestSamplers:
             samplers.append(rs.make_sampler(rs.orbit_measure(np.eye(n)[0]), rep))
             samplers.append(rs.make_sampler(rs.uniform_sphere(), rep))
         assert all(1 <= s.block <= 8_192 for s in samplers)
+
+    @pytest.mark.parametrize("case", [
+        "sphere_dim2", "sphere_dim5", "sphere_dim40", "subsphere", "so3_orbit", "o3_orbit",
+        "o4_orbit",
+    ])
+    def test_blocks_are_coordinate_major(self, case):
+        # Every block, the short last one too, and a direct sample call are
+        # the (count, dim) view of a C-contiguous (dim, count) array.
+        def on(name, kind, n):
+            return rs.build_named_rep(name, rs.ContinuousFamily(kind=kind, n=n))
+
+        if case.startswith("sphere_dim"):
+            rep = on("defining_orthogonal", "orthogonal", int(case.removeprefix("sphere_dim")))
+            spec = rs.uniform_sphere()
+        elif case == "subsphere":
+            rep = on("defining_orthogonal", "orthogonal", 64)
+            spec = rs.uniform_subsphere(np.linalg.qr(rs.stream(30).standard_normal((64, 40)))[0])
+        elif case == "o4_orbit":
+            rep = on("defining_orthogonal", "orthogonal", 4)
+            spec = rs.orbit_measure(random_unit(rs.stream(30), 4))
+        else:
+            kind = "special_orthogonal" if case == "so3_orbit" else "orthogonal"
+            rep = on("so3_traceless_symmetric", kind, 3)
+            spec = rs.orbit_measure(random_unit(rs.stream(30), 5))
+        sampler = rs.make_sampler(spec, rep)
+        counts = []
+        for x in _sample_blocks(sampler, rs.stream(31), 2 * sampler.block + 3):
+            assert x.shape == (len(x), rep.dim) and x.T.flags.c_contiguous
+            counts.append(len(x))
+        assert counts == [sampler.block, sampler.block, 3]
+        assert sampler.sample(rs.stream(31), 7).T.flags.c_contiguous
 
     def test_dimension_mismatch_rejected(self, c4_rotation, so3_tss):
         with pytest.raises(BadMeasureSpec, match="orbit base has shape"):
