@@ -107,7 +107,9 @@ class FiniteGroupTable:
     so each breadth-first level is a contiguous run.  ``generators`` holds
     the table indices of the generators.  ``cyclic``/``dihedral`` payloads
     are closed-form rotations and reflections by multiples of 2*pi/n on
-    that tree; other matrix payloads are the products along it.  ``index``,
+    that tree, stored as the view of a ``(2, 2, |G|)`` array, one
+    contiguous row per entry; other matrix payloads are the C-contiguous
+    products along it.  ``index``,
     when given, is the payload index ``indices_of`` would otherwise build.
     """
 
@@ -520,6 +522,13 @@ def _plane_group_table(spec: GroupSpec, cap: int) -> FiniteGroupTable:
     payload is then R(2*pi*k/n) diag(1, (-1)^e) from one cos/sin, exact to
     rounding, rather than a product along its path in the tree.  The order
     (n or 2n) is checked against ``cap`` before anything is allocated.
+
+    The four entries are written as the contiguous rows of a C-contiguous
+    ``(2, 2, order)`` array, and the payload is its ``(order, 2, 2)`` view,
+    with the values of a row-major stack.  Per-element sums over a 2 x 2
+    stack (the characters chi(g) and chi(g^2), the orbit points rho(g) v)
+    then run along rows of |G| floats rather than one short product per
+    element.
     """
     n = _require_n(spec, minimum=1)
     reflections = spec.kind == "dihedral"
@@ -545,14 +554,14 @@ def _plane_group_table(spec: GroupSpec, cap: int) -> FiniteGroupTable:
     angle = 2.0 * np.pi * rotation / n
     cos, sin = np.cos(angle), np.sin(angle)
     sign = 1.0 - 2.0 * reflected
-    payload = np.empty((order, 2, 2))
-    payload[:, 0, 0] = cos
-    payload[:, 1, 0] = sin
-    payload[:, 0, 1] = 0.0 - sign * sin  # 0.0 - x: the identity keeps +0.0, as in eye(2)
-    payload[:, 1, 1] = sign * cos
+    entries = np.empty((2, 2, order))
+    entries[0, 0] = cos
+    entries[1, 0] = sin
+    entries[0, 1] = 0.0 - sign * sin  # 0.0 - x: the identity keeps +0.0, as in eye(2)
+    entries[1, 1] = sign * cos
     generator_labels = [1 % n, n] if reflections else [1 % n]
     return FiniteGroupTable(
-        payload=payload,
+        payload=np.moveaxis(entries, 2, 0),
         parent=parent,
         generator=generator,
         generators=position[generator_labels],
@@ -730,8 +739,9 @@ def _haar_rotations_3(rng: np.random.Generator, size: int, special: bool) -> np.
     before anything is normalized.
 
     The quaternions are drawn row by row, as ``(size, 4)``; w, x, y, z are
-    then contiguous rows, and so is each of the nine entries of R, computed
-    into a ``(3, 3, size)`` array.  The stack returned is its
+    then contiguous rows, and so are their nine products and each of the
+    nine entries of R, written in place into a ``(9, size)`` and a
+    ``(3, 3, size)`` array.  The stack returned is its
     ``(size, 3, 3)`` view, with the same values as a row-major stack.
     """
     q = rng.standard_normal((size, 4))
@@ -742,18 +752,22 @@ def _haar_rotations_3(rng: np.random.Generator, size: int, special: bool) -> np.
         norm2[bad] = np.einsum("ki,ki->k", q[bad], q[bad])
         bad = bad[norm2[bad] < SINGULAR_DRAW]
     w, x, y, z = np.multiply(q.T, np.sqrt(2.0 / norm2), out=np.empty((4, size)))
-    xx, yy, zz = x * x, y * y, z * z
-    xy, xz, yz, wx, wy, wz = x * y, x * z, y * z, w * x, w * y, w * z
+    products = np.empty((9, size))
+    xx, yy, zz, xy, xz, yz, wx, wy, wz = products
+    for out, a, b in zip(products, (x, y, z, x, x, y, w, w, w), (x, y, z, y, z, z, x, y, z)):
+        np.multiply(a, b, out=out)
     r = np.empty((3, 3, size))
-    r[0, 0] = 1.0 - (yy + zz)
-    r[0, 1] = xy - wz
-    r[0, 2] = xz + wy
-    r[1, 0] = xy + wz
-    r[1, 1] = 1.0 - (xx + zz)
-    r[1, 2] = yz - wx
-    r[2, 0] = xz - wy
-    r[2, 1] = yz + wx
-    r[2, 2] = 1.0 - (xx + yy)
+    np.add(yy, zz, out=r[0, 0])
+    np.subtract(xy, wz, out=r[0, 1])
+    np.add(xz, wy, out=r[0, 2])
+    np.add(xy, wz, out=r[1, 0])
+    np.add(xx, zz, out=r[1, 1])
+    np.subtract(yz, wx, out=r[1, 2])
+    np.subtract(xz, wy, out=r[2, 0])
+    np.add(yz, wx, out=r[2, 1])
+    np.add(xx, yy, out=r[2, 2])
+    diagonal = r.reshape(9, size)[::4]  # 1 - (yy + zz), 1 - (xx + zz), 1 - (xx + yy)
+    np.subtract(1.0, diagonal, out=diagonal)
     if not special:
         r *= np.where(w < 0, -1.0, 1.0)
     return np.moveaxis(r, 2, 0)

@@ -32,7 +32,8 @@ a worker chunk into one buffer, each block overwriting the last.  Blocks
 are coordinate-major: a C-contiguous ``(dim, count)`` array, one row per
 coordinate, of which the sampled rows are the ``(count, dim)`` view; the
 estimators work on the array, so norms, chained values and sums run along
-contiguous rows, and the record of a block is x x^T of that array.
+contiguous rows, and the record of a block is x x^T of that array (GEMMs
+against a copy up to ``GEMM_RECORD_DIM`` coordinates, ``syrk`` above).
 Every sampled measure draws one point per pair: a worker chunk of N pairs
 draws N + 1 points and chains them, <x_i, x_{i+1}>^2.  The chained values
 are iid on an invariant measure: on a sphere or subsphere by rotation
@@ -59,7 +60,14 @@ from .errors import (
     TraceNotOne,
 )
 from .groups import ContinuousFamily, MatrixIndex, group_orbitals, haar_matrices, stream
-from .representations import PERMUTATION_ENTRIES, Representation, _check_unit, sum_zero_basis
+from .representations import (
+    PERMUTATION_ENTRIES,
+    Representation,
+    _check_unit,
+    column_dots,
+    image_orbit,
+    sum_zero_basis,
+)
 
 PROB_SUM_TOL = 1e-12
 DISCRETE_POINT_TOL = 1e-8  # see check_discrete_invariance
@@ -76,6 +84,10 @@ DISCRETE_PROB_TOL = 1e-10
 ORBIT_BLOCK_FLOATS = 65_536
 BLOCK_DRAWS = 8_192
 GAUSSIAN_FILL_FLOATS = 8_192
+# The moment record of a block of at most this many coordinates is summed by
+# GEMMs against copies of GAUSSIAN_FILL_FLOATS pieces, wider ones by syrk
+# (see _MomentSums).
+GEMM_RECORD_DIM = 7
 FACTORIAL_GUARD = 8
 
 
@@ -189,21 +201,6 @@ class VectorSampler:
         raise NotImplementedError
 
 
-def _column_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """<a_k, b_k> for the columns k of two ``(dim, count)`` arrays, each
-    summed over the coordinates in order.
-
-    einsum adds the coordinates one contiguous row at a time, but it sums a
-    lone contiguous column as one vector, in another order; a one-column
-    pair is therefore read from a two-column copy, so a draw and its
-    overlap get the same bits whatever block they fall in.
-    """
-    if a.shape[1] == 1:
-        pair = np.concatenate((a, b), axis=1)
-        a, b = pair[:, :1], pair[:, 1:]
-    return np.einsum("ik,ik->k", a, b, out=out)
-
-
 class _SphereSampler(VectorSampler):
     """Normalized Gaussians.  They are drawn row by row, ``fill`` draws at a
     time, into a ``(fill, dim)`` scratch of at most ``GAUSSIAN_FILL_FLOATS``
@@ -228,12 +225,12 @@ class _SphereSampler(VectorSampler):
             g = scratch[: count - start]
             rng.standard_normal(out=g)
             z[:, start : start + len(g)] = g.T
-        norms = _column_dots(z, z)
+        norms = column_dots(z, z)
         np.sqrt(norms, out=norms)
         while (norms < 1e-12).any():  # probability-zero guard
             bad = norms < 1e-12
             z[:, bad] = rng.standard_normal((int(bad.sum()), self.dim)).T
-            norms = np.sqrt(_column_dots(z, z))
+            norms = np.sqrt(column_dots(z, z))
         z /= norms
         return z.T
 
@@ -339,23 +336,47 @@ def _sample_blocks(sampler: VectorSampler, rng: np.random.Generator, size: int):
 
 class _MomentSums:
     """Running sums of x x^T, (x*x)^T (x*x) and x over blocks of draws:
-    two GEMMs per block and O(n^2) memory."""
+    two matrix products per block and O(n^2) memory.
+
+    A block of at most ``GEMM_RECORD_DIM`` coordinates takes each product
+    as GEMMs against a copy of the block, made in pieces of at most
+    ``GAUSSIAN_FILL_FLOATS`` into one buffer that the sums own: numpy
+    sends z z^T to BLAS ``syrk``, which on OpenBLAS costs 1.2-1.8 times a
+    GEMM per draw up to 7 coordinates.  Wider blocks keep ``syrk``: from 8
+    to 16 coordinates the two are within about 15% either way, and
+    ``syrk`` is the faster at 20 and 40.  The block is squared whole, in
+    place, between the two products: squaring its strided pieces would
+    make numpy allocate iterator buffers.
+    """
 
     def __init__(self, dim: int):
         self.count = 0
         self.outer = np.zeros((dim, dim))
         self.outer_sq = np.zeros((dim, dim))
         self.total = np.zeros(dim)
+        self._copy = np.empty(GAUSSIAN_FILL_FLOATS) if dim <= GEMM_RECORD_DIM else None
 
     def add(self, x: np.ndarray) -> None:
         """Add a block of draws, the rows of ``x``, squaring it in place.
         Its transpose, one row per coordinate, is what is summed."""
         z = x.T
         self.count += z.shape[1]
-        self.outer += z @ z.T
+        self._add_gram(z, self.outer)
         self.total += np.einsum("ik->i", z)
         z *= z
-        self.outer_sq += z @ z.T
+        self._add_gram(z, self.outer_sq)
+
+    def _add_gram(self, z: np.ndarray, acc: np.ndarray) -> None:
+        """acc += z z^T."""
+        if self._copy is None:
+            acc += z @ z.T
+            return
+        step = len(self._copy) // len(z)
+        for start in range(0, z.shape[1], step):
+            piece = z[:, start : start + step]
+            copy = self._copy[: piece.size].reshape(piece.shape)
+            np.copyto(copy, piece)
+            acc += piece @ copy.T
 
     def record(self) -> SecondMomentMatrix:
         n = self.count
@@ -389,7 +410,7 @@ def squared_overlap_values(
 
     Each block of draws is read as its transpose, one row per coordinate,
     and gives its overlaps and a copy of its last draw, for the next
-    block's first overlap, through the same ``_column_dots``, so the values
+    block's first overlap, through the same ``column_dots``, so the values
     are those of the whole chunk bit for bit.  The block is then added to
     ``sums`` and released, or left in the chunk's buffer for the next
     block to overwrite, before its values are yielded, so one block of
@@ -402,8 +423,8 @@ def squared_overlap_values(
             carried = 0 if last is None else 1
             vals = np.empty(z.shape[1] - 1 + carried)
             if carried:
-                _column_dots(last, z[:, :1], out=vals[:1])
-            _column_dots(z[:, :-1], z[:, 1:], out=vals[carried:])
+                column_dots(last, z[:, :1], out=vals[:1])
+            column_dots(z[:, :-1], z[:, 1:], out=vals[carried:])
             last = z[:, -1:].copy()
             sums.add(x)
             del x, z
@@ -595,8 +616,11 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
     and the mean for w = H^T v and maps them back through the Helmert rows
     H.  Every other representation takes the orbit O, the (|G|, n) rows
     rho(g) v, from its ``orbit_map`` over the payload when it has one, with
-    no table image built, else from the table images: M = O^T O / |G|, and
-    the single sum is the mean of <gv, v>^2, independent of M.
+    no table image built, else from the cached table images through the
+    einsum of ``Representation.orbit`` (``image_orbit``), one row of |G|
+    floats per coordinate rather than one product per element:
+    M = O^T O / |G|, and the single sum is the mean of <gv, v>^2,
+    independent of M.
     """
     v = _check_unit(v, "orbit base")
     if v.shape != (rep.dim,):
@@ -610,7 +634,7 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
         single = float(v @ entries @ v)
     else:
         if rep.orbit_map is None:
-            orbit = rep.table_images() @ v
+            orbit = image_orbit(rep.table_images(), v)
         else:
             orbit = rep.orbit_map(rep.group.payload, v)
         entries, mean = (orbit.T @ orbit) / order, orbit.mean(axis=0)

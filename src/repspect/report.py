@@ -769,11 +769,19 @@ def render_text(report: Report) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _open_output(path: Path):
+    """Open ``path`` for writing, making its directory only when it is missing."""
+    if not path.parent.is_dir():
+        path.parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", newline="\n")
+
+
 def emit_outputs(report: Report, cfg: AnalysisConfig) -> dict:
     """Write the report (and optional convergence CSV); return the texts.
 
     JSON reports use a stable key order and decimals with 12 significant
-    digits, so identical (config, seed) runs are byte-identical.
+    digits, so identical (config, seed) runs are byte-identical.  A report
+    or trace directory is made only when it is missing.
     """
     if cfg.format == "json":
         text = json.dumps(report_document(report), indent=2) + "\n"
@@ -782,15 +790,13 @@ def emit_outputs(report: Report, cfg: AnalysisConfig) -> dict:
     written = {"report_text": text, "report_path": None, "trace_path": None}
     if cfg.report_path:
         path = Path(cfg.report_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", newline="\n") as fh:
+        with _open_output(path) as fh:
             fh.write(text)
         written["report_path"] = str(path)
     if cfg.trace_path and report.trace_rows:
         path = Path(cfg.trace_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         reference = f"{report.reference:.12g}"
-        with open(path, "w", newline="\n") as fh:
+        with _open_output(path) as fh:
             fh.write("n_samples,estimate,stderr,reference\n")
             for n, est, err in report.trace_rows:
                 fh.write(",".join([str(n), f"{est:.12g}", f"{err:.12g}", reference]) + "\n")

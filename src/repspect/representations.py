@@ -90,7 +90,7 @@ class Representation:
         coordinate."""
         if self.orbit_map is not None:
             return self.orbit_map(payloads, v)
-        return np.einsum("kij,j->ik", self.stack_map(payloads), v, order="C").T
+        return image_orbit(self.stack_map(payloads), v)
 
     def table_images(self) -> np.ndarray:
         """All element images of a finite group, stacked in table order."""
@@ -104,6 +104,14 @@ class Representation:
         if not self.finite:
             raise BadParams("generator_images needs a finite group")
         return self.stack_map(self.group.generator_payloads)
+
+
+def image_orbit(images: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The ``(k, dim)`` rows image_k v of a ``(k, dim, dim)`` image stack, as
+    the view of a ``(dim, k)`` array, one row per coordinate: one einsum,
+    which runs along rows of k floats when the stack is the view of a
+    ``(dim, dim, k)`` array (a ``cyclic``/``dihedral`` table)."""
+    return np.einsum("kij,j->ik", images, v, order="C").T
 
 
 # ---------------------------------------------------------------------------
@@ -162,6 +170,21 @@ def conjugation_on_traceless_symmetric(rots: np.ndarray) -> np.ndarray:
     return np.stack([conjugation_orbit_on_traceless_symmetric(rots, e) for e in np.eye(5)], axis=2)
 
 
+def column_dots(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """<a_k, b_k> for the columns k of two ``(dim, count)`` arrays, each
+    summed over the coordinates in order.
+
+    einsum adds the coordinates one row at a time, but it sums a lone
+    contiguous column as one vector, in another order; a one-column pair
+    is therefore read from a two-column copy, so a column gets the same
+    bits whatever array it falls in.
+    """
+    if a.shape[1] == 1:
+        pair = np.concatenate((a, b), axis=1)
+        a, b = pair[:, :1], pair[:, 1:]
+    return np.einsum("ik,ik->k", a, b, out=out)
+
+
 def conjugation_orbit_on_traceless_symmetric(rots: np.ndarray, v: np.ndarray) -> np.ndarray:
     """The (k, 5) rows rho(R) v of a (k, 3, 3) stack of rotations.
 
@@ -169,26 +192,26 @@ def conjugation_orbit_on_traceless_symmetric(rots: np.ndarray, v: np.ndarray) ->
     is the matrix of v.  The stack is read as ``(3, 3, k)``, one row per
     entry of R (contiguous for ``haar_matrices`` draws).  V is symmetric, so
     row i of R V is V applied to row i of R, one batched GEMM.  S is
-    symmetric, so its six entries S_ij = <(R V)_i, R_j> are three-term
-    products of rows, and the five Frobenius coordinates <B_a, S>, in the
-    order of ``traceless_symmetric_basis``, are written as the five rows
-    of a ``(5, k)`` array, with no image built; the result is its
-    ``(k, 5)`` view.
+    symmetric, so its six entries S_ij = <(R V)_i, R_j> are three-row
+    ``column_dots``, summed in order, and the five Frobenius coordinates
+    <B_a, S>, in the order of ``traceless_symmetric_basis``, are written
+    in place as the five rows of a ``(5, k)`` array, with no image built;
+    the result is its ``(k, 5)`` view.
     """
     r = np.moveaxis(rots, 0, 2)
     rv = np.matmul(np.einsum("a,aij->ij", v, _TS_BASIS), r)
-
-    def entry(i, j):
-        a, b = rv[i], r[j]
-        return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-    s00, s11, s22 = entry(0, 0), entry(1, 1), entry(2, 2)
+    s = np.empty((6, r.shape[2]))
+    for row, (i, j) in zip(s, ((0, 1), (0, 2), (1, 2), (0, 0), (1, 1), (2, 2))):
+        column_dots(rv[i], r[j], out=row)
+    s00, s11, s22 = s[3:]
     out = np.empty((5, r.shape[2]))
-    out[0] = _SQRT2 * entry(0, 1)
-    out[1] = _SQRT2 * entry(0, 2)
-    out[2] = _SQRT2 * entry(1, 2)
-    out[3] = (s00 - s11) / _SQRT2
-    out[4] = (s00 + s11 - 2.0 * s22) / _SQRT6
+    np.multiply(_SQRT2, s[:3], out=out[:3])
+    np.subtract(s00, s11, out=out[3])
+    out[3] /= _SQRT2
+    np.add(s00, s11, out=out[4])
+    s22 *= 2.0
+    out[4] -= s22
+    out[4] /= _SQRT6
     return out.T
 
 

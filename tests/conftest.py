@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -311,6 +313,20 @@ def brute_orbit_second_moment(rep, v):
         x = image @ v
         m += np.outer(x, x)
     return m / rep.group.order
+
+
+def brute_table_orbit_moments(rep, v):
+    """Independent oracle: M = E[x x^T], E[x] and the single sum
+    E<x, v>^2 over the orbit x = rho(g) v, one table image at a time,
+    each entry an exactly rounded sum (``math.fsum``) over the elements."""
+    points = [image @ v for image in rep.table_images()]
+    order, n = len(points), rep.dim
+    entries = np.array([
+        [math.fsum(x[i] * x[j] for x in points) for j in range(n)] for i in range(n)
+    ]) / order
+    mean = np.array([math.fsum(x[i] for x in points) for i in range(n)]) / order
+    single = math.fsum(float(x @ v) ** 2 for x in points) / order
+    return entries, mean, single
 
 
 def brute_squared_overlap_values(sampler, n_pairs, seed=0, workers=1):

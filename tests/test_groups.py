@@ -214,6 +214,15 @@ class TestMatrixClosure:
                 got, want = getattr(table, name), getattr(oracle, name)
                 assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, name)
 
+    @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 3000])
+    def test_plane_payload_is_coordinate_major(self, kind, n):
+        # The payload views a (2, 2, |G|) array, one contiguous row per
+        # entry, with the bytes of the oracle's row-major stack.
+        payload = rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n)).payload
+        assert np.moveaxis(payload, 0, 2).flags.c_contiguous
+        assert payload.tobytes() == brute_plane_group_table(kind, n).payload.tobytes()
+
     @pytest.mark.parametrize("kind,n", [("dihedral", 10**12), ("cyclic", 10**12)])
     def test_plane_group_order_checked_against_cap_first(self, kind, n):
         start = time.perf_counter()

@@ -18,7 +18,13 @@ from repspect.errors import (
     TraceNotOne,
 )
 
-from repspect.moments import VectorSampler, _MomentSums, _sample_blocks, squared_overlap_values
+from repspect.moments import (
+    GAUSSIAN_FILL_FLOATS,
+    VectorSampler,
+    _MomentSums,
+    _sample_blocks,
+    squared_overlap_values,
+)
 
 from conftest import (
     brute_chain_overlap_values,
@@ -32,6 +38,7 @@ from conftest import (
     brute_quaternion_rotations,
     brute_sampled_record,
     brute_squared_overlap_values,
+    brute_table_orbit_moments,
     brute_ts_conjugation,
     cyclic_table,
     random_unit,
@@ -587,6 +594,64 @@ class TestExactFiniteOrbitMoments:
     def test_non_unit_base_rejected(self, c4_rotation):
         with pytest.raises(NotUnitVector):
             rs.exact_finite_orbit_moments(c4_rotation, np.array([1.0, 1.0]))
+
+    @pytest.mark.parametrize("case", ["dihedral_3000", "cyclic_7", "q8_left", "b4_matrices", "explicit"])
+    def test_table_orbit_matches_the_image_by_image_sums(self, case, q8_table):
+        # Without an orbit map the orbit is one einsum over the table images
+        # (coordinate-major on a cyclic/dihedral table); M, the mean and the
+        # single sum are those of the images applied to v one at a time.
+        if case == "explicit":
+            s3 = symmetric_table(3)
+            d = np.diag([1.0, 2.0, 3.0])
+            raw = d @ rs.representations.permutation_images(s3.payload[s3.generators]) @ np.linalg.inv(d)
+            rep = rs.build_named_rep("explicit", s3, generator_images=list(raw))
+        elif case == "b4_matrices":
+            eye = np.eye(4)
+            generators = (eye[[1, 0, 2, 3]], eye[[1, 2, 3, 0]], np.diag([-1.0, 1.0, 1.0, 1.0]))
+            table = rs.enumerate_closure(rs.GroupSpec(kind="matrix_generators", generators=generators))
+            assert table.order == 384
+            rep = rs.build_named_rep("defining_orthogonal", table)
+        else:
+            table = {
+                "dihedral_3000": lambda: rs.enumerate_closure(rs.GroupSpec(kind="dihedral", n=3000)),
+                "cyclic_7": lambda: cyclic_table(7),
+                "q8_left": lambda: q8_table,
+            }[case]()
+            rep = rs.build_named_rep("q8_left" if case == "q8_left" else "defining_orthogonal", table)
+        assert rep.orbit_map is None
+        rng = rs.stream(38)
+        for _ in range(3):
+            v = random_unit(rng, rep.dim)
+            om = rs.exact_finite_orbit_moments(rep, v)
+            entries, mean, single = brute_table_orbit_moments(rep, v)
+            np.testing.assert_allclose(om.second_moment.entries, entries, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(om.second_moment.mean, mean, rtol=0, atol=1e-14)
+            assert abs(om.single_sum - single) <= 1e-14
+
+
+class TestMomentSums:
+    @pytest.mark.parametrize("layout", ["coordinate_major", "row_major"])
+    @pytest.mark.parametrize("dim, gemm", [(2, True), (5, True), (7, True), (8, False), (12, False), (40, False)])
+    def test_record_matches_the_points_record(self, dim, gemm, layout):
+        # Up to GEMM_RECORD_DIM (7) coordinates each sum is GEMMs against
+        # copies of GAUSSIAN_FILL_FLOATS pieces, above it syrk.  The blocks
+        # are two full pieces and a short one, one draw, and one full piece.
+        sums = _MomentSums(dim)
+        assert (sums._copy is not None) == gemm
+        step = GAUSSIAN_FILL_FLOATS // dim
+        rng = rs.stream(37, dim)
+        blocks = []
+        for count in (2 * step + 7, 1, step):
+            x = rng.standard_normal((count, dim))
+            blocks.append(x / np.linalg.norm(x, axis=1, keepdims=True))
+        for x in blocks:
+            sums.add(x.T.copy().T if layout == "coordinate_major" else x.copy())
+        record = sums.record()
+        entries, stderr, mean = brute_points_record(np.concatenate(blocks))
+        assert record.n_samples == 3 * step + 8 and not record.exact
+        np.testing.assert_allclose(record.entries, entries, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.stderr, stderr, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(record.mean, mean, rtol=0, atol=1e-12)
 
 
 class TestExactSecondMoments:

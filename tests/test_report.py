@@ -758,6 +758,20 @@ class TestEmission:
         out2 = rs.emit_outputs(report2, cfg)
         assert out["report_text"] == out2["report_text"]
 
+    def test_missing_report_directories_are_made(self, tmp_path):
+        report_path = tmp_path / "a" / "b" / "report.json"
+        trace_path = tmp_path / "c" / "trace.csv"
+        cfg = rs.parse_config(minimal_config(
+            samples=2000,
+            measures=[{"kind": "uniform_sphere"}],
+            outputs={"report": str(report_path), "trace": str(trace_path)},
+        ))
+        out = rs.emit_outputs(rs.run_analysis(cfg), cfg)
+        assert report_path.read_text() == out["report_text"]
+        assert trace_path.read_text().startswith("n_samples,estimate,stderr,reference\n")
+        rs.emit_outputs(rs.run_analysis(cfg), cfg)  # the directories now exist
+        assert report_path.read_text() == out["report_text"]
+
     def test_text_format(self):
         cfg = rs.parse_config(minimal_config(samples=2000))._replace(format="text")
         report = rs.run_analysis(cfg)

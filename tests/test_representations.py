@@ -183,6 +183,40 @@ class TestOrbit:
             v = random_unit(rng, 5)
             np.testing.assert_allclose(rep.orbit(payload, v), images @ v, rtol=0, atol=1e-15)
 
+    @pytest.mark.parametrize("layout", ["haar", "row_major"])
+    @pytest.mark.parametrize("count", [1, 2, 5000])
+    @pytest.mark.parametrize("kind", ["special_orthogonal", "orthogonal"])
+    def test_traceless_symmetric_orbit_is_the_three_term_formula_bit_for_bit(
+        self, kind, count, layout
+    ):
+        # The library sums each entry of S = R V R^T over three rows in one
+        # einsum and writes the five coordinates in place; the bits are those
+        # of the three-term products and the formulas below, entry by entry,
+        # on Haar draws (one row per entry of R) and on a row-major stack.
+        fam = rs.ContinuousFamily(kind=kind, n=3)
+        rep = rs.build_named_rep("so3_traceless_symmetric", fam)
+        rots = rs.haar_matrices(fam, rs.stream(48, count), count)
+        if layout == "row_major":
+            rots = np.ascontiguousarray(rots)
+        v = random_unit(rs.stream(49), 5)
+        r = np.moveaxis(rots, 0, 2)
+        rv = np.matmul(np.einsum("a,aij->ij", v, traceless_symmetric_basis()), r)
+
+        def entry(i, j):
+            a, b = rv[i], r[j]
+            return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+        s00, s11, s22 = entry(0, 0), entry(1, 1), entry(2, 2)
+        sqrt2, sqrt6 = np.sqrt(2.0), np.sqrt(6.0)
+        expected = np.stack([
+            sqrt2 * entry(0, 1),
+            sqrt2 * entry(0, 2),
+            sqrt2 * entry(1, 2),
+            (s00 - s11) / sqrt2,
+            (s00 + s11 - 2.0 * s22) / sqrt6,
+        ], axis=1)
+        assert rep.orbit(rots, v).tobytes() == expected.tobytes()
+
     @pytest.mark.parametrize("name, group", [
         ("defining_orthogonal", "o4"), ("cyclic_rotation", "c6"), ("q8_left", "q8"),
     ])
