@@ -6,10 +6,12 @@ validation is also theirs.
 
 Exit codes: 0 when the analysis ran to completion (whatever the verdict)
 or the usage was asked for; 1 for a malformed command line (the usage and
-the reason go to stderr), for config errors and for problems refused by
-size before they are allocated (``TooLarge``, printed as "too large:
-..."); 2 for numerical failures (verdict conflict, disagreeing dimension
-counts, or a singular value too close to the nullspace cutoff).
+the reason go to stderr), for config errors, for problems refused by size
+before they are allocated (``TooLarge``, printed as "too large: ...") and
+for a report or trace that cannot be written (printed as "output error:
+..." with the path); 2 for numerical failures (verdict conflict,
+disagreeing dimension counts, or a singular value too close to the
+nullspace cutoff).
 """
 
 from __future__ import annotations
@@ -70,8 +72,8 @@ analyze flags:
 
 Flags take "--name VALUE" or "--name=VALUE" and may be shortened to a
 unique prefix.  Exit codes: 0 analysis completed (whatever the verdict);
-1 malformed command line, config error, or problem too large; 2 numerical
-failure.
+1 malformed command line, config error, problem too large, or output not
+writable; 2 numerical failure.
 """
 
 CATALOG_TEMPLATE = """\
@@ -183,12 +185,15 @@ def main(argv=None) -> int:
         return 2
 
     written = emit_outputs(report, cfg)
-    if written["report_path"] is None:
+    if cfg.report_path is None:
         print(written["report_text"], end="")
-    else:
+    elif written["report_path"]:
         print(f"report written to {written['report_path']}")
     if written["trace_path"]:
         print(f"trace written to {written['trace_path']}")
+    if written["error"]:
+        print(f"output error: {written['error']}", file=sys.stderr)
+        return 1
 
     if report.commutant.ambiguous_sigma is not None:
         print(

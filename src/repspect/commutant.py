@@ -16,15 +16,17 @@ this package certifies:
   projection of a fixed, seed-free symmetric matrix, so the witness does
   not depend on the basis.
 
-The permutation entries ``sn_permutation`` and ``sn_sum_zero`` have an
-exact, seed-free basis: the indicator matrices of the orbitals, the orbits
-of the group on ordered pairs of points (Higman, Coherent configurations
-I, 1970), labelled by label propagation under the generators' index maps.
+A representation marked ``permutation`` (``sn_permutation`` and
+``sn_sum_zero``) has an exact, seed-free basis:
+the indicator matrices of the orbitals, the orbits of the group on
+ordered pairs of points (Higman, Coherent configurations I, 1970),
+labelled by label propagation under the generators' index maps.
 Normalized indicators have disjoint supports, so they are orthonormal, and
 the basis comes out split: a self-paired orbital O = O^T is symmetric and
 each pair {O, O^T} gives (1_O +- 1_O^T) / sqrt(2 |O|).  The diagonal
 orbitals are the point orbits, so P = sum over point orbits O of
-1_O 1_O^T / |O|.  For ``sn_sum_zero``, A -> H A H^T (H the Helmert rows)
+1_O 1_O^T / |O|.  Through the ``sum_zero_rows`` H of ``sn_sum_zero``,
+the Helmert rows, A -> H A H^T
 maps the commuting A with zero row sums, and so zero column sums,
 isometrically onto its commutant; keeping the combinations of each part
 with zero row sums (t and t - 1 constraints for t point orbits) gives
@@ -94,7 +96,7 @@ from .groups import (
     topological_generators,
 )
 from .groups import haar_matrices  # not called here: perfbench's Tracer.install wraps it by this name
-from .representations import PERMUTATION_ENTRIES, Representation, gram_roots, sum_zero_basis
+from .representations import Representation, gram_roots
 
 NULLSPACE_REL_THRESHOLD = 1e-8
 CHARACTER_COUNT_TOL = 1e-6   # distance from an integer a character count may have
@@ -373,9 +375,11 @@ def _check_orbital_budget(rows: int, n: int, what: str) -> None:
 
 
 def _orbital_commutant(rep: Representation, rel_threshold: float) -> CommutantBasis:
-    """The split commutant of ``sn_permutation``, or of ``sn_sum_zero``
-    through its rows with zero row sums, read off the orbitals of the
-    generators (see the module docstring).
+    """The split commutant of a representation marked ``permutation``,
+    read off the orbitals of the generators (see the module docstring):
+    the orbital basis itself for rho(g) = P(g), and its rows with zero row
+    sums mapped through H for rho(g) = H P(g) H^T, H the
+    ``sum_zero_rows``.
 
     The counts d and s of the orbitals must equal those of the point
     stabilizers (``_stabilizer_counts``), and a group table must have the
@@ -400,11 +404,11 @@ def _orbital_commutant(rep: Representation, rel_threshold: float) -> CommutantBa
     # arrays: (5k + 3) n^2 integers.
     _check_orbital_budget(5 * len(generators) + 3, n, "orbital labels")
     orbital, roots, transpose, point_orbit = group_orbitals(group)
-    sum_zero = rep.catalog_id == "sn_sum_zero"
+    h = rep.sum_zero_rows
     t = int(point_orbit.max()) + 1
     d, s = len(roots), int(np.count_nonzero(transpose >= np.arange(len(roots))))
     dim, sym_count = _stabilizer_counts(generators)
-    if sum_zero:
+    if h is not None:
         d, s, dim, sym_count = d - 2 * t + 1, s - t, dim - 2 * t + 1, sym_count - t
     if (d, s) != (dim, sym_count):
         raise InconsistentDimensions(
@@ -415,8 +419,7 @@ def _orbital_commutant(rep: Representation, rel_threshold: float) -> CommutantBa
     sym, skew = _orbital_split(orbital, transpose)
     fixed = np.eye(t)[point_orbit] / np.sqrt(np.bincount(point_orbit))
     projector = fixed @ fixed.T
-    if sum_zero:
-        h = sum_zero_basis(n)
+    if h is not None:
         sym = _helmert_conjugates(_zero_row_sums(sym, point_orbit, t), h)
         skew = _helmert_conjugates(_zero_row_sums(skew, point_orbit, t - 1), h)
         projector = h @ projector @ h.T
@@ -448,11 +451,11 @@ def commutant_basis(
     """Compute the split commuting span of a representation; its group
     decides how.  Every path is a function of the representation alone.
 
-    ``sn_permutation`` and ``sn_sum_zero`` read a split basis and P off
-    the orbitals of their generators; counts other than the point
-    stabilizers' raise InconsistentDimensions, and a basis or pair
-    labelling above ``ORBITAL_BASIS_BYTES`` raises TooLarge before it is
-    allocated.
+    A representation marked ``permutation`` (``sn_permutation`` and
+    ``sn_sum_zero``) reads a split basis and P off the orbitals of its
+    generators; counts other than the point stabilizers' raise
+    InconsistentDimensions, and a basis or pair labelling above
+    ``ORBITAL_BASIS_BYTES`` raises TooLarge before it is allocated.
 
     Every other group takes the nullspace of :func:`_eigenspace_nullspace`
     and P from :func:`fixed_projector` over its constraint images, which
@@ -471,7 +474,7 @@ def commutant_basis(
     with ThresholdAmbiguity when a singular value sits within a decade of
     the cutoff; an empty span raises RepspectError.
     """
-    if rep.catalog_id in PERMUTATION_ENTRIES:
+    if rep.permutation:
         return _orbital_commutant(rep, rel_threshold)
     if rep.finite:
         images, table_images = rep.generator_images(), rep.table_images()

@@ -11,7 +11,9 @@ A measure with a finite law (a discrete measure, or an orbit of a finite
 group) has exact statistics: its point matrix, the orbit ``O`` (rows
 rho(g) v) or the weighted support, gives its second moment
 ``M = E[x x^T]`` as a ``SecondMomentMatrix(exact=True)`` with zero
-stderr, and ``|M|_F^2`` is its exact ``E<x,y>^2``.
+stderr, and ``|M|_F^2`` is its exact ``E<x,y>^2``; an orbit of a
+representation marked ``permutation`` forms no point, and its M is read
+off the orbitals of the generators.
 ``exact_finite_orbit_moments`` and ``exact_discrete_overlap`` expose
 that M.  Monte Carlo covers only the
 measures with no finite law: the uniform sphere and subspheres and the
@@ -60,14 +62,7 @@ from .errors import (
     TraceNotOne,
 )
 from .groups import ContinuousFamily, MatrixIndex, group_orbitals, haar_matrices, stream
-from .representations import (
-    PERMUTATION_ENTRIES,
-    Representation,
-    _check_unit,
-    column_dots,
-    image_orbit,
-    sum_zero_basis,
-)
+from .representations import Representation, _check_unit, column_dots, image_orbit
 
 PROB_SUM_TOL = 1e-12
 DISCRETE_POINT_TOL = 1e-8  # see check_discrete_invariance
@@ -608,26 +603,26 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
     is returned too, with the orbit mean: it is the measure's exact moment
     record.
 
-    On the permutation entries (``PERMUTATION_ENTRIES``), on a table or a
-    table-free ``PermutationGroup`` alike, no element is listed: as g runs
-    over G, (g^-1 i, g^-1 j) runs evenly over the orbital of (i, j), so
-    M_ij is the orbital average of v v^T, the mean is v averaged over each
-    point orbit, and the single sum is v^T M v; ``sn_sum_zero`` takes M
-    and the mean for w = H^T v and maps them back through the Helmert rows
-    H.  Every other representation takes the orbit O, the (|G|, n) rows
-    rho(g) v, from its ``orbit_map`` over the payload when it has one, with
-    no table image built, else from the cached table images through the
-    einsum of ``Representation.orbit`` (``image_orbit``), one row of |G|
-    floats per coordinate rather than one product per element:
-    M = O^T O / |G|, and the single sum is the mean of <gv, v>^2,
-    independent of M.
+    A representation marked ``permutation``, on a table or a table-free
+    ``PermutationGroup`` alike, lists no element: as g runs over G,
+    (g^-1 i, g^-1 j) runs evenly over the orbital of (i, j), so M_ij is
+    the orbital average of v v^T, the mean is v averaged over each point
+    orbit, and the single sum is v^T M v; ``sn_sum_zero`` takes M and the
+    mean for w = H^T v, H its ``sum_zero_rows``, and maps them back
+    through H.  Every other representation
+    takes the orbit O, the (|G|, n) rows rho(g) v, from its ``orbit_map``
+    over the payload when it has one, with no table image built, else from
+    the cached table images through the einsum of ``Representation.orbit``
+    (``image_orbit``), one row of |G| floats per coordinate rather than one
+    product per element: M = O^T O / |G|, and the single sum is the mean
+    of <gv, v>^2, independent of M.
     """
     v = _check_unit(v, "orbit base")
     if v.shape != (rep.dim,):
         raise BadParams(f"base has shape {v.shape}, representation dim {rep.dim}")
     order = rep.group.order
-    if rep.catalog_id in PERMUTATION_ENTRIES:
-        h = sum_zero_basis(rep.dim + 1) if rep.catalog_id == "sn_sum_zero" else None
+    if rep.permutation:
+        h = rep.sum_zero_rows
         entries, mean = _orbital_moments(group_orbitals(rep.group), v if h is None else h.T @ v)
         if h is not None:
             entries, mean = h @ entries @ h.T, h @ mean

@@ -75,8 +75,8 @@ from .moments import (
     uniform_subsphere,
 )
 from .representations import (
+    CATALOG,
     ORTHOGONALITY_TOL,
-    PERMUTATION_ENTRIES,
     build_named_rep,
     catalog_dim,
     sum_zero_basis,
@@ -426,12 +426,15 @@ def _validate_outputs(node):
 # ---------------------------------------------------------------------------
 
 def build_group(cfg: AnalysisConfig):
-    """The group source of a config: a continuous family; for the
-    permutation entries a table-free ``PermutationGroup``, whose order comes
-    from a stabilizer chain; else a closed table, under ``closure_cap``."""
+    """The group source of a config: a continuous family; for a catalog
+    entry on permutation payloads a table-free ``PermutationGroup``, whose
+    order comes from a stabilizer chain; else a closed table, under
+    ``closure_cap``.  An unknown entry gets its table, and
+    ``build_named_rep`` refuses it."""
     if cfg.group.kind in CONTINUOUS_FAMILIES:
         return ContinuousFamily(kind=cfg.group.kind, n=cfg.group.n)
-    if cfg.rep_name in PERMUTATION_ENTRIES:
+    entry = CATALOG.get(cfg.rep_name)
+    if entry is not None and entry.payload == "permutation":
         return permutation_group(cfg.group)
     return enumerate_closure(cfg.group, cap=cfg.tolerances.closure_cap)
 
@@ -781,24 +784,30 @@ def emit_outputs(report: Report, cfg: AnalysisConfig) -> dict:
 
     JSON reports use a stable key order and decimals with 12 significant
     digits, so identical (config, seed) runs are byte-identical.  A report
-    or trace directory is made only when it is missing.
+    or trace directory is made only when it is missing.  The report is
+    written before the trace; an output that cannot be written stops the
+    writing, and its ``OSError`` text is returned as ``error`` next to the
+    paths written before it (``error`` is None when all were written).
     """
     if cfg.format == "json":
         text = json.dumps(report_document(report), indent=2) + "\n"
     else:
         text = render_text(report)
-    written = {"report_text": text, "report_path": None, "trace_path": None}
-    if cfg.report_path:
-        path = Path(cfg.report_path)
-        with _open_output(path) as fh:
-            fh.write(text)
-        written["report_path"] = str(path)
-    if cfg.trace_path and report.trace_rows:
-        path = Path(cfg.trace_path)
-        reference = f"{report.reference:.12g}"
-        with _open_output(path) as fh:
-            fh.write("n_samples,estimate,stderr,reference\n")
-            for n, est, err in report.trace_rows:
-                fh.write(",".join([str(n), f"{est:.12g}", f"{err:.12g}", reference]) + "\n")
-        written["trace_path"] = str(path)
+    written = {"report_text": text, "report_path": None, "trace_path": None, "error": None}
+    try:
+        if cfg.report_path:
+            path = Path(cfg.report_path)
+            with _open_output(path) as fh:
+                fh.write(text)
+            written["report_path"] = str(path)
+        if cfg.trace_path and report.trace_rows:
+            path = Path(cfg.trace_path)
+            reference = f"{report.reference:.12g}"
+            with _open_output(path) as fh:
+                fh.write("n_samples,estimate,stderr,reference\n")
+                for n, est, err in report.trace_rows:
+                    fh.write(",".join([str(n), f"{est:.12g}", f"{err:.12g}", reference]) + "\n")
+            written["trace_path"] = str(path)
+    except OSError as e:
+        written["error"] = str(e)
     return written

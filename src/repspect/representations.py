@@ -15,9 +15,12 @@ maps as ``stack_map(p[None])[0]``.  Orbit points rho(g) v of a payload
 stack come from ``orbit``, which applies the image stack to v unless the
 representation has a cheaper closed form: ``so3_traceless_symmetric``
 maps v to the coordinates of R V R^T and builds no image, and its images
-are that same map applied to the five basis vectors; ``sn_permutation``
-moves the coordinates of v by the payload, and ``sn_sum_zero`` does the
-same to v in ambient coordinates.  ``explicit``
+are that same map applied to the five basis vectors.  The two permutation
+entries are marked ``permutation``: their images are the permutation
+matrices P(g) on ``sn_permutation`` and H P(g) H^T on ``sn_sum_zero``, H
+its ``sum_zero_rows``, and their commutant and exact orbit moments are
+read off the orbitals of the generators, so no orbit point of theirs is
+formed.  ``explicit``
 images are multiplied along the group table's Schreier tree, one batched
 product per level, and looked up by payload; their table images are that
 stack itself.
@@ -47,9 +50,6 @@ from .groups import (
 ORTHOGONALITY_TOL = 1e-8
 UNIT_TOL = 1e-10
 GRAM_EIG_FLOOR = 1e-12
-# Entries whose commutant, P and orbit moments are read off the orbitals of
-# the generators, on a table or on a table-free PermutationGroup alike.
-PERMUTATION_ENTRIES = ("sn_permutation", "sn_sum_zero")
 
 
 class Representation:
@@ -60,7 +60,12 @@ class Representation:
     their orthogonal images.  ``orbit_map``, when set, maps a payload
     stack and one vector v to the rows rho(g) v without building the
     images.  ``basis_change`` records the Gram symmetrization applied to
-    explicit generator images, if any.
+    explicit generator images, if any.  ``permutation``, set by the two
+    permutation entries alone, says that rho(g) is the permutation matrix
+    P(g), or H P(g) H^T when ``sum_zero_rows`` holds the orthonormal
+    ``(dim, dim + 1)`` rows H spanning the hyperplane of zero coordinate
+    sum (``sn_sum_zero``); the commutant and the exact orbit moments of
+    such a representation come from the orbitals of the generators.
     """
 
     def __init__(
@@ -71,6 +76,8 @@ class Representation:
         catalog_id: str | None = None,
         basis_change: np.ndarray | None = None,
         orbit_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
+        permutation: bool = False,
+        sum_zero_rows: np.ndarray | None = None,
     ):
         self.dim = dim
         self.stack_map = stack_map
@@ -78,6 +85,8 @@ class Representation:
         self.catalog_id = catalog_id
         self.basis_change = basis_change
         self.orbit_map = orbit_map
+        self.permutation = permutation
+        self.sum_zero_rows = sum_zero_rows
         self._images: np.ndarray | None = None
 
     @property
@@ -122,14 +131,6 @@ def permutation_images(payload: np.ndarray) -> np.ndarray:
     """Permutation matrices of a ``(k, n)`` stack of images: image j sends
     basis vector i to basis vector ``payload[j, i]``."""
     return np.eye(payload.shape[1])[payload].transpose(0, 2, 1)
-
-
-def permutation_orbit(payload: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """The ``(k, n)`` rows P(g) v of a ``(k, n)`` stack of images, with no
-    image built: P(g) moves coordinate i of v to ``payload[g, i]``."""
-    rows = np.empty(payload.shape)
-    np.put_along_axis(rows, payload, np.broadcast_to(v, payload.shape), axis=1)
-    return rows
 
 
 def sum_zero_basis(n: int) -> np.ndarray:
@@ -307,7 +308,7 @@ class CatalogEntry(NamedTuple):
 
 
 def _permutation_rep(group, dim, _images) -> Representation:
-    return Representation(dim, permutation_images, group, orbit_map=permutation_orbit)
+    return Representation(dim, permutation_images, group, permutation=True)
 
 
 def _sum_zero_rep(group, dim, _images) -> Representation:
@@ -316,7 +317,8 @@ def _sum_zero_rep(group, dim, _images) -> Representation:
         dim,
         lambda payload: h @ permutation_images(payload) @ h.T,
         group,
-        orbit_map=lambda payload, v: permutation_orbit(payload, h.T @ v) @ h.T,
+        permutation=True,
+        sum_zero_rows=h,
     )
 
 

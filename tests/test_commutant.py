@@ -970,6 +970,30 @@ class TestCrossPathSweep:
         assert_same_answer(rs.build_named_rep("sn_sum_zero", table),
                            rs.build_named_rep("explicit", table, generator_images=list(images)))
 
+    def test_explicit_images_of_a_permutation_table_take_the_nullspace(self, monkeypatch):
+        # The entry picks the path, not the payload kind: explicit images
+        # H P(g) H^T of S5, the reference of the sweep above, go through the
+        # eigenspace nullspace although their group permutes points.
+        table = symmetric_table(5)
+        h = sum_zero_basis(5)
+        images = h @ permutation_images(table.payload[table.generators]) @ h.T
+        rep = rs.build_named_rep("explicit", table, generator_images=list(images))
+        nullspace = rs.commutant._eigenspace_nullspace
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return nullspace(*args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("explicit images took the orbitals")
+
+        monkeypatch.setattr(rs.commutant, "_eigenspace_nullspace", counted)
+        monkeypatch.setattr(rs.commutant, "_orbital_commutant", refuse)
+        cb = rs.commutant_basis(rep)
+        assert len(calls) == 1
+        assert (cb.dim, cb.sym_dim) == (1, 1)
+
     @settings(max_examples=100, deadline=None)
     @given(structured_permutation_generators(), st.integers(0, 2**32 - 1))
     @example(((1, 2, 3, 4, 0),), 0)

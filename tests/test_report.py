@@ -13,7 +13,7 @@ import pytest
 
 import repspect as rs
 from repspect.cli import main as cli_main
-from repspect.errors import BadParams, ParseError, UnknownName, ValidationError, VerdictConflict
+from repspect.errors import BadParams, ParseError, TooLarge, UnknownName, ValidationError, VerdictConflict
 from repspect.groups import orthogonality_defect
 from repspect.moments import MomentEstimate, SecondMomentMatrix
 from repspect.report import (
@@ -281,6 +281,36 @@ def test_validation_accepts_what_construction_accepts(name, group_label):
 
 
 class TestRunAnalysis:
+    @pytest.mark.parametrize("group,rep", [
+        ({"kind": "symmetric", "n": 3}, "sn_permutation"),
+        ({"kind": "orthogonal", "n": 3}, "defining_orthogonal"),
+    ])
+    def test_unknown_rep_name_raises_unknown_name(self, group, rep):
+        # The group is chosen before the representation is built; a name
+        # outside the catalog reaches build_named_rep and is refused there.
+        cfg = rs.parse_config(json.dumps({"group": group, "representation": {"name": rep}}))
+        with pytest.raises(UnknownName):
+            rs.run_analysis(cfg._replace(rep_name="no_such_entry"))
+
+    def test_large_degree_permutation_refused_before_any_square_array(self):
+        # One transposition on 3000 points: order 2, so the orbital basis
+        # has dimension at least 4.5e6.  Building the group and the
+        # representation holds nothing of size n^2 (an n x n identity alone
+        # is 72 MB), so the refusal comes at a few MB.
+        transposition = [1, 0] + list(range(2, 3000))
+        cfg = rs.parse_config(json.dumps({
+            "group": {"kind": "permutation_generators", "generators": [transposition]},
+            "representation": {"name": "sn_permutation"},
+        }))
+        tracemalloc.start()
+        try:
+            with pytest.raises(TooLarge, match="dimension at least"):
+                rs.run_analysis(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+
     @pytest.mark.parametrize("seed", [53294, 66312, 99868, 157098])
     def test_orthogonal_2_is_real_type_at_seeds_drawing_only_rotations(self, seed):
         cfg = rs.parse_config(json.dumps({
@@ -856,6 +886,55 @@ class TestCli:
         })
         assert cli_main(["analyze", "--config", path, flag, value]) == 1
         assert "config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("where", ["directory", "under_a_file"])
+    def test_unwritable_report_path_exit_one(self, where, tmp_path, capsys):
+        # A report path that is a directory, or that lies under a file, ends
+        # in one line naming the path, not a traceback.
+        taken = tmp_path / "taken"
+        if where == "directory":
+            taken.mkdir()
+            report_path = taken
+        else:
+            taken.write_text("")
+            report_path = taken / "report.json"
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "sn_sum_zero"},
+            "outputs": {"report": str(report_path)},
+        })
+        assert cli_main(["analyze", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("output error: ")
+        assert str(taken) in captured.err and captured.err.count("\n") == 1
+        assert "written" not in captured.out
+
+    @pytest.mark.parametrize("to_file", [True, False], ids=["report_file", "report_stdout"])
+    def test_unwritable_trace_path_exit_one(self, to_file, tmp_path, capsys):
+        # The report goes out first: its file is written and announced, or
+        # its text printed, before the trace path fails.
+        taken = tmp_path / "taken"
+        taken.mkdir()
+        report_path = tmp_path / "report.txt"
+        outputs = {"trace": str(taken), "format": "text"}
+        if to_file:
+            outputs["report"] = str(report_path)
+        path = self.write_config(tmp_path, {
+            "group": {"kind": "symmetric", "n": 3},
+            "representation": {"name": "sn_sum_zero"},
+            "samples": 2000,
+            "outputs": outputs,
+        })
+        assert cli_main(["analyze", "--config", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("output error: ")
+        assert str(taken) in captured.err and captured.err.count("\n") == 1
+        assert "trace written" not in captured.out
+        if to_file:
+            assert report_path.read_text().startswith("verdict: irreducible")
+            assert captured.out == f"report written to {report_path}\n"
+        else:
+            assert captured.out.startswith("verdict: irreducible")
 
     def test_more_workers_than_samples_exit_one(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {

@@ -76,6 +76,23 @@ class TestCatalog:
             for j, b in enumerate(basis):
                 assert np.sum(a * b) == pytest.approx(float(i == j), abs=1e-12)
 
+    def test_permutation_entries_are_marked(self, s4_table, q8_table):
+        # Only the two permutation entries are marked: sn_permutation's
+        # images are P(g), sn_sum_zero's are H P(g) H^T with H its Helmert
+        # rows; no other entry carries the mark or rows.
+        perm = rs.build_named_rep("sn_permutation", s4_table)
+        assert perm.permutation and perm.sum_zero_rows is None
+        np.testing.assert_array_equal(perm.table_images(), permutation_images(s4_table.payload))
+        sum_zero = rs.build_named_rep("sn_sum_zero", s4_table)
+        h = sum_zero.sum_zero_rows
+        assert sum_zero.permutation and h.tobytes() == rs.sum_zero_basis(4).tobytes()
+        np.testing.assert_allclose(h @ permutation_images(s4_table.payload) @ h.T,
+                                   sum_zero.table_images(), rtol=0, atol=1e-15)
+        for rep in (rs.build_named_rep("q8_left", q8_table),
+                    rs.build_named_rep("explicit", s4_table, generator_images=list(
+                        permutation_images(s4_table.generator_payloads)))):
+            assert not rep.permutation and rep.sum_zero_rows is None
+
     def test_unknown_name(self, s3_table):
         with pytest.raises(UnknownName):
             rs.build_named_rep("regular", s3_table)
@@ -232,21 +249,6 @@ class TestOrbit:
         v = random_unit(rs.stream(46), rep.dim)
         expected = np.einsum("kij,j->ki", rep.stack_map(payload), v)
         assert np.array_equal(rep.orbit(payload, v), expected)
-
-
-    @pytest.mark.parametrize("name", ["sn_permutation", "sn_sum_zero"])
-    def test_permutation_entries_move_coordinates(self, name, s4_table):
-        # The closed form scatters v by the payload and builds no image; on
-        # sn_permutation it is the image stack applied to v, bit for bit.
-        rep = rs.build_named_rep(name, s4_table)
-        v = random_unit(rs.stream(47), rep.dim)
-        expected = rep.table_images() @ v
-        rep.stack_map = None
-        orbit = rep.orbit(s4_table.payload, v)
-        if name == "sn_permutation":
-            assert np.array_equal(orbit, expected)
-        else:
-            np.testing.assert_allclose(orbit, expected, rtol=0, atol=1e-15)
 
 
 class TestTableImages:
