@@ -11,7 +11,8 @@ before they are allocated (``TooLarge``, printed as "too large: ...") and
 for a report or trace that cannot be written (printed as "output error:
 ..." with the path); 2 for numerical failures (verdict conflict,
 disagreeing dimension counts, or a singular value too close to the
-nullspace cutoff).
+nullspace cutoff).  A trace asked for when no measure is sampled is not
+written, which stderr says; the exit code is not changed by it.
 """
 
 from __future__ import annotations
@@ -168,11 +169,6 @@ def main(argv=None) -> int:
 
     try:
         cfg = parse_config(Path(flags["config"]), flag_overrides(flags))
-    except CONFIG_ERRORS as e:
-        print(f"config error: {e}", file=sys.stderr)
-        return 1
-
-    try:
         report = run_analysis(cfg)
     except CONFIG_ERRORS as e:
         print(f"config error: {e}", file=sys.stderr)
@@ -191,6 +187,8 @@ def main(argv=None) -> int:
         print(f"report written to {written['report_path']}")
     if written["trace_path"]:
         print(f"trace written to {written['trace_path']}")
+    elif cfg.trace_path and report.trace_rows is None:
+        print("no trace written: no measure is sampled", file=sys.stderr)
     if written["error"]:
         print(f"output error: {written['error']}", file=sys.stderr)
         return 1

@@ -44,12 +44,12 @@ SVD runs and no table image is built; no singular value is cut, so
 projector's singular values are exactly 0 and 1) and ``ambiguous_sigma``
 is None.
 
-Every other group takes one nullspace over its constraint images: the
-generator images of a finite table, or the images of a continuous
-family's fixed topological generators (two rotations by generic angles,
-and a reflection on O(n)), which generate a dense subgroup.  A matrix
-commuting with a set commutes with the closed group it generates, so the
-span is exact and seed-free.  It also commutes with the symmetric
+Every other group takes one nullspace over its constraint images, the
+images of its generator payloads: the generators of a finite table, or a
+continuous family's fixed topological generators (two rotations by
+generic angles, and a reflection on O(n)), which generate a dense
+subgroup.  A matrix commuting with a set commutes with the closed group
+it generates, so the span is exact and seed-free.  It also commutes with the symmetric
 K = sum_i w_i (rho(g_i) + rho(g_i)^T), w fixed golden-ratio weights, so
 it is block-diagonal over K's eigenspaces (Maehara & Murota, 2010): one
 SVD of the commutation constraints on the entries inside those blocks
@@ -93,7 +93,6 @@ from .groups import (
     group_orbitals,
     orbit_labels,
     stabilizer_chain_order,
-    topological_generators,
 )
 from .groups import haar_matrices  # not called here: perfbench's Tracer.install wraps it by this name
 from .representations import Representation, gram_roots
@@ -458,14 +457,14 @@ def commutant_basis(
     ``ORBITAL_BASIS_BYTES`` raises TooLarge before it is allocated.
 
     Every other group takes the nullspace of :func:`_eigenspace_nullspace`
-    and P from :func:`fixed_projector` over its constraint images, which
-    are kept for later stages to re-verify against: a finite table's
-    generator images (a matrix commuting with the generators commutes with
-    all of their products; the nullspace reads their Gram conjugates), or
-    the images of a continuous family's topological generators, on O(n)
-    the reflection diag(-1, 1, ..., 1) first.  A finite table also counts
-    the dimension d and the symmetric dimension from the characters of
-    the table images; a count off an integer, a numerical rank other than
+    and P from :func:`fixed_projector` over its constraint images, the
+    ``generator_images``, which are kept for later stages to re-verify
+    against: a matrix commuting with the generators commutes with the
+    closed group they generate, the topological generators of a continuous
+    family included.  A group with an order, a table, also counts the
+    dimension d and the symmetric dimension from the characters of the
+    table images, and its nullspace reads the Gram conjugates of its
+    generator images; a count off an integer, a numerical rank other than
     d or a symmetric part of another dimension raises
     InconsistentDimensions.  A column stack above ``COLUMN_STACK_BYTES``
     raises TooLarge before it is allocated.
@@ -476,8 +475,10 @@ def commutant_basis(
     """
     if rep.permutation:
         return _orbital_commutant(rep, rel_threshold)
-    if rep.finite:
-        images, table_images = rep.generator_images(), rep.table_images()
+    images = orthogonal = rep.generator_images()
+    counts = None
+    if rep.group.order is not None:
+        table_images = rep.table_images()
         counts = character_counts(table_images)
         # Images up to ORTHOGONALITY_TOL off orthogonal keep their commutant
         # that far off K's eigenspaces, within reach of the cutoff; their
@@ -486,9 +487,6 @@ def commutant_basis(
         flat = table_images.reshape(-1, rep.dim)
         b_sqrt, b_isqrt = gram_roots(flat.T @ flat / len(table_images))
         orthogonal = b_sqrt @ images @ b_isqrt
-    else:
-        images, counts = rep.stack_map(topological_generators(rep.group)), None
-        orthogonal = images
     rows, threshold, ambiguous = _eigenspace_nullspace(orthogonal, rel_threshold)
     if ambiguous is not None:
         warnings.warn(

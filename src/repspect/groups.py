@@ -20,7 +20,9 @@ and ``indices_of`` compare each matrix with a handful of stored elements
 instead of the whole table, monomial groups included.  The same index
 decides which support points of a discrete measure coincide.
 Continuous families (O(n) and SO(n)) are sampled directly from their
-invariant distribution, and have a fixed stack of topological generators.
+invariant distribution.  Every group source answers its generators and its
+order alike: a continuous family's generator payloads are a fixed stack of
+topological generators, and its order is None.
 """
 
 from __future__ import annotations
@@ -85,7 +87,15 @@ class GroupSpec(NamedTuple):
 
 
 class ContinuousFamily:
-    """A continuous orthogonal matrix family, identified by kind and size."""
+    """A continuous orthogonal matrix family, identified by kind and size.
+
+    Like a finite group it answers its generators and its order:
+    ``generator_payloads`` is its fixed ``(k, n, n)`` stack of
+    ``topological_generators``, which generate a dense subgroup, and
+    ``order`` is None.
+    """
+
+    order = None
 
     def __init__(self, kind: str, n: int):
         if kind not in CONTINUOUS_FAMILIES:
@@ -94,6 +104,7 @@ class ContinuousFamily:
             raise BadParams("family dimension must be >= 1")
         self.kind = kind  # "orthogonal" | "special_orthogonal"
         self.n = n
+        self.generator_payloads = topological_generators(self)
 
 
 class FiniteGroupTable:

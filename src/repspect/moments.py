@@ -61,7 +61,7 @@ from .errors import (
     TooLarge,
     TraceNotOne,
 )
-from .groups import ContinuousFamily, MatrixIndex, group_orbitals, haar_matrices, stream
+from .groups import MatrixIndex, group_orbitals, haar_matrices, stream
 from .representations import Representation, _check_unit, column_dots, image_orbit
 
 PROB_SUM_TOL = 1e-12
@@ -259,10 +259,11 @@ class _ContinuousOrbitSampler(VectorSampler):
 def make_sampler(spec: MeasureSpec, rep: Representation) -> VectorSampler:
     """Build the sampler realizing a measure without a finite law.
 
-    Orbit measures of a continuous family draw a group element from the
-    invariant distribution and push it through g -> rho(g) base; any
-    stabilizer of the base point is handled implicitly by the
-    push-forward.  A discrete measure, or an orbit of a finite group, has
+    An orbit of a group whose ``order`` is None, a continuous family,
+    draws a group element from the invariant distribution and pushes it
+    through g -> rho(g) base; any stabilizer of the base point is handled
+    implicitly by the push-forward.  A discrete measure, or an orbit of a
+    group with an order (a table or a table-free permutation group), has
     exact moments and no sampler: it raises BadMeasureSpec.
     """
     if spec.kind == "uniform_sphere":
@@ -284,11 +285,9 @@ def make_sampler(spec: MeasureSpec, rep: Representation) -> VectorSampler:
             raise BadMeasureSpec(
                 f"orbit base has shape {spec.base.shape}, representation dim {rep.dim}"
             )
-        if rep.finite:
+        if rep.group.order is not None:
             raise BadMeasureSpec("an orbit of a finite group has exact moments; it is not sampled")
-        if isinstance(rep.group, ContinuousFamily):
-            return _ContinuousOrbitSampler(rep, spec.base)
-        raise BadMeasureSpec("orbit measure needs a representation with a group source")
+        return _ContinuousOrbitSampler(rep, spec.base)
     raise BadMeasureSpec(f"unknown measure kind {spec.kind!r}")
 
 
@@ -615,12 +614,15 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
     the cached table images through the einsum of ``Representation.orbit``
     (``image_orbit``), one row of |G| floats per coordinate rather than one
     product per element: M = O^T O / |G|, and the single sum is the mean
-    of <gv, v>^2, independent of M.
+    of <gv, v>^2, independent of M.  A continuous family, whose ``order``
+    is None, has no finite orbit: it raises BadParams.
     """
     v = _check_unit(v, "orbit base")
     if v.shape != (rep.dim,):
         raise BadParams(f"base has shape {v.shape}, representation dim {rep.dim}")
     order = rep.group.order
+    if order is None:
+        raise BadParams("a continuous family has no finite orbit; sample it")
     if rep.permutation:
         h = rep.sum_zero_rows
         entries, mean = _orbital_moments(group_orbitals(rep.group), v if h is None else h.T @ v)
@@ -736,12 +738,14 @@ class InvarianceCheck(NamedTuple):
 
 
 def check_discrete_invariance(spec: MeasureSpec, rep: Representation) -> InvarianceCheck:
-    """Whether the finite group permutes the weighted support of spec.
+    """Whether the group permutes the weighted support of spec.
 
-    A finite group maps the weighted support onto itself exactly when each
-    generator does, since every inverse is a power of its element, so
-    only the generator images are checked.  The support is merged through
-    a ``MatrixIndex`` at ``DISCRETE_POINT_TOL`` (entrywise), each merged
+    The elements that map the weighted support onto itself form a closed
+    subgroup, so the group does exactly when each of its generators does,
+    and only the ``generator_images`` are checked: the generators of a
+    finite group, or the topological generators of a continuous family,
+    which generate a dense subgroup.  The support is merged through a
+    ``MatrixIndex`` at ``DISCRETE_POINT_TOL`` (entrywise), each merged
     point carrying the summed mass of its points.  A generator passes when
     every moved point lies within tol of a merged point and the moved mass
     on each merged point equals its mass within ``DISCRETE_PROB_TOL``

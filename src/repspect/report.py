@@ -455,7 +455,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     verdict = classify_and_decide(cb)
     witness = None if verdict.irreducible else witness_invariant_subspace(cb, rep)
 
-    finite = rep.finite
+    finite = group.order is not None
     measures: list[MeasureResult] = []
     identities: dict = {
         "orbit_exact": [],
@@ -548,8 +548,7 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         "samples": cfg.samples,
         "workers": cfg.workers,
         "tolerances": tol._asdict(),
-        "group": {"kind": cfg.group.kind, "n": cfg.group.n,
-                  "order": group.order if finite else None},
+        "group": {"kind": cfg.group.kind, "n": cfg.group.n, "order": group.order},
         "representation": {"name": cfg.rep_name, "dim": rep.dim},
         "versions": {"repspect": __version__, "numpy": np.__version__},
     }

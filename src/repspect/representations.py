@@ -53,7 +53,7 @@ GRAM_EIG_FLOOR = 1e-12
 
 
 class Representation:
-    """Concrete orthogonal representation of a group source.
+    """Concrete orthogonal representation of a group source ``group``.
 
     ``stack_map`` maps a stack of payloads, ``(k, degree)`` permutation
     images or ``(k, m, m)`` matrices, to the ``(k, dim, dim)`` stack of
@@ -66,13 +66,16 @@ class Representation:
     ``(dim, dim + 1)`` rows H spanning the hyperplane of zero coordinate
     sum (``sn_sum_zero``); the commutant and the exact orbit moments of
     such a representation come from the orbitals of the generators.
+    ``generator_images`` maps the group's ``generator_payloads``: the
+    generators of a finite group, or the topological generators of a
+    continuous family.
     """
 
     def __init__(
         self,
         dim: int,
         stack_map: Callable[[np.ndarray], np.ndarray],
-        group: GroupSource | None = None,
+        group: GroupSource,
         catalog_id: str | None = None,
         basis_change: np.ndarray | None = None,
         orbit_map: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None,
@@ -88,10 +91,6 @@ class Representation:
         self.permutation = permutation
         self.sum_zero_rows = sum_zero_rows
         self._images: np.ndarray | None = None
-
-    @property
-    def finite(self) -> bool:
-        return isinstance(self.group, (FiniteGroupTable, PermutationGroup))
 
     def orbit(self, payloads: np.ndarray, v: np.ndarray) -> np.ndarray:
         """The ``(k, dim)`` rows rho(g_k) v of a stack of k payloads; without
@@ -110,8 +109,6 @@ class Representation:
         return self._images
 
     def generator_images(self) -> np.ndarray:
-        if not self.finite:
-            raise BadParams("generator_images needs a finite group")
         return self.stack_map(self.group.generator_payloads)
 
 

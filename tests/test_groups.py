@@ -643,3 +643,13 @@ class TestTopologicalGenerators:
         for i in range(n - 1):
             rotation = (a, b)[i % 2]
             assert rotation[i + 1, i] == pytest.approx(np.sin(theta[i]), abs=1e-15)
+
+    @pytest.mark.parametrize("kind,n", [
+        ("special_orthogonal", 1), ("orthogonal", 1), ("orthogonal", 2), ("special_orthogonal", 5),
+    ])
+    def test_family_answers_its_generators_and_its_order(self, kind, n):
+        family = rs.ContinuousFamily(kind=kind, n=n)
+        expected = rs.groups.topological_generators(family)
+        assert family.generator_payloads.shape == expected.shape
+        assert family.generator_payloads.tobytes() == expected.tobytes()
+        assert family.order is None

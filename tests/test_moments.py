@@ -96,6 +96,14 @@ def c4_rotation():
 
 
 @pytest.fixture(scope="module")
+def s2_permutation():
+    """``sn_permutation`` on a table-free ``PermutationGroup``: an order, no table."""
+    return rs.build_named_rep(
+        "sn_permutation", rs.permutation_group(rs.GroupSpec(kind="symmetric", n=2))
+    )
+
+
+@pytest.fixture(scope="module")
 def so3_tss():
     fam = rs.ContinuousFamily(kind="special_orthogonal", n=3)
     return rs.build_named_rep("so3_traceless_symmetric", fam)
@@ -117,14 +125,22 @@ class TestSamplers:
         pts = rs.make_sampler(rs.uniform_sphere(), rep).sample(rs.stream(1), 1000)
         np.testing.assert_allclose(np.linalg.norm(pts, axis=1), 1.0, atol=1e-12)
 
-    @pytest.mark.parametrize("kind", ["discrete", "finite-orbit"])
-    def test_finite_laws_have_no_sampler(self, c4_rotation, kind):
+    @pytest.mark.parametrize("kind,source", [
+        ("discrete", "c4_rotation"),
+        ("finite-orbit", "c4_rotation"),
+        ("discrete", "s2_permutation"),
+        ("finite-orbit", "s2_permutation"),
+    ], ids=["discrete", "finite-orbit", "discrete-permutation-group",
+            "finite-orbit-permutation-group"])
+    def test_finite_laws_have_no_sampler(self, request, kind, source):
+        # A group with an order, a table or a table-free permutation group,
+        # has exact orbit moments.
         spec = {
             "discrete": rs.discrete_measure([[1.0, 0.0]], [1.0]),
             "finite-orbit": rs.orbit_measure(np.array([1.0, 0.0])),
         }[kind]
         with pytest.raises(BadMeasureSpec, match="exact moments"):
-            rs.make_sampler(spec, c4_rotation)
+            rs.make_sampler(spec, request.getfixturevalue(source))
 
     def test_subsphere_samples_live_in_subspace(self, s4_table):
         rep = rs.build_named_rep("sn_permutation", s4_table)
@@ -249,11 +265,6 @@ class TestSamplers:
             rs.make_sampler(rs.discrete_measure([[1.0, 0.0, 0.0]], [1.0]), c4_rotation)
         with pytest.raises(BadMeasureSpec, match="points live in R"):
             rs.make_sampler(rs.discrete_measure([[1.0, 0.0]], [1.0]), so3_tss)
-
-    def test_orbit_needs_a_group(self):
-        rep = rs.Representation(2, lambda payload: payload)
-        with pytest.raises(BadMeasureSpec, match="group source"):
-            rs.make_sampler(rs.orbit_measure(np.array([1.0, 0.0])), rep)
 
     def test_bad_probabilities_rejected(self):
         with pytest.raises(BadMeasureSpec):
@@ -595,6 +606,12 @@ class TestExactFiniteOrbitMoments:
         with pytest.raises(NotUnitVector):
             rs.exact_finite_orbit_moments(c4_rotation, np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("name", ["so3_traceless_symmetric", "defining_orthogonal"])
+    def test_continuous_family_has_no_finite_orbit(self, name):
+        rep = rs.build_named_rep(name, rs.ContinuousFamily(kind="special_orthogonal", n=3))
+        with pytest.raises(BadParams, match="no finite orbit; sample it"):
+            rs.exact_finite_orbit_moments(rep, np.eye(rep.dim)[0])
+
     @pytest.mark.parametrize("case", ["dihedral_3000", "cyclic_7", "q8_left", "b4_matrices", "explicit"])
     def test_table_orbit_matches_the_image_by_image_sums(self, case, q8_table):
         # Without an orbit map the orbit is one einsum over the table images
@@ -865,6 +882,20 @@ class TestDiscreteInvariance:
         spec = rs.discrete_measure(pts, [0.4, 0.4, 0.1, 0.1])
         chk = rs.check_discrete_invariance(spec, c4_rotation)
         assert not chk.invariant
+
+    def test_continuous_family_checks_its_topological_generators(self):
+        # The support's stabilizer is closed, so the dense subgroup of the
+        # topological generators decides it: the generic rotation a of SO(3)
+        # moves the axes, and the reflection of O(1) swaps +1 and -1.
+        so3 = rs.build_named_rep(
+            "defining_orthogonal", rs.ContinuousFamily(kind="special_orthogonal", n=3)
+        )
+        axes = np.concatenate([np.eye(3), -np.eye(3)])
+        chk = rs.check_discrete_invariance(rs.discrete_measure(axes, [1 / 6] * 6), so3)
+        assert not chk.invariant and chk.violating_generator == 0
+        o1 = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=1))
+        chk = rs.check_discrete_invariance(rs.discrete_measure([[1.0], [-1.0]], [0.5, 0.5]), o1)
+        assert chk.invariant and chk.violating_generator is None
 
 
 INVARIANCE_REPS = {

@@ -936,6 +936,27 @@ class TestCli:
         else:
             assert captured.out.startswith("verdict: irreducible")
 
+    @pytest.mark.parametrize("via", ["config", "flag"])
+    def test_trace_without_a_sampled_measure_is_announced(self, via, tmp_path, capsys):
+        # An orbit of cyclic(5) has exact moments and nothing is sampled, so
+        # no trace exists: the run says so on stderr and still succeeds.
+        trace_path = tmp_path / "trace.csv"
+        doc = {
+            "group": {"kind": "cyclic", "n": 5},
+            "representation": {"name": "cyclic_rotation"},
+            "measures": [{"kind": "orbit", "base": [1.0, 0.0]}],
+        }
+        flags = []
+        if via == "config":
+            doc["outputs"] = {"trace": str(trace_path)}
+        else:
+            flags = ["--trace", str(trace_path)]
+        assert cli_main(["analyze", "--config", self.write_config(tmp_path, doc), *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "no trace written: no measure is sampled\n"
+        assert json.loads(captured.out)["verdict"]["irreducible"] is True
+        assert not trace_path.exists()
+
     def test_more_workers_than_samples_exit_one(self, tmp_path, capsys):
         path = self.write_config(tmp_path, {
             "group": {"kind": "orthogonal", "n": 3},

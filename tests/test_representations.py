@@ -271,6 +271,20 @@ class TestTableImages:
         np.testing.assert_allclose(rep.table_images(), per_element, rtol=0, atol=1e-15)
 
 
+class TestGeneratorImages:
+    @pytest.mark.parametrize("name,kind,n", [
+        ("defining_orthogonal", "orthogonal", 4),
+        ("defining_orthogonal", "special_orthogonal", 2),
+        ("so3_traceless_symmetric", "special_orthogonal", 3),
+    ])
+    def test_continuous_images_map_the_topological_generators(self, name, kind, n):
+        family = rs.ContinuousFamily(kind=kind, n=n)
+        rep = rs.build_named_rep(name, family)
+        expected = rep.stack_map(family.generator_payloads)
+        assert rep.generator_images().tobytes() == expected.tobytes()
+        assert rep.generator_images().shape == expected.shape
+
+
 def raw_permutation_images(table, conjugator=None):
     """Permutation matrices of every table element, optionally conjugated
     by a fixed invertible matrix (which makes them non-orthogonal)."""
