@@ -484,8 +484,7 @@ def commutant_basis(
         # that far off K's eigenspaces, within reach of the cutoff; their
         # conjugates B^(1/2) rho B^(-1/2), B the table average of rho^T rho,
         # are orthogonal up to rounding.
-        flat = table_images.reshape(-1, rep.dim)
-        b_sqrt, b_isqrt = gram_roots(flat.T @ flat / len(table_images))
+        b_sqrt, b_isqrt = gram_roots(table_images)
         orthogonal = b_sqrt @ images @ b_isqrt
     rows, threshold, ambiguous = _eigenspace_nullspace(orthogonal, rel_threshold)
     if ambiguous is not None:

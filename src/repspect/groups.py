@@ -4,7 +4,7 @@ sampling.
 Finite groups are given by generators (permutations or invertible real
 matrices) or by a named family, and are expanded to a full element table
 by breadth-first closure; the plane groups ``cyclic`` and ``dihedral``
-get the same breadth-first tree and their matrices in closed form.  A
+are written in closed form, in their own order, r^k s^e at 2k + e.  A
 permutation group can also stay unlisted, as a ``PermutationGroup``: its
 generators and the exact order of a Schreier-Sims stabilizer chain, which
 is all the permutation entries need.  A table is one payload array (permutation
@@ -110,17 +110,17 @@ class ContinuousFamily:
 class FiniteGroupTable:
     """A finite group as one payload array and a Schreier tree.
 
-    ``payload`` holds every element once, identity first, in breadth-first
-    discovery order: an int ``(|G|, degree)`` array of 0-based permutation
+    ``payload`` holds every element once, identity first, parents before
+    children: an int ``(|G|, degree)`` array of 0-based permutation
     images, or a float ``(|G|, m, m)`` array of matrices.  Element i > 0 is
     element ``parent[i]`` times generator ``generator[i]`` (both -1 for the
-    identity); parents come before their children and are nondecreasing,
-    so each breadth-first level is a contiguous run.  ``generators`` holds
-    the table indices of the generators.  ``cyclic``/``dihedral`` payloads
-    are closed-form rotations and reflections by multiples of 2*pi/n on
-    that tree, stored as the view of a ``(2, 2, |G|)`` array, one
-    contiguous row per entry; other matrix payloads are the C-contiguous
-    products along it.  ``index``,
+    identity); parents are nondecreasing, so each level of the tree, the
+    elements whose parents are all computed, is a contiguous run.
+    ``generators`` holds the table indices of the generators.
+    ``cyclic``/``dihedral`` payloads are closed-form rotations and
+    reflections by multiples of 2*pi/n, stored as the view of a
+    ``(2, 2, |G|)`` array, one contiguous row per entry; other matrix
+    payloads are the C-contiguous products along the tree.  ``index``,
     when given, is the payload index ``indices_of`` would otherwise build.
     """
 
@@ -472,12 +472,12 @@ def _require_n(spec: GroupSpec, minimum: int) -> int:
 # ---------------------------------------------------------------------------
 
 def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> FiniteGroupTable:
-    """Breadth-first closure of the generators into a full group table.
+    """Closure of the generators into a full group table.
 
     ``cyclic`` and ``dihedral`` tables are built in closed form
-    (``_plane_group_table``): the same tree from integer labels, payloads
-    from cos/sin(2*pi*k/n), and the order checked against ``cap`` up
-    front.  Every other group is closed by one breadth-first loop: each
+    (``_plane_group_table``): r^k s^e at position 2k + e, payloads from
+    cos/sin(2*pi*k/n), and the order checked against ``cap`` up front.
+    Every other group is closed by one breadth-first loop: each
     level multiplies every frontier element by every generator in one
     batched product, in (element, generator) order, and the index's
     ``add_absent`` keeps the products not seen before: exactly, by their
@@ -513,26 +513,16 @@ def enumerate_closure(spec: GroupSpec, cap: int = DEFAULT_CLOSURE_CAP) -> Finite
 
 
 def _plane_group_table(spec: GroupSpec, cap: int) -> FiniteGroupTable:
-    """The ``cyclic``/``dihedral`` table in closed form, on the closure's tree.
+    """The ``cyclic``/``dihedral`` table in closed form, in its own order.
 
-    With r the rotation by 2*pi/n and s = diag(1, -1), element r^k s^e has
-    the integer label k + n*e, and right multiplication by the generators is
-    (k, e) r = (k + (-1)^e mod n, e) and (k, e) s = (k, 1 - e).  A
-    breadth-first pass in (element, generator) order, the matrix closure's,
-    reaches each element first through its least word over (r, s) in
-    shortlex order (length, then r < s), and reaches the elements in that
-    order, as long as the closure tells neighbouring rotations apart (their
-    entries differ by about 2*pi/n, above ``MATRIX_DEDUP_TOL`` for n below
-    about 6e8).  Since s^2 = 1 and s r = r^-1 s, a least word of length L is
-    one of r^L, r^(L-1) s, s r^(L-1) and s r^(L-2) s, ranked 0 to 3 in that
-    order.  So (k, 0) is r^k or s r^j s and (k, 1) is r^k s or s r^j, with
-    j = -k mod n; the least key 4 L + rank of its two words files each
-    element in one slot array, whose filled slots give the order.  Dropping
-    the last letter gives the parent: (k - 1, 0), (k, 0), (k + 1, 1) or
-    (k, 1) by rank, through r for even ranks and s for odd ones.  Each
-    payload is then R(2*pi*k/n) diag(1, (-1)^e) from one cos/sin, exact to
-    rounding, rather than a product along its path in the tree.  The order
-    (n or 2n) is checked against ``cap`` before anything is allocated.
+    With r the rotation by 2*pi/n and s = diag(1, -1), element r^k s^e sits
+    at position 2k + e on ``dihedral`` and r^k at position k on ``cyclic``.
+    The tree is r^k = r^(k-1) r and r^k s = r^k s: a rotation's parent is
+    the rotation before it, and a reflection's the rotation it follows, so
+    parents come before their children and never decrease.  Each payload is
+    R(2*pi*k/n) diag(1, (-1)^e) from one cos/sin, exact to rounding, rather
+    than a product along its path in the tree.  The order (n or 2n) is
+    checked against ``cap`` before anything is allocated.
 
     The four entries are written as the contiguous rows of a C-contiguous
     ``(2, 2, order)`` array, and the payload is its ``(order, 2, 2)`` view,
@@ -543,25 +533,12 @@ def _plane_group_table(spec: GroupSpec, cap: int) -> FiniteGroupTable:
     """
     n = _require_n(spec, minimum=1)
     reflections = spec.kind == "dihedral"
-    order = 2 * n if reflections else n
+    step = 2 if reflections else 1
+    order = step * n
     if order > cap:
         raise ClosureOverflow(f"closure exceeds cap={cap}: {spec.kind}({n}) has {order} elements")
-    k = np.arange(n)
-    keys = 4 * k  # r^k
-    if reflections:
-        j = -k % n
-        keys = np.concatenate([np.minimum(keys, 4 * j + 11), np.minimum(4 * k + 5, 4 * j + 6)])
-    slots = np.full(4 * n + 2, -1)
-    slots[keys] = np.arange(order)
-    labels = slots[slots >= 0]
-    position = np.empty(order, dtype=np.intp)
-    position[labels] = np.arange(order)
-    reflected, rotation = np.divmod(labels, n)
-    rank = keys[labels] % 4
-    parent_labels = np.stack([rotation - 1, rotation, n + (rotation + 1) % n, n + rotation])
-    parent = position[parent_labels[rank, np.arange(order)]]
-    generator = rank % 2
-    parent[0] = generator[0] = -1  # the identity, r^0
+    position = np.arange(order)
+    rotation, reflected = np.divmod(position, step)
     angle = 2.0 * np.pi * rotation / n
     cos, sin = np.cos(angle), np.sin(angle)
     sign = 1.0 - 2.0 * reflected
@@ -570,12 +547,14 @@ def _plane_group_table(spec: GroupSpec, cap: int) -> FiniteGroupTable:
     entries[1, 0] = sin
     entries[0, 1] = 0.0 - sign * sin  # 0.0 - x: the identity keeps +0.0, as in eye(2)
     entries[1, 1] = sign * cos
-    generator_labels = [1 % n, n] if reflections else [1 % n]
+    parent = position - np.where(reflected, 1, step)
+    generator = reflected  # r is generator 0, s generator 1
+    parent[0] = generator[0] = -1  # the identity, r^0
     return FiniteGroupTable(
         payload=np.moveaxis(entries, 2, 0),
         parent=parent,
         generator=generator,
-        generators=position[generator_labels],
+        generators=np.array([2 * (1 % n), 1] if reflections else [1 % n], dtype=np.intp),
     )
 
 

@@ -609,12 +609,12 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
     orbit, and the single sum is v^T M v; ``sn_sum_zero`` takes M and the
     mean for w = H^T v, H its ``sum_zero_rows``, and maps them back
     through H.  Every other representation
-    takes the orbit O, the (|G|, n) rows rho(g) v, from its ``orbit_map``
-    over the payload when it has one, with no table image built, else from
-    the cached table images through the einsum of ``Representation.orbit``
-    (``image_orbit``), one row of |G| floats per coordinate rather than one
-    product per element: M = O^T O / |G|, and the single sum is the mean
-    of <gv, v>^2, independent of M.  A continuous family, whose ``order``
+    takes the orbit O, the (|G|, n) rows rho(g) v, as
+    ``image_orbit(rep.table_images(), v)``: one einsum over the table
+    images, which ``commutant_basis`` has already cached, one row of |G|
+    floats per coordinate rather than one product per element.
+    M = O^T O / |G|, and the single sum is the mean of <gv, v>^2,
+    independent of M.  A continuous family, whose ``order``
     is None, has no finite orbit: it raises BadParams.
     """
     v = _check_unit(v, "orbit base")
@@ -630,10 +630,7 @@ def exact_finite_orbit_moments(rep: Representation, v: np.ndarray) -> OrbitMomen
             entries, mean = h @ entries @ h.T, h @ mean
         single = float(v @ entries @ v)
     else:
-        if rep.orbit_map is None:
-            orbit = image_orbit(rep.table_images(), v)
-        else:
-            orbit = rep.orbit_map(rep.group.payload, v)
+        orbit = image_orbit(rep.table_images(), v)
         entries, mean = (orbit.T @ orbit) / order, orbit.mean(axis=0)
         single = float(np.mean((orbit @ v) ** 2))
     m = _exact_second_moment(entries, mean, order)

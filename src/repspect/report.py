@@ -455,7 +455,6 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
     verdict = classify_and_decide(cb)
     witness = None if verdict.irreducible else witness_invariant_subspace(cb, rep)
 
-    finite = group.order is not None
     measures: list[MeasureResult] = []
     identities: dict = {
         "orbit_exact": [],
@@ -474,13 +473,11 @@ def run_analysis(cfg: AnalysisConfig) -> Report:
         if spec.kind == "discrete":
             est, m = exact_discrete_overlap(spec)
             lower_bound_gap = lower_bound_check(m).gap
-            if finite:
-                inv = check_discrete_invariance(spec, rep)
-                invariant_verified = inv.invariant
-                identities["discrete_invariance"].append(
-                    {"measure_index": i, "invariant": inv.invariant}
-                )
-        elif spec.kind == "orbit" and finite:
+            invariant_verified = check_discrete_invariance(spec, rep).invariant
+            identities["discrete_invariance"].append(
+                {"measure_index": i, "invariant": invariant_verified}
+            )
+        elif spec.kind == "orbit" and group.order is not None:
             om = exact_finite_orbit_moments(rep, spec.base)
             est = MomentEstimate(value=om.double_sum, stderr=0.0, n_samples=om.order, exact=True)
             m = om.second_moment
@@ -594,7 +591,7 @@ def _coordinate_moment_summary(smm, i, reference, sigma) -> dict:
 
 
 def _sum_zero_cosine_summary(rep) -> dict | None:
-    if rep.catalog_id != "sn_sum_zero":
+    if rep.sum_zero_rows is None:
         return None
     degree = rep.dim + 1
     if degree > 8:

@@ -11,11 +11,13 @@ orthogonal form).
 Every representation maps a stack of group payloads (permutation images
 or matrices) to the stack of their images through one ``stack_map``;
 table images and sampled images both come from it, and one payload p
-maps as ``stack_map(p[None])[0]``.  Orbit points rho(g) v of a payload
-stack come from ``orbit``, which applies the image stack to v unless the
-representation has a cheaper closed form: ``so3_traceless_symmetric``
-maps v to the coordinates of R V R^T and builds no image, and its images
-are that same map applied to the five basis vectors.  The two permutation
+maps as ``stack_map(p[None])[0]``.  Orbit points rho(g) v of a stack of
+sampled payloads come from ``orbit``, which applies the image stack to v
+unless the representation has a cheaper closed form:
+``so3_traceless_symmetric`` maps v to the coordinates of R V R^T and
+builds no image, and its images are that same map applied to the five
+basis vectors.  The exact orbit of a finite table applies the cached
+table images (``image_orbit``).  The two permutation
 entries are marked ``permutation``: their images are the permutation
 matrices P(g) on ``sn_permutation`` and H P(g) H^T on ``sn_sum_zero``, H
 its ``sum_zero_rows``, and their commutant and exact orbit moments are
@@ -217,9 +219,16 @@ def conjugation_orbit_on_traceless_symmetric(rots: np.ndarray, v: np.ndarray) ->
 # explicit images and Gram symmetrization
 # ---------------------------------------------------------------------------
 
-def gram_roots(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """B^(1/2) and B^(-1/2) of a Gram average B; SingularGram if B is nearly singular."""
-    eigvals, eigvecs = np.linalg.eigh(gram)
+def gram_roots(images: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """B^(1/2) and B^(-1/2) of the Gram average B of rho(g)^T rho(g) over a
+    ``(|G|, d, d)`` image stack; SingularGram if B is nearly singular.
+
+    B is one GEMM of the stack's rows, ``flat^T flat / |G|``, with ``flat``
+    the ``(|G| d, d)`` reshape: the d rows of image g contribute
+    rho(g)^T rho(g).
+    """
+    flat = images.reshape(-1, images.shape[-1])
+    eigvals, eigvecs = np.linalg.eigh(flat.T @ flat / len(images))
     if eigvals.min() < GRAM_EIG_FLOOR:
         raise SingularGram(f"Gram average nearly singular (min eigenvalue {eigvals.min():.2e})")
     return (eigvecs * np.sqrt(eigvals)) @ eigvecs.T, (eigvecs / np.sqrt(eigvals)) @ eigvecs.T
@@ -228,9 +237,9 @@ def gram_roots(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def gram_symmetrize(raw_images: np.ndarray, table: FiniteGroupTable) -> Representation:
     """Conjugate the images of every table element into orthogonal form.
 
-    Averages rho(g)^T rho(g) over the ``(|G|, d, d)`` stack ``raw_images``
-    (in table order), takes the symmetric square root B^(1/2) of the
-    average, and returns the equivalent representation
+    Takes the symmetric square root B^(1/2) of the ``gram_roots`` average B
+    of rho(g)^T rho(g) over the ``(|G|, d, d)`` stack ``raw_images`` (in
+    table order), and returns the equivalent representation
     B^(1/2) rho(g) B^(-1/2), which is orthogonal whenever the input is a
     homomorphism; it maps payloads to images by table lookup, and its
     table images are the symmetrized stack itself.
@@ -238,9 +247,7 @@ def gram_symmetrize(raw_images: np.ndarray, table: FiniteGroupTable) -> Represen
     """
     raw = np.asarray(raw_images, dtype=float)
     dim = raw.shape[1]
-    # Summed one element at a time in table order: a fixed summation order
-    # keeps the average, and so every explicit image, the same to the bit.
-    b_sqrt, b_isqrt = gram_roots(sum(m.T @ m for m in raw) / table.order)
+    b_sqrt, b_isqrt = gram_roots(raw)
     images = b_sqrt @ raw @ b_isqrt
 
     rep = Representation(

@@ -110,49 +110,36 @@ def brute_permutation_closure(generators):
 
 
 def brute_plane_group_table(kind, n):
-    """Independent oracle: the ``cyclic``/``dihedral`` table by a
-    breadth-first pass over integer labels.
+    """Independent oracle: the ``cyclic``/``dihedral`` table in closed form,
+    one element at a time.
 
-    Element r^k s^e has label k + n*e; right multiplication by the
-    generators is (k, e) r = (k + (-1)^e mod n, e) and (k, e) s = (k, 1 - e).
-    The labels are visited as a FIFO queue in (element, generator) order,
-    as the matrix closure visits elements, and each payload is
+    Element r^k s^e sits at position 2k + e on ``dihedral`` and r^k at
+    position k on ``cyclic``, with r the rotation by 2*pi/n and
+    s = diag(1, -1).  A rotation's parent is r^(k-1) through r (generator
+    0) and a reflection's is r^k through s (generator 1); each payload is
     R(2*pi*k/n) diag(1, (-1)^e) from one cos/sin.
     """
     reflections = kind == "dihedral"
-    order = 2 * n if reflections else n
-    k = np.arange(n)
-    if reflections:
-        steps = [np.concatenate([(k + 1) % n, n + (k - 1) % n]), np.concatenate([k + n, k])]
-    else:
-        steps = [(k + 1) % n]
-    steps = [step.tolist() for step in steps]
-    position = [-1] * order
-    position[0] = 0
-    labels, parent, generator = [0], [-1], [-1]
-    for i, label in enumerate(labels):
-        for g, step in enumerate(steps):
-            found = step[label]
-            if position[found] < 0:
-                position[found] = len(labels)
-                labels.append(found)
-                parent.append(i)
-                generator.append(g)
-    reflected, rotation = np.divmod(np.array(labels), n)
-    angle = 2.0 * np.pi * rotation / n
-    cos, sin = np.cos(angle), np.sin(angle)
-    sign = 1.0 - 2.0 * reflected
-    payload = np.empty((order, 2, 2))
-    payload[:, 0, 0] = cos
-    payload[:, 1, 0] = sin
-    payload[:, 0, 1] = 0.0 - sign * sin
-    payload[:, 1, 1] = sign * cos
-    generator_labels = [1 % n, n] if reflections else [1 % n]
+    elements = [(k, e) for k in range(n) for e in ((0, 1) if reflections else (0,))]
+    step = len(elements) // n
+    payload = np.empty((len(elements), 2, 2))
+    parent, generator = [-1], [-1]
+    for i, (k, e) in enumerate(elements):
+        if i:
+            parent.append(i - 1 if e else i - step)
+            generator.append(e)
+        # One angle per call, as a one-element array: the library's cos/sin
+        # run over arrays.
+        angle = np.array([2.0 * np.pi * k / n])
+        cos, sin = float(np.cos(angle)[0]), float(np.sin(angle)[0])
+        sign = 1.0 - 2.0 * e
+        payload[i] = [[cos, 0.0 - sign * sin], [sin, sign * cos]]
+    generator_positions = [step * (1 % n), 1] if reflections else [1 % n]
     return rs.FiniteGroupTable(
         payload=payload,
         parent=np.array(parent, dtype=np.intp),
         generator=np.array(generator, dtype=np.intp),
-        generators=np.array([position[label] for label in generator_labels], dtype=np.intp),
+        generators=np.array(generator_positions, dtype=np.intp),
     )
 
 

@@ -118,11 +118,11 @@ B3_GENERATORS = (
 )
 
 
-# Named plane groups checked against the linear-scan oracle; the library
-# builds them in closed form, and closes their generator stacks, given as
-# `matrix_generators`, by matrix BFS.
+# Named plane groups checked against the linear-scan oracle: their
+# closed-form tables as element sets, and their generator stacks, given as
+# `matrix_generators` and closed by matrix BFS, bit for bit.
 ORACLE_PLANE_GROUPS = [*(("dihedral", n) for n in (1, 2, 3, 7, 12, 360)), ("cyclic", 997)]
-# Sizes on which the closed-form tree is compared with the library's BFS.
+# Sizes on which the closed-form payload is compared with the library's BFS.
 BFS_PLANE_GROUPS = [
     *(("dihedral", n) for n in (1, 2, 3, 4, 7, 360, 3000)),
     *(("cyclic", n) for n in (1, 2, 3, 12, 997)),
@@ -179,49 +179,62 @@ class TestMatrixClosure:
 
     @pytest.mark.parametrize("kind,n", ORACLE_PLANE_GROUPS, ids=str)
     def test_closed_form_table_matches_linear_scan_oracle(self, kind, n):
+        # The closed-form payload, in its own order, is the element set of
+        # the linear-scan closure of the canonical generators: each oracle
+        # matrix is the nearest of exactly one table element, within 1e-12,
+        # and the table's generators are the oracle's.
         spec = rs.GroupSpec(kind=kind, n=n)
         table = rs.enumerate_closure(spec)
         gens = list(rs.groups.canonical_generators(spec))
-        matrices, words = brute_matrix_closure(gens)
+        matrices = np.stack(brute_matrix_closure(gens)[0])
         assert table.order == len(matrices)
-        assert tree_words(table) == words
-        first_within_tol = [
-            min(i for i, m in enumerate(matrices) if np.abs(m - gen).max() < MATRIX_DEDUP_TOL)
-            for gen in gens
-        ]
-        assert table.generators.tolist() == first_within_tol
-        assert float(np.abs(table.payload - np.stack(matrices)).max()) <= 1e-12
+        distance = np.abs(matrices[:, None] - table.payload[None]).max(axis=(2, 3))
+        nearest = distance.argmin(axis=1)
+        assert sorted(nearest.tolist()) == list(range(table.order))
+        assert float(distance[np.arange(len(matrices)), nearest].max()) <= 1e-12
+        for g, gen in zip(table.generators, gens):
+            assert float(np.abs(table.payload[g] - gen).max()) <= 1e-12
         assert orthogonality_defect(table.payload) <= 1e-15
         assert table.payload[0].tobytes() == np.eye(2).tobytes()
 
+    @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
+    def test_plane_tables_are_trees_whose_products_are_the_payload(self, kind):
+        # n = 1..300 and 3000: parents precede their children and never
+        # decrease, generators are r (0) or s (1), and the canonical
+        # generators multiplied along the tree give the closed-form payload.
+        for n in [*range(1, 301), 3000]:
+            spec = rs.GroupSpec(kind=kind, n=n)
+            table = rs.enumerate_closure(spec)
+            children = np.arange(1, table.order)
+            assert table.parent[0] == table.generator[0] == -1
+            assert (table.parent[1:] >= 0).all() and (table.parent[1:] < children).all(), n
+            assert (np.diff(table.parent) >= 0).all(), n
+            assert np.isin(table.generator[1:], (0, 1)).all(), n
+            products = table.tree_product(rs.groups.canonical_generators(spec))
+            assert float(np.abs(products - table.payload).max()) <= 1e-12, n
+
     @pytest.mark.parametrize("kind,n", BFS_PLANE_GROUPS, ids=str)
-    def test_closed_form_tree_equals_matrix_closure(self, kind, n):
+    def test_plane_payload_is_the_matrix_closure_element_set(self, kind, n):
         table = rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n))
         closed = rs.enumerate_closure(generator_stack_spec(kind, n))
-        assert np.array_equal(table.parent, closed.parent)
-        assert np.array_equal(table.generator, closed.generator)
-        assert np.array_equal(table.generators, closed.generators)
-        assert float(np.abs(table.payload - closed.payload).max()) <= 1e-12
-
-    @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
-    def test_closed_form_tree_equals_label_bfs(self, kind):
-        # The slot array of least-word keys against the breadth-first pass
-        # over labels, to the byte, n = 1..300 and 3000.
-        for n in [*range(1, 301), 3000]:
-            table = rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n))
-            oracle = brute_plane_group_table(kind, n)
-            for name in ("payload", "parent", "generator", "generators"):
-                got, want = getattr(table, name), getattr(oracle, name)
-                assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (n, name)
+        assert table.order == closed.order
+        assert sorted(closed.indices_of(table.payload)) == list(range(closed.order))
+        assert np.array_equal(closed.indices_of(table.generator_payloads), closed.generators)
+        assert orthogonality_defect(table.payload) <= 1e-15
+        assert table.payload[0].tobytes() == np.eye(2).tobytes()
 
     @pytest.mark.parametrize("kind", ["cyclic", "dihedral"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 3000])
     def test_plane_payload_is_coordinate_major(self, kind, n):
         # The payload views a (2, 2, |G|) array, one contiguous row per
-        # entry, with the bytes of the oracle's row-major stack.
-        payload = rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n)).payload
-        assert np.moveaxis(payload, 0, 2).flags.c_contiguous
-        assert payload.tobytes() == brute_plane_group_table(kind, n).payload.tobytes()
+        # entry, with the bytes of the oracle's row-major stack; the tree is
+        # the oracle's too.
+        table = rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n))
+        oracle = brute_plane_group_table(kind, n)
+        assert np.moveaxis(table.payload, 0, 2).flags.c_contiguous
+        for name in ("payload", "parent", "generator", "generators"):
+            got, want = getattr(table, name), getattr(oracle, name)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
 
     @pytest.mark.parametrize("kind,n", [("dihedral", 10**12), ("cyclic", 10**12)])
     def test_plane_group_order_checked_against_cap_first(self, kind, n):
@@ -455,10 +468,15 @@ class TestOrbitLabels:
 
 
 class TestTreeProduct:
-    @pytest.mark.parametrize("kind,n", [("symmetric", 4), ("quaternion8", None)])
-    def test_explicit_images_equal_word_products_bit_for_bit(self, kind, n):
+    @pytest.mark.parametrize("kind,n,name", [
+        pytest.param("symmetric", 4, "sn_permutation", id="symmetric-4"),
+        pytest.param("quaternion8", None, "q8_left", id="quaternion8-None"),
+        pytest.param("dihedral", 12, "defining_orthogonal", id="dihedral-12"),
+        pytest.param("cyclic", 7, "defining_orthogonal", id="cyclic-7"),
+    ])
+    def test_explicit_images_equal_word_products_bit_for_bit(self, kind, n, name):
         table = rs.enumerate_closure(rs.GroupSpec(kind=kind, n=n))
-        raw_rep = rs.build_named_rep("sn_permutation" if n else "q8_left", table)
+        raw_rep = rs.build_named_rep(name, table)
         m = np.triu(np.ones((raw_rep.dim, raw_rep.dim))) + np.diag(np.arange(raw_rep.dim))
         images = m @ raw_rep.generator_images() @ np.linalg.inv(m)  # not orthogonal
         oracle = brute_word_images(table, list(images))

@@ -612,12 +612,29 @@ class TestExactFiniteOrbitMoments:
         with pytest.raises(BadParams, match="no finite orbit; sample it"):
             rs.exact_finite_orbit_moments(rep, np.eye(rep.dim)[0])
 
-    @pytest.mark.parametrize("case", ["dihedral_3000", "cyclic_7", "q8_left", "b4_matrices", "explicit"])
+    @pytest.mark.parametrize("case", [
+        "dihedral_3000", "cyclic_7", "q8_left", "b4_matrices", "explicit", "so3_traceless_symmetric",
+    ])
     def test_table_orbit_matches_the_image_by_image_sums(self, case, q8_table):
-        # Without an orbit map the orbit is one einsum over the table images
-        # (coordinate-major on a cyclic/dihedral table); M, the mean and the
-        # single sum are those of the images applied to v one at a time.
-        if case == "explicit":
+        # A table orbit is one einsum over the table images (coordinate-major
+        # on a cyclic/dihedral table), also where the representation has an
+        # orbit map; M, the mean and the single sum are those of the images
+        # applied to v one at a time.
+        if case == "so3_traceless_symmetric":
+            # The rotation group of the cube, order 24, from the quarter turn
+            # about z and the 3-cycle of the coordinates.
+            quarter_z = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
+            generators = (quarter_z, np.eye(3)[[1, 2, 0]])
+            table = rs.enumerate_closure(rs.GroupSpec(kind="matrix_generators", generators=generators))
+            assert table.order == 24
+            rep = rs.build_named_rep(case, table)
+            assert rep.orbit_map is not None
+
+            def refuse(*_):
+                raise AssertionError("a table orbit went through the orbit map")
+
+            rep.orbit_map = refuse
+        elif case == "explicit":
             s3 = symmetric_table(3)
             d = np.diag([1.0, 2.0, 3.0])
             raw = d @ rs.representations.permutation_images(s3.payload[s3.generators]) @ np.linalg.inv(d)
@@ -635,7 +652,6 @@ class TestExactFiniteOrbitMoments:
                 "q8_left": lambda: q8_table,
             }[case]()
             rep = rs.build_named_rep("q8_left" if case == "q8_left" else "defining_orthogonal", table)
-        assert rep.orbit_map is None
         rng = rs.stream(38)
         for _ in range(3):
             v = random_unit(rng, rep.dim)

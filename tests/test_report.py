@@ -652,6 +652,29 @@ class TestRunAnalysis:
         assert m.lower_bound_gap == pytest.approx(2.0 / 3.0)
         assert m.exceeds_reference  # consistent: the rep is reducible
 
+    @pytest.mark.parametrize("kind,n,points,invariant", [
+        # The generic rotation among SO(3)'s topological generators moves the axes.
+        ("special_orthogonal", 3, np.concatenate([np.eye(3), -np.eye(3)]).tolist(), False),
+        # O(1)'s reflection swaps +1 and -1, which carry equal mass.
+        ("orthogonal", 1, [[1.0], [-1.0]], True),
+    ])
+    def test_discrete_measure_on_a_continuous_group_checks_invariance(
+        self, kind, n, points, invariant
+    ):
+        report = rs.run_analysis(rs.parse_config(json.dumps({
+            "group": {"kind": kind, "n": n},
+            "representation": {"name": "defining_orthogonal"},
+            "measure": {"kind": "discrete", "points": points, "probs": [1.0 / len(points)] * len(points)},
+            "seed": 1,
+        })))
+        m = report.measures[0]
+        assert m.invariant_verified is invariant
+        assert m.conflict_eligible is invariant
+        assert report.identities["discrete_invariance"] == [{"measure_index": 0, "invariant": invariant}]
+        assert report.verdict.irreducible
+        assert m.estimate.exact and m.matches_reference  # 1/3 on the axes, 1 on {+1, -1}
+        assert len(report.identities["expectation"]) == int(invariant)
+
     def test_quaternion_orbit(self):
         cfg = rs.parse_config(json.dumps({
             "group": {"kind": "quaternion8"},
