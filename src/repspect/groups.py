@@ -32,7 +32,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
-from numpy.random import SeedSequence, default_rng
+from numpy.random import SFC64, Generator, SeedSequence
 
 from .errors import BadParams, ClosureOverflow, NonInvertibleGenerator, TooLarge
 
@@ -64,8 +64,8 @@ def substream(seed, *path: int) -> SeedSequence:
 
 
 def stream(seed, *path: int) -> np.random.Generator:
-    """Independent reproducible generator addressed by (seed, path)."""
-    return default_rng(substream(seed, *path))
+    """Independent reproducible SFC64 generator addressed by (seed, path)."""
+    return Generator(SFC64(substream(seed, *path)))
 
 
 class GroupSpec(NamedTuple):

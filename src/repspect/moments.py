@@ -23,19 +23,20 @@ alone.  Every ``SecondMomentMatrix`` also holds E[x], so the expectation
 check E(x) = E(P x) reads that one moment record and draws nothing.
 
 Monte Carlo estimates are a deterministic function of (seed, worker
-count, sample count): sampling is partitioned into per-worker substreams
-and reduced in a fixed order.  Every estimator draws ``_sample_blocks``
-of at most 8,192 draws and 512 KB, successive blocks continuing each
-substream, and holds one block at a time: a block's draws are summed
-into the moment record and its overlap values merged into a running
-count, mean and M2 before the next block is drawn, so memory does not
-depend on the sample count.  A sphere or subsphere draws the blocks of
-a worker chunk into one buffer, each block overwriting the last.  Blocks
-are coordinate-major: a C-contiguous ``(dim, count)`` array, one row per
-coordinate, of which the sampled rows are the ``(count, dim)`` view; the
-estimators work on the array, so norms, chained values and sums run along
-contiguous rows, and the record of a block is x x^T of that array (GEMMs
-against a copy up to ``GEMM_RECORD_DIM`` coordinates, ``syrk`` above).
+count, sample count): sampling is partitioned into per-worker SFC64
+substreams (``groups.stream``) and reduced in a fixed order.  Every
+estimator draws ``_sample_blocks`` of at most 8,192 draws and 512 KB,
+successive blocks continuing each substream, and holds one block at a
+time: a block's draws are summed into the moment record and its overlap
+values merged into a running count, mean and M2 before the next block is
+drawn, so memory does not depend on the sample count.  A sphere or
+subsphere draws the blocks of a worker chunk into one buffer, each block
+overwriting the last.  Blocks are coordinate-major: a C-contiguous
+``(dim, count)`` array, one row per coordinate, of which the sampled rows
+are the ``(count, dim)`` view; the estimators work on the array, so
+norms, chained values and sums run along contiguous rows, and the record
+of a block is x x^T of that array (GEMMs against a copy up to
+``GEMM_RECORD_DIM`` coordinates, ``syrk`` above).
 Every sampled measure draws one point per pair: a worker chunk of N pairs
 draws N + 1 points and chains them, <x_i, x_{i+1}>^2.  The chained values
 are iid on an invariant measure: on a sphere or subsphere by rotation
@@ -72,17 +73,15 @@ DISCRETE_PROB_TOL = 1e-10
 # ORBIT_BLOCK_FLOATS // max(n, dim)^2 payloads (2621 for SO(3) on dim 5),
 # so its payloads and the images the default ``orbit`` builds stay that size,
 # and at most BLOCK_DRAWS, so each per-draw vector of a block (norms,
-# chained values) stays within 64 KB.  A sphere fills its Gaussians through
-# a scratch of at most GAUSSIAN_FILL_FLOATS (64 KB), taken from the same
-# budget: its block is (ORBIT_BLOCK_FLOATS - scratch) // dim vectors.
-# The Monte Carlo estimators hold one block of draws at a time.
+# chained values) stays within 64 KB.  The Monte Carlo estimators hold one
+# block of draws at a time.
 ORBIT_BLOCK_FLOATS = 65_536
 BLOCK_DRAWS = 8_192
-GAUSSIAN_FILL_FLOATS = 8_192
-# The moment record of a block of at most this many coordinates is summed by
-# GEMMs against copies of GAUSSIAN_FILL_FLOATS pieces, wider ones by syrk
-# (see _MomentSums).
+# The moment record of a block of at most GEMM_RECORD_DIM coordinates is
+# summed by GEMMs against copies of the block, made GEMM_COPY_FLOATS (64 KB)
+# at a time, wider ones by syrk (see _MomentSums).
 GEMM_RECORD_DIM = 7
+GEMM_COPY_FLOATS = 8_192
 FACTORIAL_GUARD = 8
 
 
@@ -173,8 +172,8 @@ class VectorSampler:
 
     The estimators draw ``block`` rows at a time, at most ``BLOCK_DRAWS``
     draws and ``ORBIT_BLOCK_FLOATS`` floats, and may overwrite them.
-    Draws are iid and row by row, so successive blocks continue one
-    stream, and ``squared_overlap_values`` pairs each draw with the next.
+    Draws are iid, and successive blocks continue one stream as a single
+    call would; ``squared_overlap_values`` pairs each draw with the next.
     ``sample(rng, count, buf)`` returns ``(count, dim)`` rows; the built-in
     samplers return the view of a C-contiguous ``(dim, count)`` array, one
     row per coordinate, which is what the estimators read.  It may draw
@@ -196,37 +195,32 @@ class VectorSampler:
         raise NotImplementedError
 
 
+def _stacked_blocks(sampler: VectorSampler, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` draws, drawn as ``_sample_blocks`` draws them, in one array."""
+    return np.concatenate([x.T.copy() for x in _sample_blocks(sampler, rng, count)], axis=1).T
+
+
 class _SphereSampler(VectorSampler):
-    """Normalized Gaussians.  They are drawn row by row, ``fill`` draws at a
-    time, into a ``(fill, dim)`` scratch of at most ``GAUSSIAN_FILL_FLOATS``
-    and copied transposed into the block, which with that scratch holds at
-    most ``ORBIT_BLOCK_FLOATS``."""
+    """Normalized Gaussians.  A block, one coordinate row after another, is
+    filled by one ``standard_normal`` call and scaled by one reciprocal
+    norm per draw."""
 
-    def __init__(self, dim: int):
-        super().__init__(dim)
-        self.fill = _block_rows(dim, GAUSSIAN_FILL_FLOATS)
-        self.block = _block_rows(dim, ORBIT_BLOCK_FLOATS - self.fill * dim)
-
-    def buffer(self, rows: int | None = None):
-        """A flat block of ``rows`` draws (``block`` by default) and the
-        Gaussian scratch."""
-        rows = self.block if rows is None else rows
-        return np.empty(self.dim * rows), np.empty((min(self.fill, rows), self.dim))
+    def buffer(self):
+        return np.empty(self.dim * self.block)
 
     def sample(self, rng, count, buf=None):
-        flat, scratch = self.buffer(count) if buf is None else buf
+        if count > self.block:
+            return _stacked_blocks(self, rng, count)
+        flat = np.empty(self.dim * count) if buf is None else buf
         z = flat[: self.dim * count].reshape(self.dim, count)
-        for start in range(0, count, len(scratch)):
-            g = scratch[: count - start]
-            rng.standard_normal(out=g)
-            z[:, start : start + len(g)] = g.T
+        rng.standard_normal(out=z)
         norms = column_dots(z, z)
         np.sqrt(norms, out=norms)
         while (norms < 1e-12).any():  # probability-zero guard
             bad = norms < 1e-12
-            z[:, bad] = rng.standard_normal((int(bad.sum()), self.dim)).T
+            z[:, bad] = rng.standard_normal((self.dim, int(bad.sum())))
             norms = np.sqrt(column_dots(z, z))
-        z /= norms
+        z *= np.reciprocal(norms, out=norms)
         return z.T
 
 
@@ -237,9 +231,11 @@ class _SubsphereSampler(VectorSampler):
         self._inner = _SphereSampler(subspace.shape[1])
 
     def buffer(self):
-        return np.empty(self.dim * self.block), self._inner.buffer(self.block)
+        return np.empty(self.dim * self.block), np.empty(self._inner.dim * self.block)
 
     def sample(self, rng, count, buf=None):
+        if count > self.block:
+            return _stacked_blocks(self, rng, count)
         flat, inner = (np.empty(self.dim * count), None) if buf is None else buf
         out = flat[: self.dim * count].reshape(self.dim, count)
         return np.matmul(self.subspace, self._inner.sample(rng, count, inner).T, out=out).T
@@ -309,10 +305,9 @@ def _chunk_sizes(n: int, workers: int) -> list[int]:
 def _sample_blocks(sampler: VectorSampler, rng: np.random.Generator, size: int):
     """``size`` draws from rng, ``sampler.block`` rows at a time.
 
-    Every sampler draws row by row and successive draws continue the
-    stream, so the blocks stack to the draws of one
-    ``sampler.sample(rng, size)`` call (barring a re-drawn singular Haar
-    draw, which has probability zero).  The blocks are drawn into one
+    Successive blocks continue the stream, so they stack to the draws of
+    one ``sampler.sample(rng, size)`` call (barring a re-drawn singular
+    Haar draw, which has probability zero).  The blocks are drawn into one
     ``sampler.buffer()`` per call, a worker chunk, when the sampler has
     one: a block holds at most 8,192 draws and 512 KB of draws and is
     overwritten by the next, so a caller copies what it keeps.  A block of
@@ -334,7 +329,7 @@ class _MomentSums:
 
     A block of at most ``GEMM_RECORD_DIM`` coordinates takes each product
     as GEMMs against a copy of the block, made in pieces of at most
-    ``GAUSSIAN_FILL_FLOATS`` into one buffer that the sums own: numpy
+    ``GEMM_COPY_FLOATS`` into one buffer that the sums own: numpy
     sends z z^T to BLAS ``syrk``, which on OpenBLAS costs 1.2-1.8 times a
     GEMM per draw up to 7 coordinates.  Wider blocks keep ``syrk``: from 8
     to 16 coordinates the two are within about 15% either way, and
@@ -348,7 +343,7 @@ class _MomentSums:
         self.outer = np.zeros((dim, dim))
         self.outer_sq = np.zeros((dim, dim))
         self.total = np.zeros(dim)
-        self._copy = np.empty(GAUSSIAN_FILL_FLOATS) if dim <= GEMM_RECORD_DIM else None
+        self._copy = np.empty(GEMM_COPY_FLOATS) if dim <= GEMM_RECORD_DIM else None
 
     def add(self, x: np.ndarray) -> None:
         """Add a block of draws, the rows of ``x``, squaring it in place.

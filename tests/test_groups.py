@@ -534,6 +534,19 @@ class TestContinuousSampling:
         b = rs.haar_matrices(fam, rs.stream(5, 2), 4)
         assert not np.allclose(a, b)
 
+    def test_streams_are_sfc64_on_seed_sequence_paths(self):
+        # The engine is part of the determinism contract: a (seed, path)
+        # repeats its draws, and sibling paths, or a longer path, differ.
+        rng = rs.stream(5, 1, 0)
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        draws = rng.standard_normal(64)
+        assert np.array_equal(draws, rs.stream(5, 1, 0).standard_normal(64))
+        assert np.array_equal(
+            draws, np.random.Generator(np.random.SFC64(rs.substream(5, 1, 0))).standard_normal(64)
+        )
+        for other in (rs.stream(5, 1, 1), rs.stream(5, 2, 0), rs.stream(5, 1), rs.stream(6, 1, 0)):
+            assert not np.any(draws == other.standard_normal(64))
+
     def test_singular_draw_is_redrawn(self):
         class FirstDrawSingular:
             """Returns a first Gaussian stack with one zero row, then real draws."""

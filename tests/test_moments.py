@@ -19,7 +19,7 @@ from repspect.errors import (
 )
 
 from repspect.moments import (
-    GAUSSIAN_FILL_FLOATS,
+    GEMM_COPY_FLOATS,
     VectorSampler,
     _MomentSums,
     _sample_blocks,
@@ -62,6 +62,11 @@ def traced_peak(fn):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def sphere_sampler(dim):
+    rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=dim))
+    return rs.make_sampler(rs.uniform_sphere(), rep)
 
 
 class FiniteLawSampler(VectorSampler):
@@ -190,15 +195,23 @@ class TestSamplers:
         assert rows == 100_000
         assert peak < 16 * 2**20
 
-    @pytest.mark.parametrize("kind", ["sphere", "subsphere"])
+    @pytest.mark.parametrize("kind", ["sphere", "subsphere", "sphere_dim2", "sphere_dim40", "wide_subsphere"])
     def test_blocks_of_a_chunk_share_one_buffer(self, so3_tss, kind):
         # Each block overwrites the last in the chunk's buffer, and the blocks,
-        # copied as they come, are the draws of one whole sample call.
+        # copied as they come, are the draws of one whole sample call.  A wide
+        # subsphere has fewer draws a block than its inner sphere.
         if kind == "sphere":
-            spec = rs.uniform_sphere()
-        else:
+            sampler = rs.make_sampler(rs.uniform_sphere(), so3_tss)
+        elif kind == "subsphere":
             spec = rs.uniform_subsphere(np.linalg.qr(rs.stream(27).standard_normal((5, 2)))[0])
-        sampler = rs.make_sampler(spec, so3_tss)
+            sampler = rs.make_sampler(spec, so3_tss)
+        elif kind == "wide_subsphere":
+            rep = rs.build_named_rep("defining_orthogonal", rs.ContinuousFamily(kind="orthogonal", n=64))
+            spec = rs.uniform_subsphere(np.linalg.qr(rs.stream(27).standard_normal((64, 5)))[0])
+            sampler = rs.make_sampler(spec, rep)
+            assert sampler.block < sampler._inner.block
+        else:
+            sampler = sphere_sampler(int(kind.removeprefix("sphere_dim")))
         size = 2 * sampler.block + 5
         blocks = _sample_blocks(sampler, rs.stream(28), size)
         first = next(blocks)
@@ -207,7 +220,9 @@ class TestSamplers:
             kept.append(x.copy())
             assert np.shares_memory(x, first)
         assert len(kept) == 3
-        np.testing.assert_array_equal(np.concatenate(kept), sampler.sample(rs.stream(28), size))
+        whole = sampler.sample(rs.stream(28), size)
+        assert whole.T.flags.c_contiguous
+        np.testing.assert_array_equal(np.concatenate(kept), whole)
 
     def test_a_sample_call_without_a_buffer_is_fresh(self, so3_tss):
         sampler = rs.make_sampler(rs.uniform_sphere(), so3_tss)
@@ -279,6 +294,59 @@ class TestSamplers:
     def test_non_unit_point_rejected(self):
         with pytest.raises(NotUnitVector):
             rs.discrete_measure([[1.0, 1.0]], [1.0])
+
+
+class TestSphereDraws:
+    @pytest.mark.parametrize("dim", [2, 5, 40])
+    def test_a_block_is_the_streams_normals_one_coordinate_row_at_a_time(self, dim):
+        sampler = sphere_sampler(dim)
+        for count in (sampler.block, 3):
+            z = rs.stream(50, dim).standard_normal((dim, count))
+            x = sampler.sample(rs.stream(50, dim), count)
+            np.testing.assert_allclose(x, (z / np.linalg.norm(z, axis=0)).T, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("dim", [2, 5, 40])
+    def test_law_across_block_boundaries(self, dim):
+        # Three full blocks and a short one: E x_0^4 = 3/(n(n+2)),
+        # E x_0^2 x_1^2 = 1/(n(n+2)), and the chained <x_i, x_{i+1}>^2 has
+        # mean 1/n, each within 5 standard errors.
+        sampler = sphere_sampler(dim)
+        size = 3 * sampler.block + 17
+        x = sampler.sample(rs.stream(53, 0, 0), size)
+        vals, _ = chained_values(sampler, size - 1, seed=53)
+        np.testing.assert_array_equal(vals, np.einsum("ki,ki->k", x[:-1], x[1:]) ** 2)
+        n = dim
+        for values, expected in (
+            (x[:, 0] ** 4, 3.0 / (n * (n + 2))),
+            (x[:, 0] ** 2 * x[:, 1] ** 2, 1.0 / (n * (n + 2))),
+            (vals, 1.0 / n),
+        ):
+            stderr = values.std(ddof=1) / math.sqrt(len(values))
+            assert abs(values.mean() - expected) <= 5.0 * stderr
+
+    def test_a_zero_draw_is_redrawn_alone(self):
+        class FirstFillZeroColumn:
+            """A stream whose first fill has column 3 zeroed."""
+
+            def __init__(self):
+                self.rng = rs.stream(54)
+                self.calls = []
+
+            def standard_normal(self, size=None, out=None):
+                draws = self.rng.standard_normal(size, out=out)
+                self.calls.append(draws.shape)
+                if len(self.calls) == 1:
+                    draws[:, 3] = 0.0
+                return draws
+
+        sampler, stub = sphere_sampler(5), FirstFillZeroColumn()
+        x = sampler.sample(stub, 8)
+        assert stub.calls == [(5, 8), (5, 1)]
+        np.testing.assert_allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-12)
+        fill = rs.stream(54)
+        z = fill.standard_normal((5, 8))
+        z[:, 3] = fill.standard_normal((5, 1))[:, 0]
+        np.testing.assert_allclose(x, (z / np.linalg.norm(z, axis=0)).T, rtol=0, atol=1e-15)
 
 
 class TestEstimateSquaredOverlap:
@@ -667,11 +735,11 @@ class TestMomentSums:
     @pytest.mark.parametrize("dim, gemm", [(2, True), (5, True), (7, True), (8, False), (12, False), (40, False)])
     def test_record_matches_the_points_record(self, dim, gemm, layout):
         # Up to GEMM_RECORD_DIM (7) coordinates each sum is GEMMs against
-        # copies of GAUSSIAN_FILL_FLOATS pieces, above it syrk.  The blocks
+        # copies of GEMM_COPY_FLOATS pieces, above it syrk.  The blocks
         # are two full pieces and a short one, one draw, and one full piece.
         sums = _MomentSums(dim)
         assert (sums._copy is not None) == gemm
-        step = GAUSSIAN_FILL_FLOATS // dim
+        step = GEMM_COPY_FLOATS // dim
         rng = rs.stream(37, dim)
         blocks = []
         for count in (2 * step + 7, 1, step):
